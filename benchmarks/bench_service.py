@@ -56,7 +56,7 @@ from repro.queries.engine import QueryEngine
 from repro.queries.knn import knn_query_batch
 from repro.client import ServiceClient
 from repro.service import QueryService, ShardManager
-from repro.service.executors import ProcessShardExecutor
+from repro.service.executors import ShardExecutor
 from repro.workloads import RangeQueryWorkload
 
 DEFAULT_TRAJECTORIES = 200
@@ -241,7 +241,7 @@ def _child_measure(cfg: dict) -> dict:
         export_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        executor = ProcessShardExecutor(snapshots, mp_context="spawn")
+        executor = ShardExecutor(snapshots, "process", mp_context="spawn")
         executor.broadcast("info", {})  # workers up and answering
         startup_s = time.perf_counter() - t0
 

@@ -253,6 +253,7 @@ def _serve_listen(args, service) -> int:
     """The asyncio socket front-end of ``repro serve --listen``."""
     import asyncio
     import json
+    import signal
 
     from repro.service.server import QueryServer
 
@@ -287,6 +288,15 @@ def _serve_listen(args, service) -> int:
             auth_token=getattr(args, "auth_token", None),
         )
         await server.start()
+        # SIGTERM takes SIGINT's path — cancel this task, so the finally
+        # below and _cmd_serve's service.close() stop the shard workers and
+        # unlink their shm segments instead of orphaning them.
+        try:
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel
+            )
+        except NotImplementedError:  # no signal handlers on this platform
+            pass
         # The parseable "listening on" line is the startup contract scripts
         # and tests wait for (port 0 resolves to an OS-assigned port).
         print(f"listening on {server.host}:{server.port}", flush=True)
@@ -306,7 +316,7 @@ def _serve_listen(args, service) -> int:
 
     try:
         asyncio.run(_run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("shutting down", flush=True)
     return 0
 

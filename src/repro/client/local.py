@@ -15,6 +15,7 @@ is property-tested against.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Iterable
 
@@ -62,6 +63,7 @@ class LocalClient(Client):
         self._engine = self._build_engine(db)
         self._epoch = 0
         self._cache: OrderedDict[tuple, object] = OrderedDict()
+        self._cache_lock = threading.Lock()
         self._cache_size = int(cache_size)
         self.stats = ServiceStats()
         self.tracer = Tracer()
@@ -100,6 +102,7 @@ class LocalClient(Client):
             cache_size=self._cache_size,
             stats=self.stats,
             dispatch=self._dispatch,
+            cache_lock=self._cache_lock,
             tracer=self.tracer,
             trace_id=self.last_trace_id,
         )

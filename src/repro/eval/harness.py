@@ -172,7 +172,6 @@ class QueryAccuracyEvaluator:
         self,
         simplified: TrajectoryDatabase,
         tasks: tuple[str, ...] = ALL_TASKS,
-        service=None,
         client=None,
     ) -> dict[str, float]:
         """Mean F1 per task of ``simplified`` against the original's truth.
@@ -190,25 +189,11 @@ class QueryAccuracyEvaluator:
         property-tested bit-identical, so scores never depend on the
         choice. The t2vec kNN task (whose embedder lives in this process)
         and clustering always run locally.
-
-        ``service`` (a :class:`repro.service.QueryService`) is the
-        deprecated spelling of ``client=ServiceClient(service)``.
         """
-        from repro.client import LocalClient, ServiceClient
+        from repro.client import LocalClient
 
         if len(simplified) != len(self.db):
             raise ValueError("simplified database must match the original's size")
-        if service is not None:
-            from repro.service._deprecation import warn_once
-
-            if client is not None:
-                raise ValueError("pass either client or service, not both")
-            warn_once(
-                "QueryAccuracyEvaluator.evaluate(service=)",
-                "evaluate(service=...) is deprecated; pass "
-                "client=repro.client.ServiceClient(service) instead",
-            )
-            client = ServiceClient(service)
         if client is not None and client.describe()["trajectories"] != len(
             simplified
         ):

@@ -2,7 +2,7 @@
 
 A **trace id** is minted in the client (or accepted verbatim from the
 wire frame's ``"trace"`` key) and rides the request through the server,
-:class:`~repro.service.service.QueryService`, and both executors. Each
+:class:`~repro.service.service.QueryService`, and the shard executor. Each
 stage that does measurable work emits a :class:`Span` — a named,
 wall-stamped ``(trace_id, name, duration)`` record with free-form
 attributes — into the service's :class:`Tracer`, a bounded in-memory
@@ -16,8 +16,10 @@ Span names used by the serving stack:
 ``request``               serve_cached: full dispatch+merge wall time
 ``cache_lookup``          serve_cached: LRU probe (attrs: ``hit``)
 ``plan``                  kNN scatter planning (attrs: shards kept/skipped)
-``shard_exec``            serial executor: one shard's op (attrs: shard, op)
-``shard_gather``          process executor: gather wait per shard
+``shard_exec``            executor, in-process replica: one shard's op, timed
+                          alone (attrs: shard, op)
+``shard_gather``          executor, worker replica: wait since the gather
+                          began, cumulative along it (attrs: shard, op)
 ``merge``                 service: k-way/union/sum merge of shard payloads
 ``compaction_pass``       service: one absorbed shard compaction
 ========================  ====================================================

@@ -15,11 +15,13 @@ Layering (see ``ARCHITECTURE.md`` at the repository root)::
   :class:`ExactCompaction` (bit-identical default) and
   :class:`SimplifyingCompaction` (the paper's simplifiers as the storage
   engine, under a per-trajectory error budget);
-* :mod:`~repro.service.executors` — scatter/gather over shards, serial
-  reference and replica-set-of-worker-processes-per-shard implementations;
-* :mod:`~repro.service.replication` — :class:`ReplicaSet`: R workers per
-  shard sharing the shm base segments, query failover on worker death,
-  replicated ingest, restart-with-replay;
+* :mod:`~repro.service.executors` — :class:`ShardExecutor`: the one
+  scatter/gather over shards; its name picks the replica transport
+  (``"serial"`` in-process runtimes, ``"process"`` worker processes);
+* :mod:`~repro.service.replication` — :class:`ReplicaSet`: the replicas
+  of one shard behind either transport (workers share the shm base
+  segments), query failover on worker death, replicated ingest,
+  restart-with-replay;
 * :mod:`~repro.service.watchdog` — :class:`Watchdog`: background
   heartbeat/liveness monitor that restarts dead or hung replicas;
 * :mod:`~repro.service.requests` — the typed request/response API, which
@@ -53,9 +55,8 @@ from repro.service.compaction import (
 )
 from repro.service.executors import (
     EXECUTORS,
-    ProcessShardExecutor,
-    SerialShardExecutor,
     ShardExecutionError,
+    ShardExecutor,
     make_executor,
 )
 from repro.service.requests import (
@@ -79,7 +80,7 @@ from repro.service.requests import (
     response_from_json,
     response_to_json,
 )
-from repro.service.replication import PipeStats, ReplicaSet
+from repro.service.replication import ReplicaSet
 from repro.service.runtime import ShardRuntime
 from repro.service.server import QueryServer, ServerHandle, serve_in_thread
 from repro.service.watchdog import Watchdog
@@ -107,11 +108,9 @@ __all__ = [
     "ShardRuntime",
     "HashPartitioner",
     "SpatialPartitioner",
-    "SerialShardExecutor",
-    "ProcessShardExecutor",
+    "ShardExecutor",
     "ShardExecutionError",
     "ReplicaSet",
-    "PipeStats",
     "Watchdog",
     "make_executor",
     "EXECUTORS",

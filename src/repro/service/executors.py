@@ -1,6 +1,7 @@
-"""Scatter/gather executors fanning service operations across shards.
+"""The scatter/gather executor fanning service operations across shards.
 
-Two interchangeable implementations of one small contract:
+One class, :class:`ShardExecutor`, over one
+:class:`~repro.service.replication.ReplicaSet` per shard:
 
 * ``broadcast(op, payload)`` — run one operation on every shard, returning
   the per-shard results in shard order;
@@ -9,41 +10,44 @@ Two interchangeable implementations of one small contract:
   service's kNN shard skipping: pruned shards are simply never messaged);
 * ``ingest(routed)``        — deliver routed ``{shard: batch}`` deltas,
   returning each messaged shard's drained compaction counters (in shard
-  order) so the service's stats see policy passes triggered worker-side;
-* ``close()``               — release workers (idempotent).
+  order) so the service's stats see policy passes triggered shard-side;
+* ``close()``               — release the replicas (idempotent);
 
-Plus the fault-tolerance surface (both executors implement it; serial's
-is trivially healthy since its runtimes share the caller's process):
-``liveness()`` (non-blocking dead-shard probe), ``ping(deadline)``
-(heartbeat that retires hung workers), ``restart_dead()`` (respawn
-retired replicas from snapshot + replayed ingest log), ``reshard(...)``
-(online split/merge surgery on the worker topology), and
+plus the fault-tolerance surface: ``liveness()`` (non-blocking dead-shard
+probe), ``ping(deadline)`` (heartbeat that retires hung workers),
+``restart_dead()`` (respawn dead replicas from snapshot + replayed ingest
+log), ``reshard(...)`` (online split/merge surgery on the topology), and
 ``replication_stats()``.
 
-:class:`SerialShardExecutor` is the in-process reference: shards execute
-one after another, so it adds no parallelism but also no serialization
-cost — and it is the oracle the process executor is tested against.
+The executor's *name* selects the replica transport and nothing else —
+scatter, failover, ingest fan-out, liveness, restart, reshard, tag
+allocation and close are the same code for both:
 
-:class:`ProcessShardExecutor` runs a :class:`~repro.service.replication.ReplicaSet`
-of ``replicas`` long-lived worker processes per shard. Each worker
-materializes its :class:`~repro.service.runtime.ShardRuntime` once from
-the shard snapshot — for a columnar
-:class:`~repro.service.sharding.ShardSnapshot` backed by the
-shared-memory store this *maps* the base tier instead of unpickling it,
-so R replicas share one copy of the base data — and keeps it warm across
-requests (CSR layout, engine memo, pending tier), communicating over a
-dedicated pipe. Messages travel as pickle-5 frames with numpy payloads
-shipped out-of-band (codec in :mod:`repro.service.replication`). A
-broadcast checks out one live replica per target shard and writes all
-requests before reading any reply, so shards genuinely overlap; a
-replica that dies mid-request is retired and the query retries on a live
-sibling (ingest instead fans out to every replica and is never retried —
-see the replication module docstring for the rules). Workers die with
-the executor (daemon processes + explicit stop).
+* ``"serial"`` — one :class:`~repro.service.runtime.ShardRuntime` per
+  shard in the caller's process: shards execute one after another inside
+  the gather, so it adds no parallelism but also no serialization cost —
+  and it is the oracle the process transport is tested against. A failing
+  shard surfaces the runtime's own exception;
+* ``"process"`` — ``replicas`` long-lived worker processes per shard.
+  Each worker materializes its runtime once from the shard snapshot — for
+  a columnar :class:`~repro.service.sharding.ShardSnapshot` backed by the
+  shared-memory store this *maps* the base tier instead of unpickling it,
+  so R replicas share one copy of the base data — and keeps it warm
+  across requests (CSR layout, engine memo, pending tier), communicating
+  over a dedicated pipe. Messages travel as pickle-5 frames with numpy
+  payloads shipped out-of-band (codec in :mod:`repro.service.replication`).
+  All requests are written before any reply is read, so shards genuinely
+  overlap; a replica that dies mid-request is retired and the query
+  retries on a live sibling (ingest instead fans out to every replica and
+  is never retried — see the replication module docstring for the rules).
+  Workers die with the executor (daemon processes + explicit stop), and
+  every failure surfaces as one :class:`ShardExecutionError` naming the
+  shard.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -53,281 +57,83 @@ from typing import Iterable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.replication import (
-    _INLINE_LIMIT,  # noqa: F401  (historical home; tests import from here)
-    _FramePickler,  # noqa: F401
-    _dump_message,
-    _load_message,  # noqa: F401
-    _recv_frames,  # noqa: F401
-    _recv_message,  # noqa: F401
-    _restore_array,  # noqa: F401
-    _send_frames,  # noqa: F401
-    _send_message,  # noqa: F401
-    _shard_worker_main,  # noqa: F401
+    _LocalReplica,
+    _Message,
+    _WorkerReplica,
     PipeStats,
     ReplicaGone,
     ReplicaSet,
     ShardExecutionError,
 )
-from repro.service.runtime import ShardRuntime
 from repro.service.sharding import Shard, ShardSnapshot
 
 EXECUTORS = ("serial", "process")
 
 __all__ = [
     "EXECUTORS",
-    "ProcessShardExecutor",
-    "SerialShardExecutor",
+    "ShardExecutor",
     "ShardExecutionError",
     "make_executor",
 ]
 
 
-class _TraceContextProperty:
-    """Thread-local ``trace_context`` descriptor shared by both executors.
+class ShardExecutor:
+    """Scatter/gather over one replica set per shard.
 
-    The service sets the ambient ``(tracer, trace_id)`` around each scatter
-    call. With the server's worker pool, many requests run through ONE
-    executor concurrently, so the context must be per-thread: a plain
-    attribute would let request A's trace id label request B's shard spans.
-    Kept as an attribute-shaped API (get/set ``executor.trace_context``)
-    so executor implementations that predate tracing — including custom
-    ones — keep working unchanged.
+    ``name`` is ``"serial"`` (in-process runtimes) or ``"process"``
+    (worker processes) — see the module docstring.
+
+    ``replicas`` sets R, the worker count per shard (default 1). Queries
+    fail over across replicas; see :mod:`repro.service.replication` for
+    the routing, ingest-fan-out, and restart rules. It means nothing
+    in-process — a runtime there cannot die independently of the caller,
+    so there is nothing to fail over to and each shard gets exactly one.
+
+    ``mp_context`` selects the multiprocessing start method of the worker
+    processes; the default honours the ``REPRO_MP_CONTEXT`` environment
+    variable (CI runs the service suite under ``spawn``, which fork would
+    otherwise mask pickling and shm-lifecycle bugs from), then prefers
+    ``fork`` (workers inherit the parent's modules instantly) and falls
+    back to the platform default where fork is unavailable.
+
+    Thread safety: every replica is guarded by its own lock, held from
+    the scatter's send to the gather's receive, so concurrent requests
+    from the server's worker pool serialize *per replica* while still
+    overlapping across shards (and, with R > 1, across idle siblings).
     """
-
-    def __set_name__(self, owner, name):
-        self._slot = f"_{name}_local"
-
-    def _local(self, instance) -> threading.local:
-        local = instance.__dict__.get(self._slot)
-        if local is None:
-            local = threading.local()
-            instance.__dict__[self._slot] = local
-        return local
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return getattr(self._local(instance), "ctx", None)
-
-    def __set__(self, instance, value):
-        self._local(instance).ctx = value
-
-
-class SerialShardExecutor:
-    """In-process reference executor: shards run sequentially.
-
-    ``replicas`` is accepted for interface parity with the process
-    executor but means nothing here — an in-process runtime cannot die
-    independently of the caller, so there is nothing to fail over to.
-
-    Thread safety: each shard runtime is guarded by its own lock, so
-    concurrent requests from the server's worker pool serialize *per
-    shard* while still overlapping across shards (and overlapping all
-    pure-python bookkeeping). Single-threaded callers never contend.
-    """
-
-    name = "serial"
-    #: Ambient per-thread ``(tracer, trace_id)`` set by the service around
-    #: scatter calls (None when the current request is untraced).
-    trace_context = _TraceContextProperty()
 
     def __init__(
         self,
         shards: Iterable[Shard | ShardSnapshot],
-        replicas: int = 1,
-        **runtime_kwargs,
-    ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self._closed = False
-        self._runtime_kwargs = dict(runtime_kwargs)
-        # Store sub-family tags are allocated executor-wide, never reused:
-        # after an online reshard a new shard could otherwise adopt a
-        # renumbered survivor's tag and collide on epoch segment names.
-        self._tags = itertools.count()
-        self.runtimes = [
-            ShardRuntime(s, store_tag=f"w{next(self._tags)}", **runtime_kwargs)
-            for s in shards
-        ]
-        self._locks = [threading.Lock() for _ in self.runtimes]
-
-    def _check_usable(self) -> None:
-        # Same use-after-close contract as ProcessShardExecutor: a closed
-        # executor must never silently answer (transport-swap tests would
-        # otherwise pass through it).
-        if self._closed:
-            raise ShardExecutionError("executor is closed")
-
-    def _execute_traced(self, shard_idx: int, op: str, payload: dict):
-        ctx = self.trace_context
-        if not ctx or ctx[1] is None:
-            with self._locks[shard_idx]:
-                return self.runtimes[shard_idx].execute(op, payload)
-        tracer, trace_id = ctx
-        start = time.perf_counter()
-        with self._locks[shard_idx]:
-            result = self.runtimes[shard_idx].execute(op, payload)
-        tracer.record(
-            trace_id,
-            "shard_exec",
-            time.perf_counter() - start,
-            shard=shard_idx,
-            op=op,
-        )
-        return result
-
-    def broadcast(self, op: str, payload: dict) -> list:
-        self._check_usable()
-        return [
-            self._execute_traced(i, op, payload)
-            for i in range(len(self.runtimes))
-        ]
-
-    def run_on(self, shard_indices, op: str, payload: dict) -> dict[int, object]:
-        """Run ``op`` on the given shards only; ``{shard: result}``."""
-        self._check_usable()
-        return {
-            int(i): self._execute_traced(int(i), op, payload)
-            for i in shard_indices
-        }
-
-    def _ingest_one(self, shard_idx: int, batch) -> object:
-        with self._locks[shard_idx]:
-            return self.runtimes[shard_idx].ingest(batch)
-
-    def ingest(self, routed: dict[int, list]) -> list:
-        self._check_usable()
-        return [
-            self._ingest_one(shard_idx, routed[shard_idx])
-            for shard_idx in sorted(routed)
-        ]
-
-    # --------------------------------------------------- fault tolerance
-    def liveness(self) -> dict:
-        """Non-blocking health probe (in-process runtimes are always live)."""
-        n = len(self.runtimes)
-        return {
-            "alive": not self._closed,
-            "dead_shards": [],
-            "replicas_live": n,
-            "replicas_total": n,
-            "shards": [
-                {
-                    "shard": i,
-                    "replicas": 1,
-                    "live": 1,
-                    "pids": [os.getpid()],
-                    "dead_replicas": [],
-                }
-                for i in range(n)
-            ],
-        }
-
-    def ping(self, deadline: float) -> int:
-        """Heartbeat (no-op: nothing out-of-process can hang). Returns 0."""
-        self._check_usable()
-        return 0
-
-    def restart_dead(self) -> int:
-        """Nothing to restart in-process. Returns 0."""
-        self._check_usable()
-        return 0
-
-    def replication_stats(self) -> dict:
-        n = len(self.runtimes)
-        return {
-            "replicas_per_shard": 1,
-            "replicas_live": n,
-            "replicas_total": n,
-            "dead_shards": [],
-            "counters": {},
-        }
-
-    def reshard(self, start: int, n_removed: int, shards) -> None:
-        """Replace ``runtimes[start:start+n_removed]`` after a split/merge.
-
-        ``shards`` are the manager's replacement shards (already carrying
-        their post-surgery indices); survivors after the splice are
-        renumbered to their new positions. The caller (the service) holds
-        the epoch write lock, so no query runs concurrently.
-        """
-        self._check_usable()
-        if start < 0 or n_removed < 1 or start + n_removed > len(self.runtimes):
-            raise ValueError(
-                f"reshard range [{start}, {start + n_removed}) out of bounds "
-                f"for {len(self.runtimes)} shards"
-            )
-        fresh = [
-            ShardRuntime(s, store_tag=f"w{next(self._tags)}", **self._runtime_kwargs)
-            for s in shards
-        ]
-        old = self.runtimes[start : start + n_removed]
-        self.runtimes[start : start + n_removed] = fresh
-        self._locks[start : start + n_removed] = [threading.Lock() for _ in fresh]
-        for pos, runtime in enumerate(self.runtimes):
-            if runtime.index != pos:
-                runtime.op_set_index(pos)
-        for runtime in old:
-            runtime.close()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for shard_idx, runtime in enumerate(self.runtimes):
-            with self._locks[shard_idx]:
-                runtime.close()
-
-    def __enter__(self) -> "SerialShardExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ProcessShardExecutor:
-    """A replica set of worker processes per shard, scatter/gather over pipes.
-
-    ``replicas`` sets R, the worker count per shard (default 1 — the
-    historical one-worker-per-shard topology). Queries fail over across
-    replicas; see :mod:`repro.service.replication` for the routing,
-    ingest-fan-out, and restart rules.
-
-    ``mp_context`` selects the multiprocessing start method; the default
-    honours the ``REPRO_MP_CONTEXT`` environment variable (CI runs the
-    service suite under ``spawn``, which fork would otherwise mask
-    pickling and shm-lifecycle bugs from), then prefers ``fork`` (workers
-    inherit the parent's modules instantly) and falls back to the platform
-    default where fork is unavailable.
-    """
-
-    name = "process"
-    #: Ambient per-thread ``(tracer, trace_id)`` — see
-    #: :attr:`SerialShardExecutor.trace_context`.
-    trace_context = _TraceContextProperty()
-
-    def __init__(
-        self,
-        shards: Iterable[Shard | ShardSnapshot],
+        name: str,
         mp_context: str | None = None,
         replicas: int = 1,
         **runtime_kwargs,
     ) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if mp_context is None:
-            mp_context = os.environ.get("REPRO_MP_CONTEXT") or None
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(mp_context)
+        # Parent-side pipe accounting, shared by every worker replica
+        # (all zeros in-process).
+        self._pipe_stats = PipeStats()
+        if name == "process":
+            if mp_context is None:
+                mp_context = os.environ.get("REPRO_MP_CONTEXT") or None
+            if mp_context is None:
+                methods = multiprocessing.get_all_start_methods()
+                mp_context = "fork" if "fork" in methods else methods[0]
+            self._spawn = functools.partial(
+                _WorkerReplica,
+                multiprocessing.get_context(mp_context),
+                self._pipe_stats,
+            )
+        elif name == "serial":
+            self._spawn = _LocalReplica
+            replicas = 1
+        else:
+            raise ValueError(f"unknown executor {name!r}; choose from {EXECUTORS}")
         self._replicas = int(replicas)
         self._runtime_kwargs = dict(runtime_kwargs)
         self._closed = False
-        # Parent-side pipe accounting, shared across every replica set
-        # (scatter/gather traffic only; the stop handshake at close is
-        # not counted).
-        self._pipe_stats = PipeStats()
         # Replication instruments (failovers/restarts/hung/latency) live in
         # their own registry so they survive the service's per-shard merge
         # untouched; Counter/Gauge are not thread-safe, hence the lock.
@@ -350,10 +156,9 @@ class ProcessShardExecutor:
     def _make_set(self, shard: Shard | ShardSnapshot) -> ReplicaSet:
         return ReplicaSet(
             shard,
-            ctx=self._ctx,
+            spawn=self._spawn,
             runtime_kwargs=self._runtime_kwargs,
             replicas=self._replicas,
-            pipe_stats=self._pipe_stats,
             registry=self._replication_registry,
             registry_lock=self._registry_lock,
             next_tag=lambda: f"w{next(self._tags)}",
@@ -365,15 +170,22 @@ class ProcessShardExecutor:
         return list(self._sets)
 
     @property
+    def runtimes(self) -> list:
+        """The in-process shard runtimes, in shard order (none under the
+        process transport — those live inside the workers)."""
+        return [
+            r.runtime for s in self._sets for r in s.replicas if not r.remote
+        ]
+
+    @property
     def _procs(self) -> list:
         """Every worker process, grouped by shard then replica slot.
 
-        With ``replicas=1`` this is the historical one-process-per-shard
-        list (indexable by shard). Retired replicas stay at their slot
-        until :meth:`restart_dead` replaces them, so a just-killed worker
-        remains joinable here.
+        With ``replicas=1`` this is indexable by shard. Retired replicas
+        stay at their slot until :meth:`restart_dead` replaces them, so a
+        just-killed worker remains joinable here.
         """
-        return [r.proc for s in self._sets for r in s.replicas]
+        return [r.proc for s in self._sets for r in s.replicas if r.remote]
 
     @property
     def n_workers(self) -> int:
@@ -385,23 +197,33 @@ class ProcessShardExecutor:
     def transport_stats(self) -> dict:
         """Parent-side pipe traffic counters (the ``metrics`` report's
         ``transport`` section)."""
-        stats = self._pipe_stats.snapshot()
-        return {"n_workers": self.n_workers, **stats}
+        return {"n_workers": self.n_workers, **self._pipe_stats.snapshot()}
 
     # -------------------------------------------------------------- scatter
-    def _scatter_gather(self, messages: dict[int, tuple]) -> list:
-        """Send ``{shard: message}``, then collect one reply per shard sent.
+    def _scatter_gather(
+        self, indices, op: str, payload, trace: tuple | None
+    ) -> dict[int, object]:
+        """Send one ``(op, payload)`` to the given shards (ascending), then
+        collect one reply per shard sent: ``{shard: result}``.
 
-        Each target shard checks out ONE live replica (pipe lock held
+        Each target shard checks out ONE live replica (its lock held
         until its reply is read). Sends to every target are attempted even
-        when an earlier one finds a dead shard, and every checked-out pipe
-        is drained even when an early shard reports an error — an unread
-        reply left in a pipe would be mistaken for the answer to the
-        *next* request. A replica that dies mid-request is retired and its
-        shard's request is retried on a live sibling — *after* the main
-        gather, when this thread holds no other pipe locks. All failures
-        (send, execution, exhausted replicas) surface as one
-        :class:`ShardExecutionError` after the drain.
+        when an earlier one finds a dead shard, and every checked-out
+        replica is drained even when an early shard reports an error — an
+        unread reply left in a pipe would be mistaken for the answer to
+        the *next* request. A replica that dies mid-request is retired and
+        its shard's request is retried on a live sibling — *after* the
+        main gather, when this thread holds no other replica locks. After
+        the drain an in-process runtime's own exception is re-raised
+        unchanged; all worker failures (send, execution, exhausted
+        replicas) surface as one :class:`ShardExecutionError`.
+
+        ``trace`` is the request's ``(tracer, trace_id)``: each gathered
+        reply records one span, ``shard_gather`` for a worker (it computes
+        from the moment of its send, so the span is the wait since the
+        gather began — cumulative along the gather order, not a per-shard
+        compute time) or ``shard_exec`` for an in-process runtime (it
+        computes inside ``receive``, so the span is that call alone).
 
         Thread safety: checkouts happen in ascending shard order, one
         replica lock per shard; every wait is therefore for a
@@ -411,47 +233,38 @@ class ProcessShardExecutor:
         parallel; with R > 1, requests sharing a shard overlap across its
         idle siblings too.
         """
+        self._check_usable()
+        # One message object for every shard: worker replicas share its
+        # pickle-once frames.
+        message = _Message(op, payload)
         errors: list[str] = []
-        # Serialize each distinct message object once: a broadcast hands
-        # every shard the SAME payload object, so K sends cost one
-        # serialization instead of K. Numpy payloads travel as raw
-        # out-of-band frames (see the replication codec).
-        framed: dict[int, object] = {}
         checked_out: list[tuple[int, ReplicaSet, object]] = []
-        for shard_idx in sorted(messages):
-            message = messages[shard_idx]
-            key = id(message)
-            if key not in framed:
-                try:
-                    framed[key] = _dump_message(message)
-                except Exception as exc:
-                    # An unpicklable payload (e.g. a lambda measure):
-                    # serialization completes before any frame is written,
-                    # so the failure is reportable per shard with every
-                    # pipe left clean.
-                    framed[key] = exc
-            frames = framed[key]
-            if isinstance(frames, Exception):
+        for shard_idx in indices:
+            replica_set = self._sets[shard_idx]
+            try:
+                replica = replica_set.checkout_and_send(message)
+            except Exception as exc:
+                # An unpicklable payload: reportable per shard, with every
+                # pipe left clean.
                 errors.append(
                     f"shard {shard_idx}: send failed "
-                    f"({type(frames).__name__}: {frames})"
+                    f"({type(exc).__name__}: {exc})"
                 )
                 continue
-            replica = self._sets[shard_idx].checkout_and_send(frames)
             if replica is None:
                 errors.append(
                     f"shard {shard_idx}: worker died mid-request and no "
                     f"live replica remains"
                 )
                 continue
-            checked_out.append((shard_idx, self._sets[shard_idx], replica))
-        ctx = self.trace_context
-        tracer, trace_id = ctx if ctx else (None, None)
+            checked_out.append((shard_idx, replica_set, replica))
+        tracer, trace_id = trace or (None, None)
         gather_start = time.perf_counter()
         replies: dict[int, tuple] = {}
         needs_retry: list[int] = []
         while checked_out:
             shard_idx, replica_set, replica = checked_out.pop(0)
+            began = time.perf_counter()
             try:
                 replies[shard_idx] = replica_set.receive(replica)
             except ReplicaGone:
@@ -466,62 +279,53 @@ class ProcessShardExecutor:
                 for _, later_set, later in checked_out:
                     later_set.abandon(later)
                 raise
-            if tracer is not None:
-                # Per-shard gather wait: time from gather start until this
-                # shard's reply was fully read (workers overlap, so waits
-                # are cumulative along the gather order, not per-shard
-                # compute times).
+            if trace_id is not None:
                 tracer.record(
                     trace_id,
-                    "shard_gather",
-                    time.perf_counter() - gather_start,
+                    "shard_gather" if replica.remote else "shard_exec",
+                    time.perf_counter()
+                    - (gather_start if replica.remote else began),
                     shard=shard_idx,
-                    op=messages[shard_idx][0],
+                    op=op,
                 )
         # Deferred failover: retry dead-mid-request shards on live
-        # siblings now that no other pipe lock is held.
+        # siblings now that no other replica lock is held.
         for shard_idx in needs_retry:
             try:
-                replies[shard_idx] = self._sets[shard_idx].request(
-                    framed[id(messages[shard_idx])]
-                )
+                replies[shard_idx] = self._sets[shard_idx].request(message)
             except ShardExecutionError as exc:
                 errors.append(str(exc))
-        errors.extend(
-            f"shard {idx}: {value}"
-            for idx, (status, value) in replies.items()
-            if status != "ok"
-        )
+        for shard_idx, (status, value) in replies.items():
+            if status != "ok":
+                if isinstance(value, Exception):
+                    raise value
+                errors.append(f"shard {shard_idx}: {value}")
         if errors:
             raise ShardExecutionError("; ".join(errors))
-        return [replies[idx][1] for idx in sorted(replies)]
+        return {idx: replies[idx][1] for idx in sorted(replies)}
 
     def _check_usable(self) -> None:
+        # A closed executor must never silently answer (transport-swap
+        # tests would otherwise pass through it).
         if self._closed:
             raise ShardExecutionError("executor is closed")
 
-    def broadcast(self, op: str, payload: dict) -> list:
-        self._check_usable()
-        # Scatter every request before gathering any reply: all shard
-        # workers compute concurrently while the parent waits. One shared
-        # message object, so _scatter_gather's pickle-once cache applies.
-        message = (op, payload)
-        return self._scatter_gather(
-            {idx: message for idx in range(len(self._sets))}
-        )
+    def broadcast(self, op: str, payload: dict, trace: tuple | None = None) -> list:
+        """Run ``op`` on every shard; results in shard order."""
+        results = self._scatter_gather(range(len(self._sets)), op, payload, trace)
+        return list(results.values())
 
-    def run_on(self, shard_indices, op: str, payload: dict) -> dict[int, object]:
+    def run_on(
+        self, shard_indices, op: str, payload: dict, trace: tuple | None = None
+    ) -> dict[int, object]:
         """Run ``op`` on the given shards only; ``{shard: result}``.
 
         Same scatter-all-then-gather overlap as :meth:`broadcast`, but
-        pruned shards are never messaged at all — their workers stay free
+        pruned shards are never messaged at all — their replicas stay free
         for other requests.
         """
-        self._check_usable()
         indices = sorted({int(i) for i in shard_indices})
-        message = (op, payload)
-        results = self._scatter_gather({idx: message for idx in indices})
-        return dict(zip(indices, results))
+        return self._scatter_gather(indices, op, payload, trace)
 
     # --------------------------------------------------------------- ingest
     def ingest(self, routed: dict[int, list]) -> list:
@@ -530,15 +334,14 @@ class ProcessShardExecutor:
         ingest is replicated rather than failed over)."""
         self._check_usable()
         order = sorted(routed)
-        framed = {
-            idx: _dump_message(("ingest", routed[idx])) for idx in order
-        }
         sent: dict[int, list] = {}
         results: list = []
         errors: list[str] = []
         try:
             for idx in order:
-                sent[idx] = self._sets[idx].ingest_send(framed[idx], routed[idx])
+                sent[idx] = self._sets[idx].ingest_send(
+                    _Message("ingest", routed[idx])
+                )
             for idx in order:
                 replicas = sent.pop(idx)
                 try:
@@ -589,7 +392,7 @@ class ProcessShardExecutor:
         )
 
     def restart_dead(self) -> int:
-        """Respawn every retired replica from its shard's snapshot plus the
+        """Respawn every dead replica from its shard's snapshot plus the
         replayed ingest log. Returns the number restarted."""
         self._check_usable()
         restarted = 0
@@ -656,7 +459,7 @@ class ProcessShardExecutor:
         for replica_set in self._sets:
             replica_set.close()
 
-    def __enter__(self) -> "ProcessShardExecutor":
+    def __enter__(self) -> "ShardExecutor":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -669,13 +472,8 @@ class ProcessShardExecutor:
             pass
 
 
-def make_executor(kind, shards: Iterable[Shard | ShardSnapshot], **kwargs):
-    """Build an executor from a name (``"serial"``/``"process"``) or class."""
-    if kind == "serial":
-        kwargs.pop("mp_context", None)
-        return SerialShardExecutor(shards, **kwargs)
-    if kind == "process":
-        return ProcessShardExecutor(shards, **kwargs)
-    if callable(kind):
-        return kind(shards, **kwargs)
-    raise ValueError(f"unknown executor {kind!r}; choose from {EXECUTORS}")
+def make_executor(
+    kind: str, shards: Iterable[Shard | ShardSnapshot], **kwargs
+) -> ShardExecutor:
+    """Build the executor named ``kind`` (one of :data:`EXECUTORS`)."""
+    return ShardExecutor(shards, kind, **kwargs)

@@ -1,14 +1,23 @@
-"""Per-shard replica groups: failover routing and restart-with-replay.
+"""Per-shard replica groups: transports, failover routing, restart-with-replay.
 
 This is the fault-tolerance core of the sharded service. A
-:class:`ReplicaSet` owns R worker processes for ONE shard, all built from
-the same :class:`~repro.service.sharding.ShardSnapshot` — under the
-shared-memory store every replica *maps* the shard's base segments
-zero-copy, so an extra replica costs pipes and pending-tier heap, not a
-second copy of the data. The set provides:
+:class:`ReplicaSet` owns the replicas of ONE shard, all built from the
+same :class:`~repro.service.sharding.ShardSnapshot`. A replica is one of
+two transports behind the same ``send / receive / is_alive / kill /
+stop`` surface:
+
+* :class:`_WorkerReplica` — a worker process and its pipe. Under the
+  shared-memory store every worker *maps* the shard's base segments
+  zero-copy, so an extra replica costs pipes and pending-tier heap, not a
+  second copy of the data;
+* :class:`_LocalReplica` — a :class:`~repro.service.runtime.ShardRuntime`
+  in the caller's process: ``send`` holds the message, ``receive`` runs
+  it. It cannot die independently of the caller, so it is never retired.
+
+The set provides, once for both transports:
 
 * **query routing with failover** — each query checks out one live
-  replica (round-robin, preferring idle pipes); a worker that dies
+  replica (round-robin, preferring idle ones); a worker that dies
   mid-request is retired and the request retries on a live sibling.
   Query operations are read-only, so a retry can never double-apply;
 * **replicated ingest, never retried** — an ingest batch is logged
@@ -22,17 +31,17 @@ second copy of the data. The set provides:
   and replay happen outside the set lock, so queries keep flowing to
   live siblings during the restart window;
 * **liveness** — a non-blocking :meth:`~ReplicaSet.liveness` probe
-  (``Process.is_alive``, no pipe traffic) and a :meth:`~ReplicaSet.ping`
+  (``is_alive()``, no pipe traffic) and a :meth:`~ReplicaSet.ping`
   heartbeat with a deadline that catches hung-but-alive workers.
 
-Deadlock discipline: a request holds at most ONE replica pipe lock per
-shard and acquires shards in ascending order (the executor's scatter
-order); within a shard, siblings are tried one at a time, never held
-together — except by ingest, which holds the set lock first, and set
-locks are themselves acquired in ascending shard order. Every wait is
-therefore for a strictly greater (shard, resource) pair than anything
-held, so no cycle can form. Failover retries for shards that failed
-mid-gather are *deferred* until the main gather released every pipe.
+Deadlock discipline: a request holds at most ONE replica lock per shard
+and acquires shards in ascending order (the executor's scatter order);
+within a shard, siblings are tried one at a time, never held together —
+except by ingest, which holds the set lock first, and set locks are
+themselves acquired in ascending shard order. Every wait is therefore
+for a strictly greater (shard, resource) pair than anything held, so no
+cycle can form. Failover retries for shards that failed mid-gather are
+*deferred* until the main gather released every replica.
 
 Failover/restart/liveness counters export through a shared
 :class:`~repro.obs.metrics.MetricsRegistry`
@@ -42,13 +51,13 @@ Failover/restart/liveness counters export through a shared
 ``metrics_report()`` replication section.
 
 The pipe codec (pickle-5 frames, large numpy arrays as raw out-of-band
-frames) and the worker main loop live here; ``executors.py`` re-exports
-them under their historical names.
+frames) and the worker main loop live here too.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import pickle
 import struct
 import threading
@@ -154,6 +163,34 @@ def _recv_message(conn):
     return _load_message(head, buffers)
 
 
+class _Message:
+    """One ``(op, payload)`` request, pickled at most once.
+
+    A broadcast hands every shard the SAME message, so K worker sends
+    cost one serialization instead of K; in-process replicas read
+    ``op``/``payload`` directly and never pickle at all.
+    """
+
+    __slots__ = ("op", "payload", "_frames")
+
+    def __init__(self, op: str, payload) -> None:
+        self.op = op
+        self.payload = payload
+        self._frames: list | None = None
+
+    def frames(self) -> list:
+        if self._frames is None:
+            self._frames = _dump_message((self.op, self.payload))
+        return self._frames
+
+
+def _apply(runtime: ShardRuntime, op: str, payload):
+    """Run one message against a runtime (ingest is not an ``op_*`` method)."""
+    if op == "ingest":
+        return runtime.ingest(payload)
+    return runtime.execute(op, payload)
+
+
 def _shard_worker_main(
     conn,
     shard: Shard | ShardSnapshot,
@@ -183,10 +220,7 @@ def _shard_worker_main(
             if op == "stop":
                 break
             try:
-                if op == "ingest":
-                    _send_message(conn, ("ok", runtime.ingest(payload)))
-                else:
-                    _send_message(conn, ("ok", runtime.execute(op, payload)))
+                _send_message(conn, ("ok", _apply(runtime, op, payload)))
             except Exception as exc:  # surface shard-side failures to the parent
                 _send_message(conn, ("error", f"{type(exc).__name__}: {exc}"))
     finally:
@@ -199,7 +233,7 @@ def _shard_worker_main(
 class PipeStats:
     """Thread-safe parent-side pipe traffic counters.
 
-    One instance is shared by every replica set of an executor so the
+    One instance is shared by every worker replica of an executor so the
     ``transport`` metrics section keeps meaning "this executor's pipe
     traffic" regardless of replica count or failover routing.
     """
@@ -241,28 +275,168 @@ class PipeStats:
             }
 
 
-class _Replica:
-    """One worker process and its pipe.
+# ---------------------------------------------------------------------------
+# Replica transports
+# ---------------------------------------------------------------------------
+#
+# Both classes answer ``receive()`` with a ``(status, value)`` reply:
+# ``("ok", result)``, or ``("error", detail)`` where ``detail`` is the
+# worker's ``"Type: message"`` string or — in-process — the runtime's own
+# exception object, which the gather re-raises unchanged. ``lock``
+# serializes the one-outstanding-request protocol; the owning set takes it
+# at checkout and releases it once the reply is read.
 
-    ``lock`` serializes the pipe's one-outstanding-request protocol;
-    ``live`` flips to False exactly once (under the owning set's lock)
-    when the replica is retired — a retired replica's pipe is never
-    reused, which is what makes mid-request death recoverable without
-    stale-reply hazards.
+#: What a dead (or, with a receive deadline, hung) worker pipe raises.
+_GONE = (EOFError, OSError)
+
+
+class _WorkerReplica:
+    """Transport: one worker process and its pipe.
+
+    ``live`` flips to False exactly once (in :meth:`kill`, under the
+    owning set's lock) — a retired replica's pipe is never reused, which
+    is what makes mid-request death recoverable without stale-reply
+    hazards.
     """
 
-    __slots__ = ("proc", "conn", "lock", "live", "spawn_id")
+    __slots__ = ("proc", "conn", "lock", "live", "_stats")
 
-    def __init__(self, proc, conn, spawn_id: int) -> None:
-        self.proc = proc
-        self.conn = conn
+    #: Computes concurrently with the caller, from the moment of its send.
+    remote = True
+
+    def __init__(
+        self,
+        ctx,
+        stats: PipeStats,
+        snapshot: Shard | ShardSnapshot,
+        runtime_kwargs: dict,
+        replay: list | None,
+    ) -> None:
+        self.conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(
+            target=_shard_worker_main,
+            args=(child_conn, snapshot, runtime_kwargs, replay),
+            daemon=True,
+            name=f"repro-shard-{snapshot.index}-{runtime_kwargs['store_tag']}",
+        )
+        self.proc.start()
+        child_conn.close()
         self.lock = threading.Lock()
         self.live = True
-        self.spawn_id = spawn_id
+        self._stats = stats
+
+    @property
+    def pid(self) -> int | None:
+        return self.proc.pid
+
+    def send(self, message: _Message) -> None:
+        # Serialization completes before any frame is written, so an
+        # unpicklable payload (e.g. a lambda measure) leaves the pipe clean.
+        frames = message.frames()
+        _send_frames(self.conn, frames)
+        self._stats.count_sent(frames)
+
+    def receive(self, timeout: float | None = None) -> tuple:
+        if timeout is not None and not self.conn.poll(timeout):
+            raise TimeoutError(f"no reply within {timeout} s")
+        head, buffers = _recv_frames(self.conn)
+        self._stats.count_received(head, buffers)
+        return _load_message(head, buffers)
+
+    def is_alive(self) -> bool:
+        return self.proc.is_alive()
+
+    def kill(self) -> None:
+        """Retire: mark dead and reap (idempotent, non-blocking).
+
+        The pipe is closed only if it can be claimed without waiting — a
+        request currently blocked on it will hit EOF and retire it again;
+        the dropped replica object closes the fd on GC as a backstop. The
+        process is SIGKILLed: this also serves the hung-worker path, where
+        a polite stop would never be read.
+        """
+        if not self.live:
+            return
+        self.live = False
+        if self.lock.acquire(blocking=False):
+            try:
+                self.conn.close()
+            except OSError:
+                pass
+            finally:
+                self.lock.release()
+        if self.proc.is_alive():
+            self.proc.kill()
+
+    def stop(self) -> None:
+        """Orderly exit: stop message, close the pipe, join the process."""
+        if self.live:
+            with self.lock:
+                try:
+                    _send_message(self.conn, ("stop", None))
+                except _GONE:
+                    pass
+        try:
+            self.conn.close()
+        except OSError:
+            pass
+        self.proc.join(timeout=5.0)
+        if self.proc.is_alive():  # pragma: no cover - stuck worker
+            self.proc.terminate()
+            self.proc.join(timeout=1.0)
+
+
+class _LocalReplica:
+    """Transport: a :class:`ShardRuntime` in the caller's process.
+
+    ``send`` only holds the message; ``receive`` runs it (the caller holds
+    ``lock``, so concurrent requests serialize per shard while still
+    overlapping across shards). It shares the caller's fate, so it is
+    always ``live`` and :meth:`kill` retires nothing.
+    """
+
+    remote = False
+    live = True
+
+    def __init__(
+        self,
+        snapshot: Shard | ShardSnapshot,
+        runtime_kwargs: dict,
+        replay: list | None,
+    ) -> None:
+        self.runtime = ShardRuntime(snapshot, **runtime_kwargs)
+        if replay:
+            self.runtime.replay(replay)
+        self.lock = threading.Lock()
+        self._held: _Message | None = None
+
+    @property
+    def pid(self) -> int:
+        return os.getpid()
+
+    def send(self, message: _Message) -> None:
+        self._held = message
+
+    def receive(self, timeout: float | None = None) -> tuple:
+        message, self._held = self._held, None
+        try:
+            return "ok", _apply(self.runtime, message.op, message.payload)
+        except Exception as exc:
+            return "error", exc
+
+    def is_alive(self) -> bool:
+        return True
+
+    def kill(self) -> None:
+        self._held = None
+
+    def stop(self) -> None:
+        with self.lock:
+            self.runtime.close()
 
 
 class ReplicaSet:
-    """R replicated workers for one shard (see the module docstring).
+    """The replicas of one shard (see the module docstring).
 
     Parameters
     ----------
@@ -270,16 +444,16 @@ class ReplicaSet:
         The shard's membership snapshot; every replica (including
         restarts) is built from it, so it must stay resolvable for the
         set's lifetime (the service keeps the exporting store open).
-    ctx:
-        Multiprocessing context workers spawn under.
+    spawn:
+        The transport: ``spawn(snapshot, runtime_kwargs, replay)`` builds
+        one replica.
     runtime_kwargs:
-        Forwarded to each worker's :class:`~repro.service.runtime.ShardRuntime`.
+        Forwarded to each replica's :class:`~repro.service.runtime.ShardRuntime`.
     replicas:
-        Worker count (R >= 1).
-    pipe_stats, registry, registry_lock:
-        Shared accounting: pipe traffic counters and the replication
-        metrics registry (with the lock guarding its not-thread-safe
-        instruments). Both optional for standalone use.
+        Replica count (R >= 1).
+    registry, registry_lock:
+        The executor's replication metrics registry and the lock guarding
+        its not-thread-safe instruments.
     next_tag:
         Allocator of store sub-family tags, one per spawn. Must yield
         names unique across the owning executor's lifetime: two live
@@ -292,26 +466,19 @@ class ReplicaSet:
         self,
         snapshot: Shard | ShardSnapshot,
         *,
-        ctx,
+        spawn: Callable,
         runtime_kwargs: dict,
-        replicas: int = 1,
-        pipe_stats: PipeStats | None = None,
-        registry: MetricsRegistry | None = None,
-        registry_lock: threading.Lock | None = None,
-        next_tag: Callable[[], str] | None = None,
+        replicas: int,
+        registry: MetricsRegistry,
+        registry_lock: threading.Lock,
+        next_tag: Callable[[], str],
     ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.snapshot = snapshot
         self.shard_index = snapshot.index
-        self._ctx = ctx
+        self._spawn_replica = spawn
         self._runtime_kwargs = dict(runtime_kwargs)
-        self._pipe_stats = pipe_stats if pipe_stats is not None else PipeStats()
         self._registry = registry
-        self._registry_lock = registry_lock or threading.Lock()
-        self._spawned = 0
-        if next_tag is None:
-            next_tag = lambda: f"s{self.snapshot.index}r{self._spawned}"  # noqa: E731
+        self._registry_lock = registry_lock
         self._next_tag = next_tag
         #: Guards membership (``replicas``/``live`` flips), the ingest log,
         #: and the round-robin cursor. RLock: retire() runs under ingest's
@@ -324,7 +491,7 @@ class ReplicaSet:
         self._log: list[list] = []
         self._rr = 0
         self._closed = False
-        self.replicas: list[_Replica] = []
+        self.replicas: list = []
         try:
             for _ in range(replicas):
                 self.replicas.append(self._spawn())
@@ -333,73 +500,44 @@ class ReplicaSet:
             raise
 
     # ------------------------------------------------------------- plumbing
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self._registry is None:
-            return
+    def _count(self, name: str) -> None:
         with self._registry_lock:
-            self._registry.counter(name).inc(amount)
+            self._registry.counter(name).inc()
 
-    def _record(self, name: str, value: float) -> None:
-        if self._registry is None:
-            return
-        with self._registry_lock:
-            self._registry.histogram(name).record(value)
-
-    def _spawn(self, replay: list | None = None) -> _Replica:
+    def _spawn(self, replay: list | None = None):
         if self._closed:
             raise ShardExecutionError("replica set is closed")
-        spawn_id = self._spawned
-        self._spawned += 1
-        kwargs = dict(self._runtime_kwargs)
-        kwargs["store_tag"] = self._next_tag()
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, self.snapshot, kwargs, replay),
-            daemon=True,
-            name=f"repro-shard-{self.shard_index}-r{spawn_id}",
-        )
-        proc.start()
-        child_conn.close()
-        return _Replica(proc, parent_conn, spawn_id)
+        kwargs = dict(self._runtime_kwargs, store_tag=self._next_tag())
+        return self._spawn_replica(self.snapshot, kwargs, replay)
 
-    def live_replicas(self) -> list[_Replica]:
+    def _probe(self) -> list:
+        """The current membership, after retiring every replica whose
+        process silently died (``is_alive()``, no pipe traffic)."""
         with self._lock:
-            return [r for r in self.replicas if r.live]
+            replicas = list(self.replicas)
+        for replica in replicas:
+            if replica.live and not replica.is_alive():
+                self.retire(replica)
+        return replicas
 
-    def retire(self, replica: _Replica) -> None:
-        """Mark a replica dead and reap it (idempotent, non-blocking).
+    def live_replicas(self) -> list:
+        return [r for r in self._probe() if r.live]
 
-        The pipe is closed only if it can be claimed without waiting — a
-        request currently blocked on it will hit EOF and re-enter here;
-        the dropped ``_Replica`` object closes the fd on GC as a backstop.
-        The process is SIGKILLed: retire also serves the hung-worker path,
-        where a polite stop would never be read.
-        """
+    def retire(self, replica) -> None:
+        """Take a replica out of the rotation for good (idempotent)."""
         with self._lock:
-            if not replica.live:
-                return
-            replica.live = False
-        if replica.lock.acquire(blocking=False):
-            try:
-                replica.conn.close()
-            except OSError:
-                pass
-            finally:
-                replica.lock.release()
-        if replica.proc.is_alive():
-            replica.proc.kill()
+            replica.kill()
 
     # -------------------------------------------------------------- queries
-    def checkout_and_send(self, frames) -> _Replica | None:
-        """Pick a live replica, lock its pipe, and write one request.
+    def checkout_and_send(self, message: _Message):
+        """Pick a live replica, take its lock, and hand it one request.
 
         Prefers an idle sibling (non-blocking probe in round-robin order)
         before blocking on a busy one. A send that hits a dead pipe
         retires the replica and fails over to the next; returns None once
-        no live replica remains. On success the replica's pipe lock is
-        HELD — the caller must follow with :meth:`receive` (or
-        :meth:`abandon` on an abort path).
+        no live replica remains. On success the replica's lock is HELD —
+        the caller must follow with :meth:`receive` (or :meth:`abandon`
+        on an abort path).
         """
         while True:
             with self._lock:
@@ -421,16 +559,22 @@ class ReplicaSet:
                 replica.lock.release()
                 continue
             try:
-                _send_frames(replica.conn, frames)
-                self._pipe_stats.count_sent(frames)
+                replica.send(message)
                 return replica
-            except (ConnectionError, EOFError, OSError):
+            except _GONE:
                 replica.lock.release()
                 self.retire(replica)
                 self._count("replication.failovers")
+            except Exception:
+                # Framing failed before any byte was written: a clean pipe.
+                replica.lock.release()
+                raise
+            except BaseException:
+                self.abandon(replica)  # interrupted mid-write
+                raise
 
-    def receive(self, replica: _Replica):
-        """Read one reply off a checked-out replica, releasing its pipe.
+    def receive(self, replica) -> tuple:
+        """Read one reply off a checked-out replica, releasing its lock.
 
         Raises :class:`ReplicaGone` (after retiring the replica and
         counting the failover) when the worker died mid-request; any other
@@ -438,8 +582,8 @@ class ReplicaSet:
         can never be trusted again — before propagating.
         """
         try:
-            head, buffers = _recv_frames(replica.conn)
-        except (ConnectionError, EOFError, OSError) as exc:
+            reply = replica.receive()
+        except _GONE as exc:
             replica.lock.release()
             self.retire(replica)
             self._count("replication.failovers")
@@ -449,23 +593,20 @@ class ReplicaSet:
             self.retire(replica)
             raise
         replica.lock.release()
-        self._pipe_stats.count_received(head, buffers)
-        # The frames are fully off the pipe: a decode failure here leaves
-        # the replica clean and propagates as an ordinary error.
-        return _load_message(head, buffers)
+        return reply
 
-    def abandon(self, replica: _Replica) -> None:
+    def abandon(self, replica) -> None:
         """Abort a checkout whose reply will never be read (interrupted
         gather): the un-drained pipe disqualifies the replica for good."""
         replica.lock.release()
         self.retire(replica)
 
-    def request(self, frames):
+    def request(self, message: _Message) -> tuple:
         """One request with inline failover: send + gather, retrying on a
         live sibling until one answers. Raises
         :class:`ShardExecutionError` once no live replica remains."""
         while True:
-            replica = self.checkout_and_send(frames)
+            replica = self.checkout_and_send(message)
             if replica is None:
                 with self._lock:
                     total = len(self.replicas)
@@ -479,8 +620,8 @@ class ReplicaSet:
                 continue
 
     # --------------------------------------------------------------- ingest
-    def ingest_send(self, frames, batch) -> list[_Replica]:
-        """Log ``batch`` and write its ingest message to EVERY live replica.
+    def ingest_send(self, message: _Message) -> list:
+        """Log the batch and hand its ingest message to EVERY live replica.
 
         Ingest is never retried on a sibling: siblings receive their own
         copy right here, so a replica that fails its copy is simply
@@ -488,41 +629,41 @@ class ReplicaSet:
         through restart + replay). The set lock is held across the fan-out
         so concurrent ingests land in one global order on every replica —
         divergent orders would let replicas compact different tiers.
-        Returns the checked-out replicas (pipe locks held); gather with
+        Returns the checked-out replicas (locks held); gather with
         :meth:`ingest_gather`.
         """
         with self._lock:
-            self._log.append(batch)
-            sent: list[_Replica] = []
+            self._log.append(message.payload)
+            sent: list = []
             for replica in [r for r in self.replicas if r.live]:
                 replica.lock.acquire()
                 if not replica.live:
                     replica.lock.release()
                     continue
                 try:
-                    _send_frames(replica.conn, frames)
-                    self._pipe_stats.count_sent(frames)
+                    replica.send(message)
                     sent.append(replica)
-                except (ConnectionError, EOFError, OSError):
+                except _GONE:
                     replica.lock.release()
                     self.retire(replica)
                     self._count("replication.failovers")
             return sent
 
-    def ingest_gather(self, sent: list[_Replica], batch):
+    def ingest_gather(self, sent: list, batch):
         """Collect ingest acks; returns the FIRST successful reply value.
 
         One ack stands in for the whole set: every replica runs identical
         compaction passes, so absorbing more than one reply's drained
         counters would multiply the service's compaction stats by R.
-        A replica that reports a worker-side error is retired — it may
-        have applied the batch partway and can no longer be trusted to
-        match its siblings. If NO replica acked, the logged batch is
-        rolled back (the manager will not commit it either) and a
-        :class:`ShardExecutionError` is raised.
+        A worker that reports an error is retired — it may have applied
+        the batch partway and can no longer be trusted to match its
+        siblings. If NO replica acked, the logged batch is rolled back
+        (the manager will not commit it either) and the failure raised: an
+        in-process runtime's own exception unchanged, otherwise a
+        :class:`ShardExecutionError`.
         """
         reply = None
-        errors: list[str] = []
+        errors: list = []
         for pos, replica in enumerate(sent):
             try:
                 status, value = self.receive(replica)
@@ -530,7 +671,7 @@ class ReplicaSet:
                 continue
             except BaseException:
                 # receive() already retired ``replica``; the rest of the
-                # fan-out still holds pipe locks with undrained replies.
+                # fan-out still holds locks with undrained replies.
                 for later in sent[pos + 1 :]:
                     self.abandon(later)
                 raise
@@ -538,32 +679,38 @@ class ReplicaSet:
                 if reply is None:
                     reply = value
             else:
-                errors.append(str(value))
+                errors.append(value)
                 self.retire(replica)
-                self._count("replication.failovers")
+                if not replica.live:
+                    self._count("replication.failovers")
         if reply is None:
             with self._lock:
                 for i in range(len(self._log) - 1, -1, -1):
                     if self._log[i] is batch:
                         del self._log[i]
                         break
+            if errors and isinstance(errors[0], Exception):
+                raise errors[0]
             detail = errors[0] if errors else "every replica died mid-ingest"
             raise ShardExecutionError(f"shard {self.shard_index}: {detail}")
         return reply
 
     # -------------------------------------------------------------- restart
     def restart_dead(self) -> int:
-        """Respawn every retired replica from snapshot + replayed log.
+        """Respawn every dead replica from snapshot + replayed log.
 
-        Spawn and replay run OUTSIDE the set lock — queries keep flowing
-        to live siblings during the window — then the lock is retaken to
-        catch up on batches ingested mid-spawn before the replica goes
-        live. Readiness is confirmed with a ping round-trip (the worker
-        answers only after its replay finished), so the recorded
-        ``restart_latency_s`` covers spawn + replay + first heartbeat.
-        Returns the number restarted.
+        Dead means retired OR silently exited: the membership is probed
+        first, so replicas killed with no request in between are found
+        too. Spawn and replay run OUTSIDE the set lock — queries keep
+        flowing to live siblings during the window — then the lock is
+        retaken to catch up on batches ingested mid-spawn before the
+        replica goes live. Readiness is confirmed with a ping round-trip
+        (the worker answers only after its replay finished), so the
+        recorded ``restart_latency_s`` covers spawn + replay + first
+        heartbeat. Returns the number restarted.
         """
         restarted = 0
+        self._probe()
         for slot in range(len(self.replicas)):
             with self._lock:
                 if self._closed or slot >= len(self.replicas):
@@ -576,27 +723,15 @@ class ReplicaSet:
             start = time.perf_counter()
             fresh = self._spawn(replay=replay)
             try:
-                with fresh.lock:
-                    _send_message(fresh.conn, ("ping", {}))
-                    status, _ = _recv_message(fresh.conn)
-                if status != "ok":
-                    raise ShardExecutionError(
-                        f"shard {self.shard_index}: restarted worker failed "
-                        f"its readiness ping"
-                    )
+                self._converse(fresh, _Message("ping", {}), "its readiness ping")
                 with self._lock:
                     # Catch up on ingests that landed while we spawned.
                     while caught_up < len(self._log):
-                        with fresh.lock:
-                            _send_message(
-                                fresh.conn, ("ingest", self._log[caught_up])
-                            )
-                            status, _ = _recv_message(fresh.conn)
-                        if status != "ok":
-                            raise ShardExecutionError(
-                                f"shard {self.shard_index}: restarted worker "
-                                f"failed replay catch-up"
-                            )
+                        self._converse(
+                            fresh,
+                            _Message("ingest", self._log[caught_up]),
+                            "replay catch-up",
+                        )
                         caught_up += 1
                     if (
                         self._closed
@@ -611,39 +746,41 @@ class ReplicaSet:
                         )
                     self.replicas[slot] = fresh
             except BaseException:
-                fresh.proc.kill()
-                try:
-                    fresh.conn.close()
-                except OSError:
-                    pass
+                fresh.kill()
                 raise
             restarted += 1
             self._count("replication.restarts")
-            self._record(
-                "replication.restart_latency_s", time.perf_counter() - start
-            )
+            with self._registry_lock:
+                self._registry.histogram("replication.restart_latency_s").record(
+                    time.perf_counter() - start
+                )
         return restarted
+
+    def _converse(self, fresh, message: _Message, what: str) -> None:
+        """One round-trip with a restarted replica not yet in the rotation."""
+        with fresh.lock:
+            fresh.send(message)
+            status, _ = fresh.receive()
+        if status != "ok":
+            raise ShardExecutionError(
+                f"shard {self.shard_index}: restarted worker failed {what}"
+            )
 
     # ------------------------------------------------------------- liveness
     def liveness(self) -> dict:
-        """Non-blocking probe: replica states via ``Process.is_alive()``.
+        """Non-blocking probe: replica states via ``is_alive()``.
 
         No pipe traffic. A replica whose process silently died is retired
         right here — liveness names dead replicas immediately instead of
         on the next scatter's EOF.
         """
-        with self._lock:
-            replicas = list(self.replicas)
-        for replica in replicas:
-            if replica.live and not replica.proc.is_alive():
-                self.retire(replica)
-        live_pids = [r.proc.pid for r in replicas if r.live]
+        replicas = self._probe()
         dead = [slot for slot, r in enumerate(replicas) if not r.live]
         return {
             "shard": self.shard_index,
             "replicas": len(replicas),
             "live": len(replicas) - len(dead),
-            "pids": live_pids,
+            "pids": [r.pid for r in replicas if r.live],
             "dead_replicas": dead,
         }
 
@@ -651,13 +788,13 @@ class ReplicaSet:
         """Heartbeat idle live replicas; retire any that miss ``deadline``.
 
         Catches hung-but-alive workers (``is_alive()`` true, serve loop
-        stuck). Replicas busy serving a request are skipped — a held pipe
-        lock proves the protocol is mid-flight, and racing the in-flight
-        reply would corrupt it. A replica that times out is retired even
-        though its pong may arrive later: the pipe now holds (or will
-        hold) a reply nobody waits for. Returns the number retired.
+        stuck). Replicas busy serving a request are skipped — a held lock
+        proves the protocol is mid-flight, and racing the in-flight reply
+        would corrupt it. A replica that times out is retired even though
+        its pong may arrive later: the pipe now holds (or will hold) a
+        reply nobody waits for. Returns the number retired.
         """
-        frames = _dump_message(("ping", {}))
+        message = _Message("ping", {})
         hung = 0
         for replica in self.live_replicas():
             if not replica.lock.acquire(blocking=False):
@@ -667,12 +804,9 @@ class ReplicaSet:
                 if not replica.live:
                     continue
                 try:
-                    _send_frames(replica.conn, frames)
-                    if replica.conn.poll(deadline):
-                        _recv_message(replica.conn)  # drain the pong
-                    else:
-                        responsive = False
-                except (ConnectionError, EOFError, OSError):
+                    replica.send(message)
+                    replica.receive(timeout=deadline)  # drain the pong
+                except _GONE:
                     responsive = False
             finally:
                 replica.lock.release()
@@ -684,7 +818,7 @@ class ReplicaSet:
 
     # -------------------------------------------------------------- reshard
     def renumber(self, new_index: int) -> None:
-        """Relabel this set and its workers after an online split/merge.
+        """Relabel this set and its replicas after an online split/merge.
 
         Shards after the surgery point keep their data but shift position
         in the routing table; membership, segments, and engines are
@@ -693,15 +827,15 @@ class ReplicaSet:
         with self._lock:
             self.shard_index = new_index
             self.snapshot.index = new_index
-        frames = _dump_message(("set_index", {"index": int(new_index)}))
+        message = _Message("set_index", {"index": int(new_index)})
         for replica in self.live_replicas():
             replica.lock.acquire()
             if not replica.live:
                 replica.lock.release()
                 continue
             try:
-                _send_frames(replica.conn, frames)
-            except (ConnectionError, EOFError, OSError):
+                replica.send(message)
+            except _GONE:
                 replica.lock.release()
                 self.retire(replica)
                 self._count("replication.failovers")
@@ -717,29 +851,13 @@ class ReplicaSet:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Stop every worker and drop the log (idempotent)."""
+        """Stop every replica and drop the log (idempotent)."""
         with self._lock:
             self._closed = True
             replicas, self.replicas = self.replicas, []
             self._log = []
         for replica in replicas:
-            if not replica.live:
-                continue
-            with replica.lock:
-                try:
-                    _send_message(replica.conn, ("stop", None))
-                except (ConnectionError, OSError):
-                    pass
-        for replica in replicas:
-            try:
-                replica.conn.close()
-            except OSError:
-                pass
-        for replica in replicas:
-            replica.proc.join(timeout=5.0)
-            if replica.proc.is_alive():  # pragma: no cover - stuck worker
-                replica.proc.terminate()
-                replica.proc.join(timeout=1.0)
+            replica.stop()
 
 
 __all__ = [

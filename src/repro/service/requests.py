@@ -669,9 +669,9 @@ def serve_cached(
     cache_size: int,
     stats,
     dispatch,
+    cache_lock,
     tracer=None,
     trace_id: str | None = None,
-    cache_lock=None,
 ):
     """The shared serving loop: cache lookup, dispatch, stats, response.
 
@@ -694,23 +694,18 @@ def serve_cached(
     are immutable, so only the ``OrderedDict`` bookkeeping needs the
     lock, never the dispatch itself. Two threads racing the same cold key
     both dispatch and store the identical immutable payload — wasted work
-    at worst, never a wrong answer. ``None`` (the single-threaded
-    transports) keeps the historical lock-free path.
+    at worst, never a wrong answer.
     """
     start = time.perf_counter()
     request_key = request.cache_key()
     key = None if request_key is None else (request_key, epoch)
-    if key is not None and cache_lock is not None:
+    hit = False
+    if key is not None:
         with cache_lock:
             hit = key in cache
             if hit:
                 cache.move_to_end(key)
                 payload = cache[key]
-    else:
-        hit = key is not None and key in cache
-        if hit:
-            cache.move_to_end(key)
-            payload = cache[key]
     if tracer is not None:
         tracer.record(
             trace_id,
@@ -726,12 +721,7 @@ def serve_cached(
         payload = dispatch(request)
         cached = False
         if key is not None:
-            if cache_lock is not None:
-                with cache_lock:
-                    cache[key] = payload
-                    while len(cache) > cache_size:
-                        cache.popitem(last=False)
-            else:
+            with cache_lock:
                 cache[key] = payload
                 while len(cache) > cache_size:
                     cache.popitem(last=False)

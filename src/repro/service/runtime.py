@@ -29,9 +29,9 @@ reuse the same reference arithmetic the engine is property-tested against
 (:func:`~repro.queries.similarity.candidate_matches`,
 :func:`~repro.queries.aggregate.spatial_bin_counts`, the EDR batch DP).
 
-Runtimes are executor-side objects: the serial executor keeps them
-in-process, the process executor builds one inside each shard worker from
-the pickled :class:`~repro.service.sharding.Shard` snapshot.
+Runtimes are executor-side objects: the ``serial`` transport keeps them
+in-process, the ``process`` transport builds one inside each shard worker
+from the pickled :class:`~repro.service.sharding.Shard` snapshot.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from repro.queries.similarity import (
     query_checkpoints,
     resolve_time_windows,
 )
-from repro.service._deprecation import warn_once
 from repro.service.compaction import CompactionResult, make_compaction
 from repro.service.sharding import Shard, ShardSnapshot
 
@@ -362,16 +361,6 @@ class ShardRuntime:
             self._store.drop(handle)
             handle.release()
         self._published = [matrix_handle, offsets_handle]
-
-    def _republish_base(self) -> None:
-        """Deprecated spelling of :meth:`rebuild_base` (pre-policy name)."""
-        warn_once(
-            "ShardRuntime._republish_base",
-            "ShardRuntime._republish_base() was renamed; use "
-            "ShardRuntime.rebuild_base(), which runs the compaction policy "
-            "before republishing",
-        )
-        self.rebuild_base()
 
     def close(self) -> None:
         """Release mapped segments and unlink runtime-published ones.

@@ -1,9 +1,9 @@
 """The online serving layer: :class:`QueryService`.
 
 One service object owns a :class:`~repro.service.sharding.ShardManager`
-(membership, routing, epoch), a scatter/gather executor (serial or
-per-shard worker processes), a per-``(request, shard-epoch)`` LRU result
-cache, and latency/throughput counters. Typed requests
+(membership, routing, epoch), a scatter/gather executor (in-process
+runtimes or per-shard worker processes), a per-``(request, shard-epoch)``
+LRU result cache, and latency/throughput counters. Typed requests
 (:mod:`repro.service.requests`) go in; typed responses with serving
 metadata come out.
 
@@ -25,12 +25,11 @@ the answer, using per-shard extents and an admissible distance lower bound
 (:func:`knn_shard_lower_bound`): a shard temporally disjoint from a
 query's window has no comparable candidate at all, and under EDR a shard
 whose Chebyshev spatial gap to the query window exceeds ``eps`` can only
-produce distances ``>= len(query window)``. The serial executor visits
-shards best-bound-first and skips once the running k-th distance beats a
-shard's bound *strictly* (ties could still displace on id); the process
-executor dispatches the un-boundable shards concurrently, then prunes the
-deferred ones against the gathered k-th distance before a second wave.
-Skipped-shard counts surface in :attr:`QueryService.stats`.
+produce distances ``>= len(query window)``. The scatter dispatches the
+un-boundable shards in one wave, then skips every deferred shard whose
+bound *strictly* exceeds the gathered k-th distance (ties could still
+displace on id) before a second wave. Skipped-shard counts surface in
+:attr:`QueryService.stats`.
 
 Streaming ingestion (:meth:`QueryService.ingest`) routes trajectory
 batches through the manager's partitioner to the shard runtimes' pending
@@ -55,23 +54,10 @@ from repro.data.trajectory import Trajectory
 from repro.index.backend import chebyshev_gap, validate_backend_name
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.service._deprecation import warn_once
 from repro.service._sync import RWLock
 from repro.service.compaction import make_compaction
 from repro.service.executors import EXECUTORS, make_executor
-from repro.service.requests import (
-    CountRequest,
-    CountResponse,
-    HistogramRequest,
-    HistogramResponse,
-    KnnRequest,
-    KnnResponse,
-    RangeRequest,
-    RangeResponse,
-    SimilarityRequest,
-    SimilarityResponse,
-    serve_cached,
-)
+from repro.service.requests import serve_cached
 from repro.service.sharding import ShardManager
 from repro.service.watchdog import Watchdog
 
@@ -380,8 +366,9 @@ class QueryService:
         Shard count and partition strategy (``"hash"`` or ``"spatial"``),
         forwarded to :meth:`ShardManager.create`.
     executor:
-        ``"serial"`` (in-process reference), ``"process"`` (one worker
-        process per shard), or an executor factory.
+        ``"serial"`` (in-process reference) or ``"process"`` (worker
+        processes per shard): the replica transport of the one
+        :class:`~repro.service.executors.ShardExecutor`.
     resolution:
         Per-shard engine grid resolution.
     cache_size:
@@ -470,7 +457,7 @@ class QueryService:
         self.manager = manager
         self.index = index
         self.tracer = Tracer(trace_capacity)
-        self.executor_name = executor if isinstance(executor, str) else "custom"
+        self.executor_name = executor
         self.compaction = make_compaction(compaction, error_budget=error_budget)
         self.replicas = int(replicas)
         self.rebalance_threshold = (
@@ -488,10 +475,8 @@ class QueryService:
                 min_compact_points=min_compact_points,
                 backend=index,
                 compaction=self.compaction,
-                **({"mp_context": mp_context} if executor == "process" else {}),
-                # Only threaded through when set: custom executor factories
-                # that predate replication keep working unchanged.
-                **({"replicas": self.replicas} if self.replicas != 1 else {}),
+                mp_context=mp_context,
+                replicas=self.replicas,
             )
         except BaseException:
             if self._owns_store:
@@ -566,19 +551,12 @@ class QueryService:
 
     def _dispatch(self, request, trace_id: str | None = None):
         """Scatter one request across the shards and merge exactly."""
-        # Executors pick the ambient trace context up from this attribute
-        # (set here rather than passed per-call so custom executors that
-        # predate tracing keep working unchanged).
-        self._executor.trace_context = (self.tracer, trace_id)
-        try:
-            if request.kind == "knn":
-                shard_results = self._scatter_knn(request, trace_id)
-            else:
-                shard_results = self._executor.broadcast(
-                    request.kind, request.payload(self)
-                )
-        finally:
-            self._executor.trace_context = None
+        if request.kind == "knn":
+            shard_results = self._scatter_knn(request, trace_id)
+        else:
+            shard_results = self._executor.broadcast(
+                request.kind, request.payload(self), (self.tracer, trace_id)
+            )
         with self.tracer.span(trace_id, "merge", kind=request.kind):
             return self._merge(request, shard_results)
 
@@ -667,6 +645,7 @@ class QueryService:
         """
         n_shards = self.manager.n_shards
         payload = request.payload(self)
+        trace = (self.tracer, trace_id)
         plan_start = time.perf_counter()
         bounds = self._knn_shard_bounds(request)
         plan_s = time.perf_counter() - plan_start
@@ -674,77 +653,62 @@ class QueryService:
             bounds is None
             or n_shards <= 1
             or int(request.k) < 1  # let shards raise their documented error
-            or not hasattr(self._executor, "run_on")
         ):
             self.tracer.record(
                 trace_id, "plan", plan_s, kind="knn",
                 bounded=False, dispatched=n_shards, skipped=0,
             )
-            results = self._executor.broadcast("knn", payload)
+            results = self._executor.broadcast("knn", payload, trace)
             self.stats.record_knn_scatter(len(results), 0)
             return results
         n_queries = len(request.queries)
         k = int(request.k)
         shard_results: list = [None] * n_shards
         merged: list[list] = [[] for _ in range(n_queries)]
-        dispatched = skipped = 0
+        skipped = 0
 
         from repro.queries.knn import top_k_pairs
 
-        def absorb(shard_idx: int, result) -> None:
-            shard_results[shard_idx] = result
-            for qi, pairs in enumerate(result):
-                if pairs:
-                    merged[qi] = top_k_pairs(
-                        merged[qi] + [tuple(p) for p in pairs], k
-                    )
+        def dispatch(wave: list[int]) -> None:
+            if not wave:
+                return
+            for s, result in self._executor.run_on(
+                wave, "knn", payload, trace
+            ).items():
+                shard_results[s] = result
+                for qi, pairs in enumerate(result):
+                    if pairs:
+                        merged[qi] = top_k_pairs(
+                            merged[qi] + [tuple(p) for p in pairs], k
+                        )
 
-        if self.executor_name == "serial":
-            # Best-bound-first: visiting likely-close shards early drives
-            # the running k-th distance down before far shards are tested.
-            order = sorted(
-                range(n_shards), key=lambda s: min(bounds[s], default=0.0)
-            )
-            for s in order:
-                if self._knn_skippable(bounds[s], merged, k):
-                    skipped += 1
-                    shard_results[s] = [[] for _ in range(n_queries)]
-                else:
-                    absorb(s, self._executor.run_on([s], "knn", payload)[s])
-                    dispatched += 1
-        else:
-            # Concurrent executor: one wave for the shards no bound can
-            # ever exclude, then prune the deferred ones against the
-            # gathered k-th distances before a (concurrent) second wave.
-            wave1: list[int] = []
-            deferred: list[int] = []
-            for s in range(n_shards):
-                if all(np.isinf(b) for b in bounds[s]):
-                    skipped += 1
-                    shard_results[s] = [[] for _ in range(n_queries)]
-                elif any(b == 0.0 for b in bounds[s]):
-                    wave1.append(s)
-                else:
-                    deferred.append(s)
-            if wave1:
-                for s, result in self._executor.run_on(
-                    wave1, "knn", payload
-                ).items():
-                    absorb(s, result)
-                dispatched += len(wave1)
-            wave2: list[int] = []
-            for s in deferred:
-                if self._knn_skippable(bounds[s], merged, k):
-                    skipped += 1
-                    shard_results[s] = [[] for _ in range(n_queries)]
-                else:
-                    wave2.append(s)
-            if wave2:
-                for s, result in self._executor.run_on(
-                    wave2, "knn", payload
-                ).items():
-                    absorb(s, result)
-                dispatched += len(wave2)
+        # One wave for the shards no bound can ever exclude, then prune
+        # the deferred ones against the gathered k-th distances before a
+        # second wave. Pruning them one at a time, best bound first, would
+        # skip exactly the same shards: a finite nonzero bound is the
+        # query's own n_window, and a dispatched deferred shard only adds
+        # distances >= that n_window — it can never push the running k-th
+        # distance strictly below another deferred shard's bound.
+        wave1: list[int] = []
+        deferred: list[int] = []
+        for s in range(n_shards):
+            if all(np.isinf(b) for b in bounds[s]):
+                skipped += 1
+                shard_results[s] = [[] for _ in range(n_queries)]
+            elif any(b == 0.0 for b in bounds[s]):
+                wave1.append(s)
+            else:
+                deferred.append(s)
+        dispatch(wave1)
+        wave2: list[int] = []
+        for s in deferred:
+            if self._knn_skippable(bounds[s], merged, k):
+                skipped += 1
+                shard_results[s] = [[] for _ in range(n_queries)]
+            else:
+                wave2.append(s)
+        dispatch(wave2)
+        dispatched = n_shards - skipped
         self.stats.record_knn_scatter(dispatched, skipped)
         self.tracer.record(
             trace_id, "plan", plan_s, kind="knn",
@@ -790,70 +754,6 @@ class QueryService:
                 merged_pairs.append(tuple(top_k_pairs(pairs, request.k)))
             return tuple(merged_pairs)
         raise ValueError(f"unknown request kind {kind!r}")
-
-    # ------------------------------------------------- deprecated convenience
-    # The kwargs-style helpers predate the unified client API; each keeps
-    # working but warns once per process. New code should build typed
-    # requests (or use a repro.client.Client, which carries the same
-    # convenience surface over every transport).
-    def _warn_helper(self, name: str) -> None:
-        warn_once(
-            f"QueryService.{name}",
-            f"QueryService.{name}() is deprecated; use the unified client "
-            f"API instead: repro.client.ServiceClient(service).{name}(...) "
-            f"or QueryService.execute(<typed request>)",
-        )
-
-    def range(self, workload) -> RangeResponse:
-        """Deprecated: use :class:`repro.client.ServiceClient` / ``execute``."""
-        self._warn_helper("range")
-        return self.execute(RangeRequest.from_workload(workload))
-
-    def count(self, boxes) -> CountResponse:
-        """Deprecated: use :class:`repro.client.ServiceClient` / ``execute``."""
-        self._warn_helper("count")
-        return self.execute(CountRequest.from_workload(boxes))
-
-    def histogram(
-        self, grid: int = 32, box=None, normalize: bool = False
-    ) -> HistogramResponse:
-        """Deprecated: use :class:`repro.client.ServiceClient` / ``execute``."""
-        self._warn_helper("histogram")
-        return self.execute(HistogramRequest(grid, box, normalize))
-
-    def knn(
-        self,
-        queries,
-        k: int,
-        time_windows=None,
-        measure="edr",
-        eps: float = 2000.0,
-    ) -> KnnResponse:
-        """Deprecated: use :class:`repro.client.ServiceClient` / ``execute``."""
-        self._warn_helper("knn")
-        return self.execute(
-            KnnRequest(
-                tuple(queries),
-                k,
-                None if time_windows is None else tuple(time_windows),
-                measure,
-                eps,
-            )
-        )
-
-    def similarity(
-        self, queries, delta: float, time_windows=None, n_checkpoints: int = 32
-    ) -> SimilarityResponse:
-        """Deprecated: use :class:`repro.client.ServiceClient` / ``execute``."""
-        self._warn_helper("similarity")
-        return self.execute(
-            SimilarityRequest(
-                tuple(queries),
-                delta,
-                None if time_windows is None else tuple(time_windows),
-                n_checkpoints,
-            )
-        )
 
     # ------------------------------------------------------------------- ingest
     def ingest(self, trajectories, *, trace_id: str | None = None) -> int:
@@ -909,8 +809,6 @@ class QueryService:
         bounds the ingest's pause when a single batch creates deep skew
         (the remainder is picked up by the next ingest).
         """
-        if not hasattr(self._executor, "reshard"):
-            return
         for _ in range(4):
             plan = self.manager.plan_rebalance(self.rebalance_threshold)
             if plan is None:
@@ -1009,7 +907,7 @@ class QueryService:
               "summary":    ServiceStats.summary() (bit-identical),
               "histograms": per-kind latency histograms (bucket encodings),
               "store":      array-store counters (segments/bytes for shm),
-              "transport":  executor pipe accounting (process executor),
+              "transport":  executor pipe accounting (zeros in-process),
               "shards":     merged per-shard runtime registries
                             (op.* histograms folded over shards),
               "trace":      ring-buffer occupancy,
@@ -1038,15 +936,11 @@ class QueryService:
         store_stats = getattr(self._store, "stats", None)
         if callable(store_stats):
             report["store"] = store_stats()
-        transport_stats = getattr(self._executor, "transport_stats", None)
-        if callable(transport_stats):
-            report["transport"] = transport_stats()
-        replication_stats = getattr(self._executor, "replication_stats", None)
-        if callable(replication_stats):
-            try:
-                report["replication"] = replication_stats()
-            except Exception as exc:
-                report["replication_error"] = f"{type(exc).__name__}: {exc}"
+        report["transport"] = self._executor.transport_stats()
+        try:
+            report["replication"] = self._executor.replication_stats()
+        except Exception as exc:
+            report["replication_error"] = f"{type(exc).__name__}: {exc}"
         if self._watchdog is not None:
             report["watchdog"] = self._watchdog.stats()
         if include_shards:
@@ -1084,12 +978,10 @@ class QueryService:
             "compaction": self.compaction.spec(),
             "replicas": self.replicas,
         }
-        replication_stats = getattr(self._executor, "replication_stats", None)
-        if callable(replication_stats):
-            try:
-                info["replication"] = replication_stats()
-            except Exception as exc:
-                info["replication_error"] = f"{type(exc).__name__}: {exc}"
+        try:
+            info["replication"] = self._executor.replication_stats()
+        except Exception as exc:
+            info["replication_error"] = f"{type(exc).__name__}: {exc}"
         try:
             info["shards"] = self._executor.broadcast("info", {})
         except Exception as exc:

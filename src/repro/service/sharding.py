@@ -12,8 +12,8 @@ does).
 Shard *execution* state (the per-shard CSR point matrix and
 :class:`~repro.queries.engine.QueryEngine`) lives in
 :class:`~repro.service.runtime.ShardRuntime` objects, which may run in the
-serving process (serial executor) or in per-shard worker processes
-(process executor) — see :mod:`repro.service.executors`. The
+serving process (``serial`` transport) or in per-shard worker processes
+(``process`` transport) — see :mod:`repro.service.executors`. The
 :class:`Shard` snapshots exchanged between manager and runtimes are plain
 picklable containers.
 """

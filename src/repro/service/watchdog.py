@@ -19,8 +19,8 @@ The watchdog runs a daemon thread that every ``interval`` seconds:
 
 The poll deliberately composes the executor's public fault-tolerance
 surface — anything implementing ``ping``/``liveness``/``restart_dead``
-(the serial executor's are no-ops) can be watched, and a poll can be
-driven synchronously via :meth:`Watchdog.poll_once` in tests.
+(in-process replicas are always healthy) can be watched, and a poll can
+be driven synchronously via :meth:`Watchdog.poll_once` in tests.
 
 Restart and the service's epoch surgery exclude each other: the service
 wraps ``restart_dead`` in its epoch *read* lock via the ``lock`` hook, so
@@ -34,8 +34,6 @@ from __future__ import annotations
 import contextlib
 import threading
 
-from repro.obs.metrics import MetricsRegistry
-
 
 class Watchdog:
     """Periodic ping → liveness → restart loop over an executor.
@@ -44,16 +42,12 @@ class Watchdog:
     ----------
     executor:
         Any object with ``ping(deadline)``, ``liveness()``, and
-        ``restart_dead()`` (both built-in executors qualify).
+        ``restart_dead()`` (a :class:`~repro.service.executors.ShardExecutor`).
     interval:
         Seconds between polls (the detection latency ceiling for a
         silently dead replica).
     deadline:
         Seconds a heartbeat may take before the replica is declared hung.
-    registry, registry_lock:
-        Optional shared metrics registry (``watchdog.ticks``,
-        ``watchdog.errors``, ``watchdog.hung_replicas``,
-        ``watchdog.restarts`` counters) and the lock guarding it.
     lock:
         Optional context-manager factory entered around the
         restart phase of each poll. The service passes its epoch read
@@ -65,8 +59,6 @@ class Watchdog:
         executor,
         interval: float = 1.0,
         deadline: float = 5.0,
-        registry: MetricsRegistry | None = None,
-        registry_lock: threading.Lock | None = None,
         lock=None,
     ) -> None:
         if interval <= 0:
@@ -76,8 +68,6 @@ class Watchdog:
         self.executor = executor
         self.interval = float(interval)
         self.deadline = float(deadline)
-        self._registry = registry
-        self._registry_lock = registry_lock or threading.Lock()
         self._lock = lock if lock is not None else contextlib.nullcontext
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -87,12 +77,6 @@ class Watchdog:
         self.restarts = 0
         self.last_error: str | None = None
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self._registry is None or not amount:
-            return
-        with self._registry_lock:
-            self._registry.counter(name).inc(amount)
-
     def poll_once(self) -> dict:
         """One detection + repair pass; returns what it found and fixed.
 
@@ -101,7 +85,6 @@ class Watchdog:
         counted and retried on the next poll.
         """
         self.ticks += 1
-        self._count("watchdog.ticks")
         hung = 0
         restarted = 0
         probe: dict = {}
@@ -117,11 +100,8 @@ class Watchdog:
             # the watchdog must outlive the faults it repairs.
             self.errors += 1
             self.last_error = f"{type(exc).__name__}: {exc}"
-            self._count("watchdog.errors")
         self.hung_replicas += hung
         self.restarts += restarted
-        self._count("watchdog.hung_replicas", hung)
-        self._count("watchdog.restarts", restarted)
         return {
             "tick": self.ticks,
             "hung": hung,

@@ -4,12 +4,10 @@ Covers the canonical codecs (``to_json``/``from_json`` for every request
 and response, decode-time :class:`RequestError` validation), the
 :class:`LocalClient` / :class:`ServiceClient` transports (bit-identical,
 same cache/epoch semantics), the cache-stat accounting of uncacheable
-requests, the epoch-keyed histogram invalidation after extent-growing
-ingest, and the once-per-entry-point deprecation shims. The socket
-transport has its own suite in ``tests/test_server.py``.
+requests, and the epoch-keyed histogram invalidation after
+extent-growing ingest. The socket transport has its own suite in
+``tests/test_server.py``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +36,6 @@ from repro.service import (
     response_from_json,
     response_to_json,
 )
-from repro.service._deprecation import reset_fired
 from repro.service.requests import box_from_json, trajectory_from_json
 from repro.workloads import RangeQueryWorkload
 from tests.conftest import make_trajectory
@@ -484,63 +481,8 @@ class TestHistogramEpochInvalidation:
 
 
 class TestDeprecationShims:
-    """Satellite: old entry points keep working, warning exactly once."""
-
-    def _count_warnings(self, fn, n_calls: int = 2) -> list:
-        reset_fired()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(n_calls):
-                fn()
-        return [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    @pytest.mark.parametrize(
-        "helper", ["range", "count", "histogram", "knn", "similarity"]
-    )
-    def test_service_helpers_warn_once_each(self, helper, cdb, cworkload):
-        queries, windows = knn_suite(cdb, n=2)
-        with QueryService(cdb, n_shards=2) as service:
-            calls = {
-                "range": lambda: service.range(cworkload),
-                "count": lambda: service.count(cworkload.boxes),
-                "histogram": lambda: service.histogram(8),
-                "knn": lambda: service.knn(queries, 2, windows),
-                "similarity": lambda: service.similarity(queries, 50.0),
-            }
-            fired = self._count_warnings(calls[helper])
-            assert len(fired) == 1
-            assert f"QueryService.{helper}()" in str(fired[0].message)
-
-    def test_helpers_still_answer_correctly(self, cdb, cworkload):
-        reset_fired()
-        with QueryService(cdb, n_shards=2) as service, warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert service.range(cworkload).result_sets == (
-                service.execute(RangeRequest.from_workload(cworkload)).result_sets
-            )
-
-    def test_harness_service_kwarg_warns_once_and_scores_identically(self):
-        db = client_db(12, seed=8)
-        evaluator = QueryAccuracyEvaluator(db)
-        with QueryService(db, n_shards=2) as service:
-            fired = self._count_warnings(
-                lambda: evaluator.evaluate(db, ("range",), service=service)
-            )
-            assert len(fired) == 1
-            assert "client=" in str(fired[0].message)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                via_service = evaluator.evaluate(db, ("range",), service=service)
-            assert via_service == evaluator.evaluate(db, ("range",))
-
-    def test_harness_rejects_client_and_service_together(self, cdb):
-        evaluator = QueryAccuracyEvaluator(cdb)
-        with QueryService(cdb, n_shards=2) as service, warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="not both"):
-                evaluator.evaluate(
-                    cdb, ("range",), service=service, client=LocalClient(cdb)
-                )
+    """The harness rides the unified client API (the warn-once shims this
+    class used to pin are gone; the name keeps the surviving test's id)."""
 
     def test_harness_accepts_any_client(self):
         db = client_db(12, seed=8)

@@ -28,7 +28,6 @@ from repro.data.store import shared_memory_available
 from repro.errors import trajectory_error
 from repro.eval.harness import QueryAccuracyEvaluator, QuerySuiteConfig
 from repro.service import QueryService
-from repro.service._deprecation import reset_fired
 from repro.service.compaction import (
     COMPACTION_POLICIES,
     CompactionPolicy,
@@ -349,12 +348,13 @@ def test_simplifying_service_queries_run_end_to_end(executor):
         assert service.stats.compactions >= 2  # initial pass on both shards
         assert service.stats.points_dropped > 0
         service.ingest([make_trajectory(n=30, seed=99)])
-        response = service.range(workload)
+        client = ServiceClient(service)
+        response = client.range(workload)
         assert len(response.result_sets) == len(workload)
-        assert len(service.count(workload.boxes).counts) == len(workload)
-        assert service.histogram(8).histogram.shape == (8, 8)
-        assert len(service.knn(queries, 2, windows).neighbors) == 2
-        assert len(service.similarity(queries, 1.0).result_sets) == 2
+        assert len(client.count(workload.boxes).counts) == len(workload)
+        assert client.histogram(8).histogram.shape == (8, 8)
+        assert len(client.knn(queries, 2, windows).neighbors) == 2
+        assert len(client.similarity(queries, 1.0).result_sets) == 2
 
 
 def test_accuracy_gate_through_the_client(geolife_db):
@@ -386,26 +386,6 @@ def test_accuracy_gate_through_the_client(geolife_db):
         assert all(0.0 <= scores[t] <= 1.0 for t in tasks)
         # a 5%-of-scale budget must not wreck range accuracy
         assert scores["range"] > 0.5
-
-
-# ---------------------------------------------------------------------------
-# Satellite: deprecation shim for the renamed runtime internals
-# ---------------------------------------------------------------------------
-
-def test_republish_base_alias_warns_once():
-    db = initial_db(6)
-    with QueryService(db, n_shards=2) as service:
-        runtime = service._executor.runtimes[0]
-        reset_fired()
-        with pytest.deprecated_call(match="rebuild_base"):
-            runtime._republish_base()
-        # warn-once: the second call is silent
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            runtime._republish_base()
-        reset_fired()
 
 
 def test_package_exports_compaction_surface():

@@ -26,7 +26,7 @@ from repro.data.stats import spatial_scale
 from repro.data.store import SharedMemoryStore, shared_memory_available
 from repro.queries import _kernels
 from repro.service import QueryService, ShardExecutionError, ShardManager
-from repro.service.executors import ProcessShardExecutor
+from repro.service.executors import ShardExecutor
 from repro.workloads import RangeQueryWorkload
 from tests.conftest import make_trajectory
 from tests.test_service import knn_suite
@@ -167,7 +167,7 @@ def test_rebuilt_executor_reattaches_same_segments():
         )
         assert len(base_segments) == 6  # 3 shards x (matrix, offsets)
 
-        first = ProcessShardExecutor(snapshots)
+        first = ShardExecutor(snapshots, "process")
         os.kill(first.worker_pids()[0], signal.SIGKILL)
         first._procs[0].join(timeout=5.0)
         with pytest.raises(ShardExecutionError):
@@ -176,7 +176,7 @@ def test_rebuilt_executor_reattaches_same_segments():
 
         # Rebuild from the SAME snapshot handles: workers re-map the
         # existing segments; nothing is copied or re-exported.
-        second = ProcessShardExecutor(snapshots)
+        second = ShardExecutor(snapshots, "process")
         try:
             infos = second.broadcast("info", {})
             assert sum(i["base_trajectories"] for i in infos) == len(db)

@@ -10,11 +10,12 @@ that skips actually happen on spatially separable data (and never lie).
 import numpy as np
 import pytest
 
+from repro.client import ServiceClient
 from repro.data import BoundingBox, Trajectory, TrajectoryDatabase
 from repro.queries import knn_query_batch
 from repro.service import (
     QueryService,
-    SerialShardExecutor,
+    ShardExecutor,
     ShardRuntime,
     knn_shard_lower_bound,
 )
@@ -97,8 +98,8 @@ class TestShardExtents:
 
     def test_runtime_op_extent_exposed(self):
         db = cluster_db(centers=(0.0,), per_cluster=4)
-        executor = SerialShardExecutor(
-            QueryService(db, n_shards=2).manager.snapshots()
+        executor = ShardExecutor(
+            QueryService(db, n_shards=2).manager.snapshots(), "serial"
         )
         extents = executor.broadcast("extent", {})
         assert any(isinstance(e, BoundingBox) for e in extents)
@@ -116,7 +117,7 @@ class TestKnnShardSkipping:
             db, n_shards=4, partitioner="spatial", executor=executor
         )
         try:
-            response = service.knn(queries, 4, eps=5.0)
+            response = ServiceClient(service).knn(queries, 4, eps=5.0)
             assert as_pairs(response.pairs) == expected
             assert service.stats.knn_shards_skipped >= 1
             assert (
@@ -137,7 +138,8 @@ class TestKnnShardSkipping:
         )
         service = QueryService(db, n_shards=3, executor=executor)
         try:
-            assert as_pairs(service.knn(queries, 3, eps=5.0).pairs) == expected
+            response = ServiceClient(service).knn(queries, 3, eps=5.0)
+            assert as_pairs(response.pairs) == expected
             assert service.stats.knn_shards_skipped == 0
         finally:
             service.close()
@@ -153,7 +155,8 @@ class TestKnnShardSkipping:
             db, n_shards=2, partitioner="spatial", executor=executor
         )
         try:
-            assert as_pairs(service.knn(queries, 5, eps=500.0).pairs) == expected
+            response = ServiceClient(service).knn(queries, 5, eps=500.0)
+            assert as_pairs(response.pairs) == expected
         finally:
             service.close()
 
@@ -179,7 +182,9 @@ class TestKnnShardSkipping:
                     reference_db, queries, 3, windows, eps=5.0, return_pairs=True
                 )
             )
-            response = service.knn(queries, 3, time_windows=windows, eps=5.0)
+            response = ServiceClient(service).knn(
+                queries, 3, time_windows=windows, eps=5.0
+            )
             assert as_pairs(response.pairs) == expected
         finally:
             service.close()
@@ -192,9 +197,9 @@ class TestKnnShardSkipping:
             db, n_shards=2, partitioner="spatial", executor=executor
         )
         try:
-            service.knn(queries, 3, eps=5.0)
+            ServiceClient(service).knn(queries, 3, eps=5.0)
             first = service.stats.knn_shards_dispatched
-            service.knn(queries, 3, eps=5.0)  # cache hit
+            ServiceClient(service).knn(queries, 3, eps=5.0)  # cache hit
             assert service.stats.knn_shards_dispatched == first
         finally:
             service.close()
@@ -210,7 +215,7 @@ class TestRuntimeBackendSpec:
         expected = QueryEngine(db).evaluate(boxes)
         service = QueryService(db, n_shards=2, index=backend)
         try:
-            assert service.range(boxes).result_sets == expected
+            assert ServiceClient(service).range(boxes).result_sets == expected
             info = service.describe()
             assert info["index"] == backend
             resolved = {s["backend"] for s in info["shards"]}

@@ -204,6 +204,25 @@ class TestFailover:
             kit = parity_kit(db, 31)
             assert_state_parity(service, db, *kit)
 
+    def test_restart_finds_replicas_killed_with_no_request_in_between(self):
+        """SIGKILL every replica of a shard back to back — no query, no
+        probe — and ``restart_dead()`` must still see them: the cached
+        ``live`` flags are all stale."""
+        seed = 37
+        db = initial_db(seed, n=8)
+        with QueryService(
+            db, n_shards=2, executor="process", replicas=2
+        ) as service:
+            executor = service._executor
+            for replica in list(executor.replica_sets[0].replicas):
+                kill_replica(replica)
+            assert executor.restart_dead() == 2
+            batch = [make_trajectory(n=6, seed=9300 + i) for i in range(3)]
+            service.ingest(batch)
+            assert_state_parity(
+                service, db.extended(batch), *parity_kit(db, seed)
+            )
+
     def test_hung_replica_misses_ping_deadline_and_is_retired(self):
         db = initial_db(41, n=8)
         with QueryService(

@@ -9,8 +9,13 @@ error frames (the connection survives), and shuts down gracefully.
 """
 
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.client import LocalClient, RemoteClient, RequestError, ServiceClient
 from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
+from repro.data.store import shared_memory_available
 from repro.eval.harness import QueryAccuracyEvaluator
 from repro.service import (
     PROTOCOL_VERSION,
@@ -26,6 +32,7 @@ from repro.service import (
 )
 from repro.service.server import FRAME_HEADER, encode_frame
 from repro.workloads import RangeQueryWorkload
+from tests.conftest import repro_shm_segments
 
 
 def server_db(n: int = 16, seed: int = 5) -> TrajectoryDatabase:
@@ -428,14 +435,37 @@ class TestShutdown:
 
 
 # ------------------------------------------------------------------------ CLI
-class TestServeListenCLI:
-    def test_serve_listen_roundtrip_and_sigint(self, tmp_path):
-        import os
-        import signal
-        import subprocess
-        import sys
-        import time
+def _proc_stat(pid) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the command name: state, ppid, ..."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()
+    except OSError:
+        return None
 
+
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid``."""
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit()
+        and (stat := _proc_stat(entry)) is not None
+        and int(stat[1]) == pid
+    ]
+
+
+def _ended(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    # A zombie has ended; only its (new) parent can reap it.
+    return stat is None or stat[0] == "Z"
+
+
+class TestServeListenCLI:
+    def _roundtrip_then_signal(self, tmp_path, signum):
+        """Serve over worker processes (+ shm where available), run the
+        one-shot client commands, then stop the server with ``signum``: it
+        must exit 0 and take its workers and segments with it."""
         from repro.data import save_database
 
         db = server_db(10, seed=50)
@@ -448,10 +478,14 @@ class TestServeListenCLI:
         env = dict(os.environ)
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         env["PYTHONUNBUFFERED"] = "1"
+        segments_before = repro_shm_segments()
+        children: list[int] = []
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
                 "--db", str(db_path), "--shards", "2",
+                "--executor", "process",
+                "--store", "shm" if shared_memory_available() else "heap",
                 "--listen", "127.0.0.1:0",
             ],
             stdout=subprocess.PIPE,
@@ -506,12 +540,37 @@ class TestServeListenCLI:
             assert out.returncode == 0
             assert len(json.loads(out.stdout)["neighbors"]) == 2
 
-            proc.send_signal(signal.SIGINT)
+            children = _children(proc.pid)
+            assert len(children) >= 2  # the shard workers, at least
+            proc.send_signal(signum)
             assert proc.wait(timeout=30) == 0
+            # The resource tracker outlives the server by a moment (it
+            # exits once the last holder of its pipe has).
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and not all(map(_ended, children)):
+                time.sleep(0.02)
+            assert [pid for pid in children if not _ended(pid)] == []
+            assert repro_shm_segments() == segments_before
         finally:
+            # A red run must not poison the rest of the session: take down
+            # whatever the server left behind.
             if proc.poll() is None:
+                children = _children(proc.pid)
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()
+            for pid in children:
+                if not _ended(pid):
+                    os.kill(pid, signal.SIGKILL)
+            for name in repro_shm_segments():
+                if name not in segments_before:
+                    os.unlink(f"/dev/shm/{name}")
+
+    def test_serve_listen_roundtrip_and_sigint(self, tmp_path):
+        self._roundtrip_then_signal(tmp_path, signal.SIGINT)
+
+    def test_serve_listen_sigterm_shuts_down_like_sigint(self, tmp_path):
+        self._roundtrip_then_signal(tmp_path, signal.SIGTERM)
 
     def test_client_requires_query_db_for_knn(self, loopback):
         from repro.cli import main

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.client import ServiceClient
 from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
 from repro.data.stats import spatial_scale
 from repro.eval.harness import QueryAccuracyEvaluator
@@ -17,12 +18,11 @@ from repro.queries import QueryEngine, knn_query_batch, similarity_query_batch
 from repro.service import (
     HashPartitioner,
     KnnRequest,
-    ProcessShardExecutor,
     QueryService,
     RangeRequest,
-    SerialShardExecutor,
     Shard,
     ShardExecutionError,
+    ShardExecutor,
     ShardManager,
     ShardRuntime,
     SpatialPartitioner,
@@ -165,16 +165,17 @@ class TestServiceParity:
         with QueryService(
             served_db, n_shards=3, partitioner=partitioner, executor=executor
         ) as service:
-            assert service.range(served_workload).result_sets == ref_range
-            counts = service.count(served_workload.boxes).counts
+            client = ServiceClient(service)
+            assert client.range(served_workload).result_sets == ref_range
+            counts = client.count(served_workload.boxes).counts
             assert counts.dtype == np.int64
             assert np.array_equal(counts, ref_count)
-            assert np.array_equal(service.histogram(16).histogram, ref_hist)
+            assert np.array_equal(client.histogram(16).histogram, ref_hist)
             assert np.array_equal(
-                service.histogram(16, normalize=True).histogram, ref_hist_norm
+                client.histogram(16, normalize=True).histogram, ref_hist_norm
             )
-            assert service.knn(queries, 3, windows, eps=eps).neighbors == ref_knn
-            assert service.similarity(queries, delta).result_sets == ref_sim
+            assert client.knn(queries, 3, windows, eps=eps).neighbors == ref_knn
+            assert client.similarity(queries, delta).result_sets == ref_sim
 
     def test_ingest_matches_fresh_engine_on_final_state(
         self, served_db, served_workload, executor, partitioner
@@ -187,20 +188,21 @@ class TestServiceParity:
         with QueryService(
             served_db, n_shards=3, partitioner=partitioner, executor=executor
         ) as service:
+            client = ServiceClient(service)
             assert service.ingest(extra) == len(extra)
-            assert service.range(served_workload).result_sets == engine.evaluate(
+            assert client.range(served_workload).result_sets == engine.evaluate(
                 served_workload
             )
             assert np.array_equal(
-                service.count(served_workload.boxes).counts,
+                client.count(served_workload.boxes).counts,
                 engine.count(served_workload.boxes),
             )
             # default histogram box follows the *current* (grown) extent
             assert np.array_equal(
-                service.histogram(12).histogram, engine.histogram(12)
+                client.histogram(12).histogram, engine.histogram(12)
             )
             assert (
-                service.knn(queries, 3, windows, eps=eps).neighbors
+                client.knn(queries, 3, windows, eps=eps).neighbors
                 == knn_query_batch(final, queries, 3, windows, "edr", eps=eps)
             )
 
@@ -208,8 +210,9 @@ class TestServiceParity:
 class TestServiceCacheAndStats:
     def test_repeat_request_hits_cache(self, served_db, served_workload):
         with QueryService(served_db, n_shards=2) as service:
-            first = service.range(served_workload)
-            second = service.range(served_workload)
+            client = ServiceClient(service)
+            first = client.range(served_workload)
+            second = client.range(served_workload)
             assert not first.cached and second.cached
             assert second.result_sets == first.result_sets
             assert service.stats.cache_hits.get("range") == 1
@@ -225,9 +228,10 @@ class TestServiceCacheAndStats:
 
     def test_ingest_invalidates_cache_via_epoch(self, served_db, served_workload):
         with QueryService(served_db, n_shards=2) as service:
-            service.range(served_workload)
+            client = ServiceClient(service)
+            client.range(served_workload)
             service.ingest([make_trajectory(n=5, seed=321)])
-            refreshed = service.range(served_workload)
+            refreshed = client.range(served_workload)
             assert not refreshed.cached
             assert refreshed.epoch == 1
 
@@ -236,12 +240,13 @@ class TestServiceCacheAndStats:
         queries, windows = knn_suite(served_db, n_queries=2)
         as_lists = [list(w) for w in windows]
         with QueryService(served_db, n_shards=2) as service:
-            first = service.knn(queries, 2, as_lists)
-            again = service.knn(queries, 2, tuple(windows))
+            client = ServiceClient(service)
+            first = client.knn(queries, 2, as_lists)
+            again = client.knn(queries, 2, tuple(windows))
             assert again.cached  # tuple- and list-shaped windows share a key
             assert again.neighbors == first.neighbors
-            sim = service.similarity(queries, 1.0, as_lists)
-            assert service.similarity(queries, 1.0, windows).cached
+            sim = client.similarity(queries, 1.0, as_lists)
+            assert client.similarity(queries, 1.0, windows).cached
             assert sim.result_sets is not None
 
     def test_callable_measure_is_not_cached(self, served_db):
@@ -257,9 +262,10 @@ class TestServiceCacheAndStats:
 
     def test_stats_summary_counts_latency(self, served_db, served_workload):
         with QueryService(served_db, n_shards=2) as service:
-            service.range(served_workload)
-            service.range(served_workload)
-            service.histogram(8)
+            client = ServiceClient(service)
+            client.range(served_workload)
+            client.range(served_workload)
+            client.histogram(8)
             summary = service.stats.summary()
             assert summary["requests"] == 3
             assert summary["range_requests"] == 2
@@ -271,7 +277,7 @@ class TestServiceCacheAndStats:
         """Single-threaded transports never record queue stats, so their
         summary keeps the exact historical key set."""
         with QueryService(served_db, n_shards=2) as service:
-            service.histogram(8)
+            ServiceClient(service).histogram(8)
             summary = service.stats.summary()
             assert "queue_depth_hwm" not in summary
             assert "queue_wait_p99_ms" not in summary
@@ -323,14 +329,15 @@ class TestServiceCacheAndStats:
         service = QueryService(served_db, n_shards=2)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
-            service.range(served_workload)
+            ServiceClient(service).range(served_workload)
 
     def test_failed_delivery_leaves_manager_uncommitted(
         self, served_db, served_workload
     ):
         """A dead worker at ingest must not desynchronize the manager."""
         with QueryService(served_db, n_shards=2, executor="process") as service:
-            baseline = service.range(served_workload).result_sets
+            client = ServiceClient(service)
+            baseline = client.range(served_workload).result_sets
             for proc in service._executor._procs:
                 proc.terminate()
                 proc.join()
@@ -341,7 +348,7 @@ class TestServiceCacheAndStats:
             assert service.manager.n_trajectories == len(served_db)
             # ...and the service refuses to keep serving from diverged shards
             with pytest.raises(RuntimeError, match="failed state"):
-                service.range(served_workload)
+                client.range(served_workload)
             # the manager's database still rebuilds the consistent state
             rebuilt = service.manager.database()
             from repro.queries import QueryEngine
@@ -355,14 +362,15 @@ class TestShardRuntimeTiers:
         with QueryService(
             served_db, n_shards=2, min_compact_points=10**9
         ) as service:
-            service.range(served_workload)  # builds base engines
+            client = ServiceClient(service)
+            client.range(served_workload)  # builds base engines
             runtimes = service._executor.runtimes
             engines = [r.engine for r in runtimes]
             service.ingest([make_trajectory(n=6, seed=41 + i) for i in range(4)])
             assert [r.engine for r in runtimes] == engines  # same objects
             assert sum(r.n_pending for r in runtimes) == 4
             final = service.database()
-            assert service.range(served_workload).result_sets == QueryEngine(
+            assert client.range(served_workload).result_sets == QueryEngine(
                 final
             ).evaluate(served_workload)
 
@@ -377,7 +385,7 @@ class TestShardRuntimeTiers:
             assert all(r.n_pending == 0 for r in runtimes)
             assert sum(r.compactions for r in runtimes) >= 1
             final = service.database()
-            assert service.range(served_workload).result_sets == QueryEngine(
+            assert ServiceClient(service).range(served_workload).result_sets == QueryEngine(
                 final
             ).evaluate(served_workload)
 
@@ -410,7 +418,7 @@ class TestExecutors:
 
     def test_process_executor_runs_one_worker_per_shard(self, served_db):
         manager = ShardManager.create(served_db, 3)
-        with ProcessShardExecutor(manager.snapshots()) as executor:
+        with ShardExecutor(manager.snapshots(), "process") as executor:
             assert executor.n_workers == 3
             pids = executor.worker_pids()
             assert len(set(pids)) == 3
@@ -419,16 +427,27 @@ class TestExecutors:
 
     def test_process_executor_propagates_shard_errors(self, served_db):
         manager = ShardManager.create(served_db, 2)
-        with ProcessShardExecutor(manager.snapshots()) as executor:
+        with ShardExecutor(manager.snapshots(), "process") as executor:
             with pytest.raises(ShardExecutionError, match="shard 0"):
                 executor.broadcast("no_such_op", {})
             # the worker survives an error and keeps serving
             assert len(executor.broadcast("info", {})) == 2
 
+    def test_in_process_shard_reraises_the_runtime_error_and_keeps_serving(
+        self, served_db
+    ):
+        manager = ShardManager.create(served_db, 2)
+        with ShardExecutor(manager.snapshots(), "serial") as executor:
+            # the runtime's own exception type, not a ShardExecutionError
+            with pytest.raises(KeyError, match="no_such_op"):
+                executor.broadcast("no_such_op", {})
+            assert len(executor.broadcast("info", {})) == 2
+            assert executor.liveness()["replicas_live"] == 2
+
     def test_dead_worker_surfaces_as_shard_execution_error(self, served_db):
         """A killed worker must not leak BrokenPipeError or stale replies."""
         manager = ShardManager.create(served_db, 2)
-        with ProcessShardExecutor(manager.snapshots()) as executor:
+        with ShardExecutor(manager.snapshots(), "process") as executor:
             executor._procs[0].terminate()
             executor._procs[0].join()
             with pytest.raises(ShardExecutionError, match="shard 0"):
@@ -443,7 +462,7 @@ class TestExecutors:
 
     def test_process_executor_close_is_idempotent(self, served_db):
         manager = ShardManager.create(served_db, 2)
-        executor = ProcessShardExecutor(manager.snapshots())
+        executor = ShardExecutor(manager.snapshots(), "process")
         executor.close()
         executor.close()
         with pytest.raises(ShardExecutionError, match="closed"):
@@ -451,7 +470,7 @@ class TestExecutors:
 
     def test_serial_executor_matches_runtime_directly(self, served_db):
         manager = ShardManager.create(served_db, 2)
-        executor = SerialShardExecutor(manager.snapshots())
+        executor = ShardExecutor(manager.snapshots(), "serial")
         boxes = RangeQueryWorkload.from_data_distribution(served_db, 5, seed=9).boxes
         partials = executor.broadcast("range", {"boxes": boxes})
         assert len(partials) == 2
@@ -473,7 +492,9 @@ class TestServiceBackedEvaluation:
         tasks = ("range", "knn_edr", "similarity")
         direct = evaluator.evaluate(simplified, tasks)
         with QueryService(simplified, n_shards=3) as service:
-            via_service = evaluator.evaluate(simplified, tasks, service=service)
+            via_service = evaluator.evaluate(
+                simplified, tasks, client=ServiceClient(service)
+            )
         assert via_service == direct
 
     def test_harness_rejects_mismatched_service(self, served_db):
@@ -481,7 +502,9 @@ class TestServiceBackedEvaluation:
         wrong = service_db(6, seed=123)
         with QueryService(wrong, n_shards=2) as service:
             with pytest.raises(ValueError, match="service"):
-                evaluator.evaluate(served_db, ("range",), service=service)
+                evaluator.evaluate(
+                    served_db, ("range",), client=ServiceClient(service)
+                )
 
 
 @settings(max_examples=12, deadline=None)
@@ -498,11 +521,12 @@ def test_property_sharded_range_equals_engine(seed, n_shards, partitioner):
     with QueryService(
         db, n_shards=n_shards, partitioner=partitioner
     ) as service:
-        assert service.range(workload).result_sets == QueryEngine(db).evaluate(
+        client = ServiceClient(service)
+        assert client.range(workload).result_sets == QueryEngine(db).evaluate(
             workload
         )
         assert np.array_equal(
-            service.count(workload.boxes).counts,
+            client.count(workload.boxes).counts,
             QueryEngine(db).count(workload.boxes),
         )
 

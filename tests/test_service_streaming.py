@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.client import ServiceClient
 from repro.data import TrajectoryDatabase
 from repro.data.stats import spatial_scale
 from repro.queries import QueryEngine, knn_query_batch, similarity_query_batch
@@ -30,16 +31,17 @@ def initial_db(seed: int, n: int = 8) -> TrajectoryDatabase:
 def assert_state_parity(service, db, workload, queries, windows, eps, delta):
     """Every request kind on the service == fresh engine on ``db``."""
     engine = QueryEngine(db)
-    assert service.range(workload).result_sets == engine.evaluate(workload)
+    client = ServiceClient(service)
+    assert client.range(workload).result_sets == engine.evaluate(workload)
     assert np.array_equal(
-        service.count(workload.boxes).counts, engine.count(workload.boxes)
+        client.count(workload.boxes).counts, engine.count(workload.boxes)
     )
-    assert np.array_equal(service.histogram(8).histogram, engine.histogram(8))
+    assert np.array_equal(client.histogram(8).histogram, engine.histogram(8))
     assert (
-        service.knn(queries, 2, windows, eps=eps).neighbors
+        client.knn(queries, 2, windows, eps=eps).neighbors
         == knn_query_batch(db, queries, 2, windows, "edr", eps=eps)
     )
-    assert service.similarity(queries, delta).result_sets == similarity_query_batch(
+    assert client.similarity(queries, delta).result_sets == similarity_query_batch(
         db, queries, delta
     )
 
@@ -122,10 +124,10 @@ def test_queries_between_ingests_never_serve_stale_cache():
     db = initial_db(3)
     workload = RangeQueryWorkload.from_data_distribution(db, 5, seed=3)
     with QueryService(db, n_shards=2) as service:
-        before = service.range(workload)
+        before = ServiceClient(service).range(workload)
         batch = [make_trajectory(n=30, seed=1234)]  # big, hits many boxes
         service.ingest(batch)
-        after = service.range(workload)
+        after = ServiceClient(service).range(workload)
         assert after.epoch == before.epoch + 1
         assert not after.cached
         expected = QueryEngine(db.extended(batch)).evaluate(workload)
