@@ -94,7 +94,7 @@ def _frontier_row(
         error_budget=None if policy == "exact" else budget,
     ) as client:
         service = client.service
-        stats = service.stats
+        summary = service.stats.summary()
         if policy == "exact":
             # no construction pass ran; encode the base with the same
             # codec so the storage column is comparable across rows
@@ -103,11 +103,9 @@ def _frontier_row(
             bytes_after = report.encoded_bytes
             compaction_ms = 0.0
         else:
-            points_after = db.total_points - stats.points_dropped
-            bytes_after = stats.bytes_base
-            compaction_ms = (
-                1000.0 * stats.compaction_latency_s / max(stats.compactions, 1)
-            )
+            points_after = db.total_points - summary["points_dropped"]
+            bytes_after = summary["bytes_base"]
+            compaction_ms = summary.get("compaction_mean_latency_ms", 0.0)
         scores = evaluator.evaluate(db, tasks=TASKS, client=client)
         best = float("inf")
         for _ in range(repeats):
@@ -122,7 +120,7 @@ def _frontier_row(
         "points_before": db.total_points,
         "points_after": int(points_after),
         "bytes_after": int(bytes_after),
-        "compactions": stats.compactions,
+        "compactions": summary["compactions"],
         "compaction_mean_latency_ms": compaction_ms,
         "mix_latency_ms": 1000.0 * best,
         "scores": {task: float(scores[task]) for task in TASKS},

@@ -160,8 +160,9 @@ def run_knn_skip(
                 assert got == reference, (
                     f"kNN diverged under shard skipping ({executor}, K={shards})"
                 )
-                dispatched = service.stats.knn_shards_dispatched
-                skipped = service.stats.knn_shards_skipped
+                summary = service.stats.summary()
+                dispatched = summary["knn_shards_dispatched"]
+                skipped = summary["knn_shards_skipped"]
                 if shards > 1:
                     assert skipped >= 1, (
                         f"expected >= 1 skipped shard on spatially partitioned "

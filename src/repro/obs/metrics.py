@@ -19,7 +19,9 @@ The observability primitives every serving layer reports through:
   JSON-safe :meth:`~MetricsRegistry.snapshot` /
   :meth:`~MetricsRegistry.merge_snapshot`, the unit that crosses process
   and wire boundaries (the ``metrics`` op of the socket protocol ships
-  exactly these snapshots).
+  exactly these snapshots). It is the serving stack's one metrics type
+  (``ServiceStats`` is a view over one) and locks itself, so threads
+  share a registry without a lock of their own.
 
 Latency durations are measured by callers with :func:`time.perf_counter`
 deltas (monotonic); the instruments only ever see non-negative floats.
@@ -28,6 +30,7 @@ deltas (monotonic); the instruments only ever see non-negative floats.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Iterable
 
 import numpy as np
@@ -268,59 +271,75 @@ class MetricsRegistry:
     :meth:`merge_snapshot` folds such a snapshot back in — the pattern the
     service uses to aggregate per-shard registries shipped from worker
     processes.
+
+    One re-entrant :attr:`lock` guards get-or-create, :meth:`inc` /
+    :meth:`set` / :meth:`record`, and (de)serialization; several
+    mutations that must land together go inside ``with registry.lock:``.
     """
 
     def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
+        self.lock = threading.RLock()
 
     # ------------------------------------------------------------ instruments
-    def counter(self, name: str) -> Counter:
-        instrument = self.counters.get(name)
+    def _get(self, table: dict, name: str, factory):
+        # Instruments are never removed or replaced: handles stay valid.
+        instrument = table.get(name)
         if instrument is None:
-            instrument = self.counters[name] = Counter()
+            with self.lock:
+                instrument = table.get(name)
+                if instrument is None:
+                    instrument = table[name] = factory()
         return instrument
+
+    def counter(self, name: str) -> Counter:
+        return self._get(self.counters, name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        instrument = self.gauges.get(name)
-        if instrument is None:
-            instrument = self.gauges[name] = Gauge()
-        return instrument
+        return self._get(self.gauges, name, Gauge)
 
     def histogram(self, name: str, **layout) -> Histogram:
-        instrument = self.histograms.get(name)
-        if instrument is None:
-            instrument = self.histograms[name] = Histogram(**layout)
-        return instrument
+        return self._get(self.histograms, name, lambda: Histogram(**layout))
+
+    def inc(self, name: str, amount: float = 1) -> None:
+        with self.lock:
+            self.counter(name).inc(amount)
+
+    def set(self, name: str, value: float) -> None:
+        with self.lock:
+            self.gauge(name).set(value)
+
+    def record(self, name: str, value: float) -> None:
+        with self.lock:
+            self.histogram(name).record(value)
 
     # -------------------------------------------------------------- snapshot
-    def snapshot(self) -> dict:
-        """A JSON-safe copy of every instrument's current state."""
-        return {
-            "counters": {k: c.value for k, c in sorted(self.counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self.gauges.items())},
-            "histograms": {
-                k: h.to_json() for k, h in sorted(self.histograms.items())
-            },
-        }
+    def snapshot(self, prefix: str = "") -> dict:
+        """A JSON-safe copy of every instrument's current state (only the
+        names starting with ``prefix``, when given)."""
+
+        def pick(table: dict) -> list:
+            return sorted(item for item in table.items() if item[0].startswith(prefix))
+
+        with self.lock:
+            return {
+                "counters": {k: c.value for k, c in pick(self.counters)},
+                "gauges": {k: g.value for k, g in pick(self.gauges)},
+                "histograms": {k: h.to_json() for k, h in pick(self.histograms)},
+            }
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict in: counters add, gauges take the
         latest value, histograms merge bucketwise."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, encoded in snapshot.get("histograms", {}).items():
-            incoming = Histogram.from_json(encoded)
-            existing = self.histograms.get(name)
-            if existing is None:
-                self.histograms[name] = incoming
-            else:
-                existing.merge(incoming)
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
+        with self.lock:
+            for name, value in snapshot.get("counters", {}).items():
+                self.counter(name).inc(value)
+            for name, value in snapshot.get("gauges", {}).items():
+                self.gauge(name).set(value)
+            for name, encoded in snapshot.get("histograms", {}).items():
+                incoming = Histogram.from_json(encoded)
+                existing = self._get(self.histograms, name, lambda: incoming)
+                if existing is not incoming:
+                    existing.merge(incoming)

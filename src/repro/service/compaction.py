@@ -88,8 +88,8 @@ class CompactionResult:
         return self.bytes_before - self.bytes_after
 
     def counters(self) -> dict:
-        """Plain-dict accounting (picklable/JSON-able; crosses the worker
-        pipe back to :class:`~repro.service.service.ServiceStats`)."""
+        """Plain-dict accounting (picklable/JSON-able; crosses the worker pipe
+        back to the service's per-shard ``ServiceStats.record_compaction``)."""
         return {
             "policy": self.policy,
             "points_before": self.points_before,

@@ -9,8 +9,8 @@ One class, :class:`ShardExecutor`, over one
   of shards only, returning ``{shard: result}`` (the primitive behind the
   service's kNN shard skipping: pruned shards are simply never messaged);
 * ``ingest(routed)``        — deliver routed ``{shard: batch}`` deltas,
-  returning each messaged shard's drained compaction counters (in shard
-  order) so the service's stats see policy passes triggered shard-side;
+  returning ``{shard: drained compaction counters}`` for the messaged
+  shards so the service's stats see policy passes triggered shard-side;
 * ``close()``               — release the replicas (idempotent);
 
 plus the fault-tolerance surface: ``liveness()`` (non-blocking dead-shard
@@ -51,7 +51,6 @@ import functools
 import itertools
 import multiprocessing
 import os
-import threading
 import time
 from typing import Iterable
 
@@ -60,7 +59,6 @@ from repro.service.replication import (
     _LocalReplica,
     _Message,
     _WorkerReplica,
-    PipeStats,
     ReplicaGone,
     ReplicaSet,
     ShardExecutionError,
@@ -100,6 +98,9 @@ class ShardExecutor:
     the scatter's send to the gather's receive, so concurrent requests
     from the server's worker pool serialize *per replica* while still
     overlapping across shards (and, with R > 1, across idle siblings).
+
+    :attr:`metrics` is the executor's registry: ``replication.*``
+    instruments and parent-side pipe traffic (``transport.*``).
     """
 
     def __init__(
@@ -112,9 +113,7 @@ class ShardExecutor:
     ) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        # Parent-side pipe accounting, shared by every worker replica
-        # (all zeros in-process).
-        self._pipe_stats = PipeStats()
+        self.metrics = MetricsRegistry()
         if name == "process":
             if mp_context is None:
                 mp_context = os.environ.get("REPRO_MP_CONTEXT") or None
@@ -124,7 +123,7 @@ class ShardExecutor:
             self._spawn = functools.partial(
                 _WorkerReplica,
                 multiprocessing.get_context(mp_context),
-                self._pipe_stats,
+                self.metrics,
             )
         elif name == "serial":
             self._spawn = _LocalReplica
@@ -134,11 +133,6 @@ class ShardExecutor:
         self._replicas = int(replicas)
         self._runtime_kwargs = dict(runtime_kwargs)
         self._closed = False
-        # Replication instruments (failovers/restarts/hung/latency) live in
-        # their own registry so they survive the service's per-shard merge
-        # untouched; Counter/Gauge are not thread-safe, hence the lock.
-        self._replication_registry = MetricsRegistry()
-        self._registry_lock = threading.Lock()
         # Store sub-family tags are allocated executor-wide, never reused:
         # two replicas of one shard — or a restarted replica racing its
         # predecessor's still-resident segments, or a post-reshard shard
@@ -159,8 +153,7 @@ class ShardExecutor:
             spawn=self._spawn,
             runtime_kwargs=self._runtime_kwargs,
             replicas=self._replicas,
-            registry=self._replication_registry,
-            registry_lock=self._registry_lock,
+            registry=self.metrics,
             next_tag=lambda: f"w{next(self._tags)}",
         )
 
@@ -197,7 +190,11 @@ class ShardExecutor:
     def transport_stats(self) -> dict:
         """Parent-side pipe traffic counters (the ``metrics`` report's
         ``transport`` section)."""
-        return {"n_workers": self.n_workers, **self._pipe_stats.snapshot()}
+        counters = self.metrics.snapshot("transport.")["counters"]
+        keys = ("pipe_bytes_sent", "pipe_bytes_received",
+                "messages_sent", "messages_received")
+        out = {key: counters.get(f"transport.{key}", 0) for key in keys}
+        return {"n_workers": self.n_workers, **out}
 
     # -------------------------------------------------------------- scatter
     def _scatter_gather(
@@ -328,14 +325,15 @@ class ShardExecutor:
         return self._scatter_gather(indices, op, payload, trace)
 
     # --------------------------------------------------------------- ingest
-    def ingest(self, routed: dict[int, list]) -> list:
+    def ingest(self, routed: dict[int, list]) -> dict[int, list]:
         """Deliver routed batches; every live replica of a target shard
         gets its own copy (see :meth:`ReplicaSet.ingest_send` for why
-        ingest is replicated rather than failed over)."""
+        ingest is replicated rather than failed over). Returns ``{shard:
+        drained compaction counters}`` for the shards messaged."""
         self._check_usable()
         order = sorted(routed)
         sent: dict[int, list] = {}
-        results: list = []
+        results: dict[int, list] = {}
         errors: list[str] = []
         try:
             for idx in order:
@@ -345,8 +343,8 @@ class ShardExecutor:
             for idx in order:
                 replicas = sent.pop(idx)
                 try:
-                    results.append(
-                        self._sets[idx].ingest_gather(replicas, routed[idx])
+                    results[idx] = self._sets[idx].ingest_gather(
+                        replicas, routed[idx]
                     )
                 except ShardExecutionError as exc:
                     errors.append(str(exc))
@@ -371,10 +369,7 @@ class ShardExecutor:
         dead_shards = [s["shard"] for s in shards if s["live"] == 0]
         live = sum(s["live"] for s in shards)
         total = sum(s["replicas"] for s in shards)
-        with self._registry_lock:
-            self._replication_registry.gauge("replication.replicas_live").set(
-                live
-            )
+        self.metrics.set("replication.replicas_live", live)
         return {
             "alive": not self._closed and not dead_shards,
             "dead_shards": dead_shards,
@@ -406,14 +401,12 @@ class ShardExecutor:
         """Replica topology plus the replication instrument snapshot
         (failovers / restarts / hung replicas / restart latency)."""
         probe = self.liveness()
-        with self._registry_lock:
-            counters = self._replication_registry.snapshot()
         return {
             "replicas_per_shard": self._replicas,
             "replicas_live": probe["replicas_live"],
             "replicas_total": probe["replicas_total"],
             "dead_shards": probe["dead_shards"],
-            "counters": counters,
+            "counters": self.metrics.snapshot("replication."),
         }
 
     def reshard(self, start: int, n_removed: int, shards) -> None:

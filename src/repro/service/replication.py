@@ -43,12 +43,12 @@ for a strictly greater (shard, resource) pair than anything held, so no
 cycle can form. Failover retries for shards that failed mid-gather are
 *deferred* until the main gather released every replica.
 
-Failover/restart/liveness counters export through a shared
-:class:`~repro.obs.metrics.MetricsRegistry`
+Failover/restart/liveness counters and worker pipe traffic go into the
+executor's self-locking :class:`~repro.obs.metrics.MetricsRegistry`
 (``replication.failovers``, ``replication.restarts``,
 ``replication.restart_latency_s``, ``replication.replicas_live``,
-``replication.hung_replicas``), surfaced by the service's
-``metrics_report()`` replication section.
+``replication.hung_replicas``; ``transport.*``), surfaced by the
+service's ``metrics_report()`` replication and transport sections.
 
 The pipe codec (pickle-5 frames, large numpy arrays as raw out-of-band
 frames) and the worker main loop live here too.
@@ -230,51 +230,6 @@ def _shard_worker_main(
             conn.close()
 
 
-class PipeStats:
-    """Thread-safe parent-side pipe traffic counters.
-
-    One instance is shared by every worker replica of an executor so the
-    ``transport`` metrics section keeps meaning "this executor's pipe
-    traffic" regardless of replica count or failover routing.
-    """
-
-    __slots__ = (
-        "_lock",
-        "bytes_sent",
-        "bytes_received",
-        "messages_sent",
-        "messages_received",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.messages_sent = 0
-        self.messages_received = 0
-
-    def count_sent(self, frames) -> None:
-        n = sum(len(f) for f in frames)
-        with self._lock:
-            self.bytes_sent += n
-            self.messages_sent += 1
-
-    def count_received(self, head, buffers) -> None:
-        n = len(head) + sum(len(b) for b in buffers)
-        with self._lock:
-            self.bytes_received += n
-            self.messages_received += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "pipe_bytes_sent": self.bytes_sent,
-                "pipe_bytes_received": self.bytes_received,
-                "messages_sent": self.messages_sent,
-                "messages_received": self.messages_received,
-            }
-
-
 # ---------------------------------------------------------------------------
 # Replica transports
 # ---------------------------------------------------------------------------
@@ -299,7 +254,7 @@ class _WorkerReplica:
     hazards.
     """
 
-    __slots__ = ("proc", "conn", "lock", "live", "_stats")
+    __slots__ = ("proc", "conn", "lock", "live", "_metrics")
 
     #: Computes concurrently with the caller, from the moment of its send.
     remote = True
@@ -307,7 +262,7 @@ class _WorkerReplica:
     def __init__(
         self,
         ctx,
-        stats: PipeStats,
+        metrics: MetricsRegistry,
         snapshot: Shard | ShardSnapshot,
         runtime_kwargs: dict,
         replay: list | None,
@@ -323,7 +278,7 @@ class _WorkerReplica:
         child_conn.close()
         self.lock = threading.Lock()
         self.live = True
-        self._stats = stats
+        self._metrics = metrics
 
     @property
     def pid(self) -> int | None:
@@ -334,13 +289,16 @@ class _WorkerReplica:
         # unpicklable payload (e.g. a lambda measure) leaves the pipe clean.
         frames = message.frames()
         _send_frames(self.conn, frames)
-        self._stats.count_sent(frames)
+        self._metrics.inc("transport.pipe_bytes_sent", sum(len(f) for f in frames))
+        self._metrics.inc("transport.messages_sent")
 
     def receive(self, timeout: float | None = None) -> tuple:
         if timeout is not None and not self.conn.poll(timeout):
             raise TimeoutError(f"no reply within {timeout} s")
         head, buffers = _recv_frames(self.conn)
-        self._stats.count_received(head, buffers)
+        n_bytes = len(head) + sum(len(b) for b in buffers)
+        self._metrics.inc("transport.pipe_bytes_received", n_bytes)
+        self._metrics.inc("transport.messages_received")
         return _load_message(head, buffers)
 
     def is_alive(self) -> bool:
@@ -451,9 +409,8 @@ class ReplicaSet:
         Forwarded to each replica's :class:`~repro.service.runtime.ShardRuntime`.
     replicas:
         Replica count (R >= 1).
-    registry, registry_lock:
-        The executor's replication metrics registry and the lock guarding
-        its not-thread-safe instruments.
+    registry:
+        The executor's (self-locking) metrics registry.
     next_tag:
         Allocator of store sub-family tags, one per spawn. Must yield
         names unique across the owning executor's lifetime: two live
@@ -470,7 +427,6 @@ class ReplicaSet:
         runtime_kwargs: dict,
         replicas: int,
         registry: MetricsRegistry,
-        registry_lock: threading.Lock,
         next_tag: Callable[[], str],
     ) -> None:
         self.snapshot = snapshot
@@ -478,7 +434,6 @@ class ReplicaSet:
         self._spawn_replica = spawn
         self._runtime_kwargs = dict(runtime_kwargs)
         self._registry = registry
-        self._registry_lock = registry_lock
         self._next_tag = next_tag
         #: Guards membership (``replicas``/``live`` flips), the ingest log,
         #: and the round-robin cursor. RLock: retire() runs under ingest's
@@ -500,10 +455,6 @@ class ReplicaSet:
             raise
 
     # ------------------------------------------------------------- plumbing
-    def _count(self, name: str) -> None:
-        with self._registry_lock:
-            self._registry.counter(name).inc()
-
     def _spawn(self, replay: list | None = None):
         if self._closed:
             raise ShardExecutionError("replica set is closed")
@@ -564,7 +515,7 @@ class ReplicaSet:
             except _GONE:
                 replica.lock.release()
                 self.retire(replica)
-                self._count("replication.failovers")
+                self._registry.inc("replication.failovers")
             except Exception:
                 # Framing failed before any byte was written: a clean pipe.
                 replica.lock.release()
@@ -586,7 +537,7 @@ class ReplicaSet:
         except _GONE as exc:
             replica.lock.release()
             self.retire(replica)
-            self._count("replication.failovers")
+            self._registry.inc("replication.failovers")
             raise ReplicaGone(str(exc) or type(exc).__name__) from exc
         except BaseException:
             replica.lock.release()
@@ -646,7 +597,7 @@ class ReplicaSet:
                 except _GONE:
                     replica.lock.release()
                     self.retire(replica)
-                    self._count("replication.failovers")
+                    self._registry.inc("replication.failovers")
             return sent
 
     def ingest_gather(self, sent: list, batch):
@@ -682,7 +633,7 @@ class ReplicaSet:
                 errors.append(value)
                 self.retire(replica)
                 if not replica.live:
-                    self._count("replication.failovers")
+                    self._registry.inc("replication.failovers")
         if reply is None:
             with self._lock:
                 for i in range(len(self._log) - 1, -1, -1):
@@ -749,11 +700,10 @@ class ReplicaSet:
                 fresh.kill()
                 raise
             restarted += 1
-            self._count("replication.restarts")
-            with self._registry_lock:
-                self._registry.histogram("replication.restart_latency_s").record(
-                    time.perf_counter() - start
-                )
+            self._registry.inc("replication.restarts")
+            self._registry.record(
+                "replication.restart_latency_s", time.perf_counter() - start
+            )
         return restarted
 
     def _converse(self, fresh, message: _Message, what: str) -> None:
@@ -812,7 +762,7 @@ class ReplicaSet:
                 replica.lock.release()
             if not responsive:
                 self.retire(replica)
-                self._count("replication.hung_replicas")
+                self._registry.inc("replication.hung_replicas")
                 hung += 1
         return hung
 
@@ -838,7 +788,7 @@ class ReplicaSet:
             except _GONE:
                 replica.lock.release()
                 self.retire(replica)
-                self._count("replication.failovers")
+                self._registry.inc("replication.failovers")
                 continue
             try:
                 status, value = self.receive(replica)
@@ -861,7 +811,6 @@ class ReplicaSet:
 
 
 __all__ = [
-    "PipeStats",
     "ReplicaGone",
     "ReplicaSet",
     "ShardExecutionError",

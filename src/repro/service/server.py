@@ -167,11 +167,9 @@ class QueryServer:
         self.overloaded_frames = 0
         #: Server-side registry surfaced as the ``server`` section of the
         #: wire ``metrics`` report: per-worker-thread execution histograms
-        #: plus admission counters. Guarded by ``_registry_lock`` (worker
-        #: threads record into it concurrently).
+        #: and per-op counts (self-locking; worker threads share it).
         self.registry = MetricsRegistry()
-        self._registry_lock = threading.Lock()
-        self._worker_handles: dict = {}
+        self._worker_handles: dict[tuple[str, str], tuple] = {}
 
     # ---------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -181,7 +179,7 @@ class QueryServer:
         # Execution runs off-loop on a sized pool: the event loop keeps
         # accepting connections and reading frames while queries compute,
         # and independent requests overlap. The QueryService's own locks
-        # (epoch RWLock, cache lock, stats lock, per-shard locks) carry
+        # (epoch RWLock, cache lock, metrics registries, per-shard locks) carry
         # the correctness invariants under this pool.
         self._pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
@@ -246,64 +244,43 @@ class QueryServer:
 
     # ------------------------------------------------------- worker-thread ops
     def _record_worker(self, op: str, exec_s: float) -> None:
-        """Per-worker-thread execution histogram (``server`` metrics section).
-
-        Instrument handles are memoized per ``(thread, op)`` — the name
-        formatting and registry lookups would otherwise run on every
-        request of a hot serving loop. The unlocked dict probe is safe:
-        a racing first-record for the same key resolves to the same
-        registry-owned instruments, so the last cache write is identical.
-        """
-        worker = threading.current_thread().name
-        key = (worker, op)
+        """Per-worker-thread execution histogram (``server`` metrics
+        section); the instruments are memoized per ``(thread, op)``."""
+        key = (threading.current_thread().name, op)
         handles = self._worker_handles.get(key)
         if handles is None:
-            with self._registry_lock:
-                handles = (
-                    self.registry.histogram(f"worker.{worker}.exec_s"),
-                    self.registry.counter(f"worker.{worker}.{op}"),
-                )
-            self._worker_handles[key] = handles
-        hist, counter = handles
-        with self._registry_lock:
-            hist.record(exec_s)
-            counter.inc()
+            handles = self._worker_handles[key] = (
+                self.registry.histogram(f"worker.{key[0]}.exec_s"),
+                self.registry.counter(f"worker.{key[0]}.{op}"),
+            )
+        with self.registry.lock:
+            handles[0].record(exec_s)
+            handles[1].inc()
 
     def _traced_execute(self, request, trace_id, submitted_at: float):
         """Run one request on a worker thread, first recording the time the
         frame spent queued between decode and pickup (``queue`` span +
         the stats queue-wait histogram)."""
         wait_s = time.perf_counter() - submitted_at
-        stats = getattr(self._service, "stats", None)
-        if stats is not None:
-            stats.record_queue_wait(wait_s)
-        tracer = getattr(self._service, "tracer", None)
-        if tracer is not None:
-            tracer.record(trace_id, "queue", wait_s, kind=request.kind)
+        self._service.stats.record_queue_wait(wait_s)
+        self._service.tracer.record(trace_id, "queue", wait_s, kind=request.kind)
         start = time.perf_counter()
         try:
-            if trace_id is None:
-                return self._service.execute(request)
             return self._service.execute(request, trace_id=trace_id)
         finally:
             self._record_worker(request.kind, time.perf_counter() - start)
 
     def _traced_ingest(self, trajectories, trace_id, submitted_at: float):
-        stats = getattr(self._service, "stats", None)
-        if stats is not None:
-            stats.record_queue_wait(time.perf_counter() - submitted_at)
+        self._service.stats.record_queue_wait(time.perf_counter() - submitted_at)
         start = time.perf_counter()
         try:
-            if trace_id is None:
-                return self._service.ingest(trajectories)
             return self._service.ingest(trajectories, trace_id=trace_id)
         finally:
             self._record_worker("ingest", time.perf_counter() - start)
 
     def _metrics_body(self) -> dict:
         report = self._service.metrics_report()
-        with self._registry_lock:
-            server_section = self.registry.snapshot()
+        server_section = self.registry.snapshot()
         server_section["workers"] = self.workers
         server_section["max_inflight"] = self.max_inflight
         server_section["frames_served"] = self.frames_served
@@ -395,7 +372,6 @@ class QueryServer:
             )
             return False
         manager = self._service.manager
-        compaction = getattr(self._service, "compaction", None)
         await self._send(
             writer,
             {
@@ -411,13 +387,12 @@ class QueryServer:
                     "points": manager.total_points,
                     # Additive in PROTOCOL_VERSION 1: clients that predate
                     # compaction policies simply ignore the key.
-                    "compaction": None if compaction is None else compaction.spec(),
+                    "compaction": self._service.compaction.spec(),
                     # Additive: the serving concurrency contract.
                     "workers": self.workers,
                     "max_inflight": self.max_inflight,
-                    # Additive: replica topology (PR 10); 1 for services
-                    # that predate replication.
-                    "replicas": getattr(self._service, "replicas", 1),
+                    # Additive: replica topology.
+                    "replicas": self._service.replicas,
                 },
             },
             write_lock,
@@ -433,9 +408,7 @@ class QueryServer:
                 "retry after in-flight requests drain"
             )
         self._inflight += 1
-        stats = getattr(self._service, "stats", None)
-        if stats is not None:
-            stats.record_queue_depth(self._inflight)
+        self._service.stats.record_queue_depth(self._inflight)
 
     async def _run_admitted(
         self,

@@ -43,7 +43,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from repro.data.database import TrajectoryDatabase
 from repro.data.store import make_store
 from repro.data.trajectory import Trajectory
 from repro.index.backend import chebyshev_gap, validate_backend_name
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.service._sync import RWLock
 from repro.service.compaction import make_compaction
@@ -98,259 +97,194 @@ def knn_shard_lower_bound(
     return 0.0
 
 
-@dataclass
 class ServiceStats:
     """Latency / throughput / cache counters of one service instance.
 
-    Latency is held as one mergeable log-bucketed
-    :class:`~repro.obs.metrics.Histogram` per request kind (plus one for
-    compaction passes), so p50/p95/p99 come straight from the buckets.
-    The histograms also track the exact running sum and max in record
-    order, which keeps the long-standing ``summary()`` mean/max keys
-    bit-identical to the plain accumulators they replaced; the old
-    ``total_latency_s`` / ``max_latency_s`` attribute surface remains
-    available as read-only views.
-
-    All mutating methods and :meth:`summary` are serialized behind one
-    internal re-entrant lock: the server's worker pool records from many
-    threads concurrently, and an unguarded histogram ``+=`` would lose
-    counts. Single-threaded users (``LocalClient``) pay one uncontended
-    lock acquire per record.
-
-    The queue instruments make overload visible: ``queue_depth_hwm`` is
-    the high-water mark of concurrently admitted server requests, and
-    ``queue_wait`` the distribution of time each request spent queued
-    between frame decode and worker-thread pickup.
+    A view over one :class:`~repro.obs.metrics.MetricsRegistry`: each
+    ``record*`` call writes its named instruments (``requests.<kind>``,
+    ``cache_hits.<kind>``, ``uncacheable.<kind>``, ``latency.<kind>``,
+    ``ingest.*``, ``knn.shards_*``, ``compaction.*``, ``rebalance.*``,
+    ``queue.depth_hwm``, ``queue.wait``) under one hold of the registry
+    lock, and :meth:`summary` / :meth:`histograms` derive the report.
+    Requests with no cache key (callable-measure kNN) are
+    ``uncacheable``, never misses. ``bytes_base`` sums each shard's latest
+    absorbed pass (0 for a shard with none yet).
     """
 
-    requests: dict[str, int] = field(default_factory=dict)
-    cache_hits: dict[str, int] = field(default_factory=dict)
-    #: Requests with no cache key at all (e.g. callable-measure kNN): they
-    #: can never hit, so counting them as misses would understate the hit
-    #: rate of the cacheable traffic.
-    uncacheable: dict[str, int] = field(default_factory=dict)
-    #: Per-kind serving-latency distributions (seconds).
-    latency: dict[str, Histogram] = field(default_factory=dict)
-    ingest_batches: int = 0
-    ingest_trajectories: int = 0
-    ingest_points: int = 0
-    #: kNN scatter fan-out accounting: shard executions actually dispatched
-    #: vs. shards skipped via the distance lower bound.
-    knn_shards_dispatched: int = 0
-    knn_shards_skipped: int = 0
-    #: Compaction accounting, absorbed from the shard runtimes' drained
-    #: policy passes: pass count, points the policy dropped, and the base
-    #: tiers' bytes before/after the latest passes (summed over shards).
-    compactions: int = 0
-    points_dropped: int = 0
-    bytes_base_before: int = 0
-    bytes_base_after: int = 0
-    #: Distribution of shard-side policy-pass wall times (seconds).
-    compaction_latency: Histogram = field(default_factory=Histogram)
-    #: Online rebalance accounting: shard splits/merges performed and the
-    #: distribution of reshard pause times (manager surgery + snapshot
-    #: export + executor worker swap, all under the epoch write lock).
-    splits: int = 0
-    merges: int = 0
-    rebalance_latency: Histogram = field(default_factory=Histogram)
-    #: High-water mark of concurrently admitted (in-flight) server
-    #: requests, recorded by the socket front-end's admission control.
-    queue_depth_hwm: int = 0
-    #: Distribution of per-request queue waits (seconds): frame decode to
-    #: worker-thread pickup. Empty unless a concurrent server records it.
-    queue_wait: Histogram = field(default_factory=Histogram)
-    #: Serializes every record/summary against the server's worker pool.
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
-    )
-
-    @property
-    def bytes_base(self) -> int:
-        """Current (post-policy) byte size of the absorbed base rebuilds."""
-        return self.bytes_base_after
-
-    # Read-only views matching the pre-histogram attribute surface.
-    @property
-    def total_latency_s(self) -> dict[str, float]:
-        return {kind: h.sum for kind, h in self.latency.items()}
-
-    @property
-    def max_latency_s(self) -> dict[str, float]:
-        return {kind: h.max for kind, h in self.latency.items()}
-
-    @property
-    def compaction_latency_s(self) -> float:
-        return self.compaction_latency.sum
-
-    @property
-    def max_compaction_latency_s(self) -> float:
-        return self.compaction_latency.max
-
-    def latency_histogram(self, kind: str) -> Histogram:
-        hist = self.latency.get(kind)
-        if hist is None:
-            hist = self.latency[kind] = Histogram()
-        return hist
-
-    def record_knn_scatter(self, dispatched: int, skipped: int) -> None:
-        with self._lock:
-            self.knn_shards_dispatched += dispatched
-            self.knn_shards_skipped += skipped
-
-    def record_compaction(self, counters: dict) -> None:
-        """Absorb one shard-side policy pass (a ``CompactionResult.counters()``
-        dict drained through the executor)."""
-        with self._lock:
-            self.compactions += 1
-            self.points_dropped += int(counters.get("points_dropped", 0))
-            self.bytes_base_before += int(counters.get("bytes_before", 0))
-            self.bytes_base_after += int(counters.get("bytes_after", 0))
-            self.compaction_latency.record(float(counters.get("elapsed_s", 0.0)))
-
-    def record_rebalance(self, action: str, elapsed_s: float) -> None:
-        """One online reshard: ``action`` is ``"split"`` or ``"merge"``,
-        ``elapsed_s`` the full pause (surgery to executor swap)."""
-        with self._lock:
-            if action == "split":
-                self.splits += 1
-            else:
-                self.merges += 1
-            self.rebalance_latency.record(elapsed_s)
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        #: Memoized ``(requests, cache_hits, uncacheable, latency)``
+        #: instruments per request kind, so the per-request path formats no
+        #: names; a kind appears here once its first request is counted.
+        self._per_kind: dict[str, tuple] = {}
+        #: Latest absorbed pass's ``(bytes_before, bytes_after)`` per shard.
+        self._base_bytes: list[tuple[int, int]] = []
 
     def record(
         self, kind: str, latency_s: float, cached: bool, cacheable: bool = True
     ) -> None:
-        with self._lock:
-            self.requests[kind] = self.requests.get(kind, 0) + 1
+        reg = self.registry
+        with reg.lock:
+            handles = self._per_kind.get(kind)
+            if handles is None:
+                handles = self._per_kind[kind] = (
+                    reg.counter(f"requests.{kind}"),
+                    reg.counter(f"cache_hits.{kind}"),
+                    reg.counter(f"uncacheable.{kind}"),
+                    reg.histogram(f"latency.{kind}"),
+                )
+            requests, hits, uncacheable, latency = handles
+            requests.inc()
             if cached:
-                self.cache_hits[kind] = self.cache_hits.get(kind, 0) + 1
+                hits.inc()
             elif not cacheable:
-                self.uncacheable[kind] = self.uncacheable.get(kind, 0) + 1
-            self.latency_histogram(kind).record(latency_s)
+                uncacheable.inc()
+            latency.record(latency_s)
 
     def record_ingest(self, trajectories: list[Trajectory]) -> None:
-        with self._lock:
-            self.ingest_batches += 1
-            self.ingest_trajectories += len(trajectories)
-            self.ingest_points += sum(len(t) for t in trajectories)
+        reg = self.registry
+        with reg.lock:
+            reg.inc("ingest.batches")
+            reg.inc("ingest.trajectories", len(trajectories))
+            reg.inc("ingest.points", sum(len(t) for t in trajectories))
+
+    def record_knn_scatter(self, dispatched: int, skipped: int) -> None:
+        """kNN fan-out: shards actually dispatched vs. skipped by bound."""
+        reg = self.registry
+        with reg.lock:
+            reg.inc("knn.shards_dispatched", dispatched)
+            reg.inc("knn.shards_skipped", skipped)
+
+    def record_compaction(self, shard: int, counters: dict) -> None:
+        """Absorb one shard-side policy pass (a ``CompactionResult.counters()``
+        dict drained through the executor)."""
+        reg, get = self.registry, counters.get
+        with reg.lock:
+            reg.inc("compaction.points_dropped", int(get("points_dropped", 0)))
+            reg.record("compaction.latency", float(get("elapsed_s", 0.0)))
+            sizes = (int(get("bytes_before", 0)), int(get("bytes_after", 0)))
+            self._splice_base_bytes(shard, 1, [sizes])
+
+    def record_rebalance(self, action: str, shard: int, elapsed_s: float, points: list):
+        """One online reshard at ``shard`` (a split makes it two shards, a merge
+        folds in its right neighbour) pausing ``elapsed_s``. The new shards, of
+        ``points`` points each, inherit the replaced ones' base sizes pro rata."""
+        n_old = 1 if action == "split" else 2
+        reg = self.registry
+        with reg.lock:
+            reg.inc(f"rebalance.{action}s")
+            reg.record("rebalance.latency", elapsed_s)
+            old = self._base_bytes[shard : shard + n_old]
+            totals = [sum(col) for col in zip((0, 0), *old)]
+            cum = np.cumsum([0, *points]) / max(sum(points), 1)
+            edges = [[int(total * c) for total in totals] for c in cum]
+            fresh = [(b - b0, a - a0) for (b0, a0), (b, a) in zip(edges, edges[1:])]
+            self._splice_base_bytes(shard, n_old, fresh)
+
+    def _splice_base_bytes(self, start: int, n_old: int, fresh: list) -> None:
+        """Replace shards ``[start, start + n_old)`` of the per-shard sizes, as
+        the executor splices replica sets (the caller holds the lock)."""
+        base = self._base_bytes
+        base.extend([(0, 0)] * (start + n_old - len(base)))
+        base[start : start + n_old] = fresh
+        self.registry.set("compaction.bytes_base_before", sum(b for b, _ in base))
+        self.registry.set("compaction.bytes_base", sum(a for _, a in base))
 
     def record_queue_depth(self, depth: int) -> None:
         """Track the admission-time in-flight depth (high-water mark)."""
-        with self._lock:
-            if depth > self.queue_depth_hwm:
-                self.queue_depth_hwm = depth
+        with self.registry.lock:
+            hwm = self.registry.gauge("queue.depth_hwm")
+            if depth > hwm.value:
+                hwm.set(depth)
 
     def record_queue_wait(self, wait_s: float) -> None:
         """One request's decode-to-worker-pickup wait (seconds)."""
-        with self._lock:
-            self.queue_wait.record(wait_s)
-
-    @property
-    def n_requests(self) -> int:
-        return sum(self.requests.values())
-
-    @property
-    def n_cache_hits(self) -> int:
-        return sum(self.cache_hits.values())
-
-    @property
-    def n_uncacheable(self) -> int:
-        return sum(self.uncacheable.values())
-
-    def cache_misses(self, kind: str) -> int:
-        """True misses of ``kind``: lookups that could have hit but did not.
-
-        Uncacheable requests (no cache key) are excluded — they never enter
-        the LRU, so counting them as misses would be wrong.
-        """
-        return (
-            self.requests.get(kind, 0)
-            - self.cache_hits.get(kind, 0)
-            - self.uncacheable.get(kind, 0)
-        )
+        self.registry.record("queue.wait", wait_s)
 
     def summary(self) -> dict[str, float | int]:
         """A flat report: per-kind counts, hit rates, and latency stats.
 
-        All pre-histogram keys keep their exact former values (means and
-        maxes come from the histograms' exact sum/max accumulators); the
+        Means and maxes come from the histograms' exact sum/max; the
         per-kind ``*_p50/p95/p99_latency_ms`` keys are bucket-derived.
-        The queue instruments appear only once something recorded them, so
-        single-threaded transports keep their historical key set.
+        The compaction, rebalance and queue keys appear only once
+        something recorded them, so single-threaded transports keep their
+        historical key set.
         """
-        with self._lock:
-            return self._summary_locked()
+        reg = self.registry
+        with reg.lock:
+            per_kind = sorted(self._per_kind.items())
 
-    def _summary_locked(self) -> dict[str, float | int]:
-        out: dict[str, float | int] = {
-            "requests": self.n_requests,
-            "cache_hits": self.n_cache_hits,
-            "ingest_batches": self.ingest_batches,
-            "ingest_trajectories": self.ingest_trajectories,
-            "ingest_points": self.ingest_points,
-            "knn_shards_dispatched": self.knn_shards_dispatched,
-            "knn_shards_skipped": self.knn_shards_skipped,
-            "uncacheable_requests": self.n_uncacheable,
-            "compactions": self.compactions,
-            "points_dropped": self.points_dropped,
-            "bytes_base": self.bytes_base,
-        }
-        if self.compactions:
-            out["bytes_base_before"] = self.bytes_base_before
-            out["compaction_mean_latency_ms"] = (
-                1000.0 * self.compaction_latency.sum / self.compactions
-            )
-            out["compaction_max_latency_ms"] = (
-                1000.0 * self.compaction_latency.max
-            )
-            out["compaction_p95_latency_ms"] = (
-                1000.0 * self.compaction_latency.quantile(0.95)
-            )
-        if self.splits or self.merges:
-            out["shard_splits"] = self.splits
-            out["shard_merges"] = self.merges
-            out["rebalance_mean_latency_ms"] = (
-                1000.0
-                * self.rebalance_latency.sum
-                / self.rebalance_latency.count
-            )
-            out["rebalance_max_latency_ms"] = (
-                1000.0 * self.rebalance_latency.max
-            )
-        if self.queue_wait.count or self.queue_depth_hwm:
-            out["queue_depth_hwm"] = self.queue_depth_hwm
-            out["queue_wait_p50_ms"] = 1000.0 * self.queue_wait.quantile(0.50)
-            out["queue_wait_p95_ms"] = 1000.0 * self.queue_wait.quantile(0.95)
-            out["queue_wait_p99_ms"] = 1000.0 * self.queue_wait.quantile(0.99)
-            out["queue_wait_max_ms"] = 1000.0 * self.queue_wait.max
-        for kind in sorted(self.requests):
-            n = self.requests[kind]
-            hist = self.latency_histogram(kind)
-            out[f"{kind}_requests"] = n
-            out[f"{kind}_cache_hits"] = self.cache_hits.get(kind, 0)
-            out[f"{kind}_cache_misses"] = self.cache_misses(kind)
-            out[f"{kind}_mean_latency_ms"] = 1000.0 * hist.sum / n
-            out[f"{kind}_max_latency_ms"] = 1000.0 * hist.max
-            out[f"{kind}_p50_latency_ms"] = 1000.0 * hist.quantile(0.50)
-            out[f"{kind}_p95_latency_ms"] = 1000.0 * hist.quantile(0.95)
-            out[f"{kind}_p99_latency_ms"] = 1000.0 * hist.quantile(0.99)
-        return out
+            def count(name: str) -> int:
+                return reg.counter(name).value
+
+            def total(which: int) -> int:
+                return sum(handles[which].value for _, handles in per_kind)
+
+            comp = reg.histogram("compaction.latency")
+            reb = reg.histogram("rebalance.latency")
+            queue_wait = reg.histogram("queue.wait")
+            depth_hwm = reg.gauge("queue.depth_hwm").value
+            out: dict[str, float | int] = {
+                "requests": total(0),
+                "cache_hits": total(1),
+                "ingest_batches": count("ingest.batches"),
+                "ingest_trajectories": count("ingest.trajectories"),
+                "ingest_points": count("ingest.points"),
+                "knn_shards_dispatched": count("knn.shards_dispatched"),
+                "knn_shards_skipped": count("knn.shards_skipped"),
+                "uncacheable_requests": total(2),
+                "compactions": comp.count,
+                "points_dropped": count("compaction.points_dropped"),
+                "bytes_base": reg.gauge("compaction.bytes_base").value,
+            }
+            if comp.count:
+                out["bytes_base_before"] = reg.gauge(
+                    "compaction.bytes_base_before"
+                ).value
+                out["compaction_mean_latency_ms"] = 1000.0 * comp.sum / comp.count
+                out["compaction_max_latency_ms"] = 1000.0 * comp.max
+                out["compaction_p95_latency_ms"] = 1000.0 * comp.quantile(0.95)
+            if reb.count:
+                out["shard_splits"] = count("rebalance.splits")
+                out["shard_merges"] = count("rebalance.merges")
+                out["rebalance_mean_latency_ms"] = 1000.0 * reb.sum / reb.count
+                out["rebalance_max_latency_ms"] = 1000.0 * reb.max
+            if queue_wait.count or depth_hwm:
+                out["queue_depth_hwm"] = depth_hwm
+                out["queue_wait_p50_ms"] = 1000.0 * queue_wait.quantile(0.50)
+                out["queue_wait_p95_ms"] = 1000.0 * queue_wait.quantile(0.95)
+                out["queue_wait_p99_ms"] = 1000.0 * queue_wait.quantile(0.99)
+                out["queue_wait_max_ms"] = 1000.0 * queue_wait.max
+            for kind, (requests, hits, uncacheable, hist) in per_kind:
+                n = requests.value
+                out[f"{kind}_requests"] = n
+                out[f"{kind}_cache_hits"] = hits.value
+                out[f"{kind}_cache_misses"] = n - hits.value - uncacheable.value
+                out[f"{kind}_mean_latency_ms"] = 1000.0 * hist.sum / n
+                out[f"{kind}_max_latency_ms"] = 1000.0 * hist.max
+                out[f"{kind}_p50_latency_ms"] = 1000.0 * hist.quantile(0.50)
+                out[f"{kind}_p95_latency_ms"] = 1000.0 * hist.quantile(0.95)
+                out[f"{kind}_p99_latency_ms"] = 1000.0 * hist.quantile(0.99)
+            return out
 
     def histograms(self) -> dict[str, dict]:
         """JSON-safe encodings of every latency histogram (per request
-        kind, plus ``"compaction"`` once any pass has been absorbed and
-        ``"queue_wait"`` once the server's admission control records)."""
-        with self._lock:
+        kind, plus ``"compaction"``, ``"rebalance"`` and ``"queue_wait"``
+        once something recorded into them)."""
+        reg = self.registry
+        with reg.lock:
             out = {
-                kind: hist.to_json()
-                for kind, hist in sorted(self.latency.items())
+                kind: handles[3].to_json()
+                for kind, handles in sorted(self._per_kind.items())
             }
-            if self.compactions:
-                out["compaction"] = self.compaction_latency.to_json()
-            if self.rebalance_latency.count:
-                out["rebalance"] = self.rebalance_latency.to_json()
-            if self.queue_wait.count:
-                out["queue_wait"] = self.queue_wait.to_json()
+            for key, name in (
+                ("compaction", "compaction.latency"),
+                ("rebalance", "rebalance.latency"),
+                ("queue_wait", "queue.wait"),
+            ):
+                hist = reg.histogram(name)
+                if hist.count:
+                    out[key] = hist.to_json()
             return out
 
 
@@ -500,7 +434,9 @@ class QueryService:
             # construction (the initial base is a cold tier); absorb those
             # passes so stats start consistent with the published tiers.
             self._absorb_compactions(
-                self._executor.broadcast("take_compactions", {})
+                self._executor.run_on(
+                    range(manager.n_shards), "take_compactions", {}
+                )
             )
         self._watchdog: Watchdog | None = None
         if watchdog_interval is not None:
@@ -851,7 +787,8 @@ class QueryService:
             self._failed = True
             raise
         elapsed = time.perf_counter() - start
-        self.stats.record_rebalance(action, elapsed)
+        points = [sum(len(t) for t in shard.trajectories) for shard in replaced]
+        self.stats.record_rebalance(action, shard_idx, elapsed, points)
         self.tracer.record(
             trace_id, "reshard", elapsed, action=action, shard=shard_idx
         )
@@ -879,14 +816,14 @@ class QueryService:
             return self.manager.n_shards
 
     def _absorb_compactions(
-        self, per_shard: "list | None", trace_id: str | None = None
+        self, per_shard: dict[int, list], trace_id: str | None = None
     ) -> None:
-        """Fold shard-side compaction counter dicts into the stats (and,
-        when tracing, emit one ``compaction_pass`` span per pass with the
-        shard-measured wall time)."""
-        for shard_idx, counters_list in enumerate(per_shard or []):
+        """Fold ``{shard: [counter dict, ...]}`` compaction passes into the
+        stats (and, when tracing, emit one ``compaction_pass`` span per pass
+        with the shard-measured wall time)."""
+        for shard_idx, counters_list in per_shard.items():
             for counters in counters_list or []:
-                self.stats.record_compaction(counters)
+                self.stats.record_compaction(shard_idx, counters)
                 self.tracer.record(
                     trace_id,
                     "compaction_pass",
@@ -933,9 +870,7 @@ class QueryService:
                 "recorded_spans": self.tracer.recorded,
             },
         }
-        store_stats = getattr(self._store, "stats", None)
-        if callable(store_stats):
-            report["store"] = store_stats()
+        report["store"] = self._store.stats()
         report["transport"] = self._executor.transport_stats()
         try:
             report["replication"] = self._executor.replication_stats()

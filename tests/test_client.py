@@ -325,10 +325,11 @@ class TestLocalClient:
             response = client.knn(queries, 2, windows, measure=measure)
             assert not response.cached
         assert len(client._cache) == 0
-        assert client.stats.requests["knn"] == 2
-        assert client.stats.cache_hits.get("knn", 0) == 0
-        assert client.stats.uncacheable["knn"] == 2
-        assert client.stats.cache_misses("knn") == 0
+        summary = client.stats.summary()
+        assert summary["knn_requests"] == 2
+        assert summary["knn_cache_hits"] == 0
+        assert summary["uncacheable_requests"] == 2
+        assert summary["knn_cache_misses"] == 0
 
 
 class TestServiceClientParity:
@@ -422,13 +423,10 @@ class TestUncacheableAccounting:
             assert not first.cached and not second.cached
             assert first.neighbors == second.neighbors
             assert len(service._cache) == 0
-            stats = service.stats
-            assert stats.requests["knn"] == 2
-            assert stats.cache_hits.get("knn", 0) == 0
+            summary = service.stats.summary()
+            assert summary["knn_requests"] == 2
+            assert summary["knn_cache_hits"] == 0
             # The regression: these are NOT misses — nothing was looked up.
-            assert stats.uncacheable["knn"] == 2
-            assert stats.cache_misses("knn") == 0
-            summary = stats.summary()
             assert summary["uncacheable_requests"] == 2
             assert summary["knn_cache_misses"] == 0
 
@@ -437,10 +435,10 @@ class TestUncacheableAccounting:
             request = RangeRequest.from_workload(cworkload)
             service.execute(request)
             service.execute(request)
-            stats = service.stats
-            assert stats.cache_misses("range") == 1
-            assert stats.cache_hits["range"] == 1
-            assert stats.n_uncacheable == 0
+            summary = service.stats.summary()
+            assert summary["range_cache_misses"] == 1
+            assert summary["range_cache_hits"] == 1
+            assert summary["uncacheable_requests"] == 0
 
 
 class TestHistogramEpochInvalidation:

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.client import ServiceClient
+from repro.data import TrajectoryDatabase
 from repro.data.codec import storage_report
 from repro.data.stats import spatial_scale
 from repro.data.store import shared_memory_available
@@ -85,7 +86,7 @@ def test_exact_compaction_bit_identical_under_interleaved_ingest(store, executor
                 service, current, workload, queries, windows, eps, delta
             )
         # the exact policy reports passes but never drops a point
-        assert service.stats.points_dropped == 0
+        assert service.stats.summary()["points_dropped"] == 0
 
 
 def test_default_policy_is_exact():
@@ -311,24 +312,45 @@ def test_simplifying_service_accounts_for_dropped_points():
         compact_threshold=0.1,
     ) as service:
         # the initial cold tier was compacted once per shard at construction
-        assert service.stats.compactions == 2
-        assert service.stats.points_dropped > 0
-        assert service.stats.bytes_base < service.stats.bytes_base_before
+        summary = service.stats.summary()
+        assert summary["compactions"] == 2
+        assert summary["points_dropped"] > 0
+        assert summary["bytes_base"] < summary["bytes_base_before"]
         spec = service.describe()["compaction"]
         assert spec["policy"] == "uniform"
         assert spec["error_budget"] == pytest.approx(budget)
-        summary = service.stats.summary()
-        assert summary["compactions"] == 2
-        assert summary["points_dropped"] == service.stats.points_dropped
-        assert summary["bytes_base"] == service.stats.bytes_base
         assert summary["compaction_mean_latency_ms"] >= 0.0
         # logical membership is untouched: simplification drops points,
         # never trajectories
         assert service.describe()["trajectories"] == len(db)
-        before = service.stats.compactions
+        before = summary["compactions"]
         # an ingest-triggered fold drains its counters through the executor
         service.ingest([make_trajectory(n=40, seed=77)])
-        assert service.stats.compactions > before
+        assert service.stats.summary()["compactions"] > before
+
+
+def test_bytes_base_is_the_current_base_size_after_recompaction():
+    """Re-compacting a shard replaces its bytes, it does not add to them."""
+    db = initial_db(13, n=10)
+    with QueryService(
+        db,
+        n_shards=2,
+        executor="serial",
+        compaction="uniform",
+        error_budget=0.1 * spatial_scale(db),
+        min_compact_points=24,
+        compact_threshold=0.1,
+    ) as service:
+        # one trajectory per ingest: each fold lands on a single shard
+        for i in range(4):
+            service.ingest([make_trajectory(n=40, seed=300 + i)])
+        summary = service.stats.summary()
+        assert summary["compactions"] >= 2 + 4  # construction + folds
+        current = sum(
+            storage_report(TrajectoryDatabase(runtime._base)).encoded_bytes
+            for runtime in service._executor.runtimes
+        )
+        assert summary["bytes_base"] == current
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
@@ -345,8 +367,9 @@ def test_simplifying_service_queries_run_end_to_end(executor):
         min_compact_points=24,
         compact_threshold=0.1,
     ) as service:
-        assert service.stats.compactions >= 2  # initial pass on both shards
-        assert service.stats.points_dropped > 0
+        summary = service.stats.summary()
+        assert summary["compactions"] >= 2  # initial pass on both shards
+        assert summary["points_dropped"] > 0
         service.ingest([make_trajectory(n=30, seed=99)])
         client = ServiceClient(service)
         response = client.range(workload)
@@ -381,7 +404,7 @@ def test_accuracy_gate_through_the_client(geolife_db):
     with ServiceClient.for_database(
         geolife_db, n_shards=2, compaction="uniform", error_budget=budget
     ) as client:
-        assert client.service.stats.points_dropped > 0
+        assert client.service.stats.summary()["points_dropped"] > 0
         scores = evaluator.evaluate(geolife_db, tasks=tasks, client=client)
         assert all(0.0 <= scores[t] <= 1.0 for t in tasks)
         # a 5%-of-scale budget must not wreck range accuracy

@@ -7,9 +7,10 @@ Three contracts anchor this file:
   (``np.quantile(..., method="inverted_cdf")``), and merging per-shard
   histograms must be order-independent (commutative/associative on the
   integer state).
-* **Backward compatibility** — ``ServiceStats.summary()`` replaced its
-  mean/max float arithmetic with histogram-backed values; every legacy
-  key must stay bit-identical to the running-total computation.
+* **One schema** — ``ServiceStats`` is a view over a self-locking
+  ``MetricsRegistry``; its ``summary()`` mean/max keys stay bit-identical
+  to running totals, and the key sets of ``summary()``, ``histograms()``
+  and ``metrics_report()`` are pinned for every executor.
 * **End-to-end trace identity** — a trace id minted in
   :class:`~repro.client.RemoteClient` must appear *verbatim* in the
   server-side span export after crossing the socket, the asyncio server,
@@ -19,6 +20,8 @@ Three contracts anchor this file:
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -39,9 +42,14 @@ from repro.obs import (
     mint_trace_id,
     validate_run,
 )
+from repro.data.stats import spatial_scale
 from repro.service import QueryService, serve_in_thread
+from repro.service.requests import KnnRequest
 from repro.service.service import ServiceStats
 from repro.workloads import RangeQueryWorkload
+from tests.conftest import make_trajectory
+from tests.test_service import knn_suite
+from tests.test_service_streaming import initial_db
 
 
 def small_db(n: int = 12, seed: int = 5):
@@ -183,6 +191,43 @@ class TestMetricsRegistry:
         assert snap["histograms"]["lat"]["count"] == 2
         assert "other" in snap["histograms"]
         assert json.dumps(snap)  # crosses wire/pipes as-is
+        only_other = a.snapshot("oth")
+        assert only_other["histograms"] == {"other": snap["histograms"]["other"]}
+        assert only_other["counters"] == only_other["gauges"] == {}
+
+    def test_concurrent_updates_are_exact(self):
+        reg = MetricsRegistry()
+        n_threads, n_updates = 8, 10_000
+        done = threading.Event()
+
+        def write():
+            for _ in range(n_updates):
+                reg.inc("requests")
+                reg.record("latency", 0.5)
+
+        def read():
+            while not done.is_set():
+                reg.snapshot()
+
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=write) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: races show up
+        try:
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [reader, *writers])
+        snap = reg.snapshot()
+        assert snap["counters"]["requests"] == n_threads * n_updates
+        assert snap["histograms"]["latency"]["count"] == n_threads * n_updates
+        assert snap["histograms"]["latency"]["sum"] == 0.5 * n_threads * n_updates
 
 
 # -------------------------------------------------------------------- tracing
@@ -275,7 +320,7 @@ class TestProvenance:
         assert deltas["missing.key"] is None
 
 
-# --------------------------------------------------- ServiceStats compat layer
+# ------------------------------------------------------ ServiceStats summary
 class TestServiceStatsCompat:
     def test_summary_mean_max_bit_identical_to_running_totals(self):
         rng = np.random.default_rng(11)
@@ -290,10 +335,9 @@ class TestServiceStatsCompat:
         # The legacy keys: computed exactly as the old float fields did.
         assert summary["range_mean_latency_ms"] == 1000.0 * total / 40
         assert summary["range_max_latency_ms"] == 1000.0 * max(observed)
-        assert stats.total_latency_s["range"] == total
-        assert stats.max_latency_s["range"] == max(observed)
-        # The new quantile keys derive from the same histogram.
-        hist = stats.latency_histogram("range")
+        # The quantile keys derive from the same histogram.
+        hist = Histogram.from_json(stats.histograms()["range"])
+        assert hist.sum == total
         for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
             assert summary[f"range_{key}_latency_ms"] == pytest.approx(
                 1000.0 * hist.quantile(q)
@@ -302,19 +346,129 @@ class TestServiceStatsCompat:
     def test_compaction_latency_compat(self):
         stats = ServiceStats()
         stats.record_compaction(
+            0,
             {"points_dropped": 10, "bytes_before": 200, "bytes_after": 100,
-             "elapsed_s": 0.25}
+             "elapsed_s": 0.25},
         )
         stats.record_compaction(
+            0,
             {"points_dropped": 5, "bytes_before": 100, "bytes_after": 80,
-             "elapsed_s": 0.05}
+             "elapsed_s": 0.05},
         )
-        assert stats.compaction_latency_s == pytest.approx(0.30)
-        assert stats.max_compaction_latency_s == 0.25
         summary = stats.summary()
         assert summary["compaction_mean_latency_ms"] == pytest.approx(150.0)
+        assert summary["compaction_max_latency_ms"] == 250.0
         assert "compaction_p95_latency_ms" in summary
         assert "compaction" in stats.histograms()
+        # A re-compacted shard's bytes are its latest pass's, not a sum.
+        assert summary["points_dropped"] == 15
+        assert summary["bytes_base"] == 80
+        assert summary["bytes_base_before"] == 100
+
+    def test_reshard_carries_base_sizes_over_pro_rata(self):
+        stats = ServiceStats()
+
+        def compact(shard, before, after):
+            stats.record_compaction(
+                shard, {"bytes_before": before, "bytes_after": after}
+            )
+            return stats.summary()
+
+        compact(0, 200, 100)
+        compact(1, 80, 40)
+        # split shard 0 (3:1 by points): children hold 75 + 25 bytes
+        stats.record_rebalance("split", 0, 0.01, points=[30, 10])
+        assert stats.summary()["bytes_base"] == 140
+        assert compact(1, 20, 10)["bytes_base"] == 75 + 10 + 40
+        # merge shards 1 and 2: the merged shard holds 10 + 40 bytes
+        stats.record_rebalance("merge", 1, 0.01, points=[50])
+        assert stats.summary()["bytes_base"] == 125
+        summary = compact(1, 70, 60)
+        assert summary["bytes_base"] == 75 + 60
+        assert summary["bytes_base_before"] == 150 + 70
+        assert summary["shard_splits"] == summary["shard_merges"] == 1
+
+
+# ------------------------------------------------------------ metrics schema
+def _len_gap(a, b):
+    """A callable kNN measure (module level, so worker processes unpickle it)."""
+    return float(abs(len(a) - len(b)))
+
+
+KINDS = ("count", "histogram", "knn", "range", "similarity")
+
+SUMMARY_KEYS = {
+    "requests", "cache_hits", "uncacheable_requests",
+    "ingest_batches", "ingest_trajectories", "ingest_points",
+    "knn_shards_dispatched", "knn_shards_skipped",
+    "compactions", "points_dropped", "bytes_base", "bytes_base_before",
+    "compaction_mean_latency_ms", "compaction_max_latency_ms",
+    "compaction_p95_latency_ms",
+    "shard_splits", "shard_merges",
+    "rebalance_mean_latency_ms", "rebalance_max_latency_ms",
+    "queue_depth_hwm", "queue_wait_p50_ms", "queue_wait_p95_ms",
+    "queue_wait_p99_ms", "queue_wait_max_ms",
+} | {
+    f"{kind}_{suffix}"
+    for kind in KINDS
+    for suffix in (
+        "requests", "cache_hits", "cache_misses", "mean_latency_ms",
+        "max_latency_ms", "p50_latency_ms", "p95_latency_ms", "p99_latency_ms",
+    )
+}
+HISTOGRAM_KEYS = set(KINDS) | {"compaction", "rebalance", "queue_wait"}
+REPORT_KEYS = {
+    "summary", "histograms", "epoch", "n_shards", "executor", "trace",
+    "store", "transport", "replication", "shards",
+}
+TRANSPORT_KEYS = {
+    "n_workers", "pipe_bytes_sent", "pipe_bytes_received",
+    "messages_sent", "messages_received",
+}
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_metrics_schema_is_pinned(executor):
+    """Every key a reader of ``summary()``, ``histograms()`` or
+    ``metrics_report()`` may rely on survives a scripted session that
+    touches every instrument."""
+    db = initial_db(17, n=10)
+    workload = RangeQueryWorkload.from_data_distribution(db, 5, seed=17)
+    queries, windows = knn_suite(db, n_queries=2, seed=17)
+    scale = spatial_scale(db)
+    with QueryService(
+        db,
+        n_shards=2,
+        executor=executor,
+        partitioner="spatial",
+        min_compact_points=24,
+        compact_threshold=0.1,
+    ) as service:
+        client = ServiceClient(service)
+        client.range(workload)
+        assert client.range(workload).cached
+        client.count(workload.boxes)
+        client.histogram(8)
+        client.knn(queries, 2, windows, eps=0.1 * scale)
+        client.similarity(queries, 0.15 * scale, windows)
+        uncacheable = KnnRequest(tuple(queries), 2, tuple(windows), _len_gap)
+        service.execute(uncacheable)
+        service.ingest([make_trajectory(n=30, seed=900 + i) for i in range(2)])
+        service.split_shard(0)
+        service.merge_shards(0)
+        service.stats.record_queue_depth(3)
+        service.stats.record_queue_wait(0.002)
+        summary = service.stats.summary()
+        report = service.metrics_report()
+        assert set(summary) == SUMMARY_KEYS
+        assert set(service.stats.histograms()) == HISTOGRAM_KEYS
+        assert set(report) == REPORT_KEYS
+        assert set(report["transport"]) == TRANSPORT_KEYS
+        assert summary["requests"] == 7
+        assert summary["cache_hits"] == 1
+        assert summary["uncacheable_requests"] == 1
+        assert summary["compactions"] >= 1
+        assert summary["shard_splits"] == summary["shard_merges"] == 1
 
 
 # ----------------------------------------------------------- service-level obs
@@ -498,8 +652,8 @@ class TestClockHygiene:
         with LocalClient(db) as client:
             response = client.range(workload)
             assert response.latency_s >= 0.0
-            hist = client.stats.latency_histogram("range")
-            assert hist.count == 1
-            assert hist.sum >= 0.0
+            hist = client.stats.histograms()["range"]
+            assert hist["count"] == 1
+            assert hist["sum"] >= 0.0
             for span in client.tracer.spans():
                 assert span.duration_s >= 0.0

@@ -14,6 +14,7 @@ from repro.client import ServiceClient
 from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
 from repro.data.stats import spatial_scale
 from repro.eval.harness import QueryAccuracyEvaluator
+from repro.obs.metrics import Histogram
 from repro.queries import QueryEngine, knn_query_batch, similarity_query_batch
 from repro.service import (
     HashPartitioner,
@@ -215,7 +216,7 @@ class TestServiceCacheAndStats:
             second = client.range(served_workload)
             assert not first.cached and second.cached
             assert second.result_sets == first.result_sets
-            assert service.stats.cache_hits.get("range") == 1
+            assert service.stats.summary()["range_cache_hits"] == 1
 
     def test_equal_requests_share_a_cache_line(self, served_db, served_workload):
         with QueryService(served_db, n_shards=2) as service:
@@ -299,7 +300,7 @@ class TestServiceCacheAndStats:
             )
             # The histogram's accuracy contract: each reported quantile
             # sits within one bucket width of the exact sample quantile.
-            hist = stats.queue_wait
+            hist = Histogram.from_json(stats.histograms()["queue_wait"])
             exact_sorted = np.sort(waits)
             for q, key in (
                 (0.50, "queue_wait_p50_ms"),
