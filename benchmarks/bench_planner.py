@@ -1,24 +1,17 @@
-"""Pluggable index backends: pruning cost vs workload shape + kNN shard skips.
+"""kNN shard skipping: exact top-k while skipping provably irrelevant shards.
 
-Two sections, each asserting bit-parity before reporting any number:
-
-* **backends** — for three workload shapes (selective boxes, whole-extent
-  time slabs, zero-extent point probes), every backend answers the range
-  workload through :class:`~repro.queries.engine.QueryEngine`; the report
-  shows wall-clock per backend next to the cost-based planner's estimate
-  and its pick, which is how to judge whether the planner's ranking tracks
-  reality on this machine.
-* **knn-skip** — a spatially clustered database served at K shards under
-  the ``spatial`` partitioner: the kNN scatter must return exactly the
-  single-database ranking while skipping every shard whose distance lower
-  bound proves it irrelevant. The report shows dispatched/skipped counts
-  per K and executor; the skip *rate* is the benchmark's headline.
+A spatially clustered database is served at K shards under the ``spatial``
+partitioner: the kNN scatter must return exactly the single-database
+ranking while skipping every shard whose distance lower bound proves it
+irrelevant. Parity is asserted before any number is reported. The report
+shows dispatched/skipped counts per K and executor; the skip *rate* is the
+benchmark's headline.
 
 Run standalone::
 
     python benchmarks/bench_planner.py            # default scale
     python benchmarks/bench_planner.py --smoke    # tiny CI smoke run
-    python benchmarks/bench_planner.py --section knn-skip --shards 2 4 8
+    python benchmarks/bench_planner.py --shards 2 4 8
 """
 
 from __future__ import annotations
@@ -29,87 +22,14 @@ import time
 
 import numpy as np
 
-from repro.data import BoundingBox, Trajectory, TrajectoryDatabase, synthetic_database
-from repro.queries import QueryEngine, knn_query_batch, plan_workload
-from repro.queries.planner import PLANNER_BACKENDS
 from repro.client import ServiceClient
+from repro.data import Trajectory, TrajectoryDatabase
+from repro.queries import knn_query_batch
 from repro.service import QueryService
-from repro.workloads import RangeQueryWorkload
 
-DEFAULT_TRAJECTORIES = 150
-DEFAULT_QUERIES = 80
 DEFAULT_SHARDS = (2, 4, 8)
 
 
-# ------------------------------------------------------------- backends section
-def _workload_shapes(db, n_queries: int, seed: int = 7):
-    """Three pruning regimes: boxes, temporal slabs, zero-extent probes."""
-    ext = db.bounding_box
-    rng = np.random.default_rng(seed)
-    shapes = {"boxes": RangeQueryWorkload.from_data_distribution(db, n_queries, seed=seed)}
-    t_span = ext.tmax - ext.tmin
-    shapes["time slabs"] = [
-        BoundingBox(
-            ext.xmin, ext.xmax, ext.ymin, ext.ymax,
-            ext.tmin + f * t_span, ext.tmin + (f + 0.02) * t_span,
-        )
-        for f in rng.uniform(0.0, 0.98, size=max(n_queries // 4, 4))
-    ]
-    points = db.point_matrix()
-    probe_rows = rng.choice(len(points), size=max(n_queries // 4, 4), replace=False)
-    shapes["point probes"] = [
-        BoundingBox(p[0], p[0], p[1], p[1], p[2], p[2]) for p in points[probe_rows]
-    ]
-    return shapes
-
-
-def run_backends(
-    n_trajectories: int = DEFAULT_TRAJECTORIES,
-    n_queries: int = DEFAULT_QUERIES,
-    repeats: int = 3,
-) -> list[tuple[str, str, dict[str, float], dict[str, float]]]:
-    """Per (workload shape, backend): measured seconds + planner estimate."""
-    db = synthetic_database(
-        "geolife", n_trajectories=n_trajectories, points_scale=0.1, seed=7
-    )
-    rows = []
-    for shape_name, workload in _workload_shapes(db, n_queries).items():
-        reference = QueryEngine(db).evaluate(workload)
-        plan = plan_workload(db, workload)
-        measured: dict[str, float] = {}
-        for name in PLANNER_BACKENDS:
-            backend = plan_workload(db, workload, index=name).backend
-            engine = QueryEngine(db, backend=backend)
-            result = engine.evaluate(workload)
-            assert result == reference, (
-                f"{name} diverged on {shape_name!r} — backends must be "
-                "answer-invariant"
-            )
-            best = float("inf")
-            for _ in range(repeats):
-                engine.clear_cache()
-                start = time.perf_counter()
-                engine.evaluate(workload)
-                best = min(best, time.perf_counter() - start)
-            measured[name] = best
-        rows.append((shape_name, plan.name, measured, dict(plan.costs)))
-    return rows
-
-
-def _report_backends(rows) -> None:
-    print("\n=== backend pruning cost vs workload shape (parity asserted) ===")
-    for shape_name, pick, measured, costs in rows:
-        fastest = min(measured, key=measured.get)
-        print(f"\n{shape_name}:  planner picks '{pick}', fastest measured '{fastest}'")
-        for name in PLANNER_BACKENDS:
-            marker = " <- planned" if name == pick else ""
-            print(
-                f"  {name:<10}{measured[name] * 1000:>9.3f} ms   "
-                f"(est. cost {costs[name]:>12.1f}){marker}"
-            )
-
-
-# ------------------------------------------------------------- knn-skip section
 def _clustered_db(n_clusters: int, per_cluster: int, seed: int = 11):
     """Spatially separated clusters — the shard-skipping-friendly regime."""
     rng = np.random.default_rng(seed)
@@ -190,11 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="tiny scale; still asserts parity and >= 1 skipped shard",
     )
-    parser.add_argument(
-        "--section", default="all", choices=["all", "backends", "knn-skip"]
-    )
-    parser.add_argument("--trajectories", type=int, default=DEFAULT_TRAJECTORIES)
-    parser.add_argument("--queries", type=int, default=DEFAULT_QUERIES)
     parser.add_argument("--shards", type=int, nargs="+", default=list(DEFAULT_SHARDS))
     parser.add_argument(
         "--executors", nargs="+", default=["serial", "process"],
@@ -203,24 +118,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        n_trajectories, n_queries, repeats = 25, 12, 1
         shard_counts: tuple[int, ...] = (2, 4)
         per_cluster = 6
     else:
-        n_trajectories, n_queries, repeats = args.trajectories, args.queries, 3
         shard_counts = tuple(args.shards)
         per_cluster = 12
 
-    if args.section in ("all", "backends"):
-        _report_backends(run_backends(n_trajectories, n_queries, repeats))
-    if args.section in ("all", "knn-skip"):
-        _report_knn_skip(
-            run_knn_skip(
-                shard_counts,
-                per_cluster=per_cluster,
-                executors=tuple(args.executors),
-            )
+    _report_knn_skip(
+        run_knn_skip(
+            shard_counts,
+            per_cluster=per_cluster,
+            executors=tuple(args.executors),
         )
+    )
     print("ok")
     return 0
 

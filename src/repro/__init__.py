@@ -9,16 +9,14 @@ It provides:
 * the four classical simplification error measures SED / PED / DAD / SAD
   (:mod:`repro.errors`),
 * spatio-temporal indexes — octree, kd-tree, grid, STR R-tree, temporal
-  interval index — unified behind the pluggable
-  :class:`~repro.index.backend.IndexBackend` candidate-pruning protocol
-  (:mod:`repro.index`), with a cost-based planner picking a backend per
-  workload (:func:`~repro.queries.planner.plan_workload`),
+  interval index (:mod:`repro.index`),
 * range / kNN / similarity / clustering query operators together with the
   F1-based quality measures used by the paper (:mod:`repro.queries`),
 * a vectorized batch :class:`~repro.queries.engine.QueryEngine` evaluating
   whole range-query workloads in columnar passes over the database's flat
-  point matrix, with per-state memoization — the training-reward and
-  evaluation hot path (:mod:`repro.queries.engine`),
+  point matrix, pruned by one grid CSR cell sweep, with per-state
+  memoization — the training-reward and evaluation hot path
+  (:mod:`repro.queries.engine`),
 * query workload generators over several spatial distributions
   (:mod:`repro.workloads`),
 * a from-scratch numpy DQN stack and the two cooperative agents, Agent-Cube
@@ -72,20 +70,10 @@ from repro.index import (
     RTree,
     TemporalIndex,
     adaptive_resolution,
-    IndexBackend,
-    GridBackend,
-    OctreeBackend,
-    KDTreeBackend,
-    RTreeBackend,
-    TemporalBackend,
-    BACKENDS,
-    make_backend,
 )
 from repro.queries import (
     RangeQuery,
     QueryEngine,
-    WorkloadPlan,
-    plan_workload,
     range_query,
     knn_query,
     knn_query_batch,
@@ -149,18 +137,8 @@ __all__ = [
     "adaptive_resolution",
     "RTree",
     "TemporalIndex",
-    "IndexBackend",
-    "GridBackend",
-    "OctreeBackend",
-    "KDTreeBackend",
-    "RTreeBackend",
-    "TemporalBackend",
-    "BACKENDS",
-    "make_backend",
     "RangeQuery",
     "QueryEngine",
-    "WorkloadPlan",
-    "plan_workload",
     "range_query",
     "knn_query",
     "knn_query_batch",

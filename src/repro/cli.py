@@ -502,11 +502,9 @@ def _add_service_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--partitioner", default="hash", choices=list(PARTITIONERS))
     p.add_argument("--executor", default="serial", choices=list(EXECUTORS),
                    help='"process" fans out to one worker process per shard')
-    p.add_argument("--index", default="grid",
-                   choices=["grid", "octree", "kdtree", "rtree", "auto"],
-                   help="per-shard index backend; 'auto' lets the cost-based "
-                   "planner pick per workload (answers are identical either "
-                   "way — this tunes pruning cost only)")
+    p.add_argument("--index", default="grid", choices=["grid"],
+                   help="per-shard candidate index; the grid CSR cell sweep "
+                   "is the only one")
     p.add_argument("--store", default="heap", choices=list(STORES),
                    help='"shm" publishes shard base tiers as named '
                    "shared-memory segments that process-executor workers "

@@ -55,9 +55,10 @@ class Client:
     #: Transport name, for banners and benchmarks.
     transport = "abstract"
 
-    #: Trace id of the most recent :meth:`execute` call. Every transport
-    #: mints one per request (or forwards the caller's), so any response
-    #: can be correlated with the serving side's exported spans.
+    #: Trace id of the most recent :meth:`execute` or :meth:`ingest` call.
+    #: Every transport mints one per call (or forwards the caller's), so
+    #: any response can be correlated with the serving side's exported
+    #: spans.
     last_trace_id: str | None = None
 
     # ------------------------------------------------------------- core surface
@@ -77,8 +78,13 @@ class Client:
         """
         raise NotImplementedError
 
-    def ingest(self, trajectories: Iterable[Trajectory]) -> IngestResult:
-        """Stream a trajectory batch into the served database."""
+    def ingest(
+        self, trajectories: Iterable[Trajectory], *, trace_id: str | None = None
+    ) -> IngestResult:
+        """Stream a trajectory batch into the served database.
+
+        ``trace_id`` propagates like :meth:`execute`'s.
+        """
         raise NotImplementedError
 
     def describe(self) -> dict:

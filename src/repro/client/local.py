@@ -38,10 +38,10 @@ class LocalClient(Client):
     ----------
     db:
         The served database.
-    resolution, index:
-        Engine grid resolution / index backend name, applied when this
-        client creates the database's shared engine (an engine that already
-        exists is reused unchanged).
+    resolution:
+        Engine grid resolution, applied when this client creates the
+        database's shared engine (an engine that already exists is reused
+        unchanged).
     cache_size:
         LRU entries of whole-request results, keyed on
         ``(request cache key, epoch)`` — the service's cache semantics.
@@ -54,13 +54,11 @@ class LocalClient(Client):
         db: TrajectoryDatabase,
         *,
         resolution: tuple[int, int, int] = (32, 32, 16),
-        index: str = "grid",
         cache_size: int = 64,
     ) -> None:
         self._resolution = resolution
-        self._index = index
         self._db = db
-        self._engine = self._build_engine(db)
+        self._engine = QueryEngine.for_database(db, resolution=resolution)
         self._epoch = 0
         self._cache: OrderedDict[tuple, object] = OrderedDict()
         self._cache_lock = threading.Lock()
@@ -68,15 +66,6 @@ class LocalClient(Client):
         self.stats = ServiceStats()
         self.tracer = Tracer()
         self._closed = False
-
-    def _build_engine(self, db: TrajectoryDatabase) -> QueryEngine:
-        # Backend choice never changes answers, only pruning cost — so when
-        # the database already has a shared engine, it is reused unchanged.
-        if self._index == "grid":
-            return QueryEngine.for_database(db, resolution=self._resolution)
-        from repro.index.backend import make_backend
-
-        return QueryEngine.for_database(db, backend=make_backend(self._index, db))
 
     # ---------------------------------------------------------------- protocol
     @property
@@ -163,9 +152,12 @@ class LocalClient(Client):
             return tuple(frozenset(s) for s in results)
         raise ValueError(f"unknown request kind {kind!r}")
 
-    def ingest(self, trajectories: Iterable[Trajectory]) -> IngestResult:
+    def ingest(
+        self, trajectories: Iterable[Trajectory], *, trace_id: str | None = None
+    ) -> IngestResult:
         if self._closed:
             raise RuntimeError("client is closed")
+        self.last_trace_id = trace_id if trace_id is not None else mint_trace_id()
         batch = list(trajectories)
         if not batch:
             return IngestResult(added=0, epoch=self._epoch)
@@ -173,7 +165,7 @@ class LocalClient(Client):
             if not isinstance(t, Trajectory):
                 raise TypeError(f"expected Trajectory, got {type(t).__name__}")
         self._db = self._db.extended(batch)
-        self._engine = self._build_engine(self._db)
+        self._engine = QueryEngine.for_database(self._db, resolution=self._resolution)
         self._epoch += 1
         self.stats.record_ingest(batch)
         return IngestResult(added=len(batch), epoch=self._epoch)
@@ -183,7 +175,7 @@ class LocalClient(Client):
             "transport": self.transport,
             "n_shards": 1,
             "executor": "local",
-            "index": self._index,
+            "index": "grid",
             "epoch": self._epoch,
             "trajectories": len(self._db),
             "points": self._db.total_points,

@@ -44,8 +44,11 @@ class ServiceClient(Client):
         self.last_trace_id = trace_id if trace_id is not None else mint_trace_id()
         return self.service.execute(request, trace_id=self.last_trace_id)
 
-    def ingest(self, trajectories: Iterable[Trajectory]) -> IngestResult:
-        added = self.service.ingest(trajectories)
+    def ingest(
+        self, trajectories: Iterable[Trajectory], *, trace_id: str | None = None
+    ) -> IngestResult:
+        self.last_trace_id = trace_id if trace_id is not None else mint_trace_id()
+        added = self.service.ingest(trajectories, trace_id=self.last_trace_id)
         return IngestResult(added=added, epoch=self.service.manager.epoch)
 
     def metrics(self) -> dict:

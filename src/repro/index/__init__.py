@@ -2,19 +2,14 @@
 
 * :class:`Octree` — the midpoint-split cube tree RL4QDTS uses (Section IV);
 * :class:`KDTree` — the median-split alternative the paper leaves as future
-  work, interchangeable with the octree;
-* :class:`GridIndex` — a uniform grid accelerating range queries;
+  work, interchangeable with the octree (``TREE_INDEXES``);
+* :class:`GridIndex` — a uniform grid whose cell geometry
+  (:func:`~repro.index.grid.grid_geometry`) the batch query engine's CSR
+  sweep shares; :meth:`GridIndex.adaptive` sizes it to a workload;
 * :class:`RTree` — an STR bulk-loaded R-tree over trajectory bounding boxes,
   an alternative range-query accelerator;
 * :class:`TemporalIndex` — sorted-lifespan interval index pruning the
-  time-window tests of kNN / similarity queries.
-
-All five are interchangeable behind the :class:`IndexBackend` protocol
-(:mod:`repro.index.backend`): one adapter per index turns it into a
-batched candidate generator + distance lower bound for the query engine,
-and :func:`make_backend` resolves names from the :data:`BACKENDS`
-registry. Backend choice tunes pruning cost only — answers are always
-verified against actual points.
+  time-window tests of kNN / similarity queries (``temporal_index=``).
 """
 
 from repro.index.common import CubeNode, CubeTree
@@ -23,17 +18,6 @@ from repro.index.kdtree import KDTree
 from repro.index.grid import GridIndex, adaptive_resolution, FALLBACK_RESOLUTION
 from repro.index.rtree import RTree
 from repro.index.temporal import TemporalIndex
-from repro.index.backend import (
-    BACKENDS,
-    GridBackend,
-    IndexBackend,
-    KDTreeBackend,
-    OctreeBackend,
-    RTreeBackend,
-    TemporalBackend,
-    chebyshev_gap,
-    make_backend,
-)
 
 TREE_INDEXES = {"octree": Octree, "kdtree": KDTree}
 
@@ -49,13 +33,4 @@ __all__ = [
     "RTree",
     "TemporalIndex",
     "TREE_INDEXES",
-    "IndexBackend",
-    "GridBackend",
-    "OctreeBackend",
-    "KDTreeBackend",
-    "RTreeBackend",
-    "TemporalBackend",
-    "BACKENDS",
-    "make_backend",
-    "chebyshev_gap",
 ]

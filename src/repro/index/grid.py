@@ -60,9 +60,8 @@ def adaptive_resolution(
     instead of an arbitrary blow-up: an empty workload falls back on every
     axis, and an axis whose *median* box extent is zero (all boxes
     degenerate there — e.g. a workload of pure point probes, or a single
-    zero-extent query) falls back on that axis alone. Callers — the
-    cost-based planner in particular — may therefore call this
-    unconditionally, whatever the workload looks like.
+    zero-extent query) falls back on that axis alone. Callers may
+    therefore call this unconditionally, whatever the workload looks like.
     """
     if max_cells < 1 or max_cells_per_axis < 1:
         raise ValueError("max_cells and max_cells_per_axis must be >= 1")

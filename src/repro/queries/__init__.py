@@ -16,12 +16,6 @@ results against the original database's results (:mod:`repro.queries.metrics`).
 
 from repro.queries.range_query import RangeQuery, range_query, range_query_batch
 from repro.queries.engine import IncrementalWorkloadView, QueryEngine
-from repro.queries.planner import (
-    PLANNER_BACKENDS,
-    WorkloadPlan,
-    estimate_backend_costs,
-    plan_workload,
-)
 from repro.queries.edr import edr_distance, edr_distances_one_to_many
 from repro.queries.t2vec import T2VecEmbedder
 from repro.queries.knn import knn_query, knn_query_batch
@@ -52,10 +46,6 @@ __all__ = [
     "range_query_batch",
     "QueryEngine",
     "IncrementalWorkloadView",
-    "WorkloadPlan",
-    "plan_workload",
-    "estimate_backend_costs",
-    "PLANNER_BACKENDS",
     "edr_distance",
     "edr_distances_one_to_many",
     "T2VecEmbedder",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.trajectory import Trajectory
-from repro.queries import _kernels
 
 #: Elements per padded DP scratch buffer (pairs x padded length) in
 #: :func:`edr_distances_pairs`; at ~10 float64 buffers this caps the batch's
@@ -133,13 +132,6 @@ def edr_distances_pairs(
     for p, mat in enumerate(b_mats):
         bx[p, : len(mat)] = mat[:, 0]
         by[p, : len(mat)] = mat[:, 1]
-    # Compiled fast path (repro.queries._kernels): the per-pair DP over the
-    # same padded rows. EDR is integer-valued, so it is bit-identical to
-    # the vectorized recurrence below; None means the numpy backend is
-    # active and we fall through.
-    compiled = _kernels.edr_pairs(ax, ay, bx, by, n_lens, m_lens, eps)
-    if compiled is not None:
-        return compiled
     js = np.arange(1, m_max + 1, dtype=float)
     prev = np.broadcast_to(
         np.arange(m_max + 1, dtype=float), (n_pairs, m_max + 1)

@@ -52,15 +52,12 @@ query parameters and (for simplified-state evaluation) the kept-row
 fingerprint, so re-scoring the same database state against the same
 workload is a dictionary lookup.
 
-Candidate pruning is **pluggable**: the engine consumes candidates through
-the :class:`~repro.index.backend.IndexBackend` protocol. The default
-:class:`~repro.index.backend.GridBackend` keeps the CSR fast path above
-(the engine adopts its cell geometry and sweeps its own layout); any other
-backend — octree, kd-tree, R-tree, temporal — feeds per-box candidate
-trajectory ids into the same chunked exact-verification sweep, so results
-are bit-identical whichever backend prunes (only cost changes). The
-cost-based planner (:func:`repro.queries.planner.plan_workload`) picks a
-backend per workload from box-extent statistics.
+Candidate pruning has exactly one path: the CSR cell sweep. Its cell
+geometry comes from :func:`~repro.index.grid.grid_geometry` over the
+database extent, or from a passed :class:`~repro.index.grid.GridIndex`
+(e.g. one sized by :meth:`GridIndex.adaptive`). Candidates are always
+verified point by point, so the resolution changes pruning cost only,
+never answers.
 
 The per-query functions remain the reference implementations the engine is
 property-tested against (``tests/test_query_engine.py``).
@@ -77,9 +74,7 @@ import numpy as np
 
 from repro.data.bbox import BoundingBox
 from repro.data.database import TrajectoryDatabase
-from repro.index.backend import GridBackend, IndexBackend
-from repro.index.grid import GridIndex
-from repro.queries import _kernels
+from repro.index.grid import GridIndex, grid_geometry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workloads -> queries)
     from repro.data.simplification import SimplificationState
@@ -129,16 +124,9 @@ class QueryEngine:
         Optional :class:`GridIndex` whose cell geometry the engine adopts
         (results are identical either way; this only aligns pruning cells).
     resolution:
-        Grid resolution when neither an index nor a backend is supplied.
+        Grid resolution when no index is supplied.
     max_cached_results:
         Number of whole-workload result lists kept in the LRU memo.
-    backend:
-        Optional :class:`~repro.index.backend.IndexBackend` built over
-        ``db``. A :class:`~repro.index.backend.GridBackend` (the default)
-        engages the CSR fast path; any other backend routes candidate
-        generation through :meth:`IndexBackend.candidate_ids` with the
-        same exact per-point verification, so results never depend on the
-        choice — only pruning cost does. Mutually exclusive with ``grid``.
     """
 
     def __init__(
@@ -147,7 +135,6 @@ class QueryEngine:
         grid: GridIndex | None = None,
         resolution: tuple[int, int, int] = (32, 32, 16),
         max_cached_results: int = 16,
-        backend: IndexBackend | None = None,
     ) -> None:
         # Only a weak reference to the database: the engine snapshots all
         # data it needs, and a strong reference would pin every database in
@@ -157,73 +144,46 @@ class QueryEngine:
         self._n_traj = len(db)
         self._offsets = db.point_offsets()
         self._extent = db.bounding_box
-        if backend is not None and grid is not None:
-            raise ValueError("pass either grid or backend, not both")
-        if backend is None:
-            if grid is None and (
-                min(resolution) < 1 or max(resolution) >= 2**15
-            ):
-                # Reject before any geometry is computed (the int16 cell
-                # check below would fire only after GridBackend divides by
-                # the resolution).
-                raise ValueError(
-                    f"resolution axes must be in [1, {2**15 - 1}], "
-                    f"got {tuple(resolution)}"
-                )
-            backend = GridBackend(db, resolution=resolution, grid=grid)
-        elif backend.database is not db:
-            # Candidate completeness is only guaranteed for the database the
-            # backend indexed; a lookalike would silently drop results.
-            raise ValueError("backend was built over a different database")
-        self.backend = backend
-        self._grid_mode = isinstance(backend, GridBackend)
-        points = db.point_matrix()
-        owners = db.point_ownership()
-        if self._grid_mode:
-            self.resolution = backend.resolution
-            if min(self.resolution) < 1 or max(self.resolution) >= 2**15:
-                # Cell coordinates are stored as int16; larger axes would
-                # wrap silently and drop results.
-                raise ValueError(
-                    f"resolution axes must be in [1, {2**15 - 1}], "
-                    f"got {self.resolution}"
-                )
-            self._origin, self._cell_size = backend.origin, backend.cell_size
-            # CSR layout: points sorted by composite cell id; each occupied
-            # cell owns a contiguous row range of the sorted columns.
-            # Coordinates are stored column-contiguous so the hot path runs
-            # on 1-D takes and comparisons instead of (rows, 3) fancy
-            # indexing.
-            nx, ny, nt = self.resolution
-            cells = np.clip(
-                np.floor((points - self._origin) / self._cell_size).astype(np.int64),
-                0,
-                np.array(self.resolution) - 1,
+        self.resolution = tuple(grid.resolution if grid is not None else resolution)
+        if min(self.resolution) < 1 or max(self.resolution) >= 2**15:
+            # Cell coordinates are stored as int16; larger axes would wrap
+            # silently and drop results. Rejected before grid_geometry
+            # divides by the resolution.
+            raise ValueError(
+                f"resolution axes must be in [1, {2**15 - 1}], "
+                f"got {self.resolution}"
             )
-            cell_ids = (cells[:, 0] * ny + cells[:, 1]) * nt + cells[:, 2]
-            self._order = np.argsort(cell_ids, kind="stable")
-            sorted_ids = cell_ids[self._order]
-            unique_ids, starts = np.unique(sorted_ids, return_index=True)
-            self._cell_starts = starts.astype(np.int32)
-            self._cell_counts = np.diff(
-                np.append(starts, len(points))
-            ).astype(np.int32)
-            # Per-axis coordinates of each occupied cell, for the overlap
-            # test (int16: resolutions are far below 2**15 cells per axis).
-            self._cell_x = (unique_ids // (ny * nt)).astype(np.int16)
-            self._cell_y = ((unique_ids // nt) % ny).astype(np.int16)
-            self._cell_t = (unique_ids % nt).astype(np.int16)
+        if grid is not None:
+            self._origin, self._cell_size = grid._origin, grid._cell_size
         else:
-            # Generic backends address candidates by trajectory id; keeping
-            # the columns in original (trajectory-major) order makes each
-            # candidate one contiguous row range via the offsets array.
-            self.resolution = resolution
-            self._order = np.arange(len(points), dtype=np.int64)
+            self._origin, self._cell_size = grid_geometry(self._extent, self.resolution)
+        points = db.point_matrix()
+        # CSR layout: points sorted by composite cell id; each occupied cell
+        # owns a contiguous row range of the sorted columns. Coordinates are
+        # stored column-contiguous so the hot path runs on 1-D takes and
+        # comparisons instead of (rows, 3) fancy indexing.
+        nx, ny, nt = self.resolution
+        cells = np.clip(
+            np.floor((points - self._origin) / self._cell_size).astype(np.int64),
+            0,
+            np.array(self.resolution) - 1,
+        )
+        cell_ids = (cells[:, 0] * ny + cells[:, 1]) * nt + cells[:, 2]
+        self._order = np.argsort(cell_ids, kind="stable")
+        sorted_ids = cell_ids[self._order]
+        unique_ids, starts = np.unique(sorted_ids, return_index=True)
+        self._cell_starts = starts.astype(np.int32)
+        self._cell_counts = np.diff(np.append(starts, len(points))).astype(np.int32)
+        # Per-axis coordinates of each occupied cell, for the overlap test
+        # (int16: resolutions are far below 2**15 cells per axis).
+        self._cell_x = (unique_ids // (ny * nt)).astype(np.int16)
+        self._cell_y = ((unique_ids // nt) % ny).astype(np.int16)
+        self._cell_t = (unique_ids % nt).astype(np.int16)
         sorted_points = points[self._order]
         self._px = np.ascontiguousarray(sorted_points[:, 0])
         self._py = np.ascontiguousarray(sorted_points[:, 1])
         self._pt = np.ascontiguousarray(sorted_points[:, 2])
-        self._owners = owners[self._order].astype(np.int32)
+        self._owners = db.point_ownership()[self._order].astype(np.int32)
         # Original-order coordinate columns, rebuilt lazily for execution
         # paths that need per-trajectory sequences (similarity interpolation).
         self._orig_cols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -579,15 +539,11 @@ class QueryEngine:
         chunk = max(1, _ROW_BUDGET // max(len(grid), 1))
         for start in range(0, len(cand_ids), chunk):
             ids_chunk = cand_ids[start : start + chunk]
-            # Compiled fast path: same per-candidate np.interp, fused loop
-            # (None when the numpy backend is on).
-            pos = _kernels.interp_chunk(grid, ot, ox, oy, offsets, ids_chunk)
-            if pos is None:
-                pos = np.empty((len(ids_chunk), len(grid), 2))
-                for row, tid in enumerate(ids_chunk):
-                    s, e = offsets[tid], offsets[tid + 1]
-                    pos[row, :, 0] = np.interp(grid, ot[s:e], ox[s:e])
-                    pos[row, :, 1] = np.interp(grid, ot[s:e], oy[s:e])
+            pos = np.empty((len(ids_chunk), len(grid), 2))
+            for row, tid in enumerate(ids_chunk):
+                s, e = offsets[tid], offsets[tid + 1]
+                pos[row, :, 0] = np.interp(grid, ot[s:e], ox[s:e])
+                pos[row, :, 1] = np.interp(grid, ot[s:e], oy[s:e])
             for qi, (cps, qpos, alive, cmask) in enumerate(
                 zip(cp_list, qpos_list, alive_list, cand_masks)
             ):
@@ -680,40 +636,24 @@ class QueryEngine:
         )
 
     def _candidate_passes(self, lo: np.ndarray, hi: np.ndarray):
-        """Chunked candidate expansion shared by all batched execution paths.
+        """Chunked CSR candidate sweep shared by all batched execution paths.
 
         Yields ``(rows, row_query, inside)`` per pass: ``rows`` index the
         sorted point columns, ``row_query`` is the query index owning each
-        row, and ``inside`` the exact box-containment mask. Candidates come
-        from the engine's backend — the CSR cell sweep for the grid
-        backend, per-box trajectory-id sets through
-        :meth:`IndexBackend.candidate_ids` otherwise. Either way a
-        (query, row) pair is yielded at most once across all passes (each
-        point lives in exactly one cell / one trajectory row range).
+        row, and ``inside`` the exact box-containment mask. One (queries x
+        occupied-cells) overlap matrix names every candidate cell; each
+        point lives in exactly one cell, so a (query, row) pair is yielded
+        at most once across all passes.
         """
-        if self._grid_mode:
-            yield from self._candidate_passes_grid(lo, hi)
-        else:
-            yield from self._candidate_passes_backend(lo, hi)
-
-    def _alive_boxes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Mask of boxes intersecting the database extent.
-
-        Boxes disjoint from the extent have empty results; excluding them
-        up front also keeps the grid path's clipped cell ranges from
-        snapping out-of-extent boxes onto border cells.
-        """
+        if len(lo) == 0:
+            return
+        # Boxes disjoint from the extent have empty results; excluding them
+        # up front also keeps the clipped cell ranges below from snapping
+        # out-of-extent boxes onto border cells.
         extent = self._extent
         extent_lo = np.array([extent.xmin, extent.ymin, extent.tmin])
         extent_hi = np.array([extent.xmax, extent.ymax, extent.tmax])
-        return ~((hi < extent_lo).any(axis=1) | (lo > extent_hi).any(axis=1))
-
-    def _candidate_passes_grid(self, lo: np.ndarray, hi: np.ndarray):
-        """CSR fast path: one (queries x occupied-cells) overlap matrix."""
-        n_queries = len(lo)
-        if n_queries == 0:
-            return
-        alive = self._alive_boxes(lo, hi)
+        alive = ~((hi < extent_lo).any(axis=1) | (lo > extent_hi).any(axis=1))
         res = np.array(self.resolution) - 1
         lo_cells = np.clip(
             np.floor((lo - self._origin) / self._cell_size).astype(np.int64), 0, res
@@ -721,7 +661,6 @@ class QueryEngine:
         hi_cells = np.clip(
             np.floor((hi - self._origin) / self._cell_size).astype(np.int64), 0, res
         ).astype(np.int16)
-        # One (queries, occupied-cells) overlap matrix for the whole workload.
         overlap = (
             (self._cell_x >= lo_cells[:, 0:1])
             & (self._cell_x <= hi_cells[:, 0:1])
@@ -740,45 +679,6 @@ class QueryEngine:
             q_idx, self._cell_starts[c_idx], self._cell_counts[c_idx], lo, hi
         )
 
-    def _candidate_passes_backend(self, lo: np.ndarray, hi: np.ndarray):
-        """Generic path: backend candidate ids -> contiguous row ranges.
-
-        The columns are in original (trajectory-major) order here, so each
-        candidate trajectory is one ``offsets[tid] .. offsets[tid + 1]``
-        range — the same (starts, lengths) currency as the CSR cells, fed
-        through the same budgeted expansion and exact containment test.
-        """
-        n_queries = len(lo)
-        if n_queries == 0:
-            return
-        # Only alive boxes reach the backend: each candidate lookup is a
-        # per-box structure traversal, not worth paying for boxes disjoint
-        # from the extent (which have empty results by definition).
-        alive_idx = np.flatnonzero(self._alive_boxes(lo, hi))
-        if len(alive_idx) == 0:
-            return
-        candidates = self.backend.candidate_ids(lo[alive_idx], hi[alive_idx])
-        offsets = self._offsets
-        q_parts: list[np.ndarray] = []
-        start_parts: list[np.ndarray] = []
-        length_parts: list[np.ndarray] = []
-        for qi, ids in zip(alive_idx, candidates):
-            if len(ids) == 0:
-                continue
-            ids = np.asarray(ids, dtype=np.int64)
-            q_parts.append(np.full(len(ids), qi, dtype=np.int32))
-            start_parts.append(offsets[ids])
-            length_parts.append(offsets[ids + 1] - offsets[ids])
-        if not q_parts:
-            return
-        yield from self._expand_pairs(
-            np.concatenate(q_parts),
-            np.concatenate(start_parts),
-            np.concatenate(length_parts),
-            lo,
-            hi,
-        )
-
     def _expand_pairs(
         self,
         q_idx: np.ndarray,
@@ -787,12 +687,12 @@ class QueryEngine:
         lo: np.ndarray,
         hi: np.ndarray,
     ):
-        """Expand (query, candidate-range) pairs into verified row passes.
+        """Expand (query, cell) pairs into verified row passes.
 
-        ``starts[i]``/``lengths[i]`` describe a contiguous run of candidate
-        rows for query ``q_idx[i]`` (a CSR cell or a whole trajectory).
-        Runs are expanded "multi-arange" style in passes of at most
-        ~``_ROW_BUDGET`` rows, each with the exact containment test.
+        ``starts[i]``/``lengths[i]`` describe the contiguous row run of a
+        candidate cell for query ``q_idx[i]``. Runs are expanded
+        "multi-arange" style in passes of at most ~``_ROW_BUDGET`` rows,
+        each with the exact containment test.
         """
         pair_ends = np.cumsum(lengths, dtype=np.int64)
         # Column-contiguous per-axis bounds for the 1-D takes below.
@@ -807,16 +707,6 @@ class QueryEngine:
             )
             pairs = slice(pair_start, min(pair_stop, len(q_idx)))
             sub_lengths = lengths[pairs]
-            # Compiled fast path: one fused expansion + containment pass
-            # (identical comparisons; None when the numpy backend is on).
-            expanded = _kernels.expand_rows(
-                starts[pairs], sub_lengths, q_idx[pairs],
-                self._px, self._py, self._pt, qlo, qhi,
-            )
-            if expanded is not None:
-                yield expanded
-                pair_start = pairs.stop
-                continue
             sub_ends = np.cumsum(sub_lengths, dtype=np.int64)
             total = int(sub_ends[-1])
             # rows = for each pair, start + 0..length-1, flattened: one

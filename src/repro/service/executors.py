@@ -226,7 +226,7 @@ class ShardExecutor:
         replica lock per shard; every wait is therefore for a
         greater-or-equal shard than anything held, so concurrent requests
         cannot deadlock. Two requests touching disjoint shard sets — the
-        common case once the planner prunes kNN fan-out — run fully in
+        common case once kNN shard skipping prunes the fan-out — run fully in
         parallel; with R > 1, requests sharing a shard overlap across its
         idle siblings too.
         """

@@ -45,10 +45,8 @@ from repro.data.bbox import BoundingBox
 from repro.data.database import TrajectoryDatabase
 from repro.data.store import derive_store
 from repro.data.trajectory import Trajectory
-from repro.index.backend import make_backend, validate_backend_name
 from repro.obs.metrics import MetricsRegistry
 from repro.queries.aggregate import spatial_bin_counts
-from repro.queries.planner import plan_workload
 from repro.queries.edr import edr_distances_pairs
 from repro.queries.engine import QueryEngine
 from repro.queries.knn import (
@@ -75,17 +73,11 @@ class ShardRuntime:
         Membership snapshot; copied, so later manager-side bookkeeping does
         not leak into the runtime (deltas arrive only via :meth:`ingest`).
     resolution:
-        Grid resolution of the base engine's CSR layout (grid backend only).
+        Grid resolution of the base engine's CSR layout.
     compact_threshold:
         Compact when pending points exceed this fraction of base points.
     min_compact_points:
         ... but never before the pending tier holds this many points.
-    backend:
-        Index backend of the base engine: a name from
-        :data:`repro.index.backend.BACKENDS` or ``"auto"``, which defers to
-        the cost-based planner on the first boxed workload this runtime
-        executes (falling back to the grid if a box-free operation arrives
-        first). Backend choice never changes results — only pruning cost.
     compaction:
         Base-rebuild policy: a :class:`~repro.service.compaction.CompactionPolicy`,
         a name from :data:`~repro.service.compaction.COMPACTION_POLICIES`,
@@ -100,17 +92,12 @@ class ShardRuntime:
         resolution: tuple[int, int, int] = (32, 32, 16),
         compact_threshold: float = 0.5,
         min_compact_points: int = 2048,
-        backend: str = "grid",
         store=None,
         compaction=None,
         store_tag: str | None = None,
     ) -> None:
-        validate_backend_name(backend, allow_auto=True)
         self.index = shard.index
         self.resolution = resolution
-        self.backend_spec = backend
-        #: Resolved backend name (None until the base engine is built).
-        self.backend_name: str | None = None
         self.compact_threshold = float(compact_threshold)
         self.min_compact_points = int(min_compact_points)
         #: Columnar-backed base database (views into the mapped/columnar
@@ -172,38 +159,15 @@ class ShardRuntime:
     # ------------------------------------------------------------------- tiers
     @property
     def engine(self) -> QueryEngine | None:
-        """The base tier's engine (None while the base is empty)."""
-        return self._engine_for(None)
-
-    def _engine_for(self, boxes) -> QueryEngine | None:
-        """The base engine, built on first use.
-
-        ``boxes`` (a boxed workload, or None for box-free operations) only
-        matters on the call that actually builds the engine, and only under
-        ``backend="auto"``: the planner estimates per-backend pruning cost
-        for that first workload and the choice then sticks until the next
-        compaction rebuild. Results are identical whichever backend ends up
-        chosen.
-        """
+        """The base tier's engine, built on first use (None while the base
+        is empty)."""
         if self._engine is None and self._base:
             self._db = (
                 self._base_db
                 if self._base_db is not None
                 else TrajectoryDatabase(self._base)
             )
-            spec = self.backend_spec
-            if spec == "auto":
-                plan = plan_workload(self._db, boxes if boxes is not None else [])
-                self.backend_name = plan.name
-                self._engine = QueryEngine(self._db, backend=plan.backend)
-            elif spec == "grid":
-                self.backend_name = "grid"
-                self._engine = QueryEngine(self._db, resolution=self.resolution)
-            else:
-                self.backend_name = spec
-                self._engine = QueryEngine(
-                    self._db, backend=make_backend(spec, self._db)
-                )
+            self._engine = QueryEngine(self._db, resolution=self.resolution)
         return self._engine
 
     @property
@@ -222,7 +186,6 @@ class ShardRuntime:
             "pending_trajectories": len(self._pending),
             "points": self._base_points + self._pending_points,
             "compactions": self.compactions,
-            "backend": self.backend_name or self.backend_spec,
             "compaction": self.compaction.name,
         }
 
@@ -339,7 +302,6 @@ class ShardRuntime:
         published = result.database
         self._db = None
         self._engine = None
-        self.backend_name = None  # "auto" re-plans on the rebuilt base
         epoch = self.compactions
         matrix_handle = self._store.put(published.point_matrix(), label=f"e{epoch}m")
         offsets_handle = self._store.put(
@@ -431,7 +393,7 @@ class ShardRuntime:
 
     def op_range(self, boxes: list[BoundingBox]) -> list[set[int]]:
         """Per-box matching global ids (the shard's share of a range workload)."""
-        engine = self._engine_for(boxes)
+        engine = self.engine
         if engine is not None:
             results = self._to_global(engine.execute("range", boxes=boxes))
         else:
@@ -446,7 +408,7 @@ class ShardRuntime:
 
     def op_count(self, boxes: list[BoundingBox]) -> np.ndarray:
         """Per-box point counts over ``base U pending`` (int64, exact)."""
-        engine = self._engine_for(boxes)
+        engine = self.engine
         counts = (
             engine.execute("count", boxes=boxes)
             if engine is not None

@@ -50,7 +50,6 @@ from repro.data.bbox import BoundingBox
 from repro.data.database import TrajectoryDatabase
 from repro.data.store import make_store
 from repro.data.trajectory import Trajectory
-from repro.index.backend import chebyshev_gap, validate_backend_name
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.service._sync import RWLock
@@ -59,6 +58,23 @@ from repro.service.executors import EXECUTORS, make_executor
 from repro.service.requests import serve_cached
 from repro.service.sharding import ShardManager
 from repro.service.watchdog import Watchdog
+
+
+def chebyshev_gap(extent: BoundingBox, box: BoundingBox) -> float:
+    """Minimal L-infinity *spatial* distance between two boxes (0 if they
+    overlap in x and y), or ``inf`` when their time ranges are disjoint.
+
+    No point inside ``extent`` can be within Chebyshev distance ``g`` of any
+    point inside ``box`` when the returned gap exceeds ``g``. Temporal
+    disjointness returns ``inf`` because a time-windowed query cannot touch
+    the extent's data at all: there is no candidate, not merely a distant
+    one.
+    """
+    if extent.tmax < box.tmin or extent.tmin > box.tmax:
+        return float("inf")
+    gap_x = max(extent.xmin - box.xmax, box.xmin - extent.xmax, 0.0)
+    gap_y = max(extent.ymin - box.ymax, box.ymin - extent.ymax, 0.0)
+    return float(max(gap_x, gap_y))
 
 
 def knn_shard_lower_bound(
@@ -311,10 +327,8 @@ class QueryService:
     compact_threshold, min_compact_points:
         Pending-tier compaction policy of the shard runtimes.
     index:
-        Index backend of the per-shard engines: a name from
-        :data:`repro.index.backend.BACKENDS`, or ``"auto"`` to let each
-        runtime's cost-based planner choose on its first boxed workload.
-        Backend choice never changes results, only pruning cost.
+        Candidate index of the per-shard engines; ``"grid"`` (the CSR cell
+        sweep) is the only one.
     mp_context:
         Multiprocessing start method for the process executor.
     store:
@@ -381,7 +395,8 @@ class QueryService:
     ) -> None:
         if (db is None) == (manager is None):
             raise ValueError("pass exactly one of db or manager")
-        validate_backend_name(index, allow_auto=True)
+        if index != "grid":
+            raise ValueError(f"unknown index backend {index!r}; choose from ['grid']")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         if rebalance_threshold is not None and rebalance_threshold <= 1.0:
@@ -407,7 +422,6 @@ class QueryService:
                 resolution=resolution,
                 compact_threshold=compact_threshold,
                 min_compact_points=min_compact_points,
-                backend=index,
                 compaction=self.compaction,
                 mp_context=mp_context,
                 replicas=self.replicas,

@@ -4,17 +4,24 @@ Boxes are closed on every face: a point exactly on ``xmax`` / ``ymax`` /
 ``tmax`` is inside. These tests pin that convention consistently across
 :meth:`BoundingBox.contains_points`, :func:`range_query` (naive, grid, and
 engine paths), :class:`GridIndex` candidate pruning, and
-:func:`density_histogram` binning — and, for every pluggable index backend,
-that candidate sets stay supersets of the exact answer on boundary boxes
-and the engine's final results never depend on the backend.
+:func:`density_histogram` binning — and, for every index structure that
+names candidates, that candidate sets stay supersets of the exact answer on
+boundary boxes, while the engine's final results never depend on its grid
+resolution.
 """
 
 import numpy as np
 import pytest
 
 from repro.data import BoundingBox, Trajectory, TrajectoryDatabase
-from repro.index import BACKENDS, GridIndex
-from repro.queries import QueryEngine, RangeQuery, density_histogram, range_query
+from repro.index import GridIndex, RTree, TemporalIndex
+from repro.queries import (
+    QueryEngine,
+    RangeQuery,
+    count_query_scan,
+    density_histogram,
+    range_query,
+)
 from repro.workloads import RangeQueryWorkload
 
 
@@ -148,40 +155,44 @@ def tricky_boxes(db: TrajectoryDatabase, seed: int) -> list[BoundingBox]:
     return boxes
 
 
+def candidate_generator(name: str, db: TrajectoryDatabase):
+    """Single-box candidate lookup of one index structure over ``db``."""
+    if name == "grid":
+        return GridIndex(db).candidate_trajectories
+    if name == "rtree":
+        return RTree(db).candidate_trajectories
+    index = TemporalIndex(db)
+    return lambda box: index.overlapping(box.tmin, box.tmax)
+
+
 class TestCrossIndexCandidateCompleteness:
-    """Every backend's candidates form a superset of the exact answer, and
-    the engine's verified results are identical across all five backends."""
+    """Every index structure's candidates form a superset of the exact
+    answer, and the engine's verified results are identical at every grid
+    resolution."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("name", ["grid", "rtree", "temporal"])
     def test_candidates_superset_of_exact_answer(self, seed, name):
         db = random_db(seed)
-        boxes = tricky_boxes(db, seed + 100)
-        backend = BACKENDS[name](db)
-        lo = np.array([[b.xmin, b.ymin, b.tmin] for b in boxes])
-        hi = np.array([[b.xmax, b.ymax, b.tmax] for b in boxes])
-        candidate_lists = backend.candidate_ids(lo, hi)
-        for box, cand in zip(boxes, candidate_lists):
+        candidates = candidate_generator(name, db)
+        for box in tricky_boxes(db, seed + 100):
             exact = range_query(db, RangeQuery(box))
-            assert exact <= set(int(t) for t in cand), (name, box)
-            # sorted unique int64 ids — the protocol's output contract
-            assert cand.dtype == np.int64
-            assert np.all(np.diff(cand) > 0)
+            assert exact <= candidates(box), (name, box)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_engine_results_identical_across_backends(self, seed):
+    def test_engine_results_identical_across_resolutions(self, seed):
         db = random_db(seed)
         boxes = tricky_boxes(db, seed + 200)
         naive = [range_query(db, RangeQuery(b)) for b in boxes]
-        counts = None
-        for name in sorted(BACKENDS):
-            engine = QueryEngine(db, backend=BACKENDS[name](db))
-            assert engine.evaluate(boxes) == naive, name
-            c = engine.count(boxes)
-            if counts is None:
-                counts = c
-            else:
-                assert np.array_equal(c, counts), name
+        scan = np.array([count_query_scan(db, b) for b in boxes])
+        for engine in (
+            QueryEngine(db),
+            QueryEngine(db, resolution=(1, 1, 1)),
+            QueryEngine(db, resolution=(64, 64, 64)),
+            QueryEngine(db, grid=GridIndex.adaptive(db, boxes)),
+        ):
+            assert engine.evaluate(boxes) == naive, engine.resolution
+            assert np.array_equal(engine.count(boxes), scan), engine.resolution
 
 
 class TestDegenerateKnnQuery:

@@ -223,9 +223,9 @@ class TestQuery:
         sim_out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "results" in sim_out
 
-    @pytest.mark.parametrize("index", ["grid", "octree", "kdtree", "rtree", "auto"])
+    @pytest.mark.parametrize("index", ["grid"])
     def test_index_backend_round_trip(self, db_file, tmp_path, capsys, index):
-        """--index changes only pruning cost: every backend answers alike."""
+        """--index grid answers exactly like a single-database engine."""
         workload_path = tmp_path / "w.json"
         main(
             [
@@ -257,23 +257,25 @@ class TestQuery:
         )
         code = main(
             [
-                "serve", "--db", str(db_file), "--index", "kdtree",
+                "serve", "--db", str(db_file), "--index", "grid",
                 "--requests", str(requests), "--stats",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "kdtree index" in out
+        assert "grid index" in out
         assert "knn_shards_dispatched" in out
 
-    def test_unknown_index_backend_exits(self, db_file):
-        with pytest.raises(SystemExit):
+    def test_unknown_index_backend_exits(self, db_file, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(
                 [
                     "query", "--db", str(db_file), "--type", "histogram",
-                    "--index", "btree",
+                    "--index", "rtree",
                 ]
             )
+        assert exc.value.code == 2
+        assert "'grid'" in capsys.readouterr().err
 
     def test_missing_required_params_exit(self, db_file):
         with pytest.raises(SystemExit):

@@ -3,9 +3,8 @@
 Three contracts:
 
 * **Bit-identity** — every query kind returns the same answer under every
-  combination of {heap, shm} store x {serial, process} executor x
-  available kernel backend, with ingest batches interleaved between
-  queries.  The fresh single-engine evaluation is the common reference,
+  combination of {heap, shm} store x {serial, process} executor, with
+  ingest batches interleaved between queries.  The fresh single-engine evaluation is the common reference,
   so any two cells of the matrix are transitively identical.
 * **Worker death** — killing one process-executor worker mid-service
   surfaces as a single :class:`ShardExecutionError` naming exactly that
@@ -24,7 +23,6 @@ import pytest
 
 from repro.data.stats import spatial_scale
 from repro.data.store import SharedMemoryStore, shared_memory_available
-from repro.queries import _kernels
 from repro.service import QueryService, ShardExecutionError, ShardManager
 from repro.service.executors import ShardExecutor
 from repro.workloads import RangeQueryWorkload
@@ -37,24 +35,14 @@ needs_shm = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(params=_kernels.KERNEL_BACKENDS)
-def kernel_backend(request):
-    """Force one kernel backend for the duration of a test."""
-    _kernels.set_backend(request.param)
-    yield request.param
-    _kernels.set_backend(None)
-
-
 # ---------------------------------------------------------------------------
 # Bit-identity across the full data-plane matrix
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("store", ["heap", "shm"])
 @pytest.mark.parametrize("executor", ["serial", "process"])
-def test_query_matrix_bit_identical_under_interleaved_ingest(
-    store, executor, kernel_backend
-):
-    """{heap,shm} x {serial,process} x backends == fresh engine, always."""
+def test_query_matrix_bit_identical_under_interleaved_ingest(store, executor):
+    """{heap,shm} x {serial,process} == fresh engine, always."""
     if store == "shm" and not shared_memory_available():
         pytest.skip("no shared memory on this platform")
     seed = 17

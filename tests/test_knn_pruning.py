@@ -16,9 +16,9 @@ from repro.queries import knn_query_batch
 from repro.service import (
     QueryService,
     ShardExecutor,
-    ShardRuntime,
     knn_shard_lower_bound,
 )
+from repro.service.service import chebyshev_gap
 
 
 def cluster_db(
@@ -205,7 +205,7 @@ class TestKnnShardSkipping:
 
 
 class TestRuntimeBackendSpec:
-    @pytest.mark.parametrize("backend", ["grid", "octree", "kdtree", "rtree", "auto"])
+    @pytest.mark.parametrize("backend", ["grid"])
     def test_service_index_round_trip(self, backend):
         db = cluster_db(centers=(0.0, 50.0), per_cluster=5)
         boxes = [db[0].bounding_box, db[7].bounding_box]
@@ -215,24 +215,69 @@ class TestRuntimeBackendSpec:
         service = QueryService(db, n_shards=2, index=backend)
         try:
             assert ServiceClient(service).range(boxes).result_sets == expected
-            info = service.describe()
-            assert info["index"] == backend
-            resolved = {s["backend"] for s in info["shards"]}
-            if backend != "auto":
-                assert resolved == {backend}
-            else:
-                assert resolved <= set(
-                    ("grid", "octree", "kdtree", "rtree", "temporal")
-                )
+            assert service.describe()["index"] == backend
         finally:
             service.close()
 
     def test_unknown_backend_rejected(self):
         db = cluster_db(centers=(0.0,), per_cluster=4)
-        with pytest.raises(ValueError, match="unknown index backend"):
-            QueryService(db, n_shards=2, index="btree")
-        from repro.service import ShardManager
+        with pytest.raises(ValueError, match=r"unknown index backend 'rtree'.*\['grid'\]"):
+            QueryService(db, n_shards=2, index="rtree")
 
-        manager = ShardManager.create(db, 2)
-        with pytest.raises(ValueError, match="unknown index backend"):
-            ShardRuntime(manager.snapshots()[0], backend="btree")
+
+def random_db(seed: int, n_traj: int = 8) -> TrajectoryDatabase:
+    rng = np.random.default_rng(seed)
+    trajs = []
+    for i in range(n_traj):
+        n = int(rng.integers(2, 15))
+        xy = rng.uniform(0.0, 100.0, size=(n, 2))
+        t = np.sort(rng.uniform(0.0, 40.0, size=n)) + np.arange(n) * 1e-3
+        trajs.append(Trajectory(np.column_stack([xy, t]), traj_id=i))
+    return TrajectoryDatabase(trajs)
+
+
+class TestDistanceLowerBound:
+    """``chebyshev_gap`` (the geometry under ``knn_shard_lower_bound``)
+    never over-estimates: that admissibility is what makes kNN shard
+    skipping exact."""
+
+    def test_zero_when_boxes_overlap(self):
+        db = random_db(7)
+        assert chebyshev_gap(db.bounding_box, db.bounding_box) == 0.0
+
+    def test_infinite_when_temporally_disjoint(self):
+        ext = random_db(7).bounding_box
+        far = BoundingBox(
+            ext.xmin, ext.xmax, ext.ymin, ext.ymax,
+            ext.tmax + 10.0, ext.tmax + 20.0,
+        )
+        assert np.isinf(chebyshev_gap(ext, far))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_admissible_against_brute_force(self, seed):
+        """The bound never exceeds the true min Chebyshev point distance."""
+        db = random_db(seed, n_traj=5)
+        rng = np.random.default_rng(seed + 50)
+        points = db.point_matrix()
+        for _ in range(10):
+            lo = rng.uniform(-50.0, 150.0, size=3)
+            hi = lo + rng.uniform(0.0, 60.0, size=3)
+            box = BoundingBox(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+            in_window = (points[:, 2] >= box.tmin) & (points[:, 2] <= box.tmax)
+            if not in_window.any():
+                continue  # inf bound is trivially admissible
+            dx = np.maximum(
+                np.maximum(box.xmin - points[:, 0], points[:, 0] - box.xmax), 0.0
+            )
+            dy = np.maximum(
+                np.maximum(box.ymin - points[:, 1], points[:, 1] - box.ymax), 0.0
+            )
+            true_min = float(np.maximum(dx, dy)[in_window].min())
+            bound = chebyshev_gap(db.bounding_box, box)
+            assert bound <= true_min + 1e-9, (bound, true_min)
+
+    def test_chebyshev_gap_matches_axis_arithmetic(self):
+        a = BoundingBox(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+        b = BoundingBox(4.0, 5.0, 2.0, 3.0, 0.5, 2.0)
+        assert chebyshev_gap(a, b) == 3.0  # max(x gap 3, y gap 1)
+        assert chebyshev_gap(a, BoundingBox(0.5, 2.0, 0.5, 2.0, 0.0, 1.0)) == 0.0

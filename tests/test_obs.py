@@ -548,6 +548,27 @@ class TestServiceTracing:
         finally:
             service.close()
 
+    def test_in_process_ingest_forwards_trace_id(self):
+        """Every transport's ingest takes ``trace_id``; the in-process
+        service client forwards it, so the service records its spans."""
+        db = small_db()
+        batch = [make_trajectory(n=6, seed=s, traj_id=s) for s in range(2)]
+        service = QueryService(db, n_shards=2)
+        try:
+            client = ServiceClient(service)
+            client.ingest(batch, trace_id="ingest-trace")
+            assert client.last_trace_id == "ingest-trace"
+            spans = [json.loads(l) for l in service.trace_export("ingest-trace").splitlines()]
+            assert "ingest" in {s["name"] for s in spans}
+            client.ingest(batch)
+            assert client.last_trace_id not in (None, "ingest-trace")
+        finally:
+            service.close()
+        with LocalClient(db) as local:
+            result = local.ingest(batch, trace_id="local-trace")
+            assert result.added == 2
+            assert local.last_trace_id == "local-trace"
+
     def test_untraced_requests_record_nothing(self):
         db = small_db()
         workload = RangeQueryWorkload.from_data_distribution(db, 3, seed=4)

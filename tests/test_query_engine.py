@@ -16,14 +16,17 @@ from repro.core import (
     RL4QDTSConfig,
     run_episode,
 )
-from repro.data import SimplificationState, TrajectoryDatabase
+from repro.data import BoundingBox, SimplificationState, TrajectoryDatabase
+from repro.index import FALLBACK_RESOLUTION, GridIndex, adaptive_resolution
 from repro.queries import (
     QueryEngine,
+    RangeQuery,
     T2VecEmbedder,
     count_query_scan,
     density_histogram_scan,
     knn_query,
     knn_query_batch,
+    range_query,
     range_query_batch,
 )
 from repro.workloads import RangeQueryWorkload
@@ -543,9 +546,6 @@ class TestAdaptiveResolution:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 150))
     def test_candidates_unchanged_under_adaptive_resolution(self, seed):
-        from repro.index import GridIndex, adaptive_resolution
-        from repro.queries.range_query import range_query
-
         db = random_db(seed, n_trajectories=6)
         workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=seed)
         resolution = adaptive_resolution(db.bounding_box, workload)
@@ -560,8 +560,6 @@ class TestAdaptiveResolution:
         assert engine.evaluate(workload) == reference
 
     def test_cell_size_tracks_median_box_extent(self, chengdu_db):
-        from repro.index import adaptive_resolution
-
         narrow = RangeQueryWorkload.from_data_distribution(
             chengdu_db, 10, spatial_extent=1.0, temporal_extent=10.0, seed=0
         )
@@ -573,13 +571,9 @@ class TestAdaptiveResolution:
         assert fine[0] > coarse[0] and fine[1] > coarse[1]
 
     def test_empty_workload_falls_back_to_default(self, small_db):
-        from repro.index import adaptive_resolution
-
         assert adaptive_resolution(small_db.bounding_box, []) == (32, 32, 16)
 
     def test_total_cell_budget_is_respected(self, small_db):
-        from repro.index import adaptive_resolution
-
         tiny_boxes = RangeQueryWorkload.from_data_distribution(
             small_db, 5, spatial_extent=1e-6, temporal_extent=1e-6, seed=1
         )
@@ -587,6 +581,58 @@ class TestAdaptiveResolution:
             small_db.bounding_box, tiny_boxes, max_cells=4096
         )
         assert int(np.prod(resolution)) <= 4096
+
+    # Degenerate workloads get the explicit fallback, not an arbitrary
+    # clamp-and-halve blow-up.
+    def test_all_zero_extent_boxes_fall_back(self, small_db):
+        probes = [BoundingBox(5.0, 5.0, 5.0, 5.0, 2.0, 2.0)] * 10
+        assert adaptive_resolution(small_db.bounding_box, probes) == FALLBACK_RESOLUTION
+
+    def test_single_zero_extent_query_falls_back(self, small_db):
+        probe = [BoundingBox(1.0, 1.0, 2.0, 2.0, 3.0, 3.0)]
+        assert adaptive_resolution(small_db.bounding_box, probe) == FALLBACK_RESOLUTION
+
+    def test_empty_workload_falls_back(self, small_db):
+        assert adaptive_resolution(small_db.bounding_box, []) == FALLBACK_RESOLUTION
+
+    def test_per_axis_fallback_mixes_with_real_extents(self, small_db):
+        """Only the degenerate axes fall back; healthy axes still adapt."""
+        ext = small_db.bounding_box
+        # x spans half the extent; y and t are zero-extent on every box.
+        boxes = [
+            BoundingBox(ext.xmin, ext.xmin + 0.5 * (ext.xmax - ext.xmin),
+                        3.0, 3.0, 4.0, 4.0)
+            for _ in range(5)
+        ]
+        res = adaptive_resolution(ext, boxes)
+        assert res[0] == 2  # ceil(span / (span/2))
+        assert res[1] == FALLBACK_RESOLUTION[1]
+        assert res[2] == FALLBACK_RESOLUTION[2]
+
+    def test_custom_fallback_respected_and_validated(self, small_db):
+        assert adaptive_resolution(
+            small_db.bounding_box, [], fallback=(4, 4, 2)
+        ) == (4, 4, 2)
+        with pytest.raises(ValueError, match="fallback"):
+            adaptive_resolution(small_db.bounding_box, [], fallback=(0, 4, 2))
+
+    def test_grid_adaptive_accepts_degenerate_workload(self, small_db):
+        probes = [BoundingBox(5.0, 5.0, 5.0, 5.0, 2.0, 2.0)]
+        grid = GridIndex.adaptive(small_db, probes)
+        assert grid.resolution == FALLBACK_RESOLUTION
+
+    def test_answers_invariant_under_fallback_resolution(self, small_db):
+        p = small_db[0].points[1]
+        probe = BoundingBox(p[0], p[0], p[1], p[1], p[2], p[2])
+        engine = QueryEngine(small_db, grid=GridIndex.adaptive(small_db, [probe]))
+        assert engine.evaluate([probe]) == [range_query(small_db, RangeQuery(probe))]
+
+    def test_engine_adopts_grid_index_geometry(self, small_db):
+        grid = GridIndex(small_db, resolution=(8, 8, 4))
+        engine = QueryEngine(small_db, grid=grid)
+        assert engine.resolution == (8, 8, 4)
+        assert np.array_equal(engine._origin, grid._origin)
+        assert np.array_equal(engine._cell_size, grid._cell_size)
 
 
 class TestExecutorHooks:
