@@ -9,9 +9,10 @@ equivalence with its per-query reference before timing:
 * ``range``     — workload evaluation: the trajectory-walking
   ``range_query_batch`` vs the engine cold (construction + evaluation),
   warm (memo cleared each run), and memo (cache hit) modes;
-* ``knn``       — the harness kNN scoring path: a ``knn_query`` loop over
-  central-window queries vs ``knn_query_batch`` (CSR candidate generation
-  + candidate-vectorized EDR);
+* ``knn``       — a ``knn_query`` loop vs ``knn_query_batch`` (CSR
+  candidate generation + one batched EDR DP) in two shapes: the harness
+  kNN scoring path (central-window queries) and the offline shape
+  (full-length queries over a 5% uniform simplification);
 * ``aggregate`` — per-box point counts and the density heatmap: the
   per-trajectory scans vs ``QueryEngine.count`` / ``.histogram``.
 
@@ -33,6 +34,7 @@ import time
 
 import numpy as np
 
+from repro.baselines import uniform_simplify_database
 from repro.data import synthetic_database
 from repro.data.stats import spatial_scale
 from repro.queries.aggregate import count_query_scan, density_histogram_scan
@@ -119,11 +121,39 @@ def run_knn_comparison(
 
     db, _ = _setup(n_trajectories, 1)
     eps = 0.10 * spatial_scale(db)
-    rng = np.random.default_rng(13)
-    qids = [int(i) for i in rng.choice(len(db), size=n_queries, replace=False)]
-    queries = [db[qid] for qid in qids]
+    queries = _knn_queries(db, n_queries)
     windows = [QueryAccuracyEvaluator._central_window(q) for q in queries]
+    return _time_knn(db, queries, windows, eps, repeats)
 
+
+def run_knn_offline_comparison(
+    n_trajectories: int = DEFAULT_TRAJECTORIES,
+    n_queries: int = DEFAULT_KNN_QUERIES,
+    repeats: int = 3,
+) -> dict[str, float]:
+    """Time the offline kNN shape: per-query loop vs batch engine.
+
+    Mirrors the suite's ``offline_simplify`` kNN traffic: full-length query
+    trajectories (each over its own time span) against a 5% uniform
+    simplification, so every (query, candidate) pair is long x short. The
+    batch path must return results identical to the loop.
+    """
+    db, _ = _setup(n_trajectories, 1)
+    eps = 0.10 * spatial_scale(db)
+    queries = _knn_queries(db, n_queries)
+    simplified = uniform_simplify_database(db, 0.05)
+    return _time_knn(simplified, queries, [None] * len(queries), eps, repeats)
+
+
+def _knn_queries(db, n_queries: int) -> list:
+    rng = np.random.default_rng(13)
+    qids = rng.choice(len(db), size=n_queries, replace=False)
+    return [db[int(qid)] for qid in qids]
+
+
+def _time_knn(
+    db, queries, windows, eps: float, repeats: int
+) -> dict[str, float]:
     engine = QueryEngine(db)
     reference = [
         knn_query(db, q, 3, w, "edr", eps=eps) for q, w in zip(queries, windows)
@@ -295,6 +325,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"knn: batch speedup {results['speedup (batch)']:.1f}x is "
                 f"below the {args.min_knn_speedup:.1f}x bar"
             )
+        _report(
+            run_knn_offline_comparison(n_trajectories, n_knn),
+            f"Batch kNN (offline shape: full-length queries over a 5% "
+            f"uniform simplification) vs knn_query loop ({n_trajectories} "
+            f"trajectories, {n_knn} kNN queries, EDR)",
+        )
     if "aggregate" in sections:
         results = run_aggregate_comparison(n_trajectories, n_boxes)
         _report(

@@ -172,9 +172,10 @@ def knn_query_batch(
       — the per-query reference instead scans every trajectory of the
       database per query to discover which ones even have a usable window
       restriction;
-    * EDR distances for each query are computed with the candidate axis
-      vectorized (:func:`repro.queries.edr.edr_distances_one_to_many`)
-      instead of one rolling DP per candidate.
+    * EDR distances for every (query, candidate) pair of the whole batch
+      come from ONE :func:`repro.queries.edr.edr_distances_pairs` call
+      instead of one rolling DP per candidate (pairs that cannot match
+      skip the DP; the rest run it over their shorter side).
 
     This is the evaluation harness's kNN scoring path
     (:class:`repro.eval.harness.QueryAccuracyEvaluator`).

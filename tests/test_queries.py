@@ -10,11 +10,13 @@ from repro.queries import (
     edr_distances_one_to_many,
     f1_score,
     knn_query,
+    knn_query_batch,
     precision_recall_f1,
     range_query,
     similarity_query,
     T2VecEmbedder,
 )
+from repro.queries import edr as edr_module
 from repro.queries.edr import edr_distances_pairs
 from repro.queries.metrics import clustering_f1, clustering_pairs, mean_f1
 from tests.conftest import make_trajectory
@@ -173,8 +175,9 @@ class TestKNN:
 
 
 class TestEdrBatch:
-    def test_pairs_match_reference(self):
+    def test_pairs_match_reference(self, monkeypatch):
         rng = np.random.default_rng(0)
+        cases = []
         for trial in range(15):
             n_pairs = int(rng.integers(1, 7))
             a_list = [
@@ -187,11 +190,84 @@ class TestEdrBatch:
                 )
                 for j in range(n_pairs)
             ]
-            eps = float(rng.uniform(1.0, 80.0))
+            cases.append((a_list, b_list, float(rng.uniform(1.0, 80.0))))
+        # Length ratios >= 5 in both orientations within one batch.
+        longs = [make_trajectory(n=40, seed=300 + j) for j in range(3)]
+        shorts = [make_trajectory(n=n, seed=400 + n) for n in (2, 5, 8)]
+        cases.append((longs + shorts, shorts + longs, 30.0))
+        # Integer coordinates in [0, 10]^2, translated so the closest
+        # approach is exactly eps (the gap still matches) or eps + 1 (no
+        # possible match); (0, 0) and (10, 1) face each other across it.
+        eps = 3.0
+        base = np.array([[0, 0], [4, 9], [10, 1], [7, 5], [2, 10]], float)
+        shifted = [
+            base + offset
+            for d in (eps, eps + 1)
+            for offset in ([10 + d, 0], [-10 - d, 0], [0, 10 + d], [0, -10 - d])
+        ]
+        cases.append(([base] * len(shifted), shifted, eps))
+        # Empty sides mixed with non-empty pairs.
+        empty = np.empty((0, 3))
+        full = [make_trajectory(n=n, seed=500 + n) for n in (3, 7, 11)]
+        cases.append(
+            (
+                [empty, full[0], full[1], empty],
+                [full[2], empty, full[0], empty],
+                40.0,
+            )
+        )
+        for a_list, b_list, eps in cases:
             expected = [
                 edr_distance(a, b, eps) for a, b in zip(a_list, b_list)
             ]
             assert edr_distances_pairs(a_list, b_list, eps).tolist() == expected
+        # A batch long enough to be chunked (one pair per chunk at 16, six
+        # at 100, where the lone last pair's 12 rows run in two blocks).
+        a_list = [make_trajectory(n=2 + j % 13, seed=600 + j) for j in range(30)]
+        b_list = [make_trajectory(n=15 - j % 11, seed=700 + j) for j in range(30)]
+        a_list.append(make_trajectory(n=12, seed=631))
+        b_list.append(make_trajectory(n=15, seed=731))
+        expected = [edr_distance(a, b, 50.0) for a, b in zip(a_list, b_list)]
+        for bound in (16, 100):
+            monkeypatch.setattr(edr_module, "_MAX_DP_ELEMENTS", bound)
+            assert edr_distances_pairs(a_list, b_list, 50.0).tolist() == expected
+
+    def test_nan_never_matches(self):
+        """Regression: a NaN ``eps`` or coordinate never matches, as in the
+        reference. The batched DP used to test a mismatch as
+        ``max(|dx|, |dy|) > eps``, which NaN fails, so NaN matched."""
+        a = np.array([[0, 0], [1, 1], [2, 2]], dtype=float)
+        b = np.array([[0, 0], [5, 5]], dtype=float)
+        nan_a = a.copy()
+        nan_a[1, 0] = np.nan
+        nan_b = b.copy()
+        nan_b[0, 1] = np.nan
+        for a_list, b_list, eps in (
+            ([a], [b], np.nan),
+            ([nan_a, a, nan_a], [b, nan_b, nan_b], 1.0),
+            ([nan_a, b], [nan_a, nan_b], 10.0),
+        ):
+            expected = [
+                edr_distance(x, y, eps) for x, y in zip(a_list, b_list)
+            ]
+            assert edr_distances_pairs(a_list, b_list, eps).tolist() == expected
+        assert edr_distances_pairs([a], [b], np.nan).tolist() == [3.0]
+        # The same through kNN: batched == per-query reference.
+        t = np.arange(10.0)
+        line = np.column_stack([t, np.zeros(10), t])
+        far = line + [0.0, 500.0, 0.0]
+        db = TrajectoryDatabase([Trajectory(line[:4]), Trajectory(far)])
+        query = Trajectory(line)
+        assert knn_query_batch(db, [query], 1, eps=np.nan) == [
+            knn_query(db, query, 1, eps=np.nan)
+        ] == [[0]]
+        half_nan = line.copy()
+        half_nan[5:, 0] = np.nan
+        db = TrajectoryDatabase([Trajectory(line[:5]), Trajectory(line)])
+        query = Trajectory(half_nan)
+        assert knn_query_batch(db, [query], 1, eps=0.5) == [
+            knn_query(db, query, 1, eps=0.5)
+        ] == [[0]]
 
     def test_one_to_many_matches_reference(self):
         query = make_trajectory(n=9, seed=3)

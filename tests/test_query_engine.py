@@ -10,13 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import uniform_simplify_database
 from repro.core import (
     IncrementalRangeEvaluator,
     QDTSEnvironment,
     RL4QDTSConfig,
     run_episode,
 )
-from repro.data import BoundingBox, SimplificationState, TrajectoryDatabase
+from repro.data import (
+    BoundingBox,
+    SimplificationState,
+    Trajectory,
+    TrajectoryDatabase,
+)
+from repro.data.stats import spatial_scale
 from repro.index import FALLBACK_RESOLUTION, GridIndex, adaptive_resolution
 from repro.queries import (
     QueryEngine,
@@ -24,6 +31,7 @@ from repro.queries import (
     T2VecEmbedder,
     count_query_scan,
     density_histogram_scan,
+    edr_distance,
     knn_query,
     knn_query_batch,
     range_query,
@@ -371,6 +379,34 @@ class TestBatchKnn:
             knn_query(small_db, small_db[qid], 3, None, "edr", eps=5.0)
             for qid in qids
         ]
+
+    def test_full_length_queries_over_simplified_db_match_reference(
+        self, geolife_db
+    ):
+        """The offline shape: full-length queries against a 5% uniform
+        simplification, so every pair is long x short and most cannot
+        match at all. Clocks are re-based to 0 so every trajectory is a
+        candidate of every query (~170 pairs)."""
+        db = TrajectoryDatabase(
+            [
+                Trajectory(np.column_stack([t.xy, t.times - t.times[0]]))
+                for t in geolife_db
+            ]
+        )
+        simplified = uniform_simplify_database(db, 0.05)
+        eps = 0.10 * spatial_scale(db)
+        queries = [db[i] for i in range(0, len(db), 3)]
+        pairs = knn_query_batch(
+            simplified, queries, 3, None, "edr", eps=eps, return_pairs=True
+        )
+        assert knn_query_batch(simplified, queries, 3, None, "edr", eps=eps) == [
+            knn_query(simplified, q, 3, None, "edr", eps=eps) for q in queries
+        ] == [[tid for _, tid in p] for p in pairs]
+        for q, query_pairs in zip(queries, pairs):
+            ts, te = q.times[0], q.times[-1]
+            for d, tid in query_pairs:
+                window = Trajectory(simplified[tid].slice_time(ts, te))
+                assert d == edr_distance(q, window, eps)
 
     def test_rejects_bad_arguments(self, small_db):
         with pytest.raises(ValueError):
