@@ -327,7 +327,7 @@ def run_data_plane(
 
 
 # ---------------------------------------------------------------------------
-# Replication section: failover recovery, watchdog restart, reshard pauses
+# Replication section: failover recovery, watchdog restart
 # ---------------------------------------------------------------------------
 
 def run_replication(
@@ -345,9 +345,8 @@ def run_replication(
     * **watchdog_restart** — `restart_dead()` wall time (snapshot attach +
       ingest-log replay + readiness ping), plus the per-replica
       `replication.restart_latency_s` histogram the executor records.
-    * **split/merge pause** — wall time of online `split_shard` /
-      `merge_shards`, the window during which the epoch write lock
-      excludes queries. Parity is asserted around every fault.
+
+    Parity is asserted around every fault.
     """
     import signal as _signal
 
@@ -394,24 +393,11 @@ def run_replication(
             restart.append(time.perf_counter() - start)
             assert restarted == 1
 
-        split, merge = [], []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            service.split_shard(0)
-            split.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            service.merge_shards(0)
-            merge.append(time.perf_counter() - start)
-            _, counts = burst()
-            assert np.array_equal(counts, reference), "reshard changed answers"
-
         stats = executor.replication_stats()
         row.update(
             query_burst_s=baseline_s,
             failover_recovery_s=min(failover),
             restart_s=min(restart),
-            split_pause_s=min(split),
-            merge_pause_s=min(merge),
             counters=stats["counters"]["counters"],
             restart_latency=stats["counters"]["histograms"].get(
                 "replication.restart_latency_s"
@@ -420,9 +406,7 @@ def run_replication(
     print(
         f"query burst {baseline_s * 1000:>8.2f}ms   "
         f"failover recovery {row['failover_recovery_s'] * 1000:>8.2f}ms\n"
-        f"replica restart {row['restart_s'] * 1000:>8.2f}ms   "
-        f"split pause {row['split_pause_s'] * 1000:>8.2f}ms   "
-        f"merge pause {row['merge_pause_s'] * 1000:>8.2f}ms"
+        f"replica restart {row['restart_s'] * 1000:>8.2f}ms"
     )
     return row
 
@@ -503,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--skip-replication", action="store_true",
-        help="skip the failover/restart/reshard latency section",
+        help="skip the failover/restart latency section",
     )
     parser.add_argument(
         "--out", default=None,

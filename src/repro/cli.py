@@ -236,7 +236,6 @@ def _make_service(args):
         store=args.store,
         compaction=compaction,
         replicas=getattr(args, "replicas", 1),
-        rebalance_threshold=getattr(args, "rebalance_threshold", None),
         watchdog_interval=watchdog_interval if watchdog_interval > 0 else None,
         watchdog_deadline=getattr(args, "watchdog_deadline", 5.0),
     )
@@ -528,11 +527,6 @@ def _add_service_arguments(p: argparse.ArgumentParser) -> None:
                    "queries fail over to a live sibling when a worker "
                    "dies; ingest replicates to all (answers are identical "
                    "either way — this buys fault tolerance)")
-    p.add_argument("--rebalance-threshold", type=float, default=None,
-                   help="enable online shard split/merge (spatial "
-                   "partitioner only): split the hottest shard above "
-                   "THRESHOLD x mean points, merge the coldest adjacent "
-                   "pair below mean / THRESHOLD; must be > 1")
     p.add_argument("--watchdog-interval", type=float, default=0.0,
                    help="seconds between watchdog liveness polls that "
                    "restart dead/hung shard replicas (0 disables)")

@@ -28,8 +28,8 @@ def centroid_x(trajectory: "Trajectory") -> float:
     single-segment reduceat) — ``points[:, 0].mean()`` uses pairwise
     summation and can land on the other side of a quantile cut by one
     ulp, splitting the rule in two. Every spatial-routing decision
-    (initial partition, streamed ingest, online split planning) must go
-    through this one function.
+    (initial partition, streamed ingest) must go through this one
+    function.
     """
     return float(
         np.add.reduceat(trajectory.points[:, 0], [0])[0] / len(trajectory)
@@ -85,40 +85,6 @@ class SpatialPartitioner:
         return int(
             np.searchsorted(self.boundaries, centroid_x(trajectory), side="right")
         )
-
-    # ------------------------------------------------- online slab surgery
-    # The service's live rebalancer edits the cut-point array in place:
-    # membership moves *with* the rule, so routing and shard contents can
-    # never disagree. ``side="right"`` in assign() makes the slab around
-    # cut ``c`` split as ``left = {x < c}``, ``right = {x >= c}``.
-
-    def insert_cut(self, slab: int, cut: float) -> None:
-        """Split ``slab`` at ``cut``, growing the partitioner by one shard.
-
-        ``cut`` must lie inside the slab's interval so the boundary array
-        stays sorted (the caller picks it from member centroids, which by
-        construction route into the slab).
-        """
-        if not 0 <= slab < self.n_shards:
-            raise ValueError(f"no slab {slab} to split (n_shards={self.n_shards})")
-        lo = self.boundaries[slab - 1] if slab > 0 else -np.inf
-        hi = self.boundaries[slab] if slab < self.n_shards - 1 else np.inf
-        if not lo <= cut < hi:
-            raise ValueError(
-                f"cut {cut!r} falls outside slab {slab} interval [{lo}, {hi})"
-            )
-        self.boundaries = np.insert(self.boundaries, slab, float(cut))
-        self.n_shards += 1
-
-    def remove_cut(self, slab: int) -> None:
-        """Merge ``slab`` with ``slab + 1``, shrinking by one shard."""
-        if not 0 <= slab < self.n_shards - 1:
-            raise ValueError(
-                f"cannot merge slab {slab} with its right neighbour "
-                f"(n_shards={self.n_shards})"
-            )
-        self.boundaries = np.delete(self.boundaries, slab)
-        self.n_shards -= 1
 
 
 def make_partitioner(

@@ -16,12 +16,12 @@ One class, :class:`ShardExecutor`, over one
 plus the fault-tolerance surface: ``liveness()`` (non-blocking dead-shard
 probe), ``ping(deadline)`` (heartbeat that retires hung workers),
 ``restart_dead()`` (respawn dead replicas from snapshot + replayed ingest
-log), ``reshard(...)`` (online split/merge surgery on the topology), and
-``replication_stats()``.
+log), and ``replication_stats()``. The shard count is fixed at
+construction.
 
 The executor's *name* selects the replica transport and nothing else —
-scatter, failover, ingest fan-out, liveness, restart, reshard, tag
-allocation and close are the same code for both:
+scatter, failover, ingest fan-out, liveness, restart, tag allocation and
+close are the same code for both:
 
 * ``"serial"`` — one :class:`~repro.service.runtime.ShardRuntime` per
   shard in the caller's process: shards execute one after another inside
@@ -120,42 +120,39 @@ class ShardExecutor:
             if mp_context is None:
                 methods = multiprocessing.get_all_start_methods()
                 mp_context = "fork" if "fork" in methods else methods[0]
-            self._spawn = functools.partial(
+            spawn = functools.partial(
                 _WorkerReplica,
                 multiprocessing.get_context(mp_context),
                 self.metrics,
             )
         elif name == "serial":
-            self._spawn = _LocalReplica
+            spawn = _LocalReplica
             replicas = 1
         else:
             raise ValueError(f"unknown executor {name!r}; choose from {EXECUTORS}")
         self._replicas = int(replicas)
-        self._runtime_kwargs = dict(runtime_kwargs)
         self._closed = False
         # Store sub-family tags are allocated executor-wide, never reused:
         # two replicas of one shard — or a restarted replica racing its
-        # predecessor's still-resident segments, or a post-reshard shard
-        # adopting a renumbered survivor's old index — must never publish
+        # predecessor's still-resident segments — must never publish
         # epoch segments under the same tag.
-        self._tags = itertools.count()
+        tags = itertools.count()
         self._sets: list[ReplicaSet] = []
         try:
             for shard in shards:
-                self._sets.append(self._make_set(shard))
+                self._sets.append(
+                    ReplicaSet(
+                        shard,
+                        spawn=spawn,
+                        runtime_kwargs=runtime_kwargs,
+                        replicas=self._replicas,
+                        registry=self.metrics,
+                        next_tag=lambda: f"w{next(tags)}",
+                    )
+                )
         except Exception:
             self.close()
             raise
-
-    def _make_set(self, shard: Shard | ShardSnapshot) -> ReplicaSet:
-        return ReplicaSet(
-            shard,
-            spawn=self._spawn,
-            runtime_kwargs=self._runtime_kwargs,
-            replicas=self._replicas,
-            registry=self.metrics,
-            next_tag=lambda: f"w{next(self._tags)}",
-        )
 
     # ------------------------------------------------------------- topology
     @property
@@ -408,41 +405,6 @@ class ShardExecutor:
             "dead_shards": probe["dead_shards"],
             "counters": self.metrics.snapshot("replication."),
         }
-
-    def reshard(self, start: int, n_removed: int, shards) -> None:
-        """Replace the replica sets of ``[start, start+n_removed)`` after an
-        online split/merge.
-
-        Fresh sets spawn from the manager's replacement shards (exported at
-        the new epoch) before the old sets are torn down; survivors after
-        the splice are renumbered in place — their data, segments, and
-        engines are untouched, only the routing label moves. The caller
-        (the service) holds the epoch write lock, so no query or ingest
-        runs concurrently. Old sets' ingest logs die with them: the new
-        epoch's base segments already contain every committed batch.
-        """
-        self._check_usable()
-        if start < 0 or n_removed < 1 or start + n_removed > len(self._sets):
-            raise ValueError(
-                f"reshard range [{start}, {start + n_removed}) out of bounds "
-                f"for {len(self._sets)} shards"
-            )
-        fresh: list[ReplicaSet] = []
-        try:
-            for shard in shards:
-                fresh.append(self._make_set(shard))
-        except BaseException:
-            for replica_set in fresh:
-                replica_set.close()
-            raise
-        old = self._sets[start : start + n_removed]
-        self._sets[start : start + n_removed] = fresh
-        for pos, replica_set in enumerate(self._sets):
-            if replica_set.shard_index != pos:
-                replica_set.renumber(pos)
-        for replica_set in old:
-            replica_set.close()
-        self.liveness()  # refresh the replicas_live gauge
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:

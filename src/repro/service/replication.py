@@ -440,9 +440,9 @@ class ReplicaSet:
         #: hold.
         self._lock = threading.RLock()
         #: Parent-side ingest replay log, in arrival order. Grows for the
-        #: set's lifetime (reset only when an online reshard replaces the
-        #: set); the batches alias the trajectories the manager already
-        #: holds, so the overhead is list structure, not point data.
+        #: set's lifetime (dropped only by close); the batches alias the
+        #: trajectories the manager already holds, so the overhead is list
+        #: structure, not point data.
         self._log: list[list] = []
         self._rr = 0
         self._closed = False
@@ -689,8 +689,9 @@ class ReplicaSet:
                         or slot >= len(self.replicas)
                         or self.replicas[slot] is not replica
                     ):
-                        # The set was closed or resharded under us; the
-                        # fresh worker has no seat to take.
+                        # The set was closed, or a concurrent restart
+                        # refilled the slot, under us; the fresh worker
+                        # has no seat to take.
                         raise ShardExecutionError(
                             f"shard {self.shard_index}: replica set changed "
                             f"during restart"
@@ -765,39 +766,6 @@ class ReplicaSet:
                 self._registry.inc("replication.hung_replicas")
                 hung += 1
         return hung
-
-    # -------------------------------------------------------------- reshard
-    def renumber(self, new_index: int) -> None:
-        """Relabel this set and its replicas after an online split/merge.
-
-        Shards after the surgery point keep their data but shift position
-        in the routing table; membership, segments, and engines are
-        untouched.
-        """
-        with self._lock:
-            self.shard_index = new_index
-            self.snapshot.index = new_index
-        message = _Message("set_index", {"index": int(new_index)})
-        for replica in self.live_replicas():
-            replica.lock.acquire()
-            if not replica.live:
-                replica.lock.release()
-                continue
-            try:
-                replica.send(message)
-            except _GONE:
-                replica.lock.release()
-                self.retire(replica)
-                self._registry.inc("replication.failovers")
-                continue
-            try:
-                status, value = self.receive(replica)
-            except ReplicaGone:
-                continue
-            if status != "ok":
-                raise ShardExecutionError(
-                    f"shard {new_index}: renumber failed ({value})"
-                )
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:

@@ -113,7 +113,15 @@ def trajectory_from_json(obj) -> Trajectory:
         raise _fail("trajectory points must be an array of [x, y, t] rows")
     traj_id = obj.get("id", -1)
     try:
-        return Trajectory(np.asarray(points, dtype=float), traj_id=int(traj_id))
+        array = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _fail(f"bad trajectory: {exc}") from None
+    # json.loads accepts NaN and Infinity; one such point in a shard would
+    # break the engine grid's candidate sweep.
+    if not np.isfinite(array).all():
+        raise _fail("trajectory points must be finite (no NaN or Infinity)")
+    try:
+        return Trajectory(array, traj_id=int(traj_id))
     except (TypeError, ValueError) as exc:
         raise _fail(f"bad trajectory: {exc}") from None
 

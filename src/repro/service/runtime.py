@@ -574,12 +574,3 @@ class ShardRuntime:
             "base_trajectories": len(self._base),
             "pending_trajectories": len(self._pending),
         }
-
-    def op_set_index(self, index: int) -> None:
-        """Renumber this runtime after an online shard split/merge.
-
-        Shards after the surgery point keep their data but shift position
-        in the routing table; only the label moves (membership, store
-        segments, and engine state are untouched).
-        """
-        self.index = int(index)

@@ -119,7 +119,7 @@ class ServiceStats:
     A view over one :class:`~repro.obs.metrics.MetricsRegistry`: each
     ``record*`` call writes its named instruments (``requests.<kind>``,
     ``cache_hits.<kind>``, ``uncacheable.<kind>``, ``latency.<kind>``,
-    ``ingest.*``, ``knn.shards_*``, ``compaction.*``, ``rebalance.*``,
+    ``ingest.*``, ``knn.shards_*``, ``compaction.*``,
     ``queue.depth_hwm``, ``queue.wait``) under one hold of the registry
     lock, and :meth:`summary` / :meth:`histograms` derive the report.
     Requests with no cache key (callable-measure kNN) are
@@ -178,33 +178,11 @@ class ServiceStats:
         with reg.lock:
             reg.inc("compaction.points_dropped", int(get("points_dropped", 0)))
             reg.record("compaction.latency", float(get("elapsed_s", 0.0)))
-            sizes = (int(get("bytes_before", 0)), int(get("bytes_after", 0)))
-            self._splice_base_bytes(shard, 1, [sizes])
-
-    def record_rebalance(self, action: str, shard: int, elapsed_s: float, points: list):
-        """One online reshard at ``shard`` (a split makes it two shards, a merge
-        folds in its right neighbour) pausing ``elapsed_s``. The new shards, of
-        ``points`` points each, inherit the replaced ones' base sizes pro rata."""
-        n_old = 1 if action == "split" else 2
-        reg = self.registry
-        with reg.lock:
-            reg.inc(f"rebalance.{action}s")
-            reg.record("rebalance.latency", elapsed_s)
-            old = self._base_bytes[shard : shard + n_old]
-            totals = [sum(col) for col in zip((0, 0), *old)]
-            cum = np.cumsum([0, *points]) / max(sum(points), 1)
-            edges = [[int(total * c) for total in totals] for c in cum]
-            fresh = [(b - b0, a - a0) for (b0, a0), (b, a) in zip(edges, edges[1:])]
-            self._splice_base_bytes(shard, n_old, fresh)
-
-    def _splice_base_bytes(self, start: int, n_old: int, fresh: list) -> None:
-        """Replace shards ``[start, start + n_old)`` of the per-shard sizes, as
-        the executor splices replica sets (the caller holds the lock)."""
-        base = self._base_bytes
-        base.extend([(0, 0)] * (start + n_old - len(base)))
-        base[start : start + n_old] = fresh
-        self.registry.set("compaction.bytes_base_before", sum(b for b, _ in base))
-        self.registry.set("compaction.bytes_base", sum(a for _, a in base))
+            base = self._base_bytes
+            base.extend([(0, 0)] * (shard + 1 - len(base)))
+            base[shard] = (int(get("bytes_before", 0)), int(get("bytes_after", 0)))
+            reg.set("compaction.bytes_base_before", sum(b for b, _ in base))
+            reg.set("compaction.bytes_base", sum(a for _, a in base))
 
     def record_queue_depth(self, depth: int) -> None:
         """Track the admission-time in-flight depth (high-water mark)."""
@@ -222,9 +200,11 @@ class ServiceStats:
 
         Means and maxes come from the histograms' exact sum/max; the
         per-kind ``*_p50/p95/p99_latency_ms`` keys are bucket-derived.
-        The compaction, rebalance and queue keys appear only once
-        something recorded them, so single-threaded transports keep their
-        historical key set.
+        ``compactions``, ``points_dropped`` and ``bytes_base`` are always
+        present; ``bytes_base_before`` and the ``compaction_*_latency_ms``
+        keys appear once a compaction pass was recorded, and the
+        ``queue_*`` keys once a queue depth or wait was, so
+        single-threaded transports keep their historical key set.
         """
         reg = self.registry
         with reg.lock:
@@ -237,7 +217,6 @@ class ServiceStats:
                 return sum(handles[which].value for _, handles in per_kind)
 
             comp = reg.histogram("compaction.latency")
-            reb = reg.histogram("rebalance.latency")
             queue_wait = reg.histogram("queue.wait")
             depth_hwm = reg.gauge("queue.depth_hwm").value
             out: dict[str, float | int] = {
@@ -260,11 +239,6 @@ class ServiceStats:
                 out["compaction_mean_latency_ms"] = 1000.0 * comp.sum / comp.count
                 out["compaction_max_latency_ms"] = 1000.0 * comp.max
                 out["compaction_p95_latency_ms"] = 1000.0 * comp.quantile(0.95)
-            if reb.count:
-                out["shard_splits"] = count("rebalance.splits")
-                out["shard_merges"] = count("rebalance.merges")
-                out["rebalance_mean_latency_ms"] = 1000.0 * reb.sum / reb.count
-                out["rebalance_max_latency_ms"] = 1000.0 * reb.max
             if queue_wait.count or depth_hwm:
                 out["queue_depth_hwm"] = depth_hwm
                 out["queue_wait_p50_ms"] = 1000.0 * queue_wait.quantile(0.50)
@@ -285,8 +259,8 @@ class ServiceStats:
 
     def histograms(self) -> dict[str, dict]:
         """JSON-safe encodings of every latency histogram (per request
-        kind, plus ``"compaction"``, ``"rebalance"`` and ``"queue_wait"``
-        once something recorded into them)."""
+        kind, plus ``"compaction"`` and ``"queue_wait"`` once something
+        recorded into them)."""
         reg = self.registry
         with reg.lock:
             out = {
@@ -295,7 +269,6 @@ class ServiceStats:
             }
             for key, name in (
                 ("compaction", "compaction.latency"),
-                ("rebalance", "rebalance.latency"),
                 ("queue_wait", "queue.wait"),
             ):
                 hist = reg.histogram(name)
@@ -355,12 +328,6 @@ class QueryService:
         With R > 1 each query routes to one live replica and fails over
         to a sibling on worker death; ingest fans out to every replica.
         See :mod:`repro.service.replication`.
-    rebalance_threshold:
-        Enable online shard rebalancing (spatial partitioner only): after
-        each ingest, a shard whose point count exceeds ``threshold x
-        mean`` splits at its median member centroid, and the coldest
-        adjacent pair whose combined count stays under ``mean /
-        threshold`` merges. Must be > 1; ``None`` (default) disables.
     watchdog_interval:
         Poll period in seconds of the background
         :class:`~repro.service.watchdog.Watchdog` (heartbeat dead/hung
@@ -389,7 +356,6 @@ class QueryService:
         error_budget: float | None = None,
         trace_capacity: int = 4096,
         replicas: int = 1,
-        rebalance_threshold: float | None = None,
         watchdog_interval: float | None = None,
         watchdog_deadline: float = 5.0,
     ) -> None:
@@ -399,8 +365,6 @@ class QueryService:
             raise ValueError(f"unknown index backend {index!r}; choose from ['grid']")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if rebalance_threshold is not None and rebalance_threshold <= 1.0:
-            raise ValueError("rebalance_threshold must be > 1")
         if manager is None:
             manager = ShardManager.create(db, n_shards, partitioner)
         self.manager = manager
@@ -409,9 +373,6 @@ class QueryService:
         self.executor_name = executor
         self.compaction = make_compaction(compaction, error_budget=error_budget)
         self.replicas = int(replicas)
-        self.rebalance_threshold = (
-            None if rebalance_threshold is None else float(rebalance_threshold)
-        )
         self._store = make_store(store)
         self._owns_store = self._store is not store
         self.store_name = self._store.spec()[0]
@@ -456,8 +417,8 @@ class QueryService:
         if watchdog_interval is not None:
             # Restarts run under the epoch READ lock: concurrent with
             # queries (replica membership changes are internal to a
-            # set) but excluded from ingest and reshard surgery, whose
-            # write side must never race a replica's replay catch-up.
+            # set) but excluded from ingest, whose write side must never
+            # race a replica's replay catch-up.
             self._watchdog = Watchdog(
                 self._executor,
                 interval=watchdog_interval,
@@ -746,88 +707,7 @@ class QueryService:
             self.manager.commit_ingest(routed)
             self.stats.record_ingest(batch)
             self._absorb_compactions(drained, trace_id=trace_id)
-            if self.rebalance_threshold is not None:
-                self._maybe_rebalance_locked(trace_id)
         return len(batch)
-
-    # --------------------------------------------------------------- rebalance
-    def _maybe_rebalance_locked(self, trace_id: str | None = None) -> None:
-        """Rebalance while the manager reports skew (epoch write lock held).
-
-        At most a few plans per ingest: each split/merge changes the count
-        landscape, so the planner re-evaluates after every step; the cap
-        bounds the ingest's pause when a single batch creates deep skew
-        (the remainder is picked up by the next ingest).
-        """
-        for _ in range(4):
-            plan = self.manager.plan_rebalance(self.rebalance_threshold)
-            if plan is None:
-                return
-            self._reshard_locked(*plan, trace_id=trace_id)
-
-    def _reshard_locked(
-        self, action: str, shard_idx: int, trace_id: str | None = None
-    ) -> None:
-        """One split/merge: manager surgery -> snapshot export -> executor
-        worker swap, atomically behind the epoch write lock.
-
-        The replacement shards' snapshots are exported under an
-        epoch-qualified label prefix so their segment names never collide
-        with the initial layout's (still resident in the same store
-        family; they are reclaimed when the store closes — the trade-off
-        is bounded residency for never blocking on old readers). Any
-        failure latches the service failed: executor topology and manager
-        routing can no longer be assumed to agree.
-        """
-        start = time.perf_counter()
-        try:
-            if action == "split":
-                replaced = self.manager.split_shard(shard_idx)
-                n_removed = 1
-            elif action == "merge":
-                replaced = self.manager.merge_shards(shard_idx)
-                n_removed = 2
-            else:
-                raise ValueError(f"unknown rebalance action {action!r}")
-            epoch = self.manager.epoch
-            snapshots = [
-                self.manager.export_snapshot(
-                    self._store, shard, label_prefix=f"e{epoch}s{shard.index}"
-                )
-                for shard in replaced
-            ]
-            self._executor.reshard(shard_idx, n_removed, snapshots)
-        except Exception:
-            self._failed = True
-            raise
-        elapsed = time.perf_counter() - start
-        points = [sum(len(t) for t in shard.trajectories) for shard in replaced]
-        self.stats.record_rebalance(action, shard_idx, elapsed, points)
-        self.tracer.record(
-            trace_id, "reshard", elapsed, action=action, shard=shard_idx
-        )
-
-    def split_shard(self, shard_idx: int) -> int:
-        """Split a hot shard online at its median member centroid.
-
-        Spatial partitioner only. Runs the full reshard protocol (manager
-        surgery, epoch bump, snapshot republish, executor worker swap)
-        behind the epoch write lock; queries before and after see
-        bit-identical results. Returns the new shard count.
-        """
-        self._check_open()
-        with self._epoch_lock.write():
-            self._reshard_locked("split", int(shard_idx))
-            return self.manager.n_shards
-
-    def merge_shards(self, shard_idx: int) -> int:
-        """Merge ``shard_idx`` with its right neighbour online (spatial
-        partitioner only; same protocol as :meth:`split_shard`). Returns
-        the new shard count."""
-        self._check_open()
-        with self._epoch_lock.write():
-            self._reshard_locked("merge", int(shard_idx))
-            return self.manager.n_shards
 
     def _absorb_compactions(
         self, per_shard: dict[int, list], trace_id: str | None = None

@@ -30,7 +30,6 @@ from repro.data.partition import (  # re-exported: the rules are data-layer
     PARTITIONERS,
     HashPartitioner,
     SpatialPartitioner,
-    centroid_x,
     make_partitioner,
 )
 from repro.data.trajectory import Trajectory
@@ -89,6 +88,8 @@ class ShardManager:
     Build one with :meth:`create`; hand :meth:`snapshots` to a
     scatter/gather executor. All query execution goes through executors —
     the manager only owns membership, the global extent, and the epoch.
+    The shard count is fixed at construction: ingests grow shards, never
+    add or remove them.
     """
 
     def __init__(
@@ -196,28 +197,13 @@ class ShardManager:
             raise RuntimeError("shard membership lost trajectories")
         return TrajectoryDatabase(merged)  # type: ignore[arg-type]
 
-    def shard_point_counts(self) -> list[int]:
-        """Per-shard total point counts (the rebalancer's skew signal)."""
-        return [
-            sum(len(t) for t in shard.trajectories) for shard in self.shards
-        ]
-
     def snapshots(self) -> list[Shard]:
         """The current shard snapshots (for executor initialization)."""
         return self.shards
 
-    def export_snapshot(
-        self, store, shard: Shard, label_prefix: str | None = None
-    ) -> ShardSnapshot:
-        """Freeze one shard's membership into columnar store handles.
-
-        ``label_prefix`` defaults to ``s<index>`` (the construction-time
-        layout); online reshards pass an epoch-qualified prefix so the new
-        segments never collide with the names of a previous layout that is
-        still resident in the family.
-        """
-        if label_prefix is None:
-            label_prefix = f"s{shard.index}"
+    def export_snapshot(self, store, shard: Shard) -> ShardSnapshot:
+        """Freeze one shard's membership into columnar store handles
+        labelled ``s<index>m`` / ``s<index>o``."""
         if shard.trajectories:
             matrix = np.concatenate(
                 [t.points for t in shard.trajectories], axis=0
@@ -235,8 +221,8 @@ class ShardManager:
         return ShardSnapshot(
             index=shard.index,
             global_ids=np.asarray(shard.global_ids, dtype=np.int64),
-            matrix=store.put(matrix, label=f"{label_prefix}m"),
-            offsets=store.put(offsets, label=f"{label_prefix}o"),
+            matrix=store.put(matrix, label=f"s{shard.index}m"),
+            offsets=store.put(offsets, label=f"s{shard.index}o"),
             store_spec=store.spec(),
         )
 
@@ -298,158 +284,6 @@ class ShardManager:
                 self._grow_extents(shard_idx, traj.bounding_box)
         self._next_global_id += sum(len(b) for b in routed.values())
         self.epoch += 1
-
-    # ------------------------------------------------------------- rebalance
-    # Online shard surgery for the spatial partitioner: membership and the
-    # routing rule (the slab cut-point array) change in the same step, so
-    # streamed ingests can never disagree with the new layout. The manager
-    # only restructures its own view — callers (QueryService) are
-    # responsible for exporting fresh snapshots and resharding the
-    # executor under the epoch write lock before serving again.
-
-    def _require_spatial(self) -> SpatialPartitioner:
-        if not isinstance(self.partitioner, SpatialPartitioner):
-            raise ValueError(
-                "online split/merge requires the spatial partitioner; "
-                f"{self.partitioner.name!r} routes by global id and its "
-                "shard contents cannot be described by a cut point"
-            )
-        return self.partitioner
-
-    @staticmethod
-    def _split_cut(xs: np.ndarray) -> float:
-        """A cut splitting centroid xs into two non-empty halves.
-
-        ``assign`` sends ``x < cut`` left and ``x >= cut`` right, so the
-        median works unless everything at or below it equals the minimum —
-        then the cut moves up to the next distinct value. Raises when all
-        centroids coincide (no cut can separate them).
-        """
-        order = np.sort(xs)
-        cut = float(order[len(order) // 2])
-        if not np.any(xs < cut):
-            bigger = order[order > cut]
-            if bigger.size == 0:
-                raise ValueError(
-                    "cannot split: all member centroids share one x value"
-                )
-            cut = float(bigger[0])
-        return cut
-
-    def _reindex(self) -> None:
-        """Rebuild positions, locations, and extents after shard surgery."""
-        self._locations = {}
-        self._shard_extents = [None] * len(self.shards)
-        for pos, shard in enumerate(self.shards):
-            shard.index = pos
-            for i, (gid, traj) in enumerate(
-                zip(shard.global_ids, shard.trajectories)
-            ):
-                self._locations[gid] = (pos, i)
-                current = self._shard_extents[pos]
-                box = traj.bounding_box
-                self._shard_extents[pos] = (
-                    box if current is None else current.union(box)
-                )
-
-    def can_split(self, shard_idx: int) -> bool:
-        """True when ``shard_idx`` holds two separably-routed members."""
-        if not isinstance(self.partitioner, SpatialPartitioner):
-            return False
-        shard = self.shards[shard_idx]
-        if len(shard) < 2:
-            return False
-        xs = [centroid_x(t) for t in shard.trajectories]
-        return min(xs) < max(xs)
-
-    def split_shard(self, shard_idx: int) -> list[Shard]:
-        """Split a hot shard into two slabs at its median member centroid.
-
-        Inserts the cut into the spatial partitioner (so future ingests
-        route consistently), renumbers every shard to its list position,
-        rebuilds locations/extents, and bumps the epoch — cached results
-        keyed on the old epoch can no longer be served. Returns the two
-        replacement shards (occupying ``shard_idx`` and ``shard_idx + 1``).
-        """
-        part = self._require_spatial()
-        shard = self.shards[shard_idx]
-        xs = np.array([centroid_x(t) for t in shard.trajectories])
-        if len(xs) < 2:
-            raise ValueError(f"shard {shard_idx} is too small to split")
-        cut = self._split_cut(xs)
-        left = Shard(index=shard_idx)
-        right = Shard(index=shard_idx + 1)
-        # One pass in existing (ascending-gid) order keeps both halves
-        # gid-sorted — the invariant the service's exact kNN merge needs.
-        for x, gid, traj in zip(xs, shard.global_ids, shard.trajectories):
-            target = left if x < cut else right
-            target.trajectories.append(traj)
-            target.global_ids.append(gid)
-        part.insert_cut(shard_idx, cut)
-        self.shards[shard_idx : shard_idx + 1] = [left, right]
-        self._reindex()
-        self.epoch += 1
-        return [left, right]
-
-    def merge_shards(self, shard_idx: int) -> list[Shard]:
-        """Merge two cold adjacent slabs (``shard_idx`` and its right
-        neighbour) into one, removing the cut between them.
-
-        Same commitment protocol as :meth:`split_shard`: routing rule and
-        membership move together, everything renumbers, the epoch bumps.
-        Returns the single replacement shard.
-        """
-        part = self._require_spatial()
-        if shard_idx + 1 >= len(self.shards):
-            raise ValueError(
-                f"shard {shard_idx} has no right neighbour to merge with"
-            )
-        a, b = self.shards[shard_idx], self.shards[shard_idx + 1]
-        merged = Shard(index=shard_idx)
-        # Both inputs are gid-sorted; a sorted merge keeps the invariant.
-        pairs = sorted(
-            list(zip(a.global_ids, a.trajectories))
-            + list(zip(b.global_ids, b.trajectories)),
-            key=lambda p: p[0],
-        )
-        merged.global_ids = [gid for gid, _ in pairs]
-        merged.trajectories = [traj for _, traj in pairs]
-        part.remove_cut(shard_idx)
-        self.shards[shard_idx : shard_idx + 2] = [merged]
-        self._reindex()
-        self.epoch += 1
-        return [merged]
-
-    def plan_rebalance(self, threshold: float) -> tuple[str, int] | None:
-        """One rebalancing step for the current skew, or None when balanced.
-
-        ``threshold`` (> 1) bounds acceptable imbalance of per-shard point
-        counts: the hottest shard splits when it exceeds ``threshold x
-        mean``, and the coldest adjacent pair merges when its combined
-        count stays under ``mean / threshold``. With ``threshold > 1`` a
-        split's halves can never immediately re-merge (t^2 < n/(n+1) would
-        be required), so alternating plans cannot oscillate.
-        """
-        if threshold <= 1.0:
-            raise ValueError("rebalance threshold must be > 1")
-        if not isinstance(self.partitioner, SpatialPartitioner):
-            return None
-        counts = self.shard_point_counts()
-        total = sum(counts)
-        if total == 0:
-            return None
-        mean = total / len(counts)
-        hot = max(range(len(counts)), key=counts.__getitem__)
-        if counts[hot] > threshold * mean and self.can_split(hot):
-            return ("split", hot)
-        if len(counts) >= 2:
-            pair = min(
-                range(len(counts) - 1),
-                key=lambda i: counts[i] + counts[i + 1],
-            )
-            if counts[pair] + counts[pair + 1] < mean / threshold:
-                return ("merge", pair)
-        return None
 
     def ingest(
         self, trajectories: list[Trajectory]

@@ -22,11 +22,11 @@ surface — anything implementing ``ping``/``liveness``/``restart_dead``
 (in-process replicas are always healthy) can be watched, and a poll can
 be driven synchronously via :meth:`Watchdog.poll_once` in tests.
 
-Restart and the service's epoch surgery exclude each other: the service
-wraps ``restart_dead`` in its epoch *read* lock via the ``lock`` hook, so
-a watchdog restart never races an online split/merge republish (which
-holds the write side). Poll errors are counted, never raised — a watchdog
-must outlive the faults it exists to repair.
+Restart and ingest exclude each other: the service wraps
+``restart_dead`` in its epoch *read* lock via the ``lock`` hook, so a
+watchdog restart's replay catch-up never races an ingest (which holds the
+write side). Poll errors are counted, never raised — a watchdog must
+outlive the faults it exists to repair.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Watchdog:
     lock:
         Optional context-manager factory entered around the
         restart phase of each poll. The service passes its epoch read
-        lock so restarts serialize against online split/merge surgery.
+        lock so restarts serialize against ingest.
     """
 
     def __init__(

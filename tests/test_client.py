@@ -9,6 +9,8 @@ extent-growing ingest. The socket transport has its own suite in
 ``tests/test_server.py``.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +208,17 @@ class TestRequestValidation:
             trajectory_from_json({"points": [[0.0, 0.0], [1.0, 1.0]]})
         with pytest.raises(RequestError, match="bad trajectory"):
             trajectory_from_json({"points": [[0.0, 0.0, 1.0], [1.0, 1.0, 0.5]]})
+
+    def test_non_finite_trajectory_points_rejected(self):
+        # json.loads parses NaN, Infinity and overflowing literals as floats.
+        for points in (
+            "[[NaN, 0, 0], [1, Infinity, 1]]",
+            "[[0, 0, 0], [1, -Infinity, 1]]",
+            "[[0, 0, 0], [1, 1, 1e400]]",
+        ):
+            obj = json.loads('{"points": %s}' % points)
+            with pytest.raises(RequestError, match="finite"):
+                trajectory_from_json(obj)
 
     def test_empty_query_list_rejected(self):
         with pytest.raises(RequestError, match="non-empty"):

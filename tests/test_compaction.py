@@ -329,26 +329,34 @@ def test_simplifying_service_accounts_for_dropped_points():
         assert service.stats.summary()["compactions"] > before
 
 
-def test_bytes_base_is_the_current_base_size_after_recompaction():
-    """Re-compacting a shard replaces its bytes, it does not add to them."""
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_bytes_base_is_the_current_base_size_after_recompaction(executor):
+    """Re-compacting a shard replaces its bytes, it does not add to them —
+    also when the pass counters come back through worker pipes."""
     db = initial_db(13, n=10)
-    with QueryService(
-        db,
+    config = dict(
         n_shards=2,
-        executor="serial",
         compaction="uniform",
         error_budget=0.1 * spatial_scale(db),
         min_compact_points=24,
         compact_threshold=0.1,
-    ) as service:
+    )
+    # The in-process twin exposes its runtimes' bases; compaction is
+    # deterministic, so both services hold the same tiers.
+    with (
+        QueryService(db, executor=executor, **config) as service,
+        QueryService(db, executor="serial", **config) as twin,
+    ):
         # one trajectory per ingest: each fold lands on a single shard
         for i in range(4):
-            service.ingest([make_trajectory(n=40, seed=300 + i)])
+            batch = [make_trajectory(n=40, seed=300 + i)]
+            service.ingest(batch)
+            twin.ingest(batch)
         summary = service.stats.summary()
         assert summary["compactions"] >= 2 + 4  # construction + folds
         current = sum(
             storage_report(TrajectoryDatabase(runtime._base)).encoded_bytes
-            for runtime in service._executor.runtimes
+            for runtime in twin._executor.runtimes
         )
         assert summary["bytes_base"] == current
 

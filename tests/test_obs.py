@@ -365,29 +365,6 @@ class TestServiceStatsCompat:
         assert summary["bytes_base"] == 80
         assert summary["bytes_base_before"] == 100
 
-    def test_reshard_carries_base_sizes_over_pro_rata(self):
-        stats = ServiceStats()
-
-        def compact(shard, before, after):
-            stats.record_compaction(
-                shard, {"bytes_before": before, "bytes_after": after}
-            )
-            return stats.summary()
-
-        compact(0, 200, 100)
-        compact(1, 80, 40)
-        # split shard 0 (3:1 by points): children hold 75 + 25 bytes
-        stats.record_rebalance("split", 0, 0.01, points=[30, 10])
-        assert stats.summary()["bytes_base"] == 140
-        assert compact(1, 20, 10)["bytes_base"] == 75 + 10 + 40
-        # merge shards 1 and 2: the merged shard holds 10 + 40 bytes
-        stats.record_rebalance("merge", 1, 0.01, points=[50])
-        assert stats.summary()["bytes_base"] == 125
-        summary = compact(1, 70, 60)
-        assert summary["bytes_base"] == 75 + 60
-        assert summary["bytes_base_before"] == 150 + 70
-        assert summary["shard_splits"] == summary["shard_merges"] == 1
-
 
 # ------------------------------------------------------------ metrics schema
 def _len_gap(a, b):
@@ -404,8 +381,6 @@ SUMMARY_KEYS = {
     "compactions", "points_dropped", "bytes_base", "bytes_base_before",
     "compaction_mean_latency_ms", "compaction_max_latency_ms",
     "compaction_p95_latency_ms",
-    "shard_splits", "shard_merges",
-    "rebalance_mean_latency_ms", "rebalance_max_latency_ms",
     "queue_depth_hwm", "queue_wait_p50_ms", "queue_wait_p95_ms",
     "queue_wait_p99_ms", "queue_wait_max_ms",
 } | {
@@ -416,7 +391,7 @@ SUMMARY_KEYS = {
         "max_latency_ms", "p50_latency_ms", "p95_latency_ms", "p99_latency_ms",
     )
 }
-HISTOGRAM_KEYS = set(KINDS) | {"compaction", "rebalance", "queue_wait"}
+HISTOGRAM_KEYS = set(KINDS) | {"compaction", "queue_wait"}
 REPORT_KEYS = {
     "summary", "histograms", "epoch", "n_shards", "executor", "trace",
     "store", "transport", "replication", "shards",
@@ -454,8 +429,6 @@ def test_metrics_schema_is_pinned(executor):
         uncacheable = KnnRequest(tuple(queries), 2, tuple(windows), _len_gap)
         service.execute(uncacheable)
         service.ingest([make_trajectory(n=30, seed=900 + i) for i in range(2)])
-        service.split_shard(0)
-        service.merge_shards(0)
         service.stats.record_queue_depth(3)
         service.stats.record_queue_wait(0.002)
         summary = service.stats.summary()
@@ -468,7 +441,6 @@ def test_metrics_schema_is_pinned(executor):
         assert summary["cache_hits"] == 1
         assert summary["uncacheable_requests"] == 1
         assert summary["compactions"] >= 1
-        assert summary["shard_splits"] == summary["shard_merges"] == 1
 
 
 # ----------------------------------------------------------- service-level obs

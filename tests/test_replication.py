@@ -1,6 +1,6 @@
-"""Replication, failover & live rebalancing — the PR 10 property suite.
+"""Replication & failover — the property suite.
 
-Four contracts:
+Three contracts:
 
 * **Transparent failover** — with ``replicas >= 2``, SIGKILL of any single
   worker mid-workload loses zero queries: a sibling replica answers, the
@@ -11,13 +11,9 @@ Four contracts:
   ``restart_dead()`` (or the watchdog) rebuilds from the current base
   segments plus the replayed pending ingest log and answers identically
   to the replicas that never died.
-* **Online split/merge** — resharding a live service (explicitly or via
-  ``rebalance_threshold``) republishes segments at a new epoch and swaps
-  routing atomically; queries before and after are bit-identical to the
-  single-engine reference.
 * **Chaos closure** — arbitrary interleavings of ingest / query / kill /
-  restart / split / merge across {heap, shm} x {serial, process} keep
-  the service bit-identical to the reference at every query point.
+  restart across {heap, shm} x {serial, process} keep the service
+  bit-identical to the reference at every query point.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.client import AsyncRemoteClient, LocalClient
-from repro.data import Trajectory
 from repro.data.stats import spatial_scale
 from repro.data.store import shared_memory_available
 from repro.service import (
@@ -59,15 +54,6 @@ def parity_kit(db, seed):
     eps = 0.10 * spatial_scale(db)
     delta = 0.15 * spatial_scale(db)
     return workload, queries, windows, eps, delta
-
-
-def skewed_trajectory(seed: int, lo=0.0, hi=4.0, n=8) -> Trajectory:
-    """A trajectory confined to a narrow x slab (drives spatial skew)."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(lo, hi, size=n)
-    y = rng.uniform(0.0, 100.0, size=n)
-    t = np.cumsum(rng.uniform(1.0, 5.0, size=n))
-    return Trajectory(np.column_stack([x, y, t]))
 
 
 def kill_replica(replica) -> None:
@@ -108,8 +94,6 @@ class TestReplicaTopology:
         db = initial_db(1, n=4)
         with pytest.raises(ValueError, match="replicas"):
             QueryService(db, n_shards=2, replicas=0)
-        with pytest.raises(ValueError, match="rebalance_threshold"):
-            QueryService(db, n_shards=2, rebalance_threshold=1.0)
 
     def test_serial_executor_implements_the_same_probe_surface(self):
         db = initial_db(2, n=6)
@@ -328,86 +312,6 @@ class TestWatchdog:
 
 
 # ---------------------------------------------------------------------------
-# Online split / merge
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("store", ["heap", "shm"])
-@pytest.mark.parametrize("executor", ["serial", "process"])
-class TestSplitMerge:
-    def test_split_then_merge_bit_identity(self, store, executor):
-        if store == "shm" and not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
-        seed = 71
-        db = initial_db(seed, n=10)
-        kit = parity_kit(db, seed)
-        current = db
-        with QueryService(
-            db,
-            n_shards=2,
-            executor=executor,
-            store=store,
-            partitioner="spatial",
-        ) as service:
-            epoch0 = service.describe()["epoch"]
-            assert service.split_shard(0) == 3
-            assert service.describe()["epoch"] == epoch0 + 1
-            assert_state_parity(service, current, *kit)
-
-            # Ingest routes through the post-split cuts.
-            batch = [make_trajectory(n=6, seed=7100 + i) for i in range(3)]
-            service.ingest(batch)
-            current = current.extended(batch)
-            assert_state_parity(service, current, *kit)
-
-            assert service.merge_shards(0) == 2
-            assert_state_parity(service, current, *kit)
-            batch = [make_trajectory(n=5, seed=7200 + i) for i in range(2)]
-            service.ingest(batch)
-            current = current.extended(batch)
-            assert_state_parity(service, current, *kit)
-
-            summary = service.stats.summary()
-            assert summary["shard_splits"] == 1
-            assert summary["shard_merges"] == 1
-            assert summary["rebalance_max_latency_ms"] > 0
-
-    def test_auto_rebalance_splits_the_hot_slab(self, store, executor):
-        if store == "shm" and not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
-        seed = 81
-        db = initial_db(seed, n=8)
-        kit = parity_kit(db, seed)
-        current = db
-        with QueryService(
-            db,
-            n_shards=2,
-            executor=executor,
-            store=store,
-            partitioner="spatial",
-            rebalance_threshold=1.5,
-        ) as service:
-            # Pour points into one narrow slab until it trips the
-            # imbalance threshold and splits online.
-            for round_idx in range(4):
-                batch = [
-                    skewed_trajectory(8100 + 10 * round_idx + i)
-                    for i in range(4)
-                ]
-                service.ingest(batch)
-                current = current.extended(batch)
-                assert_state_parity(service, current, *kit)
-            assert service.manager.n_shards > 2
-            assert service.stats.summary()["shard_splits"] >= 1
-
-
-def test_split_requires_spatial_partitioner():
-    db = initial_db(3, n=6)
-    with QueryService(db, n_shards=2, partitioner="hash") as service:
-        with pytest.raises(ValueError):
-            service.split_shard(0)
-
-
-# ---------------------------------------------------------------------------
 # Chaos: arbitrary interleavings stay bit-identical
 # ---------------------------------------------------------------------------
 
@@ -423,16 +327,14 @@ def test_split_requires_spatial_partitioner():
 @given(
     seed=st.integers(0, 50),
     plan=st.lists(
-        st.sampled_from(
-            ["ingest", "query", "kill", "restart", "split", "merge"]
-        ),
+        st.sampled_from(["ingest", "query", "kill", "restart"]),
         min_size=3,
         max_size=7,
     ),
 )
 def test_chaos_interleaving_matches_reference(store, executor, seed, plan):
-    """Kill / restart / split / merge at arbitrary points never change
-    answers: the service stays bit-identical to a fresh single engine."""
+    """Kill / restart at arbitrary points never change answers: the
+    service stays bit-identical to a fresh single engine."""
     if store == "shm" and not shared_memory_available():
         pytest.skip("no shared memory on this platform")
     db = initial_db(seed, n=8)
@@ -468,21 +370,6 @@ def test_chaos_interleaving_matches_reference(store, executor, seed, plan):
                     kill_replica(live[int(rng.integers(len(live)))])
             elif action == "restart":
                 exe.restart_dead()
-            elif action == "split":
-                manager = service.manager
-                if manager.n_shards < 5:
-                    candidates = [
-                        i
-                        for i in range(manager.n_shards)
-                        if manager.can_split(i)
-                    ]
-                    if candidates:
-                        service.split_shard(
-                            candidates[int(rng.integers(len(candidates)))]
-                        )
-            elif action == "merge":
-                if service.manager.n_shards >= 2:
-                    service.merge_shards(0)
         exe.restart_dead()
         assert_state_parity(service, current, *kit)
 

@@ -246,6 +246,41 @@ class TestErrorFrames:
         assert "array" in raw.read_frame()["error"]["message"]
         raw.close()
 
+    def test_non_finite_ingest_is_rejected_and_connection_survives(self, loopback):
+        db, handle = loopback
+        raw = _RawConnection(handle.host, handle.port)
+        raw.hello()
+        # encode_frame's json.dumps writes NaN as the bare token the
+        # server's json.loads reads back.
+        points = [[float("nan"), 0.0, 0.0], [1.0, 1.0, 1.0]]
+        raw.send_frame(
+            {"type": "ingest", "id": 5, "trajectories": [{"points": points}]}
+        )
+        reply = raw.read_frame()
+        assert reply["type"] == "error" and reply["id"] == 5
+        assert reply["error"]["type"] == "RequestError"
+        assert "finite" in reply["error"]["message"]
+        box = db.bounding_box
+        raw.send_frame(
+            {
+                "type": "request",
+                "id": 6,
+                "request": {
+                    "v": PROTOCOL_VERSION,
+                    "kind": "range",
+                    "boxes": [[box.xmin, box.xmax, box.ymin, box.ymax,
+                               box.tmin, box.tmax]],
+                },
+            }
+        )
+        reply = raw.read_frame()
+        assert reply["type"] == "response" and reply["id"] == 6
+        # Nothing was ingested: the epoch never moved and the whole-extent
+        # box holds exactly the initial trajectories.
+        assert reply["response"]["epoch"] == 0
+        assert reply["response"]["result_sets"] == [list(range(len(db)))]
+        raw.close()
+
 
 # -------------------------------------------------------------- transport parity
 EXECUTORS_TO_TEST = ["serial", "process"]
