@@ -14,11 +14,18 @@ whether the result came from the cache).
 
 Every request and response additionally implements ``to_json()`` /
 ``from_json()``: a JSON-object encoding carrying ``"v"``
-(:data:`PROTOCOL_VERSION`) and ``"kind"``, with ndarray payloads as nested
-lists (Python's float repr round-trips doubles exactly, so decoding is
-bit-identical) and :class:`~repro.data.trajectory.Trajectory` payloads as
-``{"id", "points"}`` objects. Decoding *validates*: malformed input —
-unknown kinds, bad box bounds, non-numeric windows, unsupported versions —
+(:data:`PROTOCOL_VERSION`) and ``"kind"``.
+:class:`~repro.data.trajectory.Trajectory` payloads travel as
+``{"id", "points"}`` objects. Every ndarray payload (trajectory points,
+count vectors, histogram rasters) travels as one
+``{"shape": [...], "data": "<base64>"}`` block, where ``data`` holds the
+array's raw little-endian bytes (``<f8`` points and rasters, ``<i8``
+counts) in C order. The IEEE-754 bytes travel verbatim, so decoding is
+bit-identical, and neither side formats or parses one number per element.
+Small scalar lists (box bounds, windows, kNN ``(distance, id)`` pairs,
+id sets) stay plain JSON. Decoding *validates*: malformed input —
+unknown kinds, bad box bounds, non-numeric windows, unsupported versions,
+array blocks whose shape and byte length disagree, non-finite points —
 raises the typed :class:`RequestError` with a clear message instead of
 surfacing as an ``AttributeError``/``KeyError`` deep inside the scatter
 path. This schema is what every transport speaks: the asyncio socket
@@ -28,6 +35,8 @@ the client facades (:mod:`repro.client`) build them.
 
 from __future__ import annotations
 
+import base64
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -40,7 +49,7 @@ from repro.queries.engine import array_digest
 
 #: Version tag of the wire schema. Bumped on any incompatible change to the
 #: request/response JSON layout; the socket handshake rejects mismatches.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class RequestError(ValueError):
@@ -93,36 +102,77 @@ def box_from_json(obj) -> BoundingBox:
         raise _fail(f"bad box bounds: {exc}") from None
 
 
+def _array_to_json(arr: np.ndarray, dtype: str) -> dict:
+    """``{"shape", "data"}``: the C-order ``dtype`` bytes of ``arr``, base64."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    return {
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr).decode("ascii"),
+    }
+
+
+def _array_from_json(obj, dtype: str, ndim: int, what: str) -> np.ndarray:
+    """Decode one :func:`_array_to_json` block into a read-only array view.
+
+    The byte length is checked against the shape in Python ints before
+    any array exists, so a hostile shape allocates nothing.
+    """
+    if not isinstance(obj, dict):
+        raise _fail(
+            f"{what} must be a {{'shape', 'data'}} object carrying base64 "
+            f"little-endian {dtype} bytes (protocol version "
+            f"{PROTOCOL_VERSION}), got {type(obj).__name__}"
+        )
+    shape = obj.get("shape")
+    if (
+        not isinstance(shape, list)
+        or len(shape) != ndim
+        or any(isinstance(d, bool) or not isinstance(d, int) or d < 0 for d in shape)
+    ):
+        raise _fail(
+            f"{what} shape must be a list of {ndim} non-negative integers, "
+            f"got {shape!r}"
+        )
+    data = obj.get("data")
+    if not isinstance(data, str):
+        raise _fail(f"{what} data must be a base64 string, got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise _fail(f"{what} data is not valid base64: {exc}") from None
+    need = np.dtype(dtype).itemsize * math.prod(shape)
+    if len(raw) != need:
+        raise _fail(
+            f"{what} carries {len(raw)} bytes but shape {shape} of {dtype} "
+            f"needs {need}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
 def trajectory_to_json(trajectory: Trajectory) -> dict:
     return {
         "id": int(trajectory.traj_id),
-        "points": trajectory.points.tolist(),
+        "points": _array_to_json(trajectory.points, "<f8"),
     }
 
 
 def trajectory_from_json(obj) -> Trajectory:
     if not isinstance(obj, dict) or "points" not in obj:
         raise _fail(f"a trajectory must be an object with 'points', got {obj!r}")
-    points = obj["points"]
-    if not isinstance(points, list) or not all(
-        isinstance(p, (list, tuple))
-        and len(p) == 3
-        and not any(isinstance(v, (bool, str, type(None))) for v in p)
-        for p in points
-    ):
-        raise _fail("trajectory points must be an array of [x, y, t] rows")
-    traj_id = obj.get("id", -1)
-    try:
-        array = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise _fail(f"bad trajectory: {exc}") from None
-    # json.loads accepts NaN and Infinity; one such point in a shard would
-    # break the engine grid's candidate sweep.
-    if not np.isfinite(array).all():
+    traj_id = _integer(obj.get("id", -1), "trajectory id")
+    points = _array_from_json(obj["points"], "<f8", 2, "trajectory points")
+    if points.shape[1] != 3:
+        raise _fail(
+            f"trajectory points must be (n, 3) [x, y, t] rows, got shape "
+            f"{points.shape}"
+        )
+    # The bytes can carry any IEEE-754 pattern; one NaN or Infinity point
+    # in a shard would break the engine grid's candidate sweep.
+    if not np.isfinite(points).all():
         raise _fail("trajectory points must be finite (no NaN or Infinity)")
     try:
-        return Trajectory(array, traj_id=int(traj_id))
-    except (TypeError, ValueError) as exc:
+        return Trajectory(points, traj_id=traj_id)
+    except ValueError as exc:
         raise _fail(f"bad trajectory: {exc}") from None
 
 
@@ -530,7 +580,7 @@ class CountResponse(Response):
     counts: np.ndarray = field(compare=False)
 
     def to_json(self) -> dict:
-        return {**self._meta_json(), "counts": self.counts.tolist()}
+        return {**self._meta_json(), "counts": _array_to_json(self.counts, "<i8")}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -538,7 +588,10 @@ class HistogramResponse(Response):
     histogram: np.ndarray = field(compare=False)
 
     def to_json(self) -> dict:
-        return {**self._meta_json(), "histogram": self.histogram.tolist()}
+        return {
+            **self._meta_json(),
+            "histogram": _array_to_json(self.histogram, "<f8"),
+        }
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -577,10 +630,10 @@ def response_to_json(response) -> dict:
 def response_from_json(obj):
     """Decode a wire JSON object back into its typed response.
 
-    The numeric payloads round-trip bit-identically: JSON carries the exact
-    shortest repr of each double, counts decode back to int64, and kNN
-    neighbour lists are re-derived from the (distance, id) pairs — the same
-    derivation the serving side uses.
+    The numeric payloads round-trip bit-identically: counts and rasters
+    travel as their raw bytes and decode into fresh mutable int64 / float64
+    arrays, and kNN neighbour lists are re-derived from the (distance, id)
+    pairs — the same derivation the serving side uses.
     """
     if not isinstance(obj, dict):
         raise _fail(f"a response must be a JSON object, got {obj!r}")
@@ -607,13 +660,11 @@ def response_from_json(obj):
                 **meta,
             )
         if kind == "count":
-            return CountResponse(
-                counts=np.asarray(obj["counts"], dtype=np.int64), **meta
-            )
+            counts = _array_from_json(obj["counts"], "<i8", 1, "counts")
+            return CountResponse(counts=counts.astype(np.int64), **meta)
         if kind == "histogram":
-            return HistogramResponse(
-                histogram=np.asarray(obj["histogram"], dtype=float), **meta
-            )
+            raster = _array_from_json(obj["histogram"], "<f8", 2, "histogram")
+            return HistogramResponse(histogram=raster.astype(float), **meta)
         pairs = [
             [(float(d), int(i)) for d, i in query_pairs]
             for query_pairs in obj["pairs"]
@@ -623,6 +674,8 @@ def response_from_json(obj):
             pairs=pairs,
             **meta,
         )
+    except RequestError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(f"malformed {kind!r} response: {exc!r}") from None
 

@@ -6,12 +6,16 @@ Wire protocol (spoken by :class:`repro.client.RemoteClient` /
 * **Framing** — every message is one length-prefixed JSON frame: a 4-byte
   big-endian unsigned length followed by that many bytes of UTF-8 JSON.
   Frames above :data:`MAX_FRAME_BYTES` are refused (the connection closes;
-  an unbounded length prefix would let one client exhaust memory).
+  an unbounded length prefix would let one client exhaust memory). Array
+  payloads inside a frame (trajectory points, count vectors, histogram
+  rasters) are base64 strings of their little-endian bytes, so the JSON
+  layer only ever parses one string per array.
 * **Handshake** — the client's first frame must be
   ``{"type": "hello", "version": PROTOCOL_VERSION}``; the server answers
-  with its own hello carrying serving metadata. A version mismatch is
-  answered with a structured error frame and the connection closes — no
-  query traffic crosses an incompatible schema. A server started with an
+  with its own hello carrying serving metadata. A version mismatch (a
+  version-1 peer still sending nested-list arrays, say) is answered with a
+  structured error frame and the connection closes — no query traffic
+  crosses an incompatible schema. A server started with an
   ``auth_token`` additionally requires ``"token": <token>`` in the
   client hello; a missing or wrong token is answered with an
   ``AuthError`` error frame and the connection closes.
@@ -385,8 +389,8 @@ class QueryServer:
                     "epoch": manager.epoch,
                     "trajectories": manager.n_trajectories,
                     "points": manager.total_points,
-                    # Additive in PROTOCOL_VERSION 1: clients that predate
-                    # compaction policies simply ignore the key.
+                    # Additive: clients that predate compaction policies
+                    # simply ignore the key.
                     "compaction": self._service.compaction.spec(),
                     # Additive: the serving concurrency contract.
                     "workers": self.workers,

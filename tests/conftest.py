@@ -7,6 +7,7 @@ scales.
 
 from __future__ import annotations
 
+import base64
 import os
 
 import numpy as np
@@ -58,6 +59,53 @@ def make_trajectory(n: int = 10, seed: int = 0, traj_id: int = 0) -> Trajectory:
     xy = rng.uniform(0.0, 100.0, size=(n, 2))
     t = np.cumsum(rng.uniform(1.0, 5.0, size=n))
     return Trajectory(np.column_stack([xy, t]), traj_id=traj_id)
+
+
+def wire_array(values, dtype: str = "<f8", shape=None) -> dict:
+    """A wire array block built by hand: base64 of the C-order little-endian
+    bytes, with ``shape`` overriding the true one. Written independently of
+    the codec so tests pin the byte layout, not just a round trip."""
+    arr = np.asarray(values, dtype=dtype)
+    return {
+        "shape": list(arr.shape if shape is None else shape),
+        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
+
+
+def hostile_points_payloads() -> list[tuple[str, object, str]]:
+    """``(case, points block, error regex)`` for trajectory-point payloads
+    every decoder must refuse with a ``RequestError``."""
+    rows = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+    good = wire_array(rows)  # 48 bytes, 64 base64 characters
+
+    def with_bits(pattern: int) -> dict:
+        """``rows`` with one x replaced by a raw IEEE-754 bit pattern."""
+        arr = np.array(rows)
+        arr.view(np.uint64)[1, 0] = pattern
+        return wire_array(arr)
+
+    return [
+        ("non-base64", {**good, "data": "*" * 64}, "not valid base64"),
+        ("non-ascii", {**good, "data": "\u00e9" * 64}, "not valid base64"),
+        ("truncated mid-quantum", {**good, "data": good["data"][:-3]},
+         "not valid base64"),
+        ("truncated", {**good, "data": good["data"][:-4]}, "carries 45 bytes"),
+        ("length != shape", {**good, "shape": [3, 3]}, "carries 48 bytes"),
+        ("rank 1", {**good, "shape": [6]}, "list of 2 non-negative"),
+        ("rank 3", {**good, "shape": [2, 3, 1]}, "list of 2 non-negative"),
+        ("bool dim", {**good, "shape": [True, 3]}, "list of 2 non-negative"),
+        ("negative dims", {**good, "shape": [-2, -3]}, "list of 2 non-negative"),
+        ("float dim", {**good, "shape": [2.0, 3]}, "list of 2 non-negative"),
+        ("huge shape", {**good, "shape": [2**61, 3]}, "carries 48 bytes"),
+        ("wrong columns", wire_array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+         r"\[x, y, t\]"),
+        ("data not a string", {**good, "data": None}, "base64 string"),
+        ("quiet NaN", with_bits(0x7FF8000000000000), "finite"),
+        ("signalling NaN", with_bits(0x7FF0000000000001), "finite"),
+        ("+Infinity", with_bits(0x7FF0000000000000), "finite"),
+        ("-Infinity", with_bits(0xFFF0000000000000), "finite"),
+        ("v1 list form", rows, "base64 little-endian <f8"),
+    ]
 
 
 @pytest.fixture

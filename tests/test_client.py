@@ -10,6 +10,7 @@ extent-growing ingest. The socket transport has its own suite in
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,9 +39,18 @@ from repro.service import (
     response_from_json,
     response_to_json,
 )
-from repro.service.requests import box_from_json, trajectory_from_json
+from repro.service.requests import (
+    CountResponse,
+    HistogramResponse,
+    box_from_json,
+    trajectory_from_json,
+    trajectory_to_json,
+)
+from repro.service.server import FRAME_HEADER, encode_frame
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import make_trajectory
+from tests.conftest import hostile_points_payloads, make_trajectory, wire_array
+
+HOSTILE_POINTS = hostile_points_payloads()
 
 
 def client_db(n: int = 18, seed: int = 5) -> TrajectoryDatabase:
@@ -205,20 +215,45 @@ class TestRequestValidation:
         with pytest.raises(RequestError, match="points"):
             trajectory_from_json({"id": 1})
         with pytest.raises(RequestError, match=r"\[x, y, t\]"):
-            trajectory_from_json({"points": [[0.0, 0.0], [1.0, 1.0]]})
+            trajectory_from_json({"points": wire_array([[0.0, 0.0], [1.0, 1.0]])})
         with pytest.raises(RequestError, match="bad trajectory"):
-            trajectory_from_json({"points": [[0.0, 0.0, 1.0], [1.0, 1.0, 0.5]]})
+            trajectory_from_json(
+                {"points": wire_array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.5]])}
+            )
 
     def test_non_finite_trajectory_points_rejected(self):
-        # json.loads parses NaN, Infinity and overflowing literals as floats.
+        # Raw bytes carry any IEEE-754 pattern, NaN and Infinity included.
         for points in (
-            "[[NaN, 0, 0], [1, Infinity, 1]]",
-            "[[0, 0, 0], [1, -Infinity, 1]]",
-            "[[0, 0, 0], [1, 1, 1e400]]",
+            [[np.nan, 0, 0], [1, np.inf, 1]],
+            [[0, 0, 0], [1, -np.inf, 1]],
+            [[0, 0, 0], [1, 1, np.inf]],
         ):
-            obj = json.loads('{"points": %s}' % points)
+            obj = json.loads(json.dumps({"points": wire_array(points)}))
             with pytest.raises(RequestError, match="finite"):
                 trajectory_from_json(obj)
+
+    def test_trajectory_id_must_be_an_integer(self):
+        # Regression: ids were coerced with int(), so true decoded as 1,
+        # 2.7 as 2 and "7" as 7.
+        obj = trajectory_to_json(make_trajectory(n=4, seed=1, traj_id=3))
+        for bad in (True, 2.7, "7", None):
+            with pytest.raises(RequestError, match="trajectory id must be an integer"):
+                trajectory_from_json({**obj, "id": bad})
+        assert trajectory_from_json(obj).traj_id == 3
+
+    @pytest.mark.parametrize(
+        "case, points, match", HOSTILE_POINTS, ids=[c[0] for c in HOSTILE_POINTS]
+    )
+    def test_hostile_points_payloads_rejected(self, case, points, match):
+        # Rejected before allocating: a [2**61, 3] shape must cost nothing.
+        tracemalloc.start()
+        try:
+            with pytest.raises(RequestError, match=match):
+                trajectory_from_json({"id": 0, "points": points})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_empty_query_list_rejected(self):
         with pytest.raises(RequestError, match="non-empty"):
@@ -271,6 +306,123 @@ class TestResponseCodecs:
             response_from_json({"v": PROTOCOL_VERSION, "kind": "nope"})
         with pytest.raises(RequestError, match="malformed"):
             response_from_json({"v": PROTOCOL_VERSION, "kind": "count"})
+
+    def test_hostile_response_arrays_rejected(self):
+        meta = {
+            "v": PROTOCOL_VERSION,
+            "epoch": 0,
+            "latency_s": 0.0,
+            "cached": False,
+            "n_shards": 1,
+        }
+        for kind, key, block, match in (
+            ("count", "counts", [1, 2], "base64 little-endian <i8"),
+            ("count", "counts", wire_array([1, 2], "<i8", shape=[3]), "carries 16"),
+            ("count", "counts", wire_array([[1, 2]], "<i8"), "list of 1"),
+            ("histogram", "histogram", wire_array([1.0, 2.0]), "list of 2"),
+            ("histogram", "histogram", {"shape": [1, 1], "data": "@@@@"}, "base64"),
+        ):
+            with pytest.raises(RequestError, match=match):
+                response_from_json({**meta, "kind": kind, key: block})
+
+    def test_response_arrays_decode_mutable(self, local, cworkload):
+        counts = response_from_json(
+            response_to_json(local.count(cworkload.boxes))
+        ).counts
+        raster = response_from_json(response_to_json(local.histogram(4))).histogram
+        assert counts.flags.writeable and raster.flags.writeable
+
+
+def _through_frame(obj: dict) -> dict:
+    """What the peer's ``json.loads`` sees after ``encode_frame(obj)``."""
+    return json.loads(encode_frame(obj)[FRAME_HEADER.size:])
+
+
+#: Doubles a text codec is most likely to mangle: signed zero, subnormals,
+#: the normal boundary and the extremes.
+EDGE_DOUBLES = (
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308,
+    -1.7976931348623157e308,
+)
+finite_doubles = st.one_of(
+    st.sampled_from(EDGE_DOUBLES), st.floats(allow_nan=False, allow_infinity=False)
+)
+#: Timestamps stay within half the double range so their steps never overflow.
+time_doubles = st.one_of(
+    st.sampled_from([v for v in EDGE_DOUBLES if abs(v) < 1e300]),
+    st.floats(-8e307, 8e307),
+)
+
+
+@st.composite
+def wire_trajectories(draw) -> Trajectory:
+    # unique= treats -0.0 and 0.0 as equal, so sorting makes t strictly rise.
+    t = sorted(draw(st.lists(time_doubles, min_size=2, max_size=40, unique=True)))
+    xy = draw(
+        st.lists(
+            st.tuples(finite_doubles, finite_doubles),
+            min_size=len(t),
+            max_size=len(t),
+        )
+    )
+    points = np.column_stack([np.array(xy, dtype=float), t])
+    return Trajectory(points, traj_id=draw(st.integers(-1, 2**62)))
+
+
+class TestArrayCodecProperties:
+    """Array payloads survive the full wire trip byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(trajectory=wire_trajectories())
+    def test_trajectory_points_bytes_survive(self, trajectory):
+        decoded = trajectory_from_json(_through_frame(trajectory_to_json(trajectory)))
+        assert decoded.traj_id == trajectory.traj_id
+        assert decoded.points.shape == trajectory.points.shape
+        assert decoded.points.tobytes() == trajectory.points.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([-(2**63), 2**63 - 1, -1, 0, 1]),
+                st.integers(-(2**63), 2**63 - 1),
+            ),
+            max_size=50,
+        )
+    )
+    def test_int64_counts_survive(self, values):
+        counts = np.array(values, dtype=np.int64)
+        response = CountResponse(
+            kind="count", epoch=0, latency_s=0.0, cached=False, n_shards=1,
+            counts=counts,
+        )
+        decoded = response_from_json(_through_frame(response_to_json(response)))
+        assert decoded.counts.dtype == np.int64
+        assert decoded.counts.shape == counts.shape
+        assert decoded.counts.tobytes() == counts.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        data=st.data(),
+    )
+    def test_histogram_rasters_survive(self, shape, data):
+        values = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats()),
+                min_size=shape[0] * shape[1],
+                max_size=shape[0] * shape[1],
+            )
+        )
+        raster = np.array(values, dtype=float).reshape(shape)
+        response = HistogramResponse(
+            kind="histogram", epoch=0, latency_s=0.0, cached=False, n_shards=1,
+            histogram=raster,
+        )
+        decoded = response_from_json(_through_frame(response_to_json(response)))
+        assert decoded.histogram.shape == shape
+        assert decoded.histogram.tobytes() == raster.tobytes()
 
 
 # ------------------------------------------------------------------- clients
@@ -519,8 +671,6 @@ def test_client_protocol_is_abstract():
 
 def test_make_trajectory_helper_roundtrip():
     """The conftest helper survives the wire codec (used by server tests)."""
-    from repro.service.requests import trajectory_to_json
-
     trajectory = make_trajectory(n=7, seed=3, traj_id=9)
     decoded = trajectory_from_json(trajectory_to_json(trajectory))
     assert decoded == trajectory

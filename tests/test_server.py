@@ -10,6 +10,7 @@ error frames (the connection survives), and shuts down gracefully.
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -28,11 +29,13 @@ from repro.eval.harness import QueryAccuracyEvaluator
 from repro.service import (
     PROTOCOL_VERSION,
     QueryService,
+    response_from_json,
     serve_in_thread,
 )
+from repro.service.requests import trajectory_to_json
 from repro.service.server import FRAME_HEADER, encode_frame
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import repro_shm_segments
+from tests.conftest import hostile_points_payloads, repro_shm_segments, wire_array
 
 
 def server_db(n: int = 16, seed: int = 5) -> TrajectoryDatabase:
@@ -119,13 +122,15 @@ class TestHandshake:
 
     def test_version_mismatch_gets_error_frame_and_close(self, loopback):
         _, handle = loopback
-        raw = _RawConnection(handle.host, handle.port)
-        reply = raw.hello(version=999)
-        assert reply["type"] == "error"
-        assert reply["error"]["type"] == "RequestError"
-        assert "version" in reply["error"]["message"]
-        assert raw.read_frame() is None  # server closed the connection
-        raw.close()
+        # 1 is the nested-list array schema this build no longer decodes.
+        for version in (999, 1):
+            raw = _RawConnection(handle.host, handle.port)
+            reply = raw.hello(version=version)
+            assert reply["type"] == "error"
+            assert reply["error"]["type"] == "RequestError"
+            assert "version" in reply["error"]["message"]
+            assert raw.read_frame() is None  # server closed the connection
+            raw.close()
 
     def test_first_frame_must_be_hello(self, loopback):
         _, handle = loopback
@@ -161,7 +166,8 @@ class TestErrorFrames:
         )
         reply = raw.read_frame()
         assert reply["type"] == "response" and reply["id"] == 7
-        assert np.sum(reply["response"]["histogram"]) == db.total_points
+        histogram = response_from_json(reply["response"]).histogram
+        assert histogram.sum() == db.total_points
         raw.close()
 
     def test_bad_request_is_a_structured_error_not_a_drop(self, loopback):
@@ -209,7 +215,7 @@ class TestErrorFrames:
             obj = {
                 "v": PROTOCOL_VERSION,
                 "kind": "knn",
-                "queries": [{"id": 0, "points": queries[0].points.tolist()}],
+                "queries": [trajectory_to_json(queries[0])],
                 "k": 2,
                 "measure": "t2vec",  # decode-time rejection server-side
             }
@@ -230,7 +236,7 @@ class TestErrorFrames:
             obj = {
                 "v": PROTOCOL_VERSION,
                 "kind": "similarity",
-                "queries": [{"id": 0, "points": queries[0].points.tolist()}],
+                "queries": [trajectory_to_json(queries[0])],
                 "delta": 5.0,
                 "time_windows": [[10.0, 5.0]],
             }
@@ -250,9 +256,7 @@ class TestErrorFrames:
         db, handle = loopback
         raw = _RawConnection(handle.host, handle.port)
         raw.hello()
-        # encode_frame's json.dumps writes NaN as the bare token the
-        # server's json.loads reads back.
-        points = [[float("nan"), 0.0, 0.0], [1.0, 1.0, 1.0]]
+        points = wire_array([[float("nan"), 0.0, 0.0], [1.0, 1.0, 1.0]])
         raw.send_frame(
             {"type": "ingest", "id": 5, "trajectories": [{"points": points}]}
         )
@@ -279,6 +283,49 @@ class TestErrorFrames:
         # box holds exactly the initial trajectories.
         assert reply["response"]["epoch"] == 0
         assert reply["response"]["result_sets"] == [list(range(len(db)))]
+        raw.close()
+
+    def test_hostile_array_payloads_answered_then_connection_survives(
+        self, loopback
+    ):
+        db, handle = loopback
+        box = db.bounding_box
+        count_all = {
+            "v": PROTOCOL_VERSION,
+            "kind": "count",
+            "boxes": [[box.xmin, box.xmax, box.ymin, box.ymax, box.tmin, box.tmax]],
+        }
+        raw = _RawConnection(handle.host, handle.port)
+        raw.hello()
+        rid = 0
+        for case, points, match in hostile_points_payloads():
+            hostile_frames = (
+                {
+                    "type": "request",
+                    "request": {
+                        "v": PROTOCOL_VERSION,
+                        "kind": "knn",
+                        "queries": [{"id": 0, "points": points}],
+                        "k": 1,
+                    },
+                },
+                {"type": "ingest", "trajectories": [{"points": points}]},
+            )
+            for frame in hostile_frames:
+                rid += 1
+                raw.send_frame({**frame, "id": rid})
+                reply = raw.read_frame()
+                assert reply["type"] == "error" and reply["id"] == rid, case
+                assert reply["error"]["type"] == "RequestError", case
+                assert re.search(match, reply["error"]["message"]), case
+                # The same connection answers the next request.
+                rid += 1
+                raw.send_frame({"type": "request", "id": rid, "request": count_all})
+                reply = raw.read_frame()
+                assert reply["type"] == "response" and reply["id"] == rid, case
+                response = response_from_json(reply["response"])
+                assert response.epoch == 0, case  # nothing was ingested
+                assert response.counts.tolist() == [db.total_points], case
         raw.close()
 
 
