@@ -30,11 +30,10 @@ class TrajectoryDatabase:
         "_total_points",
         "_point_matrix",
         "_point_offsets",
-        "_store",
         "__weakref__",
     )
 
-    def __init__(self, trajectories: Iterable[Trajectory], store=None) -> None:
+    def __init__(self, trajectories: Iterable[Trajectory]) -> None:
         self.trajectories: list[Trajectory] = [
             Trajectory(t.points, traj_id=i) if t.traj_id != i else t
             for i, t in enumerate(trajectories)
@@ -45,10 +44,6 @@ class TrajectoryDatabase:
         self._total_points: int | None = None
         self._point_matrix: np.ndarray | None = None
         self._point_offsets: np.ndarray | None = None
-        # Array-store provider (repro.data.store) the columnar
-        # materialization is placed into; None keeps today's plain heap
-        # arrays with zero indirection.
-        self._store = store
 
     @classmethod
     def from_columnar(
@@ -87,7 +82,6 @@ class TrajectoryDatabase:
         db._total_points = int(offsets[-1])
         db._point_matrix = matrix
         db._point_offsets = offsets
-        db._store = None
         return db
 
     # ------------------------------------------------------------------ basics
@@ -148,10 +142,7 @@ class TrajectoryDatabase:
         """
         if self._point_matrix is None:
             flat = np.concatenate([t.points for t in self.trajectories], axis=0)
-            if self._store is not None:
-                flat = self._store.put(flat, label="matrix").resolve()
-            else:
-                flat.setflags(write=False)
+            flat.setflags(write=False)
             self._point_matrix = flat
         return self._point_matrix
 
@@ -168,10 +159,7 @@ class TrajectoryDatabase:
             )
             offsets = np.zeros(len(self.trajectories) + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
-            if self._store is not None:
-                offsets = self._store.put(offsets, label="offsets").resolve()
-            else:
-                offsets.setflags(write=False)
+            offsets.setflags(write=False)
             self._point_offsets = offsets
         return self._point_offsets
 

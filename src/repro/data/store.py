@@ -18,9 +18,13 @@ Two providers:
 
 Lifecycle rules (the part that is easy to get wrong):
 
-* The store that *creates* a segment owns it and is responsible for
-  ``unlink``.  ``close()`` unlinks every owned segment; a
-  ``weakref.finalize`` hook guarantees the same at interpreter exit.
+* The store that *creates* a segment owns it: each is recorded in
+  ``_owned`` before any byte is written, and ``close()`` unlinks exactly
+  that set; a ``weakref.finalize`` hook guarantees the same at
+  interpreter exit.  In a service only the snapshot store creates
+  segments.  Shard workers only *map* them — the tiers they build by
+  compaction stay on their own heap — so a killed worker has nothing to
+  leak.
 * Attaching is refcounted per process (many handles may resolve the same
   segment) and detaching never unlinks.
 * On Python < 3.13 ``SharedMemory`` registers with the multiprocessing
@@ -28,10 +32,6 @@ Lifecycle rules (the part that is easy to get wrong):
   the parent's tracker process, whose cache is a per-name set — so the
   duplicate registration is harmless and is deliberately left alone (an
   attach-side unregister would erase the owner's registration).
-* ``close()`` also sweeps ``/dev/shm`` for leftover segments under the
-  store's name prefix.  Workers republish compacted tiers under derived
-  prefixes of the same family, so a SIGTERM'd worker cannot leak: the
-  owning store's close/atexit sweep reclaims its segments.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ import numpy as np
 
 try:  # POSIX + Windows both provide it, but keep the import soft anyway
     from multiprocessing import shared_memory as _shared_memory
-    from multiprocessing import resource_tracker as _resource_tracker
 except ImportError:  # pragma: no cover - exotic platforms only
     _shared_memory = None
-    _resource_tracker = None
 
 __all__ = [
     "STORES",
@@ -59,19 +57,19 @@ __all__ = [
     "HeapStore",
     "SharedMemoryStore",
     "make_store",
-    "derive_store",
-    "sweep_segments",
     "shared_memory_available",
 ]
 
 #: Provider names accepted by :func:`make_store` (and ``--store``).
 STORES = ("heap", "shm")
 
-#: Every shared segment name starts with this, so leak checks (and the
-#: close-time sweep) can recognise ours in ``/dev/shm``.
+#: Every shared segment name starts with this, so leak checks can
+#: recognise ours in ``/dev/shm``.
 SEGMENT_PREFIX = "repro_"
 
-_SHM_DIR = "/dev/shm"
+#: Numeric dtype kinds (bool, int, uint, float, complex): the only arrays
+#: whose raw bytes mean the same thing in another process.
+_SHAREABLE_KINDS = "biufc"
 
 
 class StoreError(RuntimeError):
@@ -142,15 +140,6 @@ def _detach_segment(name: str) -> None:
     except BufferError:
         # An ndarray view still points into the mapping; the mapping is
         # freed at process exit instead.  Never fatal.
-        pass
-
-
-def _untrack(tracked_name: str) -> None:
-    if _resource_tracker is None:  # pragma: no cover
-        return
-    try:
-        _resource_tracker.unregister(tracked_name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker already gone
         pass
 
 
@@ -254,7 +243,6 @@ class HeapStore:
     """Default provider: arrays live on the process heap (today's layout)."""
 
     kind = "heap"
-    prefix = None
 
     def __init__(self) -> None:
         self._puts = 0
@@ -274,10 +262,6 @@ class HeapStore:
         report, unlike :meth:`SharedMemoryStore.stats`.
         """
         return {"kind": self.kind, "puts": self._puts, "bytes_put": self._bytes_put}
-
-    def spec(self) -> tuple[str, None]:
-        """Picklable description from which :func:`make_store` rebuilds."""
-        return ("heap", None)
 
     @property
     def closed(self) -> bool:
@@ -299,7 +283,7 @@ class HeapStore:
         return "HeapStore()"
 
 
-def _cleanup_store(owned: dict, prefix: str) -> None:
+def _cleanup_store(owned: dict) -> None:
     """Finalizer body shared by ``close()`` and the atexit/GC hook."""
     for shm in list(owned.values()):
         try:
@@ -313,39 +297,28 @@ def _cleanup_store(owned: dict, prefix: str) -> None:
         except Exception:  # pragma: no cover
             pass
     owned.clear()
-    sweep_segments(prefix)
 
 
 class SharedMemoryStore:
     """Provider backed by named POSIX shared-memory segments.
 
-    ``prefix`` names the segment *family*: every segment this store (or a
-    store derived from it via :meth:`derive`) creates starts with it, and
-    ``close()`` sweeps the whole family — including segments published by
-    worker processes that died without cleaning up.
+    ``prefix`` (``repro_<pid>_<random>``) names the segment *family*:
+    every segment this store creates starts with it, and the store owns
+    and unlinks each one.
     """
 
     kind = "shm"
 
-    def __init__(self, prefix: str | None = None) -> None:
+    def __init__(self) -> None:
         if _shared_memory is None:  # pragma: no cover
             raise StoreError("shared memory is not available on this platform")
-        if prefix is None:
-            prefix = f"{SEGMENT_PREFIX}{os.getpid():x}_{secrets.token_hex(4)}"
-        if not prefix.startswith(SEGMENT_PREFIX):
-            raise StoreError(
-                f"shared store prefix must start with {SEGMENT_PREFIX!r}, "
-                f"got {prefix!r}"
-            )
-        self.prefix = prefix
+        self.prefix = f"{SEGMENT_PREFIX}{os.getpid():x}_{secrets.token_hex(4)}"
         self._owned: dict[str, object] = {}
         self._counter = 0
         self._puts = 0
         self._bytes_put = 0
         self._closed = False
-        self._finalizer = weakref.finalize(
-            self, _cleanup_store, self._owned, self.prefix
-        )
+        self._finalizer = weakref.finalize(self, _cleanup_store, self._owned)
 
     @property
     def closed(self) -> bool:
@@ -355,6 +328,13 @@ class SharedMemoryStore:
         if self._closed:
             raise StoreError("store is closed")
         arr = np.ascontiguousarray(array)
+        if arr.dtype.kind not in _SHAREABLE_KINDS:
+            # Object/string/void bytes are pointers or padding that mean
+            # nothing (or crash) once mapped in another process.
+            raise StoreError(
+                f"cannot share a {arr.dtype} array; only numeric dtypes "
+                f"(kinds {_SHAREABLE_KINDS!r}) map across processes"
+            )
         name = f"{self.prefix}.{self._counter}"
         if label:
             name = f"{name}.{label}"
@@ -362,11 +342,12 @@ class SharedMemoryStore:
         shm = _shared_memory.SharedMemory(
             name=name, create=True, size=max(arr.nbytes, 1)
         )
+        # Owned from creation: a failed copy still leaves it to close().
+        self._owned[name] = shm
         if arr.nbytes:
             dest = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
             dest[...] = arr
             del dest
-        self._owned[name] = shm
         self._puts += 1
         self._bytes_put += arr.nbytes
         return SharedArrayHandle(name, arr.shape, arr.dtype)
@@ -381,15 +362,8 @@ class SharedMemoryStore:
             "segment_bytes": sum(shm.size for shm in self._owned.values()),
         }
 
-    def spec(self) -> tuple[str, str]:
-        return ("shm", self.prefix)
-
-    def derive(self, suffix: str) -> "SharedMemoryStore":
-        """A store in the same family (covered by this family's sweep)."""
-        return SharedMemoryStore(prefix=f"{self.prefix}_{suffix}")
-
     def drop(self, handle: SharedArrayHandle) -> None:
-        """Unlink one owned segment early (e.g. a superseded epoch)."""
+        """Unlink one owned segment before the store closes."""
         shm = self._owned.pop(handle.name, None)
         if shm is None:
             return
@@ -403,12 +377,12 @@ class SharedMemoryStore:
             pass
 
     def close(self) -> None:
-        """Unlink every owned segment and sweep the prefix family."""
+        """Unlink every owned segment."""
         if self._closed:
             return
         self._closed = True
         self._finalizer.detach()
-        _cleanup_store(self._owned, self.prefix)
+        _cleanup_store(self._owned)
 
     def __enter__(self):
         return self
@@ -421,78 +395,10 @@ class SharedMemoryStore:
         return f"SharedMemoryStore(prefix={self.prefix!r}, {state})"
 
 
-def sweep_segments(prefix: str) -> list[str]:
-    """Best-effort unlink of every ``/dev/shm`` entry under ``prefix``.
-
-    Reclaims segments whose owning process died without running its
-    finalizers (SIGTERM'd/killed workers).  Only meaningful on platforms
-    that expose shared memory as files; elsewhere it is a no-op.
-    """
-    if not prefix or not prefix.startswith(SEGMENT_PREFIX):
-        return []
-    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
-        return []
-    removed = []
-    for entry in os.listdir(_SHM_DIR):
-        if not entry.startswith(prefix):
-            continue
-        try:
-            os.unlink(os.path.join(_SHM_DIR, entry))
-        except OSError:  # pragma: no cover - raced with another sweeper
-            continue
-        # The creator registered it with the resource tracker; tell the
-        # tracker it is gone so exit-time cleanup does not warn.
-        _untrack("/" + entry)
-        removed.append(entry)
-    return removed
-
-
-def derive_store(spec, tag: str = ""):
-    """A store for a *runtime* (possibly in a worker process).
-
-    Heap specs pass through. For a shared spec ``("shm", family_prefix)``
-    the returned store gets a unique sub-prefix of the family: closing it
-    can only reclaim its own segments, while the family owner's
-    close/atexit sweep still covers everything it published — including
-    segments orphaned by a SIGTERM'd worker. Store *instances* pass
-    through unchanged (the caller keeps ownership).
-    """
-    if isinstance(spec, (HeapStore, SharedMemoryStore)):
-        return spec
-    if spec is None:
-        return HeapStore()
-    if isinstance(spec, (tuple, list)):
-        kind, prefix = spec
-    else:
-        kind, prefix = spec, None
+def make_store(kind: str = "heap"):
+    """A fresh store of the named provider, ``"heap"`` or ``"shm"``."""
     if kind == "heap":
         return HeapStore()
     if kind == "shm":
-        if prefix is None:
-            return SharedMemoryStore()
-        unique = f"{prefix}_{tag or 'r'}{os.getpid():x}_{secrets.token_hex(3)}"
-        return SharedMemoryStore(prefix=unique)
-    raise StoreError(f"unknown store {kind!r}; expected one of {STORES}")
-
-
-def make_store(spec="heap"):
-    """Build (or pass through) a store from a name, spec tuple, or instance.
-
-    Accepts ``"heap"``, ``"shm"``, a ``(kind, prefix)`` tuple as produced
-    by ``store.spec()``, ``None`` (heap), or an existing store instance.
-    """
-    if isinstance(spec, (HeapStore, SharedMemoryStore)):
-        return spec
-    if spec is None:
-        return HeapStore()
-    if isinstance(spec, (tuple, list)):
-        if len(spec) != 2:
-            raise StoreError(f"store spec must be (kind, prefix), got {spec!r}")
-        kind, prefix = spec
-    else:
-        kind, prefix = spec, None
-    if kind == "heap":
-        return HeapStore()
-    if kind == "shm":
-        return SharedMemoryStore(prefix=prefix)
+        return SharedMemoryStore()
     raise StoreError(f"unknown store {kind!r}; expected one of {STORES}")

@@ -173,11 +173,11 @@ class CompactionPolicy:
 
 
 class ExactCompaction(CompactionPolicy):
-    """The identity policy: publish the staged base unchanged.
+    """The identity policy: keep the staged base unchanged.
 
     Bit-identical to the pre-policy rebuild — the result's ``database``
-    *is* the staged database object, so the runtime republishes the very
-    same arrays. Byte accounting defaults to the raw 24 B/point size
+    *is* the staged database object, so the runtime's new base tier views
+    the staged database's own point matrix, with no copy. Byte accounting defaults to the raw 24 B/point size
     (``measure_bytes=True`` runs the delta codec instead; compaction then
     pays one O(N) encode pass purely for reporting).
     """

@@ -48,7 +48,6 @@ close are the same code for both:
 from __future__ import annotations
 
 import functools
-import itertools
 import multiprocessing
 import os
 import time
@@ -132,11 +131,6 @@ class ShardExecutor:
             raise ValueError(f"unknown executor {name!r}; choose from {EXECUTORS}")
         self._replicas = int(replicas)
         self._closed = False
-        # Store sub-family tags are allocated executor-wide, never reused:
-        # two replicas of one shard — or a restarted replica racing its
-        # predecessor's still-resident segments — must never publish
-        # epoch segments under the same tag.
-        tags = itertools.count()
         self._sets: list[ReplicaSet] = []
         try:
             for shard in shards:
@@ -147,7 +141,6 @@ class ShardExecutor:
                         runtime_kwargs=runtime_kwargs,
                         replicas=self._replicas,
                         registry=self.metrics,
-                        next_tag=lambda: f"w{next(tags)}",
                     )
                 )
         except Exception:

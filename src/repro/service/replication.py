@@ -204,9 +204,10 @@ def _shard_worker_main(
     the worker never unpickles point data at startup. ``replay`` (a
     restarted replica's logged ingest batches) is applied before the first
     request is read off the pipe, so the pipe's FIFO order guarantees no
-    query ever observes a half-caught-up replica. The ``finally`` runs
-    :meth:`ShardRuntime.close` so worker-published compaction segments are
-    unlinked on every orderly exit path (stop message, EOF, exception).
+    query ever observes a half-caught-up replica. The worker creates no
+    shared segments (compacted tiers stay on its heap), so a SIGKILL
+    leaks nothing; the ``finally`` runs :meth:`ShardRuntime.close` to
+    release its snapshot mappings on every orderly exit path.
     """
     runtime = ShardRuntime(shard, **runtime_kwargs)
     try:
@@ -272,7 +273,7 @@ class _WorkerReplica:
             target=_shard_worker_main,
             args=(child_conn, snapshot, runtime_kwargs, replay),
             daemon=True,
-            name=f"repro-shard-{snapshot.index}-{runtime_kwargs['store_tag']}",
+            name=f"repro-shard-{snapshot.index}",
         )
         self.proc.start()
         child_conn.close()
@@ -411,12 +412,6 @@ class ReplicaSet:
         Replica count (R >= 1).
     registry:
         The executor's (self-locking) metrics registry.
-    next_tag:
-        Allocator of store sub-family tags, one per spawn. Must yield
-        names unique across the owning executor's lifetime: two live
-        replicas (or a restart racing its predecessor's orphaned
-        segments) publishing under one tag would collide on epoch
-        segment names.
     """
 
     def __init__(
@@ -427,14 +422,12 @@ class ReplicaSet:
         runtime_kwargs: dict,
         replicas: int,
         registry: MetricsRegistry,
-        next_tag: Callable[[], str],
     ) -> None:
         self.snapshot = snapshot
         self.shard_index = snapshot.index
         self._spawn_replica = spawn
         self._runtime_kwargs = dict(runtime_kwargs)
         self._registry = registry
-        self._next_tag = next_tag
         #: Guards membership (``replicas``/``live`` flips), the ingest log,
         #: and the round-robin cursor. RLock: retire() runs under ingest's
         #: hold.
@@ -458,8 +451,7 @@ class ReplicaSet:
     def _spawn(self, replay: list | None = None):
         if self._closed:
             raise ShardExecutionError("replica set is closed")
-        kwargs = dict(self._runtime_kwargs, store_tag=self._next_tag())
-        return self._spawn_replica(self.snapshot, kwargs, replay)
+        return self._spawn_replica(self.snapshot, self._runtime_kwargs, replay)
 
     def _probe(self) -> list:
         """The current membership, after retiring every replica whose

@@ -17,7 +17,7 @@ When the pending tier outgrows ``compact_threshold`` of the base (or
 ``min_compact_points``), :meth:`compact` folds it into a fresh base engine —
 one rebuild amortized over many ingests. *What* the rebuilt base contains
 is delegated to a pluggable :class:`~repro.service.compaction.CompactionPolicy`:
-the default :class:`~repro.service.compaction.ExactCompaction` republishes
+the default :class:`~repro.service.compaction.ExactCompaction` keeps
 the merged tier unchanged (bit-identical answers), while a
 :class:`~repro.service.compaction.SimplifyingCompaction` routes the cold
 base through one of the paper's simplifiers under an error budget — the
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.data.bbox import BoundingBox
 from repro.data.database import TrajectoryDatabase
-from repro.data.store import derive_store
 from repro.data.trajectory import Trajectory
 from repro.obs.metrics import MetricsRegistry
 from repro.queries.aggregate import spatial_bin_counts
@@ -83,7 +82,7 @@ class ShardRuntime:
         a name from :data:`~repro.service.compaction.COMPACTION_POLICIES`,
         or ``None`` for the exact default. A non-exact policy also runs
         once at construction — the shard's initial base is already a cold
-        tier — publishing the simplified epoch-0 segments.
+        tier.
     """
 
     def __init__(
@@ -92,23 +91,19 @@ class ShardRuntime:
         resolution: tuple[int, int, int] = (32, 32, 16),
         compact_threshold: float = 0.5,
         min_compact_points: int = 2048,
-        store=None,
         compaction=None,
-        store_tag: str | None = None,
     ) -> None:
         self.index = shard.index
         self.resolution = resolution
         self.compact_threshold = float(compact_threshold)
         self.min_compact_points = int(min_compact_points)
-        #: Columnar-backed base database (views into the mapped/columnar
-        #: matrix); None when the base was built from trajectory objects.
+        #: Columnar-backed base database (views into the mapped snapshot or
+        #: the last compaction's heap arrays); None when the base was built
+        #: from trajectory objects.
         self._base_db: TrajectoryDatabase | None = None
         #: Snapshot handles this runtime attached (released, never unlinked
         #: — the exporting store owns those segments).
         self._attached: list = []
-        #: Handles this runtime published itself (compacted epochs; owned,
-        #: unlinked when superseded or on close).
-        self._published: list = []
         if isinstance(shard, ShardSnapshot):
             matrix = shard.matrix.resolve()
             offsets = shard.offsets.resolve()
@@ -118,18 +113,8 @@ class ShardRuntime:
                 self._base = list(self._base_db.trajectories)
             else:
                 self._base = []
-            store_spec = store if store is not None else shard.store_spec
         else:
             self._base = list(shard.trajectories)
-            store_spec = store if store is not None else "heap"
-        # The runtime's own provider: compacted base tiers republish
-        # through it (same segment family as the snapshot under shm).
-        # Replicated executors pass a per-spawn ``store_tag`` — two
-        # replicas of one shard (or a restarted replica whose predecessor's
-        # segments are still resident) must never publish into the same
-        # sub-family, or their epoch segment names would collide.
-        self._store = derive_store(store_spec, tag=store_tag or f"w{shard.index}")
-        self._owns_store = self._store is not store_spec
         self._base_gids = np.asarray(shard.global_ids, dtype=np.int64)
         self._base_points = sum(len(t) for t in self._base)
         self._pending: list[tuple[int, Trajectory]] = []
@@ -151,9 +136,9 @@ class ShardRuntime:
         #: Counter dicts of policy passes not yet drained by the service.
         self._compaction_log: list[dict] = []
         if not self.compaction.is_exact and self._base:
-            # The initial base is already a cold tier: run the policy once
-            # and publish the simplified epoch-0 segments. Exact policies
-            # skip this, preserving the zero-copy snapshot mapping.
+            # The initial base is already a cold tier: run the policy once.
+            # Exact policies skip this, preserving the zero-copy snapshot
+            # mapping.
             self.rebuild_base()
 
     # ------------------------------------------------------------------- tiers
@@ -254,16 +239,13 @@ class ShardRuntime:
         """Fold the pending tier into a fresh base engine.
 
         An empty pending tier makes this a **no-op**: no policy pass, no
-        new epoch, no segment churn (regression-tested — a spurious
-        republish would unlink and re-create identical shm segments).
+        new epoch, and the base database object is kept (regression-tested
+        — a spurious rebuild would drop the base engine's memo).
 
-        The merged base runs through the compaction policy and is then
-        re-materialized through the runtime's store provider: under a
-        shared-memory store the new CSR is *republished* as a fresh
-        segment tagged with the next compaction epoch and the previous
-        epoch's runtime-owned segment is unlinked. Pending tiers never
-        touch the store or the policy — they stay heap-local and exact
-        until folded here.
+        The merged base runs through the compaction policy and becomes the
+        new base tier on this runtime's heap (see :meth:`rebuild_base`).
+        Pending tiers never touch the policy — they stay heap-local and
+        exact until folded here.
         """
         if not self._pending:
             return
@@ -279,13 +261,16 @@ class ShardRuntime:
         self.rebuild_base()
 
     def rebuild_base(self) -> None:
-        """Run the compaction policy over the staged base and republish.
+        """Run the compaction policy over the staged base and swap it in.
 
         The policy decides what the new base *contains*
         (:class:`~repro.service.compaction.ExactCompaction` keeps the
-        staged arrays untouched); this method owns the mechanics —
-        store puts tagged with the current epoch, columnar re-view, and
-        retiring the superseded epoch's handles.
+        staged arrays untouched); this method owns the mechanics — a
+        columnar re-view of the result's read-only heap arrays, and
+        releasing the snapshot segments the old base was mapped from.
+        The compacted tier is private to this runtime: no other process
+        reads it (a restarted replica rebuilds from the original snapshot
+        plus the replayed ingest log), so it never goes to shared memory.
         """
         staged = TrajectoryDatabase(self._base)
         result = self.compaction.compact(staged)
@@ -302,30 +287,20 @@ class ShardRuntime:
         published = result.database
         self._db = None
         self._engine = None
-        epoch = self.compactions
-        matrix_handle = self._store.put(published.point_matrix(), label=f"e{epoch}m")
-        offsets_handle = self._store.put(
-            published.point_offsets(), label=f"e{epoch}o"
-        )
         base_db = TrajectoryDatabase.from_columnar(
-            matrix_handle.resolve(), offsets_handle.resolve()
+            published.point_matrix(), published.point_offsets()
         )
-        # Swap in the republished views, then retire the previous epoch:
-        # attached snapshot handles are released (their store owns them),
-        # runtime-published ones are unlinked outright.
+        # Swap in the new views, then release the snapshot mapping (its
+        # store owns those segments; the parent unlinks them on close).
         self._base_db = base_db
         self._base = list(base_db.trajectories)
         self._base_points = base_db.total_points
         for handle in self._attached:
             handle.release()
         self._attached = []
-        for handle in self._published:
-            self._store.drop(handle)
-            handle.release()
-        self._published = [matrix_handle, offsets_handle]
 
     def close(self) -> None:
-        """Release mapped segments and unlink runtime-published ones.
+        """Release the mapped snapshot segments (never unlinks them).
 
         Idempotent. Called by executors on shutdown (the worker main loop
         runs it in a ``finally``); after close the runtime holds no data.
@@ -340,15 +315,9 @@ class ShardRuntime:
         self._pending = []
         self._pending_matrix = None
         self._pending_owner_gids = None
-        for handle in self._published:
-            self._store.drop(handle)
-            handle.release()
-        self._published = []
         for handle in self._attached:
             handle.release()
         self._attached = []
-        if self._owns_store:
-            self._store.close()
 
     def _pending_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Stacked pending points and the owning global id per row."""

@@ -308,8 +308,7 @@ class QueryService:
         Array-store provider for the shard base tiers: ``"heap"``
         (private copies; default) or ``"shm"`` (named shared-memory
         segments that process-executor workers map zero-copy instead of
-        unpickling). Also accepts a store instance, in which case the
-        caller keeps ownership and must close it after the service.
+        unpickling). The service owns the store and closes it.
         Store choice never changes results, only memory layout.
     compaction:
         Base-rebuild policy of the shard runtimes: ``"exact"`` (default;
@@ -374,8 +373,7 @@ class QueryService:
         self.compaction = make_compaction(compaction, error_budget=error_budget)
         self.replicas = int(replicas)
         self._store = make_store(store)
-        self._owns_store = self._store is not store
-        self.store_name = self._store.spec()[0]
+        self.store_name = self._store.kind
         try:
             self._executor = make_executor(
                 executor,
@@ -388,8 +386,7 @@ class QueryService:
                 replicas=self.replicas,
             )
         except BaseException:
-            if self._owns_store:
-                self._store.close()
+            self._store.close()
             raise
         self._cache: OrderedDict[tuple, object] = OrderedDict()
         self._cache_size = int(cache_size)
@@ -840,9 +837,9 @@ class QueryService:
         """Release executor workers, then the snapshot store (idempotent).
 
         Order matters: the store must outlive the executor so that shard
-        runtimes can detach their mapped segments before the family owner
-        unlinks them (the owner's close also sweeps any segments orphaned
-        by killed workers).
+        runtimes can detach their mapped segments before the store
+        unlinks them. The store created every segment there is, so its
+        close reclaims them all, even after killed workers.
         """
         if self._closed:
             return
@@ -860,8 +857,7 @@ class QueryService:
             try:
                 self._executor.close()
             finally:
-                if self._owns_store:
-                    self._store.close()
+                self._store.close()
 
     def __enter__(self) -> "QueryService":
         return self

@@ -64,19 +64,14 @@ class ShardSnapshot:
     arrays (the old behaviour, minus per-object overhead); under the
     shared-memory store the pickle is a few hundred bytes of segment names
     and the receiving process *maps* the base tier instead of unpickling
-    it.
-
-    ``store_spec`` is the exporting store's picklable ``spec()``; shard
-    runtimes derive their own store from it so that compacted tiers
-    republish into the same segment family (and are therefore covered by
-    the owning store's close/atexit sweep).
+    it. The exporting store owns those segments; runtimes only map them,
+    and keep the tiers they compact on their own heap.
     """
 
     index: int
     global_ids: np.ndarray
     matrix: object  # ArrayHandle for the (N, 3) float64 point matrix
     offsets: object  # ArrayHandle for the (M + 1,) int64 row offsets
-    store_spec: tuple = ("heap", None)
 
     def __len__(self) -> int:
         return len(self.global_ids)
@@ -223,7 +218,6 @@ class ShardManager:
             global_ids=np.asarray(shard.global_ids, dtype=np.int64),
             matrix=store.put(matrix, label=f"s{shard.index}m"),
             offsets=store.put(offsets, label=f"s{shard.index}o"),
-            store_spec=store.spec(),
         )
 
     def export_snapshots(self, store) -> list[ShardSnapshot]:

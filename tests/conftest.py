@@ -36,16 +36,23 @@ def repro_shm_segments() -> list[str]:
         return []
 
 
+def service_segments(service) -> list[str]:
+    """The ``/dev/shm`` entries of a ``store="shm"`` service's snapshot
+    store — the only segment family a service ever creates."""
+    prefix = service._store.prefix
+    return sorted(f for f in os.listdir("/dev/shm") if f.startswith(prefix))
+
+
 @pytest.fixture(scope="session", autouse=True)
 def no_shm_leaks():
     """Fail the run if any test leaks a ``repro_*`` shared-memory segment.
 
     Runs once around the whole session: every store/service/executor test
-    is expected to unlink its segments on close (including exception
-    paths, killed workers, AND replicas the watchdog restarted — a
-    restarted worker publishes under a fresh store tag, so both its
-    predecessor's orphaned segments and its own must fall to the family
-    owner's close sweep).
+    is expected to unlink its segments on close, including exception
+    paths. Only snapshot stores create segments — shard workers keep
+    compacted tiers on their own heap — so killed and watchdog-restarted
+    workers have nothing to leak, and each store's close unlinks exactly
+    the segments it recorded.
     """
     before = repro_shm_segments()
     yield

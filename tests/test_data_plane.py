@@ -26,7 +26,7 @@ from repro.data.store import SharedMemoryStore, shared_memory_available
 from repro.service import QueryService, ShardExecutionError, ShardManager
 from repro.service.executors import ShardExecutor
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import make_trajectory
+from tests.conftest import make_trajectory, service_segments
 from tests.test_service import knn_suite
 from tests.test_service_streaming import assert_state_parity, initial_db
 
@@ -58,15 +58,23 @@ def test_query_matrix_bit_identical_under_interleaved_ingest(store, executor):
         n_shards=3,
         executor=executor,
         store=store,
-        # tiny compaction bound: the second round republishes the base
-        # tier (a new epoch segment under shm), the first stays pending
-        min_compact_points=24,
+        # tiny compaction bound: the second round compacts the base tier
+        # (onto each runtime's heap), the first stays pending
+        min_compact_points=12,
         compact_threshold=0.1,
     ) as service:
         assert service.describe()["store"] == store
+
+        def assert_snapshot_segments_only():
+            # Compaction never adds segments: the snapshot store's two per
+            # shard (matrix, offsets) are the whole family.
+            if store == "shm":
+                assert len(service_segments(service)) == 2 * 3
+
         assert_state_parity(
             service, current, workload, queries, windows, eps, delta
         )
+        assert_snapshot_segments_only()
         for batch_size in (2, 3):
             batch = [
                 make_trajectory(n=6, seed=next_seed + i)
@@ -75,9 +83,12 @@ def test_query_matrix_bit_identical_under_interleaved_ingest(store, executor):
             next_seed += batch_size
             service.ingest(batch)
             current = current.extended(batch)
+            assert_snapshot_segments_only()
             assert_state_parity(
                 service, current, workload, queries, windows, eps, delta
             )
+            assert_snapshot_segments_only()
+        assert service.stats.summary()["compactions"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -107,37 +118,34 @@ class TestWorkerDeath:
             assert all(r["index"] in (0, 2) for r in replies.values())
 
     def test_service_close_reclaims_killed_workers_segments(self):
+        n_shards = 2
         db = initial_db(5, n=10)
         service = QueryService(
             db,
-            n_shards=2,
+            n_shards=n_shards,
             executor="process",
             store="shm",
-            # compact on the first ingest so each worker republishes its
-            # base into a worker-owned epoch segment...
+            # compact on the first ingest: each worker rebuilds its base
+            # tier on its own heap, not in a new segment...
             min_compact_points=1,
             compact_threshold=0.0,
         )
         try:
             service.ingest([make_trajectory(n=6, seed=777)])
-            prefix = service._store.prefix
-            family = [
-                f for f in os.listdir("/dev/shm") if f.startswith(prefix)
-            ]
-            # base (2 shards x matrix+offsets) + republished epochs
-            assert len(family) > 4
-            # ...then SIGKILL every worker: their epoch segments are
-            # orphaned (no close() ran in the children).
+            assert service.stats.summary()["compactions"] >= 1
+            # ...so the family is the snapshot's matrix+offsets per shard
+            assert len(service_segments(service)) == 2 * n_shards
+            # SIGKILL every worker: no close() runs in the children, and
+            # there is nothing of theirs to orphan.
             for pid in service._executor.worker_pids():
                 os.kill(pid, signal.SIGKILL)
             for proc in service._executor._procs:
                 proc.join(timeout=5.0)
+            assert len(service_segments(service)) == 2 * n_shards
         finally:
             service.close()
-        # The family owner's close swept the orphans with everything else.
-        assert not [
-            f for f in os.listdir("/dev/shm") if f.startswith(prefix)
-        ]
+        # The snapshot store's close unlinked every segment it created.
+        assert service_segments(service) == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ Three contracts:
   fresh single engine. Only when *every* replica of a shard is dead does
   a query raise, naming exactly that shard.
 * **Restart = snapshot + replay** — a replica restarted by
-  ``restart_dead()`` (or the watchdog) rebuilds from the current base
-  segments plus the replayed pending ingest log and answers identically
+  ``restart_dead()`` (or the watchdog) rebuilds from the shard's original
+  snapshot segments plus the replayed ingest log and answers identically
   to the replicas that never died.
 * **Chaos closure** — arbitrary interleavings of ingest / query / kill /
   restart across {heap, shm} x {serial, process} keep the service
@@ -37,7 +37,7 @@ from repro.service import (
     serve_in_thread,
 )
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import make_trajectory
+from tests.conftest import make_trajectory, service_segments
 from tests.test_server import server_db
 from tests.test_service import knn_suite
 from tests.test_service_streaming import assert_state_parity, initial_db
@@ -334,9 +334,12 @@ class TestWatchdog:
 )
 def test_chaos_interleaving_matches_reference(store, executor, seed, plan):
     """Kill / restart at arbitrary points never change answers: the
-    service stays bit-identical to a fresh single engine."""
+    service stays bit-identical to a fresh single engine. Under shm the
+    snapshot store's family stays at matrix+offsets per shard throughout:
+    workers, killed or restarted, never add a segment."""
     if store == "shm" and not shared_memory_available():
         pytest.skip("no shared memory on this platform")
+    n_shards = 2
     db = initial_db(seed, n=8)
     kit = parity_kit(db, seed)
     current = db
@@ -344,10 +347,12 @@ def test_chaos_interleaving_matches_reference(store, executor, seed, plan):
     next_seed = 50_000 + 1000 * seed
     with QueryService(
         db,
-        n_shards=2,
+        n_shards=n_shards,
         executor=executor,
         store=store,
         partitioner="spatial",
+        # compact on most ingests, so restarts replay through compactions
+        min_compact_points=8,
         **({"replicas": 2} if executor == "process" else {}),
     ) as service:
         exe = service._executor
@@ -370,6 +375,8 @@ def test_chaos_interleaving_matches_reference(store, executor, seed, plan):
                     kill_replica(live[int(rng.integers(len(live)))])
             elif action == "restart":
                 exe.restart_dead()
+            if store == "shm":
+                assert len(service_segments(service)) == 2 * n_shards
         exe.restart_dead()
         assert_state_parity(service, current, *kit)
 
