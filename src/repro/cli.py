@@ -644,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --listen: bound on admitted-but-unanswered "
                    "frames across all connections (default 4x --workers); "
                    "frames over the bound get a typed 'Overloaded' error "
-                   "frame instead of queueing without limit")
+                   "frame instead of queueing without limit; cache hits "
+                   "are answered before admission and never refused")
     p.add_argument("--auth-token",
                    help="with --listen: require this token in every client "
                    "handshake (clients pass --auth-token / auth_token=...)")

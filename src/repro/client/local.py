@@ -81,8 +81,9 @@ class LocalClient(Client):
         if self._closed:
             raise RuntimeError("client is closed")
         self.last_trace_id = trace_id if trace_id is not None else mint_trace_id()
-        # The same serving loop as QueryService.execute (serve_cached), so
-        # cache/epoch/stats semantics cannot drift between transports.
+        # The same serving loop as QueryService.execute (serve_cached is
+        # its lookup_cached + serve_lookup), so cache/epoch/stats
+        # semantics cannot drift between transports.
         return serve_cached(
             request,
             epoch=self._epoch,

@@ -13,8 +13,10 @@ Span names used by the serving stack:
 
 ========================  ====================================================
 ``queue``                 server: frame decoded -> worker thread picked it up
-``request``               serve_cached: full dispatch+merge wall time
-``cache_lookup``          serve_cached: LRU probe (attrs: ``hit``)
+``request``               serve_lookup: LRU probe + dispatch + merge time
+                          (excludes ``queue``)
+``cache_lookup``          lookup_cached: LRU probe (attrs: ``hit``); on the
+                          server's event loop for socket requests
 ``plan``                  kNN scatter planning (attrs: shards kept/skipped)
 ``shard_exec``            executor, in-process replica: one shard's op, timed
                           alone (attrs: shard, op)

@@ -13,6 +13,11 @@ reader-preferring lock would starve ingest indefinitely; preferring
 writers bounds ingest latency by the in-flight reads at arrival time.
 Both sides are reentrancy-free by design (the service never nests
 acquisitions), which keeps the implementation a single condition variable.
+
+:meth:`RWLock.try_acquire_read` is the event-loop thread's entry: it takes
+the read side only when that needs no wait, and answers False while a
+writer holds the lock or waits for it, so the loop never blocks behind
+ingest and never jumps a waiting writer.
 """
 
 from __future__ import annotations
@@ -38,6 +43,15 @@ class RWLock:
             while self._writer_active or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
+
+    def try_acquire_read(self) -> bool:
+        """Take the read side if no writer is active or waiting; never waits
+        for one. Returns whether the read side was taken."""
+        with self._cond:
+            if self._writer_active or self._writers_waiting:
+                return False
+            self._readers += 1
+            return True
 
     def release_read(self) -> None:
         with self._cond:

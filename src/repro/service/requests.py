@@ -51,6 +51,10 @@ from repro.queries.engine import array_digest
 #: request/response JSON layout; the socket handshake rejects mismatches.
 PROTOCOL_VERSION = 2
 
+#: Hard per-frame cap (64 MiB): framing stays sane even against garbage.
+#: Decoding also refuses requests whose reply could never fit under it.
+MAX_FRAME_BYTES = 64 << 20
+
 
 class RequestError(ValueError):
     """A malformed or unsupported wire message, detected at decode time.
@@ -347,6 +351,14 @@ class HistogramRequest:
     @classmethod
     def from_json(cls, obj: dict) -> "HistogramRequest":
         grid = _integer(obj.get("grid", 32), "grid", minimum=1)
+        # The reply carries grid² float64 cells as base64 (4 chars per 3
+        # bytes): a grid whose raster alone overflows the frame cap could
+        # only be computed, cached, and then refused at encode time.
+        if 4 * -(-8 * grid * grid // 3) > MAX_FRAME_BYTES:
+            raise _fail(
+                f"grid {grid} is too large: its raster would exceed the "
+                f"{MAX_FRAME_BYTES}-byte frame cap"
+            )
         box = obj.get("box")
         normalize = obj.get("normalize", False)
         if not isinstance(normalize, bool):
@@ -721,6 +733,113 @@ def build_response(
     )
 
 
+_MISS = object()
+
+
+@dataclass(frozen=True)
+class CacheLookup:
+    """One LRU probe of :func:`lookup_cached`: the request's cache key
+    (``None`` when uncacheable), the cached payload on a hit, and the
+    probe's own duration, which counts toward the request's latency."""
+
+    request_key: tuple | None
+    payload: object
+    seconds: float
+
+    @property
+    def hit(self) -> bool:
+        return self.payload is not _MISS
+
+
+def lookup_cached(
+    request,
+    *,
+    epoch: int,
+    cache,
+    cache_lock,
+    tracer=None,
+    trace_id: str | None = None,
+) -> CacheLookup:
+    """The serving loop's first half: compute ``request.cache_key()`` once,
+    probe the LRU under ``(key, epoch)`` (a hit is bumped to most recent),
+    and record the ``cache_lookup`` span."""
+    start = time.perf_counter()
+    request_key = request.cache_key()
+    payload = _MISS
+    if request_key is not None:
+        key = (request_key, epoch)
+        with cache_lock:
+            payload = cache.get(key, _MISS)
+            if payload is not _MISS:
+                cache.move_to_end(key)
+    seconds = time.perf_counter() - start
+    if tracer is not None:
+        tracer.record(
+            trace_id,
+            "cache_lookup",
+            seconds,
+            kind=request.kind,
+            hit=payload is not _MISS,
+            cacheable=request_key is not None,
+        )
+    return CacheLookup(request_key, payload, seconds)
+
+
+def serve_lookup(
+    request,
+    lookup: CacheLookup,
+    *,
+    epoch: int,
+    n_shards: int,
+    cache,
+    cache_size: int,
+    stats,
+    dispatch,
+    cache_lock,
+    tracer=None,
+    trace_id: str | None = None,
+) -> "Response":
+    """The serving loop's second half: answer ``lookup`` — from its payload
+    on a hit, else by ``dispatch(request)`` at ``epoch``, storing the
+    result under ``(lookup.request_key, epoch)`` — then record the
+    ``request`` span and one ``stats.record``.
+
+    ``epoch`` may be newer than the one ``lookup`` probed (an ingest landed
+    in between): the miss is then computed and stored at the newer epoch
+    without a second probe, which is the benign cold-key race of
+    :func:`serve_cached`. The latency is the probe's plus this call's, so
+    time spent queued between the two never counts.
+    """
+    start = time.perf_counter()
+    cached = lookup.hit
+    if cached:
+        payload = lookup.payload
+    else:
+        payload = dispatch(request)
+        if lookup.request_key is not None:
+            with cache_lock:
+                cache[(lookup.request_key, epoch)] = payload
+                while len(cache) > cache_size:
+                    cache.popitem(last=False)
+    latency = lookup.seconds + (time.perf_counter() - start)
+    if tracer is not None:
+        tracer.record(
+            trace_id, "request", latency, kind=request.kind, cached=cached
+        )
+    stats.record(
+        request.kind, latency, cached, cacheable=lookup.request_key is not None
+    )
+    return build_response(
+        request,
+        payload,
+        epoch=epoch,
+        latency_s=latency,
+        cached=cached,
+        n_shards=n_shards,
+        trace_id=trace_id,
+    )
+
+
 def serve_cached(
     request,
     *,
@@ -745,6 +864,8 @@ def serve_cached(
     with no cache key are executed uncached and recorded as uncacheable
     rather than as misses, and ``dispatch(request)`` supplies the
     transport-specific execution (engine calls / shard scatter + merge).
+    It is :func:`lookup_cached` followed by :func:`serve_lookup`; the
+    socket server runs the two halves on different threads.
 
     When a ``tracer`` (:class:`repro.obs.tracing.Tracer`) and ``trace_id``
     are supplied, ``cache_lookup`` and ``request`` spans are emitted; span
@@ -757,47 +878,24 @@ def serve_cached(
     both dispatch and store the identical immutable payload — wasted work
     at worst, never a wrong answer.
     """
-    start = time.perf_counter()
-    request_key = request.cache_key()
-    key = None if request_key is None else (request_key, epoch)
-    hit = False
-    if key is not None:
-        with cache_lock:
-            hit = key in cache
-            if hit:
-                cache.move_to_end(key)
-                payload = cache[key]
-    if tracer is not None:
-        tracer.record(
-            trace_id,
-            "cache_lookup",
-            time.perf_counter() - start,
-            kind=request.kind,
-            hit=hit,
-            cacheable=key is not None,
-        )
-    if hit:
-        cached = True
-    else:
-        payload = dispatch(request)
-        cached = False
-        if key is not None:
-            with cache_lock:
-                cache[key] = payload
-                while len(cache) > cache_size:
-                    cache.popitem(last=False)
-    latency = time.perf_counter() - start
-    if tracer is not None:
-        tracer.record(
-            trace_id, "request", latency, kind=request.kind, cached=cached
-        )
-    stats.record(request.kind, latency, cached, cacheable=request_key is not None)
-    return build_response(
+    lookup = lookup_cached(
         request,
-        payload,
         epoch=epoch,
-        latency_s=latency,
-        cached=cached,
+        cache=cache,
+        cache_lock=cache_lock,
+        tracer=tracer,
+        trace_id=trace_id,
+    )
+    return serve_lookup(
+        request,
+        lookup,
+        epoch=epoch,
         n_shards=n_shards,
+        cache=cache,
+        cache_size=cache_size,
+        stats=stats,
+        dispatch=dispatch,
+        cache_lock=cache_lock,
+        tracer=tracer,
         trace_id=trace_id,
     )

@@ -39,10 +39,17 @@ Wire protocol (spoken by :class:`repro.client.RemoteClient` /
   frames into the worker pool at once. A frame arriving above the bound
   is answered *immediately* with a typed ``{"error": {"type":
   "Overloaded"}}`` frame — it never executes, so retrying it is safe for
-  every operation including ingest.
+  every operation including ingest. A request the result cache already
+  holds is answered before admission (see below): it is never counted in
+  flight and never refused.
 
-Concurrency: each connection is one asyncio task reading frames; every
-admitted frame becomes its own loop task that off-loads execution to a
+Concurrency: each connection is one asyncio task reading frames. A decoded
+query request is first probed against the service's result cache on the
+loop thread (:meth:`QueryService.probe`, which never waits on the epoch
+lock); a hit is encoded and written right there, with no admission slot
+and no worker-thread hop. Every other frame — a miss, a probe that found
+a writer holding or awaiting the epoch lock, ingest, describe, metrics —
+is admitted and becomes its own loop task that off-loads execution to a
 sized worker pool (``workers`` threads), so independent requests from one
 pipelined connection — or from many connections — run concurrently.
 Correctness under that pool lives in the service layer: queries share the
@@ -69,8 +76,10 @@ import time
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.requests import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     RequestError,
+    Response,
     request_from_json,
     response_to_json,
     trajectory_from_json,
@@ -78,9 +87,6 @@ from repro.service.requests import (
 
 #: Length-prefix header: 4-byte big-endian unsigned frame length.
 FRAME_HEADER = struct.Struct(">I")
-
-#: Hard per-frame cap (64 MiB): framing stays sane even against garbage.
-MAX_FRAME_BYTES = 64 << 20
 
 
 def encode_frame(obj) -> bytes:
@@ -132,9 +138,12 @@ class QueryServer:
         (default :func:`default_workers`). ``workers=1`` restores fully
         serialized execution.
     max_inflight:
-        Bound on decoded-but-unanswered frames across all connections
-        (default ``4 * workers``). Frames above the bound are refused
-        with a typed ``Overloaded`` error before execution.
+        Bound on frames admitted to the worker pool and not yet answered,
+        across all connections (default ``4 * workers``). Frames above
+        the bound are refused with a typed ``Overloaded`` error before
+        execution. Cache hits are answered on the event loop before
+        admission, so they never count toward the bound and are never
+        refused.
     auth_token:
         When set, client hellos must carry the same token.
     """
@@ -166,7 +175,10 @@ class QueryServer:
         #: ``max_inflight``).
         self._inflight = 0
         #: Served/error/refused frame counters, for banners and CI smokes.
+        #: ``loop_hits`` counts the served frames answered from the cache
+        #: on the event loop, without the worker pool.
         self.frames_served = 0
+        self.loop_hits = 0
         self.error_frames = 0
         self.overloaded_frames = 0
         #: Server-side registry surfaced as the ``server`` section of the
@@ -261,16 +273,17 @@ class QueryServer:
             handles[0].record(exec_s)
             handles[1].inc()
 
-    def _traced_execute(self, request, trace_id, submitted_at: float):
+    def _traced_execute(self, request, trace_id, submitted_at: float, lookup):
         """Run one request on a worker thread, first recording the time the
         frame spent queued between decode and pickup (``queue`` span +
-        the stats queue-wait histogram)."""
+        the stats queue-wait histogram). ``lookup`` is the loop's cache
+        miss, or ``None`` when the loop could not probe."""
         wait_s = time.perf_counter() - submitted_at
         self._service.stats.record_queue_wait(wait_s)
         self._service.tracer.record(trace_id, "queue", wait_s, kind=request.kind)
         start = time.perf_counter()
         try:
-            return self._service.execute(request, trace_id=trace_id)
+            return self._service.execute(request, trace_id=trace_id, lookup=lookup)
         finally:
             self._record_worker(request.kind, time.perf_counter() - start)
 
@@ -288,6 +301,7 @@ class QueryServer:
         server_section["workers"] = self.workers
         server_section["max_inflight"] = self.max_inflight
         server_section["frames_served"] = self.frames_served
+        server_section["loop_hits"] = self.loop_hits
         server_section["error_frames"] = self.error_frames
         server_section["overloaded_frames"] = self.overloaded_frames
         report["server"] = server_section
@@ -414,6 +428,24 @@ class QueryServer:
         self._inflight += 1
         self._service.stats.record_queue_depth(self._inflight)
 
+    async def _answer_hit(
+        self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, rid, response
+    ) -> None:
+        """Write a cache hit's response from the loop thread; an unencodable
+        one becomes an error frame, as it would from the pool."""
+        try:
+            out = encode_frame(
+                {"type": "response", "id": rid, "response": response_to_json(response)}
+            )
+        except Exception as exc:
+            await self._send_error(writer, exc, rid, write_lock)
+            return
+        async with write_lock:
+            writer.write(out)
+            await writer.drain()
+        self.frames_served += 1
+        self.loop_hits += 1
+
     async def _run_admitted(
         self,
         writer: asyncio.StreamWriter,
@@ -495,11 +527,25 @@ class QueryServer:
                 submitted_at = time.perf_counter()
                 if ftype == "request":
                     request = request_from_json(frame.get("request"))
+                    outcome = self._service.probe(request, trace_id=trace_id)
+                    if isinstance(outcome, Response):
+                        await self._answer_hit(writer, write_lock, rid, outcome)
+                        continue
                     self._admit()
 
-                    def thunk(request=request, trace_id=trace_id, t0=submitted_at):
+                    def thunk(
+                        request=request,
+                        trace_id=trace_id,
+                        t0=submitted_at,
+                        lookup=outcome,
+                    ):
                         return loop.run_in_executor(
-                            self._pool, self._traced_execute, request, trace_id, t0
+                            self._pool,
+                            self._traced_execute,
+                            request,
+                            trace_id,
+                            t0,
+                            lookup,
                         )
 
                     build_body = response_to_json

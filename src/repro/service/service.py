@@ -55,7 +55,7 @@ from repro.obs.tracing import Tracer
 from repro.service._sync import RWLock
 from repro.service.compaction import make_compaction
 from repro.service.executors import EXECUTORS, make_executor
-from repro.service.requests import serve_cached
+from repro.service.requests import CacheLookup, lookup_cached, serve_lookup
 from repro.service.sharding import ShardManager
 from repro.service.watchdog import Watchdog
 
@@ -434,28 +434,78 @@ class QueryService:
             )
 
     # ----------------------------------------------------------------- requests
-    def execute(self, request, *, trace_id: str | None = None):
+    def execute(
+        self,
+        request,
+        *,
+        trace_id: str | None = None,
+        lookup: CacheLookup | None = None,
+    ):
         """Serve one typed request: cache lookup, shard fan-out, exact merge.
 
         ``trace_id`` (minted in a client or accepted from the wire) turns
         on span emission for this request: cache lookup, kNN planning,
         per-shard execution, and merge land in :attr:`tracer`. Untraced
         requests (``None``) serve identically with no spans recorded.
+        ``lookup`` is the miss a :meth:`probe` of this request returned;
+        passing it skips a second LRU probe.
         """
         self._check_open()
         with self._epoch_lock.read():
-            return serve_cached(
-                request,
-                epoch=self.manager.epoch,
-                n_shards=self.manager.n_shards,
-                cache=self._cache,
-                cache_size=self._cache_size,
-                stats=self.stats,
-                dispatch=lambda req: self._dispatch(req, trace_id),
-                tracer=self.tracer,
-                trace_id=trace_id,
-                cache_lock=self._cache_lock,
-            )
+            epoch = self.manager.epoch
+            if lookup is None:
+                lookup = self._lookup(request, epoch, trace_id)
+            return self._serve(request, lookup, epoch, trace_id)
+
+    def probe(self, request, *, trace_id: str | None = None):
+        """Answer ``request`` from the LRU without waiting on the epoch
+        lock: for a caller that must not block behind ingest (the socket
+        server's event loop).
+
+        Returns the typed response on a hit and the :class:`CacheLookup`
+        on a miss (hand it to :meth:`execute`, so the request is looked up
+        and recorded once). Returns ``None``, having looked nothing up,
+        when a writer holds or awaits the epoch lock or the service is
+        closed or failed; :meth:`execute` then waits or raises as usual.
+        """
+        if not self._epoch_lock.try_acquire_read():
+            return None
+        try:
+            if self._closed or self._failed:
+                return None
+            epoch = self.manager.epoch
+            lookup = self._lookup(request, epoch, trace_id)
+            if not lookup.hit:
+                return lookup
+            return self._serve(request, lookup, epoch, trace_id)
+        finally:
+            self._epoch_lock.release_read()
+
+    def _lookup(self, request, epoch: int, trace_id) -> CacheLookup:
+        return lookup_cached(
+            request,
+            epoch=epoch,
+            cache=self._cache,
+            cache_lock=self._cache_lock,
+            tracer=self.tracer,
+            trace_id=trace_id,
+        )
+
+    def _serve(self, request, lookup: CacheLookup, epoch: int, trace_id):
+        """Answer a lookup (caller holds the epoch read lock)."""
+        return serve_lookup(
+            request,
+            lookup,
+            epoch=epoch,
+            n_shards=self.manager.n_shards,
+            cache=self._cache,
+            cache_size=self._cache_size,
+            stats=self.stats,
+            dispatch=lambda req: self._dispatch(req, trace_id),
+            tracer=self.tracer,
+            trace_id=trace_id,
+            cache_lock=self._cache_lock,
+        )
 
     def _dispatch(self, request, trace_id: str | None = None):
         """Scatter one request across the shards and merge exactly."""

@@ -152,6 +152,57 @@ class TestOverload:
         with LocalClient(db) as local:
             assert response.result_sets == local.range(workload).result_sets
 
+    def test_cache_hit_is_answered_while_the_only_slot_is_held(self):
+        """A hit is answered on the event loop before admission: with the
+        only slot held, a request answered once before still comes back
+        (cached), while a fresh one is refused; the server counts the hit
+        in ``loop_hits``."""
+        db = server_db()
+        service = QueryService(db, n_shards=2)
+        release = threading.Event()
+        release.set()
+        original = service.execute
+
+        def gated(request, **kwargs):
+            release.wait(timeout=30.0)
+            return original(request, **kwargs)
+
+        service.execute = gated
+        handle = serve_in_thread(
+            service, close_service=True, workers=1, max_inflight=1
+        )
+        workload = RangeQueryWorkload.from_data_distribution(db, 1, seed=3)
+
+        async def scenario():
+            client = await AsyncRemoteClient.open(
+                handle.host, handle.port, max_inflight=8, retries=0
+            )
+            try:
+                warm = await client.histogram(8)
+                release.clear()
+                first = asyncio.create_task(client.range(workload))
+                await asyncio.sleep(0.3)  # let it occupy the only slot
+                again = await client.histogram(8)
+                with pytest.raises(OverloadedError):
+                    await client.histogram(16)
+                release.set()
+                await first
+                return warm, again, await client.metrics()
+            finally:
+                await client.close()
+
+        try:
+            warm, again, metrics = run(scenario())
+        finally:
+            release.set()
+            handle.stop()
+        assert not warm.cached and again.cached
+        assert np.array_equal(again.histogram, warm.histogram)
+        server = metrics["server"]
+        assert server["loop_hits"] == 1
+        assert server["overloaded_frames"] == 1
+        assert server["frames_served"] == 3  # warm, again, the range
+
     def test_retry_budget_absorbs_transient_overload(self):
         db = server_db()
         service = QueryService(db, n_shards=2)

@@ -46,7 +46,7 @@ from repro.service.requests import (
     trajectory_from_json,
     trajectory_to_json,
 )
-from repro.service.server import FRAME_HEADER, encode_frame
+from repro.service.server import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame
 from repro.workloads import RangeQueryWorkload
 from tests.conftest import hostile_points_payloads, make_trajectory, wire_array
 
@@ -193,6 +193,16 @@ class TestRequestValidation:
             request_from_json(
                 {"v": PROTOCOL_VERSION, "kind": "histogram", "grid": 0}
             )
+        # The largest grid whose base64 raster fits MAX_FRAME_BYTES decodes;
+        # one more is refused. In process, any grid stays a valid request.
+        largest = 2508
+        assert 4 * -(-8 * largest**2 // 3) <= MAX_FRAME_BYTES
+        hist = HistogramRequest(largest).to_json()
+        assert request_from_json(hist).grid == largest
+        hist["grid"] = largest + 1
+        with pytest.raises(RequestError, match="exceed the .* frame cap"):
+            request_from_json(hist)
+        assert HistogramRequest(3000).to_json()["grid"] == 3000
         sim = SimilarityRequest(tuple(queries), 5.0).to_json()
         sim["delta"] = -1.0
         with pytest.raises(RequestError, match="delta must be non-negative"):

@@ -244,6 +244,38 @@ class TestErrorFrames:
                 client._round_trip({"type": "request", "request": obj})
             assert client.histogram(4).histogram.sum() == db.total_points
 
+    def test_oversized_histogram_grid_answered_then_connection_survives(
+        self, loopback
+    ):
+        """A grid whose raster could never fit in a reply frame is refused
+        at decode, before anything is computed or cached."""
+        db, handle = loopback
+        raw = _RawConnection(handle.host, handle.port)
+        raw.hello()
+        raw.send_frame(
+            {
+                "type": "request",
+                "id": 1,
+                "request": {"v": PROTOCOL_VERSION, "kind": "histogram", "grid": 3000},
+            }
+        )
+        reply = raw.read_frame()
+        assert reply["type"] == "error" and reply["id"] == 1
+        assert reply["error"]["type"] == "RequestError"
+        assert "frame cap" in reply["error"]["message"]
+        raw.send_frame(
+            {
+                "type": "request",
+                "id": 2,
+                "request": {"v": PROTOCOL_VERSION, "kind": "histogram", "grid": 4},
+            }
+        )
+        reply = raw.read_frame()
+        assert reply["type"] == "response" and reply["id"] == 2
+        histogram = response_from_json(reply["response"]).histogram
+        assert histogram.sum() == db.total_points
+        raw.close()
+
     def test_ingest_frame_validation(self, loopback):
         _, handle = loopback
         raw = _RawConnection(handle.host, handle.port)
@@ -356,18 +388,34 @@ class TestThreeTransportParity:
         )
         remote = RemoteClient(handle.host, handle.port)
         clients = {"local": local, "service": service, "remote": remote}
+
+        def ask(c):
+            return (
+                c.range(workload),
+                c.count(workload.boxes),
+                c.histogram(8),
+                c.knn(queries, 2, windows, eps=eps),
+                c.similarity(queries, delta),
+            )
+
+        def values(responses):
+            rng, count, hist, knn, sim = responses
+            return (
+                rng.result_sets,
+                count.counts,
+                hist.histogram,
+                knn.pairs,
+                sim.result_sets,
+            )
+
         try:
             for round_no in range(2):
-                answers = {
-                    name: (
-                        c.range(workload).result_sets,
-                        c.count(workload.boxes).counts,
-                        c.histogram(8).histogram,
-                        c.knn(queries, 2, windows, eps=eps).pairs,
-                        c.similarity(queries, delta).result_sets,
-                    )
-                    for name, c in clients.items()
-                }
+                answers = {name: values(ask(c)) for name, c in clients.items()}
+                # The remote repeat is a cache hit the server answers on its
+                # event loop; it must equal LocalClient at every epoch.
+                repeat = ask(remote)
+                assert all(r.cached for r in repeat), round_no
+                answers["remote, cached"] = values(repeat)
                 reference = answers["local"]
                 for name, got in answers.items():
                     assert got[0] == reference[0], f"range diverged ({name})"

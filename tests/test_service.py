@@ -6,6 +6,9 @@ count, partitioner, and executor — sharding and process fan-out are pure
 execution concerns and must never change an answer.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +19,14 @@ from repro.data.stats import spatial_scale
 from repro.eval.harness import QueryAccuracyEvaluator
 from repro.obs.metrics import Histogram
 from repro.queries import QueryEngine, knn_query_batch, similarity_query_batch
+from repro.obs.tracing import mint_trace_id
 from repro.service import (
     HashPartitioner,
+    HistogramRequest,
     KnnRequest,
     QueryService,
     RangeRequest,
+    Response,
     Shard,
     ShardExecutionError,
     ShardExecutor,
@@ -29,6 +35,8 @@ from repro.service import (
     SpatialPartitioner,
     make_executor,
 )
+from repro.service._sync import RWLock
+from repro.service.requests import CacheLookup
 from repro.workloads import RangeQueryWorkload
 from tests.conftest import make_trajectory
 
@@ -355,6 +363,126 @@ class TestServiceCacheAndStats:
             from repro.queries import QueryEngine
 
             assert QueryEngine(rebuilt).evaluate(served_workload) == baseline
+
+
+class TestEpochLock:
+    """The RWLock's non-blocking read side, which the event loop uses."""
+
+    @staticmethod
+    def _wait_for(predicate, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "condition never held"
+            time.sleep(0.001)
+
+    def test_try_read_succeeds_alongside_readers(self):
+        lock = RWLock()
+        assert lock.try_acquire_read()
+        lock.acquire_read()
+        assert lock.try_acquire_read()
+        for _ in range(3):
+            lock.release_read()
+        # Every reader released: a writer gets in without waiting.
+        lock.acquire_write()
+        lock.release_write()
+
+    def test_try_read_fails_while_a_writer_holds_the_lock(self):
+        lock = RWLock()
+        lock.acquire_write()
+        assert not lock.try_acquire_read()
+        lock.release_write()
+        assert lock.try_acquire_read()
+        lock.release_read()
+
+    def test_try_read_fails_while_a_writer_waits(self):
+        """Writer preference: once a writer queues behind a reader, the
+        non-blocking read side refuses too, so the writer is not starved."""
+        lock = RWLock()
+        lock.acquire_read()
+        acquired = threading.Event()
+        release = threading.Event()
+
+        def writer():
+            with lock.write():
+                acquired.set()
+                release.wait(timeout=10.0)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            self._wait_for(lambda: lock._writers_waiting == 1)
+            assert not lock.try_acquire_read()
+            assert not acquired.is_set()
+            lock.release_read()
+            assert acquired.wait(timeout=10.0)
+            assert not lock.try_acquire_read()
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+        assert lock.try_acquire_read()
+        lock.release_read()
+
+
+class TestServiceProbe:
+    """``QueryService.probe``: the non-blocking cache probe."""
+
+    def test_hit_is_answered_and_miss_handed_to_execute(self, served_db):
+        request = HistogramRequest(8)
+        with QueryService(served_db, n_shards=2) as service:
+            trace = mint_trace_id()
+            miss = service.probe(request, trace_id=trace)
+            assert isinstance(miss, CacheLookup) and not miss.hit
+            first = service.execute(request, trace_id=trace, lookup=miss)
+            assert not first.cached
+            # One request, one LRU probe, one span of each, one record.
+            names = [s.name for s in service.tracer.spans(trace)]
+            assert names.count("cache_lookup") == 1
+            assert names.count("request") == 1
+            assert service.stats.summary()["histogram_requests"] == 1
+            hit = service.probe(request)
+            assert isinstance(hit, Response) and hit.cached
+            assert np.array_equal(hit.histogram, first.histogram)
+            summary = service.stats.summary()
+            assert summary["histogram_requests"] == 2
+            assert summary["histogram_cache_hits"] == 1
+
+    def test_miss_from_an_older_epoch_is_served_at_the_current_one(
+        self, served_db
+    ):
+        request = HistogramRequest(8)
+        with QueryService(served_db, n_shards=2) as service:
+            service.execute(request)
+            stale = service.probe(HistogramRequest(16))
+            service.ingest([make_trajectory(n=5, seed=321)])
+            response = service.execute(HistogramRequest(16), lookup=stale)
+            assert response.epoch == 1 and not response.cached
+            again = service.probe(HistogramRequest(16))
+            assert isinstance(again, Response) and again.cached
+            assert again.epoch == 1
+            assert np.array_equal(again.histogram, response.histogram)
+
+    def test_probe_never_waits_on_a_writer(self, served_db):
+        request = HistogramRequest(8)
+        with QueryService(served_db, n_shards=2) as service:
+            service.execute(request)
+            requests_before = service.stats.summary()["requests"]
+            service._epoch_lock.acquire_write()
+            try:
+                assert service.probe(request) is None
+            finally:
+                service._epoch_lock.release_write()
+            # Nothing was looked up or recorded by the refused probe.
+            assert service.stats.summary()["requests"] == requests_before
+            assert isinstance(service.probe(request), Response)
+
+    def test_closed_service_probe_defers_to_execute(self, served_db):
+        request = HistogramRequest(8)
+        service = QueryService(served_db, n_shards=2)
+        service.execute(request)
+        service.close()
+        assert service.probe(request) is None
+        with pytest.raises(RuntimeError, match="closed"):
+            service.execute(request)
 
 
 class TestShardRuntimeTiers:
