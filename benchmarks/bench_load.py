@@ -227,7 +227,6 @@ def launch_server(db_path: Path, args, env: dict) -> tuple[subprocess.Popen, str
         sys.executable, "-m", "repro", "serve",
         "--db", str(db_path),
         "--shards", str(args.shards),
-        "--partitioner", args.partitioner,
         "--executor", args.executor,
         "--index", args.index,
         "--store", args.store,
@@ -311,7 +310,6 @@ def _base_config(args, digest: str) -> dict:
         "zipf_a": args.zipf_a,
         "trajectories": args.trajectories,
         "shards": args.shards,
-        "partitioner": args.partitioner,
         "executor": args.executor,
         "index": args.index,
         "store": args.store,
@@ -726,8 +724,7 @@ def print_summary(run: dict) -> None:
     if hits + misses:
         print(
             f"server cache: {hits} hits / {misses} misses "
-            f"({hits / (hits + misses):.1%} hit rate), "
-            f"knn shards skipped: {summary.get('knn_shards_skipped', 0)}"
+            f"({hits / (hits + misses):.1%} hit rate)"
         )
     if "queue_depth_hwm" in summary:
         print(
@@ -778,7 +775,7 @@ def validate_file(path: Path) -> int:
 PROFILE_KEYS = (
     "mode", "seed", "qps", "requests", "clients", "pipeline", "sweep_levels",
     "workers", "max_inflight", "ingest_ratio", "zipf_a", "trajectories",
-    "shards", "partitioner", "executor", "index", "store",
+    "shards", "executor", "index", "store",
     "replicas", "chaos",
     "rate_profile", "rate_amplitude", "rate_period",
 )
@@ -873,7 +870,6 @@ def main(argv=None) -> int:
                         help="skew of both query centres and pool popularity")
     parser.add_argument("--trajectories", type=int, default=120)
     parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--partitioner", default="hash")
     parser.add_argument("--executor", default="serial")
     parser.add_argument("--index", default="grid")
     parser.add_argument("--store", default="heap")

@@ -164,7 +164,7 @@ def run_scaling(
     for executor in executors:
         for k in shard_counts:
             with QueryService(
-                db, n_shards=k, partitioner="hash", executor=executor,
+                db, n_shards=k, executor=executor,
                 store=store,
             ) as service:
                 _clear_caches(service, single=False)
@@ -233,7 +233,7 @@ def _child_measure(cfg: dict) -> dict:
     import resource
 
     db = load_database(cfg["db"])
-    manager = ShardManager.create(db, cfg["shards"], "hash")
+    manager = ShardManager.create(db, cfg["shards"])
     store = make_store(cfg["store"])
     try:
         t0 = time.perf_counter()
@@ -365,7 +365,6 @@ def run_replication(
         db,
         n_shards=2,
         executor="process",
-        partitioner="spatial",
         replicas=2,
     ) as service:
         client = ServiceClient(service)

@@ -6,8 +6,8 @@ queries fail over to the sibling replica mid-request, the watchdog
 restarts the dead worker from the current snapshot plus the replayed
 ingest log, and answers stay bit-identical throughout. This example:
 
-1. serves a synthetic database with 2 shards x 2 replicas, a spatial
-   partitioner, and a fast watchdog,
+1. serves a synthetic database with 2 shards x 2 replicas and a fast
+   watchdog,
 2. records reference answers, then SIGKILLs one worker mid-workload and
    shows the same answers coming back with zero failed queries,
 3. waits for the watchdog to put the replica back and prints the
@@ -50,7 +50,6 @@ def main() -> None:
         db,
         n_shards=2,
         executor="process",
-        partitioner="spatial",
         replicas=2,
         watchdog_interval=0.25,
         watchdog_deadline=5.0,

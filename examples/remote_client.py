@@ -34,7 +34,7 @@ def main() -> None:
     #    OS pick a free port; serve_in_thread returns once it listens.
     db = synthetic_database("geolife", n_trajectories=60, points_scale=0.08, seed=7)
     handle = serve_in_thread(
-        QueryService(db, n_shards=4, partitioner="spatial"), close_service=True
+        QueryService(db, n_shards=4), close_service=True
     )
     print(f"server listening on {handle.host}:{handle.port}")
 

@@ -230,7 +230,6 @@ def _make_service(args):
     return QueryService(
         db,
         n_shards=args.shards,
-        partitioner=args.partitioner,
         executor=args.executor,
         index=args.index,
         store=args.store,
@@ -335,7 +334,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {info['trajectories']} trajectories / {info['points']} "
             f"points across {info['n_shards']} shards "
-            f"({info['partitioner']} partitioning, {info['executor']} executor, "
+            f"({info['executor']} executor, "
             f"{info['index']} index, {info['store']} store, "
             f"{compaction['policy']} compaction"
             + (f", error budget {budget}" if budget is not None else "")
@@ -494,11 +493,10 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 def _add_service_arguments(p: argparse.ArgumentParser) -> None:
     from repro.data.store import STORES
-    from repro.service import COMPACTION_POLICIES, EXECUTORS, PARTITIONERS
+    from repro.service import COMPACTION_POLICIES, EXECUTORS
 
     p.add_argument("--db", required=True, help="database to serve (.npz/.csv)")
     p.add_argument("--shards", type=int, default=4, help="number of shards K")
-    p.add_argument("--partitioner", default="hash", choices=list(PARTITIONERS))
     p.add_argument("--executor", default="serial", choices=list(EXECUTORS),
                    help='"process" fans out to one worker process per shard')
     p.add_argument("--index", default="grid", choices=["grid"],

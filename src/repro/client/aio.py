@@ -297,11 +297,14 @@ class AsyncRemoteClient:
                     raise ConnectionError(f"connect failed: {exc}") from exc
                 rid = self._next_id
                 self._next_id += 1
+                # Encode before registering the reply future: an oversized
+                # frame raises here and must leave no in-flight entry behind.
+                data = encode_frame({**frame, "id": rid})
                 fut = asyncio.get_running_loop().create_future()
                 conn.inflight[rid] = fut
                 try:
                     async with conn.send_lock:
-                        conn.writer.write(encode_frame({**frame, "id": rid}))
+                        conn.writer.write(data)
                         await conn.writer.drain()
                     reply = await asyncio.wait_for(fut, self._timeout)
                 except asyncio.TimeoutError:

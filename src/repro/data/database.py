@@ -186,52 +186,6 @@ class TrajectoryDatabase:
         """
         return TrajectoryDatabase([*self.trajectories, *new_trajectories])
 
-    def centroids(self) -> np.ndarray:
-        """``(M, 2)`` spatial centroid (mean x, mean y) per trajectory.
-
-        Computed in one pass over the cached point matrix; the spatial shard
-        partitioner slabs the database along these.
-        """
-        points = self.point_matrix()
-        offsets = self.point_offsets()
-        counts = np.diff(offsets).astype(float)
-        # reduceat is safe: every trajectory owns >= 2 rows, so no empty
-        # segments exist.
-        sums_x = np.add.reduceat(points[:, 0], offsets[:-1])
-        sums_y = np.add.reduceat(points[:, 1], offsets[:-1])
-        return np.column_stack([sums_x / counts, sums_y / counts])
-
-    def partition_ids(
-        self, n_shards: int, strategy: str = "hash"
-    ) -> list[np.ndarray]:
-        """Deterministic shard membership: per-shard sorted global-id arrays.
-
-        ``strategy="hash"`` assigns id ``i`` to shard ``i % n_shards``
-        (round-robin — balanced regardless of geometry); ``"spatial"`` cuts
-        the database into ``n_shards`` slabs along the x-coordinate of the
-        trajectory centroids at empirical quantiles (queries with a small
-        spatial footprint then touch few shards). Every id appears in
-        exactly one shard; shards may be empty when ``n_shards > M``.
-
-        The assignment rules live in :mod:`repro.data.partition` and are
-        the SAME objects the service's
-        :class:`~repro.service.sharding.ShardManager` routes with, so this
-        bulk view is bit-identical to live shard routing, initial split
-        and streamed ingests alike.
-        """
-        from repro.data.partition import make_partitioner
-
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        part = make_partitioner(strategy, self, n_shards)
-        assign = np.fromiter(
-            (part.assign(gid, traj) for gid, traj in enumerate(self.trajectories)),
-            dtype=np.int64,
-            count=len(self.trajectories),
-        )
-        ids = np.arange(len(self), dtype=np.int64)
-        return [ids[assign == s] for s in range(n_shards)]
-
     def sample(self, n: int, rng: np.random.Generator) -> "TrajectoryDatabase":
         """A uniformly sampled sub-database of ``n`` trajectories."""
         n = min(n, len(self))

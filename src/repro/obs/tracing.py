@@ -17,7 +17,6 @@ Span names used by the serving stack:
                           (excludes ``queue``)
 ``cache_lookup``          lookup_cached: LRU probe (attrs: ``hit``); on the
                           server's event loop for socket requests
-``plan``                  kNN scatter planning (attrs: shards kept/skipped)
 ``shard_exec``            executor, in-process replica: one shard's op, timed
                           alone (attrs: shard, op)
 ``shard_gather``          executor, worker replica: wait since the gather

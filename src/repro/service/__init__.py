@@ -6,7 +6,7 @@ Layering (see ``ARCHITECTURE.md`` at the repository root)::
         -> service (shards + executors + request layer)
 
 * :mod:`~repro.service.sharding` — :class:`ShardManager`: partitions the
-  database into K shards (hash round-robin or spatial slabs), assigns
+  database into K shards (global id ``g`` on shard ``g % K``), assigns
   global trajectory ids, routes streamed ingests, tracks the shard epoch;
 * :mod:`~repro.service.runtime` — :class:`ShardRuntime`: per-shard
   execution, a compacted base :class:`~repro.queries.engine.QueryEngine`
@@ -84,37 +84,22 @@ from repro.service.replication import ReplicaSet
 from repro.service.runtime import ShardRuntime
 from repro.service.server import QueryServer, ServerHandle, serve_in_thread
 from repro.service.watchdog import Watchdog
-from repro.service.service import (
-    QueryService,
-    ServiceStats,
-    knn_shard_lower_bound,
-)
-from repro.service.sharding import (
-    PARTITIONERS,
-    HashPartitioner,
-    Shard,
-    ShardManager,
-    ShardSnapshot,
-    SpatialPartitioner,
-)
+from repro.service.service import QueryService, ServiceStats
+from repro.service.sharding import Shard, ShardManager, ShardSnapshot
 
 __all__ = [
     "QueryService",
     "ServiceStats",
-    "knn_shard_lower_bound",
     "ShardManager",
     "Shard",
     "ShardSnapshot",
     "ShardRuntime",
-    "HashPartitioner",
-    "SpatialPartitioner",
     "ShardExecutor",
     "ShardExecutionError",
     "ReplicaSet",
     "Watchdog",
     "make_executor",
     "EXECUTORS",
-    "PARTITIONERS",
     "CompactionPolicy",
     "CompactionResult",
     "ExactCompaction",

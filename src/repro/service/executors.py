@@ -4,10 +4,8 @@ One class, :class:`ShardExecutor`, over one
 :class:`~repro.service.replication.ReplicaSet` per shard:
 
 * ``broadcast(op, payload)`` — run one operation on every shard, returning
-  the per-shard results in shard order;
-* ``run_on(shard_indices, op, payload)`` — run one operation on a *subset*
-  of shards only, returning ``{shard: result}`` (the primitive behind the
-  service's kNN shard skipping: pruned shards are simply never messaged);
+  the per-shard results in shard order (every query kind fans out this
+  way);
 * ``ingest(routed)``        — deliver routed ``{shard: batch}`` deltas,
   returning ``{shard: drained compaction counters}`` for the messaged
   shards so the service's stats see policy passes triggered shard-side;
@@ -187,14 +185,12 @@ class ShardExecutor:
         return {"n_workers": self.n_workers, **out}
 
     # -------------------------------------------------------------- scatter
-    def _scatter_gather(
-        self, indices, op: str, payload, trace: tuple | None
-    ) -> dict[int, object]:
-        """Send one ``(op, payload)`` to the given shards (ascending), then
-        collect one reply per shard sent: ``{shard: result}``.
+    def broadcast(self, op: str, payload: dict, trace: tuple | None = None) -> list:
+        """Send one ``(op, payload)`` to every shard (ascending), then
+        collect one reply per shard: the results in shard order.
 
-        Each target shard checks out ONE live replica (its lock held
-        until its reply is read). Sends to every target are attempted even
+        Each shard checks out ONE live replica (its lock held
+        until its reply is read). Sends to every shard are attempted even
         when an earlier one finds a dead shard, and every checked-out
         replica is drained even when an early shard reports an error — an
         unread reply left in a pipe would be mistaken for the answer to
@@ -215,10 +211,8 @@ class ShardExecutor:
         Thread safety: checkouts happen in ascending shard order, one
         replica lock per shard; every wait is therefore for a
         greater-or-equal shard than anything held, so concurrent requests
-        cannot deadlock. Two requests touching disjoint shard sets — the
-        common case once kNN shard skipping prunes the fan-out — run fully in
-        parallel; with R > 1, requests sharing a shard overlap across its
-        idle siblings too.
+        cannot deadlock. With R > 1, concurrent requests overlap across a
+        shard's idle siblings.
         """
         self._check_usable()
         # One message object for every shard: worker replicas share its
@@ -226,8 +220,7 @@ class ShardExecutor:
         message = _Message(op, payload)
         errors: list[str] = []
         checked_out: list[tuple[int, ReplicaSet, object]] = []
-        for shard_idx in indices:
-            replica_set = self._sets[shard_idx]
+        for shard_idx, replica_set in enumerate(self._sets):
             try:
                 replica = replica_set.checkout_and_send(message)
             except Exception as exc:
@@ -289,30 +282,13 @@ class ShardExecutor:
                 errors.append(f"shard {shard_idx}: {value}")
         if errors:
             raise ShardExecutionError("; ".join(errors))
-        return {idx: replies[idx][1] for idx in sorted(replies)}
+        return [replies[idx][1] for idx in range(len(self._sets))]
 
     def _check_usable(self) -> None:
         # A closed executor must never silently answer (transport-swap
         # tests would otherwise pass through it).
         if self._closed:
             raise ShardExecutionError("executor is closed")
-
-    def broadcast(self, op: str, payload: dict, trace: tuple | None = None) -> list:
-        """Run ``op`` on every shard; results in shard order."""
-        results = self._scatter_gather(range(len(self._sets)), op, payload, trace)
-        return list(results.values())
-
-    def run_on(
-        self, shard_indices, op: str, payload: dict, trace: tuple | None = None
-    ) -> dict[int, object]:
-        """Run ``op`` on the given shards only; ``{shard: result}``.
-
-        Same scatter-all-then-gather overlap as :meth:`broadcast`, but
-        pruned shards are never messaged at all — their replicas stay free
-        for other requests.
-        """
-        indices = sorted({int(i) for i in shard_indices})
-        return self._scatter_gather(indices, op, payload, trace)
 
     # --------------------------------------------------------------- ingest
     def ingest(self, routed: dict[int, list]) -> dict[int, list]:

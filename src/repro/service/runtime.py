@@ -180,23 +180,6 @@ class ShardRuntime:
         log, self._compaction_log = self._compaction_log, []
         return log
 
-    def extent(self) -> BoundingBox | None:
-        """Union bounding box of the shard's trajectories (base U pending).
-
-        None while the shard is empty. Equal to the manager's
-        per-shard extent (:meth:`ShardManager.shard_extents`) — both union
-        the same member boxes — which is what makes service-side kNN shard
-        skipping sound without a runtime round-trip.
-        """
-        extent: BoundingBox | None = None
-        for traj in self._base:
-            box = traj.bounding_box
-            extent = box if extent is None else extent.union(box)
-        for _, traj in self._pending:
-            box = traj.bounding_box
-            extent = box if extent is None else extent.union(box)
-        return extent
-
     def ingest(self, batch: list[tuple[int, Trajectory]]) -> list[dict]:
         """Append a routed batch to the pending tier (auto-compacting).
 
@@ -524,9 +507,6 @@ class ShardRuntime:
 
     def op_take_compactions(self) -> list[dict]:
         return self.take_compactions()
-
-    def op_extent(self) -> BoundingBox | None:
-        return self.extent()
 
     def op_clear_cache(self) -> None:
         """Drop the base engine's memo (benchmark fairness / memory release)."""

@@ -398,7 +398,6 @@ class QueryServer:
                 "server": {
                     "n_shards": manager.n_shards,
                     "executor": self._service.executor_name,
-                    "partitioner": manager.partitioner.name,
                     "index": self._service.index,
                     "epoch": manager.epoch,
                     "trajectories": manager.n_trajectories,

@@ -20,33 +20,21 @@ to a fresh single-database :class:`~repro.queries.engine.QueryEngine`):
   total order the single-database path sorts by — reproduces the global
   ranking exactly.
 
-The kNN scatter additionally **skips shards** that provably cannot change
-the answer, using per-shard extents and an admissible distance lower bound
-(:func:`knn_shard_lower_bound`): a shard temporally disjoint from a
-query's window has no comparable candidate at all, and under EDR a shard
-whose Chebyshev spatial gap to the query window exceeds ``eps`` can only
-produce distances ``>= len(query window)``. The scatter dispatches the
-un-boundable shards in one wave, then skips every deferred shard whose
-bound *strictly* exceeds the gathered k-th distance (ties could still
-displace on id) before a second wave. Skipped-shard counts surface in
-:attr:`QueryService.stats`.
+Every kind broadcasts to every shard: one scatter, one gather, one merge.
 
-Streaming ingestion (:meth:`QueryService.ingest`) routes trajectory
-batches through the manager's partitioner to the shard runtimes' pending
-tiers (no CSR rebuild; shards auto-compact when the delta outgrows the
-base) and bumps the shard epoch, which invalidates the result cache by
-construction.
+Streaming ingestion (:meth:`QueryService.ingest`) routes each new global
+id ``g`` to shard ``g % K``, into the shard runtime's pending tier (no CSR
+rebuild; shards auto-compact when the delta outgrows the base), and bumps
+the shard epoch, which invalidates the result cache by construction.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 
 import numpy as np
 
-from repro.data.bbox import BoundingBox
 from repro.data.database import TrajectoryDatabase
 from repro.data.store import make_store
 from repro.data.trajectory import Trajectory
@@ -60,66 +48,13 @@ from repro.service.sharding import ShardManager
 from repro.service.watchdog import Watchdog
 
 
-def chebyshev_gap(extent: BoundingBox, box: BoundingBox) -> float:
-    """Minimal L-infinity *spatial* distance between two boxes (0 if they
-    overlap in x and y), or ``inf`` when their time ranges are disjoint.
-
-    No point inside ``extent`` can be within Chebyshev distance ``g`` of any
-    point inside ``box`` when the returned gap exceeds ``g``. Temporal
-    disjointness returns ``inf`` because a time-windowed query cannot touch
-    the extent's data at all: there is no candidate, not merely a distant
-    one.
-    """
-    if extent.tmax < box.tmin or extent.tmin > box.tmax:
-        return float("inf")
-    gap_x = max(extent.xmin - box.xmax, box.xmin - extent.xmax, 0.0)
-    gap_y = max(extent.ymin - box.ymax, box.ymin - extent.ymax, 0.0)
-    return float(max(gap_x, gap_y))
-
-
-def knn_shard_lower_bound(
-    shard_extent: BoundingBox | None,
-    window_box: BoundingBox,
-    n_window: int,
-    eps: float,
-    edr: bool,
-) -> float:
-    """Admissible lower bound on one shard's kNN distances for one query.
-
-    ``window_box`` is the bounding box of the query's window restriction
-    widened to the full time window ``[ts, te]``; ``n_window`` its point
-    count. The bound never exceeds any distance the shard could actually
-    return, which is what makes skipping exact:
-
-    * ``inf`` when the shard is empty or its extent is temporally disjoint
-      from the window — then no shard trajectory has a point inside the
-      window, so none has a usable (>= 2 point) window restriction and the
-      shard's result is empty regardless of the measure;
-    * under EDR (whose match test is per-dimension,
-      ``|dx| <= eps and |dy| <= eps``), ``n_window`` when the Chebyshev
-      spatial gap between the shard extent and the window box exceeds
-      ``eps`` — no (query point, shard point) pair can then match, and an
-      EDR alignment without a single match costs ``max(n, m) >= n_window``
-      edits;
-    * ``0`` otherwise (the shard may hold arbitrarily close candidates).
-    """
-    if shard_extent is None:
-        return float("inf")
-    gap = chebyshev_gap(shard_extent, window_box)
-    if np.isinf(gap):
-        return float("inf")
-    if edr and gap > eps:
-        return float(n_window)
-    return 0.0
-
-
 class ServiceStats:
     """Latency / throughput / cache counters of one service instance.
 
     A view over one :class:`~repro.obs.metrics.MetricsRegistry`: each
     ``record*`` call writes its named instruments (``requests.<kind>``,
     ``cache_hits.<kind>``, ``uncacheable.<kind>``, ``latency.<kind>``,
-    ``ingest.*``, ``knn.shards_*``, ``compaction.*``,
+    ``ingest.*``, ``compaction.*``,
     ``queue.depth_hwm``, ``queue.wait``) under one hold of the registry
     lock, and :meth:`summary` / :meth:`histograms` derive the report.
     Requests with no cache key (callable-measure kNN) are
@@ -163,13 +98,6 @@ class ServiceStats:
             reg.inc("ingest.batches")
             reg.inc("ingest.trajectories", len(trajectories))
             reg.inc("ingest.points", sum(len(t) for t in trajectories))
-
-    def record_knn_scatter(self, dispatched: int, skipped: int) -> None:
-        """kNN fan-out: shards actually dispatched vs. skipped by bound."""
-        reg = self.registry
-        with reg.lock:
-            reg.inc("knn.shards_dispatched", dispatched)
-            reg.inc("knn.shards_skipped", skipped)
 
     def record_compaction(self, shard: int, counters: dict) -> None:
         """Absorb one shard-side policy pass (a ``CompactionResult.counters()``
@@ -225,8 +153,6 @@ class ServiceStats:
                 "ingest_batches": count("ingest.batches"),
                 "ingest_trajectories": count("ingest.trajectories"),
                 "ingest_points": count("ingest.points"),
-                "knn_shards_dispatched": count("knn.shards_dispatched"),
-                "knn_shards_skipped": count("knn.shards_skipped"),
                 "uncacheable_requests": total(2),
                 "compactions": comp.count,
                 "points_dropped": count("compaction.points_dropped"),
@@ -285,9 +211,9 @@ class QueryService:
     db:
         Database to serve (partitioned at construction). Alternatively pass
         a prebuilt ``manager``.
-    n_shards, partitioner:
-        Shard count and partition strategy (``"hash"`` or ``"spatial"``),
-        forwarded to :meth:`ShardManager.create`.
+    n_shards:
+        Shard count, forwarded to :meth:`ShardManager.create` (global id
+        ``g`` lives on shard ``g % n_shards``).
     executor:
         ``"serial"`` (in-process reference) or ``"process"`` (worker
         processes per shard): the replica transport of the one
@@ -342,7 +268,6 @@ class QueryService:
         *,
         manager: ShardManager | None = None,
         n_shards: int = 4,
-        partitioner: str = "hash",
         executor: str = "serial",
         resolution: tuple[int, int, int] = (32, 32, 16),
         cache_size: int = 64,
@@ -365,7 +290,7 @@ class QueryService:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         if manager is None:
-            manager = ShardManager.create(db, n_shards, partitioner)
+            manager = ShardManager.create(db, n_shards)
         self.manager = manager
         self.index = index
         self.tracer = Tracer(trace_capacity)
@@ -406,9 +331,7 @@ class QueryService:
             # construction (the initial base is a cold tier); absorb those
             # passes so stats start consistent with the published tiers.
             self._absorb_compactions(
-                self._executor.run_on(
-                    range(manager.n_shards), "take_compactions", {}
-                )
+                dict(enumerate(self._executor.broadcast("take_compactions", {})))
             )
         self._watchdog: Watchdog | None = None
         if watchdog_interval is not None:
@@ -444,8 +367,8 @@ class QueryService:
         """Serve one typed request: cache lookup, shard fan-out, exact merge.
 
         ``trace_id`` (minted in a client or accepted from the wire) turns
-        on span emission for this request: cache lookup, kNN planning,
-        per-shard execution, and merge land in :attr:`tracer`. Untraced
+        on span emission for this request: cache lookup, per-shard
+        execution, and merge land in :attr:`tracer`. Untraced
         requests (``None``) serve identically with no spans recorded.
         ``lookup`` is the miss a :meth:`probe` of this request returned;
         passing it skips a second LRU probe.
@@ -509,170 +432,11 @@ class QueryService:
 
     def _dispatch(self, request, trace_id: str | None = None):
         """Scatter one request across the shards and merge exactly."""
-        if request.kind == "knn":
-            shard_results = self._scatter_knn(request, trace_id)
-        else:
-            shard_results = self._executor.broadcast(
-                request.kind, request.payload(self), (self.tracer, trace_id)
-            )
+        shard_results = self._executor.broadcast(
+            request.kind, request.payload(self), (self.tracer, trace_id)
+        )
         with self.tracer.span(trace_id, "merge", kind=request.kind):
             return self._merge(request, shard_results)
-
-    # ------------------------------------------------------------- kNN scatter
-    def _knn_shard_bounds(self, request) -> "list[list[float]] | None":
-        """Per-shard, per-query distance lower bounds, or None to disable.
-
-        Returns ``bounds[shard][query]`` built from the manager's per-shard
-        extents and each query's window-restriction box via
-        :func:`knn_shard_lower_bound`. Any failure to compute bounds (e.g.
-        malformed windows) disables pruning rather than changing how such
-        requests fail: the plain broadcast then reproduces the unpruned
-        error behavior exactly.
-        """
-        from repro.queries.knn import _window_restriction
-        from repro.queries.similarity import resolve_time_windows
-
-        try:
-            queries = list(request.queries)
-            windows = resolve_time_windows(queries, request.time_windows)
-            edr = request.measure == "edr"
-            infos: list[tuple[BoundingBox, int] | None] = []
-            for q, (ts, te) in zip(queries, windows):
-                qw = _window_restriction(q, float(ts), float(te))
-                if qw is None:
-                    # Degenerate query: every shard returns [] for it, so it
-                    # never blocks a skip.
-                    infos.append(None)
-                    continue
-                box = BoundingBox.from_points(qw.points)
-                infos.append(
-                    (
-                        # Widen to the full window: shard candidacy needs
-                        # points anywhere in [ts, te], not only where the
-                        # query's own samples sit.
-                        BoundingBox(
-                            box.xmin, box.xmax, box.ymin, box.ymax,
-                            float(ts), float(te),
-                        ),
-                        len(qw),
-                    )
-                )
-            return [
-                [
-                    float("inf")
-                    if info is None
-                    else knn_shard_lower_bound(
-                        extent, info[0], info[1], float(request.eps), edr
-                    )
-                    for info in infos
-                ]
-                for extent in self.manager.shard_extents()
-            ]
-        except Exception:
-            return None
-
-    @staticmethod
-    def _knn_skippable(
-        shard_bounds: list[float], merged: list[list], k: int
-    ) -> bool:
-        """True when a shard provably cannot change any query's top-k.
-
-        ``merged`` holds the running per-query top-k ``(distance, id)``
-        pairs over the shards dispatched so far. A shard is skippable for a
-        query when its bound is ``inf`` (no comparable candidate exists
-        there), or when k results are already held and the bound STRICTLY
-        exceeds the running k-th distance — a tie could still displace the
-        k-th neighbour through the ``(distance, id)`` order. The running
-        k-th distance only decreases as more shards merge in, so a skip
-        decided against it remains valid against the final one.
-        """
-        for lb, pairs in zip(shard_bounds, merged):
-            if np.isinf(lb):
-                continue
-            if len(pairs) < k or lb <= pairs[k - 1][0]:
-                return False
-        return True
-
-    def _scatter_knn(self, request, trace_id: str | None = None) -> list:
-        """Fan a kNN request out, skipping provably irrelevant shards.
-
-        Returns per-shard partial results in shard order (empty partials
-        for skipped shards), so :meth:`_merge` applies unchanged — skipped
-        shards' true pairs all rank strictly after the merged k-th
-        neighbour, making the merge bit-identical to a full broadcast.
-        """
-        n_shards = self.manager.n_shards
-        payload = request.payload(self)
-        trace = (self.tracer, trace_id)
-        plan_start = time.perf_counter()
-        bounds = self._knn_shard_bounds(request)
-        plan_s = time.perf_counter() - plan_start
-        if (
-            bounds is None
-            or n_shards <= 1
-            or int(request.k) < 1  # let shards raise their documented error
-        ):
-            self.tracer.record(
-                trace_id, "plan", plan_s, kind="knn",
-                bounded=False, dispatched=n_shards, skipped=0,
-            )
-            results = self._executor.broadcast("knn", payload, trace)
-            self.stats.record_knn_scatter(len(results), 0)
-            return results
-        n_queries = len(request.queries)
-        k = int(request.k)
-        shard_results: list = [None] * n_shards
-        merged: list[list] = [[] for _ in range(n_queries)]
-        skipped = 0
-
-        from repro.queries.knn import top_k_pairs
-
-        def dispatch(wave: list[int]) -> None:
-            if not wave:
-                return
-            for s, result in self._executor.run_on(
-                wave, "knn", payload, trace
-            ).items():
-                shard_results[s] = result
-                for qi, pairs in enumerate(result):
-                    if pairs:
-                        merged[qi] = top_k_pairs(
-                            merged[qi] + [tuple(p) for p in pairs], k
-                        )
-
-        # One wave for the shards no bound can ever exclude, then prune
-        # the deferred ones against the gathered k-th distances before a
-        # second wave. Pruning them one at a time, best bound first, would
-        # skip exactly the same shards: a finite nonzero bound is the
-        # query's own n_window, and a dispatched deferred shard only adds
-        # distances >= that n_window — it can never push the running k-th
-        # distance strictly below another deferred shard's bound.
-        wave1: list[int] = []
-        deferred: list[int] = []
-        for s in range(n_shards):
-            if all(np.isinf(b) for b in bounds[s]):
-                skipped += 1
-                shard_results[s] = [[] for _ in range(n_queries)]
-            elif any(b == 0.0 for b in bounds[s]):
-                wave1.append(s)
-            else:
-                deferred.append(s)
-        dispatch(wave1)
-        wave2: list[int] = []
-        for s in deferred:
-            if self._knn_skippable(bounds[s], merged, k):
-                skipped += 1
-                shard_results[s] = [[] for _ in range(n_queries)]
-            else:
-                wave2.append(s)
-        dispatch(wave2)
-        dispatched = n_shards - skipped
-        self.stats.record_knn_scatter(dispatched, skipped)
-        self.tracer.record(
-            trace_id, "plan", plan_s, kind="knn",
-            bounded=True, dispatched=dispatched, skipped=skipped,
-        )
-        return shard_results
 
     def _merge(self, request, shard_results):
         """Combine per-shard partials into the canonical (immutable) payload."""
@@ -846,7 +610,6 @@ class QueryService:
             "n_shards": self.manager.n_shards,
             "executor": self.executor_name,
             "store": self.store_name,
-            "partitioner": self.manager.partitioner.name,
             "index": self.index,
             "epoch": self.manager.epoch,
             "trajectories": self.manager.n_trajectories,
@@ -920,5 +683,4 @@ __all__ = [
     "QueryService",
     "ServiceStats",
     "EXECUTORS",
-    "knn_shard_lower_bound",
 ]

@@ -3,8 +3,8 @@
 A :class:`ShardManager` splits a :class:`~repro.data.TrajectoryDatabase`
 into ``K`` shards, each owning a disjoint subset of the trajectories. The
 manager lives in the serving process and is the source of truth for
-membership: it assigns global trajectory ids, routes streamed-in
-trajectories to shards via a deterministic :class:`Partitioner`, and tracks
+membership: it assigns global trajectory ids, places global id ``g`` on
+shard ``g % K`` (the initial split and streamed ingests alike), and tracks
 the *shard epoch* — a counter bumped on every ingest batch that the request
 layer uses to key its result cache (results can only change when the epoch
 does).
@@ -26,12 +26,6 @@ import numpy as np
 
 from repro.data.bbox import BoundingBox
 from repro.data.database import TrajectoryDatabase
-from repro.data.partition import (  # re-exported: the rules are data-layer
-    PARTITIONERS,
-    HashPartitioner,
-    SpatialPartitioner,
-    make_partitioner,
-)
 from repro.data.trajectory import Trajectory
 
 
@@ -40,8 +34,9 @@ class Shard:
     """A picklable snapshot of one shard's membership.
 
     ``trajectories[i]`` holds global id ``global_ids[i]``; the list is
-    ordered by global id (ascending), which both partitioners and the
-    append-only ingest path preserve.
+    ordered by global id (ascending), which the ``g % K`` rule and the
+    append-only ingest path preserve, and which the service's exact kNN
+    merge relies on (per-shard local order == global-id order).
     """
 
     index: int
@@ -80,29 +75,18 @@ class ShardSnapshot:
 class ShardManager:
     """Partitions a database into shards and routes streamed ingests.
 
-    Build one with :meth:`create`; hand :meth:`snapshots` to a
+    Build one with :meth:`create`; hand :meth:`export_snapshots` to a
     scatter/gather executor. All query execution goes through executors —
     the manager only owns membership, the global extent, and the epoch.
     The shard count is fixed at construction: ingests grow shards, never
     add or remove them.
     """
 
-    def __init__(
-        self,
-        shards: list[Shard],
-        partitioner: HashPartitioner | SpatialPartitioner,
-    ) -> None:
+    def __init__(self, shards: list[Shard]) -> None:
         self.shards = shards
-        self.partitioner = partitioner
         self.epoch = 0
         self._next_global_id = sum(len(s) for s in shards)
         self._extent: BoundingBox | None = None
-        #: Per-shard union bounding boxes (None while a shard is empty),
-        #: maintained alongside membership so the request layer can bound
-        #: kNN distances per shard without a runtime round-trip. Matches
-        #: each ShardRuntime.extent() by construction: both union the same
-        #: trajectory boxes.
-        self._shard_extents: list[BoundingBox | None] = [None] * len(shards)
         #: gid -> (shard index, position in shard) for O(1) lookups.
         self._locations: dict[int, tuple[int, int]] = {}
         for shard in shards:
@@ -110,32 +94,25 @@ class ShardManager:
                 zip(shard.global_ids, shard.trajectories)
             ):
                 self._locations[gid] = (shard.index, pos)
-                self._grow_extents(shard.index, traj.bounding_box)
+                self._grow_extent(traj.bounding_box)
 
     @classmethod
-    def create(
-        cls,
-        db: TrajectoryDatabase,
-        n_shards: int = 4,
-        partitioner: str = "hash",
-    ) -> "ShardManager":
-        """Partition ``db`` into ``n_shards`` shards.
+    def create(cls, db: TrajectoryDatabase, n_shards: int = 4) -> "ShardManager":
+        """Partition ``db`` into ``n_shards`` shards: global id ``g`` goes
+        to shard ``g % n_shards``.
 
         Global ids are the database's trajectory ids; each shard's member
         list is ordered by global id. Shards may start empty (``n_shards``
         larger than the database) — streaming ingests fill them later.
         """
-        part = make_partitioner(partitioner, db, n_shards)
-        # Initial membership runs through the SAME assign() rule that routes
-        # streamed ingests, so the two can never disagree.
-        # (TrajectoryDatabase.partition_ids mirrors these rules as a bulk
-        # view; tests pin the equivalence.)
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
         shards = [Shard(index=s) for s in range(n_shards)]
         for gid, traj in enumerate(db):
-            shard = shards[part.assign(gid, traj)]
+            shard = shards[gid % n_shards]
             shard.trajectories.append(traj)
             shard.global_ids.append(gid)
-        return cls(shards, part)
+        return cls(shards)
 
     # ------------------------------------------------------------------ queries
     @property
@@ -150,12 +127,8 @@ class ShardManager:
     def total_points(self) -> int:
         return sum(len(t) for s in self.shards for t in s.trajectories)
 
-    def _grow_extents(self, shard_idx: int, box: BoundingBox) -> None:
+    def _grow_extent(self, box: BoundingBox) -> None:
         self._extent = box if self._extent is None else self._extent.union(box)
-        current = self._shard_extents[shard_idx]
-        self._shard_extents[shard_idx] = (
-            box if current is None else current.union(box)
-        )
 
     def extent(self) -> BoundingBox:
         """The union bounding box of every trajectory across all shards.
@@ -166,16 +139,6 @@ class ShardManager:
         if self._extent is None:
             raise ValueError("the service holds no trajectories yet")
         return self._extent
-
-    def shard_extents(self) -> list[BoundingBox | None]:
-        """Per-shard union bounding boxes (None for empty shards).
-
-        Equal to each runtime's :meth:`~repro.service.runtime.ShardRuntime.extent`
-        — both union the same member trajectories — but available in the
-        serving process without a shard round-trip, which is what lets the
-        kNN scatter prune shards *before* dispatching to them.
-        """
-        return list(self._shard_extents)
 
     def database(self) -> TrajectoryDatabase:
         """Materialize all shards back into one database, in global-id order.
@@ -258,8 +221,7 @@ class ShardManager:
         for traj in trajectories:
             if not isinstance(traj, Trajectory):
                 raise TypeError(f"can only ingest Trajectory objects, got {traj!r}")
-            shard_idx = self.partitioner.assign(next_gid, traj)
-            routed.setdefault(shard_idx, []).append((next_gid, traj))
+            routed.setdefault(next_gid % self.n_shards, []).append((next_gid, traj))
             next_gid += 1
         return routed
 
@@ -275,7 +237,7 @@ class ShardManager:
                 shard.trajectories.append(traj)
                 shard.global_ids.append(gid)
                 self._locations[gid] = (shard_idx, len(shard.trajectories) - 1)
-                self._grow_extents(shard_idx, traj.bounding_box)
+                self._grow_extent(traj.bounding_box)
         self._next_global_id += sum(len(b) for b in routed.values())
         self.epoch += 1
 

@@ -17,6 +17,8 @@ What PR 9 must prove end to end:
 from __future__ import annotations
 
 import asyncio
+import gc
+import logging
 import threading
 import time
 
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.client.aio as aio
+import repro.service.server as server_module
 from repro.client import (
     AsyncRemoteClient,
     LocalClient,
@@ -36,6 +39,7 @@ from repro.data import synthetic_database
 from repro.service import QueryService, serve_in_thread
 from repro.workloads import RangeQueryWorkload
 
+from tests.conftest import make_trajectory
 from tests.test_server import server_db, shifted_batch
 
 
@@ -318,6 +322,40 @@ def test_concurrent_large_frames_never_corrupt_the_stream():
             np.testing.assert_array_equal(
                 response.histogram, local.histogram(grid, normalize=True).histogram
             )
+
+
+# ----------------------------------------------------------- unsendable frames
+def test_oversized_request_leaves_no_inflight_entry(monkeypatch, caplog):
+    """A request whose frame exceeds the cap fails at encode, before any
+    reply future is registered: the in-flight table stays empty (it steers
+    the least-loaded connection choice), the same client serves the next
+    request, and close() has no orphaned future to report. RemoteClient
+    sends through the same round trip."""
+    monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 64 * 1024)
+    db = server_db()
+    boxes = RangeQueryWorkload.from_data_distribution(db, 3, seed=1).boxes
+    big = make_trajectory(n=5000, seed=3)  # ~160 KB of base64 points
+    handle = serve_in_thread(QueryService(db, n_shards=2), close_service=True)
+
+    async def scenario():
+        client = await AsyncRemoteClient.open(handle.host, handle.port)
+        try:
+            with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+                await client.ingest([big])
+            assert [len(conn.inflight) for conn in client._conns] == [0]
+            return await client.count(boxes)
+        finally:
+            await client.close()
+
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        try:
+            response = run(scenario())
+        finally:
+            handle.stop()
+        gc.collect()
+    assert caplog.records == []
+    with LocalClient(db) as local:
+        np.testing.assert_array_equal(response.counts, local.count(boxes).counts)
 
 
 # ------------------------------------------------------------ pipelined parity

@@ -26,7 +26,7 @@ from repro.obs.provenance import load_runs, validate_run
 def harness_args(**overrides) -> argparse.Namespace:
     base = dict(
         qps=40.0, seed=7, requests=20, clients=2, ingest_ratio=0.1,
-        zipf_a=1.5, trajectories=16, shards=2, partitioner="hash",
+        zipf_a=1.5, trajectories=16, shards=2,
         executor="serial", index="grid", store="heap", workers=None,
         server_max_inflight=None,
         rate_profile="constant", rate_amplitude=0.6, rate_period=None,
@@ -126,7 +126,7 @@ def _fake_run(mode="open-loop", throughput=100.0, scaling=3.0, **config):
     base = {
         "mode": mode, "seed": 7, "qps": 40.0, "requests": 20,
         "clients": 2, "workers": None, "ingest_ratio": 0.1, "zipf_a": 1.5,
-        "trajectories": 16, "shards": 2, "partitioner": "hash",
+        "trajectories": 16, "shards": 2,
         "executor": "serial", "index": "grid", "store": "heap",
         "max_inflight": None, "rate_profile": "constant", "rate_amplitude": 0.6,
         "rate_period": None, "workload_digest": "d" * 64,

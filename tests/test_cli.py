@@ -264,7 +264,7 @@ class TestQuery:
         assert code == 0
         out = capsys.readouterr().out
         assert "grid index" in out
-        assert "knn_shards_dispatched" in out
+        assert "knn_requests" in out
 
     def test_unknown_index_backend_exits(self, db_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -508,16 +508,11 @@ class TestLocalClient:
 
 
 class TestServiceClientParity:
-    @pytest.mark.parametrize("partitioner", ["hash", "spatial"])
-    def test_all_kinds_match_local_under_interleaved_ingest(
-        self, partitioner, cworkload
-    ):
+    def test_all_kinds_match_local_under_interleaved_ingest(self, cworkload):
         db = client_db(16, seed=21)
         queries, windows = knn_suite(db)
         local = LocalClient(db)
-        service = ServiceClient.for_database(
-            db, n_shards=3, partitioner=partitioner
-        )
+        service = ServiceClient.for_database(db, n_shards=3)
         with local, service:
             for round_no in range(3):
                 assert (
@@ -644,7 +639,7 @@ class TestHistogramEpochInvalidation:
         db = client_db(10, seed=34)
         batch = shifted_batch(db, 3, seed=5, shift=(450.0, -380.0))
         with LocalClient(db) as local, ServiceClient.for_database(
-            db, n_shards=3, partitioner="spatial"
+            db, n_shards=3
         ) as service:
             local.ingest(batch)
             service.ingest(batch)

@@ -25,6 +25,7 @@ from repro.data.stats import spatial_scale
 from repro.data.store import SharedMemoryStore, shared_memory_available
 from repro.service import QueryService, ShardExecutionError, ShardManager
 from repro.service.executors import ShardExecutor
+from repro.service.replication import _Message
 from repro.workloads import RangeQueryWorkload
 from tests.conftest import make_trajectory, service_segments
 from tests.test_service import knn_suite
@@ -111,11 +112,13 @@ class TestWorkerDeath:
             message = str(excinfo.value)
             assert "shard 1" in message
             assert "shard 0" not in message and "shard 2" not in message
-            # Survivors' pipes were drained clean: they answer the next
-            # request with fresh replies, not leftovers of the failed one.
-            replies = executor.run_on([0, 2], "info", {})
-            assert sorted(replies) == [0, 2]
-            assert all(r["index"] in (0, 2) for r in replies.values())
+            # Survivors' pipes were drained clean: each answers the next
+            # request with a fresh reply, not a leftover of the failed one.
+            for shard in (0, 2):
+                status, info = executor.replica_sets[shard].request(
+                    _Message("info", {})
+                )
+                assert status == "ok" and info["index"] == shard
 
     def test_service_close_reclaims_killed_workers_segments(self):
         n_shards = 2
@@ -155,7 +158,7 @@ class TestWorkerDeath:
 @needs_shm
 def test_rebuilt_executor_reattaches_same_segments():
     db = initial_db(7, n=9)
-    manager = ShardManager.create(db, 3, "hash")
+    manager = ShardManager.create(db, 3)
     with SharedMemoryStore() as store:
         snapshots = manager.export_snapshots(store)
         base_segments = sorted(

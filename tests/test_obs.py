@@ -377,7 +377,6 @@ KINDS = ("count", "histogram", "knn", "range", "similarity")
 SUMMARY_KEYS = {
     "requests", "cache_hits", "uncacheable_requests",
     "ingest_batches", "ingest_trajectories", "ingest_points",
-    "knn_shards_dispatched", "knn_shards_skipped",
     "compactions", "points_dropped", "bytes_base", "bytes_base_before",
     "compaction_mean_latency_ms", "compaction_max_latency_ms",
     "compaction_p95_latency_ms",
@@ -415,7 +414,6 @@ def test_metrics_schema_is_pinned(executor):
         db,
         n_shards=2,
         executor=executor,
-        partitioner="spatial",
         min_compact_points=24,
         compact_threshold=0.1,
     ) as service:

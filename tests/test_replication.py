@@ -36,6 +36,7 @@ from repro.service import (
     Watchdog,
     serve_in_thread,
 )
+from repro.service.replication import _Message
 from repro.workloads import RangeQueryWorkload
 from tests.conftest import make_trajectory, service_segments
 from tests.test_server import server_db
@@ -179,8 +180,11 @@ class TestFailover:
             assert "shard 1" in message
             assert "shard 0" not in message and "shard 2" not in message
             # Survivors drained clean.
-            replies = executor.run_on([0, 2], "info", {})
-            assert sorted(replies) == [0, 2]
+            for shard in (0, 2):
+                status, info = executor.replica_sets[shard].request(
+                    _Message("info", {})
+                )
+                assert status == "ok" and info["index"] == shard
 
             # Both replicas come back, and the service serves again.
             assert executor.restart_dead() == 2
@@ -350,7 +354,6 @@ def test_chaos_interleaving_matches_reference(store, executor, seed, plan):
         n_shards=n_shards,
         executor=executor,
         store=store,
-        partitioner="spatial",
         # compact on most ingests, so restarts replay through compactions
         min_compact_points=8,
         **({"replicas": 2} if executor == "process" else {}),

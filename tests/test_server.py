@@ -2,7 +2,7 @@
 
 The acceptance contract of the unified client API: all five query kinds
 are bit-identical across :class:`LocalClient` / :class:`ServiceClient` /
-:class:`RemoteClient`, across executors and partitioners, under
+:class:`RemoteClient`, across executors, under
 interleaved ingest — and the server sustains concurrent clients with
 zero dropped or misordered responses, answers garbage with structured
 error frames (the connection survives), and shuts down gracefully.
@@ -363,29 +363,25 @@ class TestErrorFrames:
 
 # -------------------------------------------------------------- transport parity
 EXECUTORS_TO_TEST = ["serial", "process"]
-PARTITIONERS_TO_TEST = ["hash", "spatial"]
 
 
 class TestThreeTransportParity:
     """The acceptance criterion: bit-identical across all three clients,
-    both executors, both partitioners, under interleaved ingest."""
+    both executors, under interleaved ingest."""
 
     @pytest.mark.parametrize("executor", EXECUTORS_TO_TEST)
-    @pytest.mark.parametrize("partitioner", PARTITIONERS_TO_TEST)
-    def test_all_five_kinds_with_interleaved_ingest(self, executor, partitioner):
+    def test_all_five_kinds_with_interleaved_ingest(self, executor):
         db = server_db(14, seed=11)
         workload = RangeQueryWorkload.from_data_distribution(db, 10, seed=3)
         queries, windows = knn_suite(db, n=2, seed=2)
         eps, delta = 200.0, 80.0
 
         handle = serve_in_thread(
-            QueryService(db, n_shards=3, partitioner=partitioner, executor=executor),
+            QueryService(db, n_shards=3, executor=executor),
             close_service=True,
         )
         local = LocalClient(db)
-        service = ServiceClient.for_database(
-            db, n_shards=3, partitioner=partitioner, executor=executor
-        )
+        service = ServiceClient.for_database(db, n_shards=3, executor=executor)
         remote = RemoteClient(handle.host, handle.port)
         clients = {"local": local, "service": service, "remote": remote}
 

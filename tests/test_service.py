@@ -2,8 +2,8 @@
 
 The service's contract is *bit-identical* results to a fresh single-engine
 evaluation of the same database state, for every request kind, shard
-count, partitioner, and executor — sharding and process fan-out are pure
-execution concerns and must never change an answer.
+count, and executor — sharding and process fan-out are pure execution
+concerns and must never change an answer.
 """
 
 import threading
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.client import ServiceClient
+from repro.client import LocalClient, ServiceClient
 from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
 from repro.data.stats import spatial_scale
 from repro.eval.harness import QueryAccuracyEvaluator
@@ -21,7 +21,6 @@ from repro.obs.metrics import Histogram
 from repro.queries import QueryEngine, knn_query_batch, similarity_query_batch
 from repro.obs.tracing import mint_trace_id
 from repro.service import (
-    HashPartitioner,
     HistogramRequest,
     KnnRequest,
     QueryService,
@@ -32,7 +31,6 @@ from repro.service import (
     ShardExecutor,
     ShardManager,
     ShardRuntime,
-    SpatialPartitioner,
     make_executor,
 )
 from repro.service._sync import RWLock
@@ -68,23 +66,12 @@ def served_workload(served_db):
 
 class TestPartitioning:
     def test_hash_partition_is_exhaustive_and_disjoint(self, small_db):
-        parts = small_db.partition_ids(3, "hash")
-        ids = np.concatenate(parts)
-        assert sorted(ids.tolist()) == list(range(len(small_db)))
-
-    def test_spatial_partition_is_exhaustive_and_disjoint(self, small_db):
-        parts = small_db.partition_ids(3, "spatial")
-        ids = np.concatenate(parts)
-        assert sorted(ids.tolist()) == list(range(len(small_db)))
-
-    def test_spatial_partition_slabs_by_centroid(self, small_db):
-        parts = small_db.partition_ids(2, "spatial")
-        x = small_db.centroids()[:, 0]
-        assert max(x[parts[0]]) <= min(x[parts[1]]) or len(parts[0]) == 0
-
-    def test_unknown_strategy_raises(self, small_db):
-        with pytest.raises(ValueError, match="unknown partition strategy"):
-            small_db.partition_ids(2, "zorder")
+        """Global id ``g`` starts on shard ``g % K``, in ascending order."""
+        manager = ShardManager.create(small_db, 3)
+        ids = [g for shard in manager.shards for g in shard.global_ids]
+        assert sorted(ids) == list(range(len(small_db)))
+        for shard in manager.shards:
+            assert shard.global_ids == list(range(shard.index, len(small_db), 3))
 
     def test_more_shards_than_trajectories_gives_empty_shards(self, small_db):
         manager = ShardManager.create(small_db, n_shards=len(small_db) + 4)
@@ -92,31 +79,23 @@ class TestPartitioning:
         assert sum(len(s) for s in manager.shards) == len(small_db)
         assert any(len(s) == 0 for s in manager.shards)
 
-    def test_partitioners_route_new_ids_deterministically(self, small_db):
-        hashp = HashPartitioner(3)
-        traj = make_trajectory(n=6, seed=77)
-        assert hashp.assign(7, traj) == 7 % 3
-        spatial = SpatialPartitioner.from_database(small_db, 3)
-        assert spatial.assign(99, traj) == spatial.assign(100, traj)
+    def test_ingest_routes_new_ids_to_gid_mod_k(self, small_db):
+        manager = ShardManager.create(small_db, 3)
+        batch = [make_trajectory(n=6, seed=77 + i) for i in range(4)]
+        routed = manager.plan_ingest(batch)
+        for shard_idx, pairs in routed.items():
+            assert [gid % 3 for gid, _ in pairs] == [shard_idx] * len(pairs)
+        gids = sorted(gid for pairs in routed.values() for gid, _ in pairs)
+        assert gids == list(range(len(small_db), len(small_db) + 4))
 
-    def test_centroids_match_per_trajectory_means(self, small_db):
-        centroids = small_db.centroids()
-        for tid, traj in enumerate(small_db):
-            assert np.allclose(centroids[tid], traj.xy.mean(axis=0))
-
-    @pytest.mark.parametrize("strategy", ["hash", "spatial"])
-    def test_manager_membership_equals_partition_ids(self, small_db, strategy):
-        """create()'s assign()-driven split mirrors the bulk database view."""
-        manager = ShardManager.create(small_db, 3, partitioner=strategy)
-        bulk = small_db.partition_ids(3, strategy)
-        assert [s.global_ids for s in manager.shards] == [
-            g.tolist() for g in bulk
-        ]
+    def test_zero_shards_rejected(self, small_db):
+        with pytest.raises(ValueError, match="n_shards"):
+            ShardManager.create(small_db, 0)
 
 
 class TestShardManager:
     def test_database_roundtrip_preserves_global_order(self, small_db):
-        manager = ShardManager.create(small_db, n_shards=3, partitioner="hash")
+        manager = ShardManager.create(small_db, n_shards=3)
         rebuilt = manager.database()
         assert len(rebuilt) == len(small_db)
         for tid in range(len(small_db)):
@@ -154,12 +133,11 @@ class TestShardManager:
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
-@pytest.mark.parametrize("partitioner", ["hash", "spatial"])
 class TestServiceParity:
     """Acceptance: K >= 2 sharded results == single-engine results, bitwise."""
 
     def test_all_request_kinds_match_single_engine(
-        self, served_db, served_workload, executor, partitioner
+        self, served_db, served_workload, executor
     ):
         engine = QueryEngine(served_db)
         eps = 0.10 * spatial_scale(served_db)
@@ -172,7 +150,7 @@ class TestServiceParity:
         ref_knn = knn_query_batch(served_db, queries, 3, windows, "edr", eps=eps)
         ref_sim = similarity_query_batch(served_db, queries, delta)
         with QueryService(
-            served_db, n_shards=3, partitioner=partitioner, executor=executor
+            served_db, n_shards=3, executor=executor
         ) as service:
             client = ServiceClient(service)
             assert client.range(served_workload).result_sets == ref_range
@@ -187,7 +165,7 @@ class TestServiceParity:
             assert client.similarity(queries, delta).result_sets == ref_sim
 
     def test_ingest_matches_fresh_engine_on_final_state(
-        self, served_db, served_workload, executor, partitioner
+        self, served_db, served_workload, executor
     ):
         extra = [make_trajectory(n=8, seed=500 + i) for i in range(6)]
         final = served_db.extended(extra)
@@ -195,7 +173,7 @@ class TestServiceParity:
         eps = 0.10 * spatial_scale(served_db)
         queries, windows = knn_suite(served_db)
         with QueryService(
-            served_db, n_shards=3, partitioner=partitioner, executor=executor
+            served_db, n_shards=3, executor=executor
         ) as service:
             client = ServiceClient(service)
             assert service.ingest(extra) == len(extra)
@@ -214,6 +192,125 @@ class TestServiceParity:
                 client.knn(queries, 3, windows, eps=eps).neighbors
                 == knn_query_batch(final, queries, 3, windows, "edr", eps=eps)
             )
+
+
+def cluster_db(
+    centers=(0.0, 100.0, 200.0, 300.0), per_cluster: int = 8, seed: int = 0
+) -> TrajectoryDatabase:
+    """Well-separated spatial clusters sharing one time range."""
+    rng = np.random.default_rng(seed)
+    trajs = []
+    tid = 0
+    for cx in centers:
+        for _ in range(per_cluster):
+            n = int(rng.integers(6, 14))
+            xy = rng.uniform(-3.0, 3.0, size=(n, 2)) + [cx, 0.0]
+            t = np.sort(rng.uniform(0.0, 100.0, size=n)) + np.arange(n) * 1e-3
+            trajs.append(Trajectory(np.column_stack([xy, t]), traj_id=tid))
+            tid += 1
+    return TrajectoryDatabase(trajs)
+
+
+def as_pairs(pairs_lists):
+    return [[(float(d), int(t)) for d, t in pairs] for pairs in pairs_lists]
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+class TestKnnMerge:
+    """The k-way ``(distance, id)`` merge over shard partials equals the
+    single-database :func:`repro.queries.knn.knn_query_batch` pairs."""
+
+    def test_parity_on_clustered_data(self, executor):
+        db = cluster_db()
+        queries = [db[0], db[1]]  # both in the x=0 cluster
+        expected = as_pairs(
+            knn_query_batch(db, queries, 4, eps=5.0, return_pairs=True)
+        )
+        with QueryService(db, n_shards=4, executor=executor) as service:
+            response = ServiceClient(service).knn(queries, 4, eps=5.0)
+            assert as_pairs(response.pairs) == expected
+
+    def test_parity_on_one_cluster(self, executor):
+        db = cluster_db(centers=(0.0,), per_cluster=12)
+        queries = [db[0]]
+        expected = as_pairs(
+            knn_query_batch(db, queries, 3, eps=5.0, return_pairs=True)
+        )
+        with QueryService(db, n_shards=3, executor=executor) as service:
+            response = ServiceClient(service).knn(queries, 3, eps=5.0)
+            assert as_pairs(response.pairs) == expected
+
+    def test_parity_with_eps_spanning_the_clusters(self, executor):
+        db = cluster_db(centers=(0.0, 100.0), per_cluster=6)
+        queries = [db[0]]
+        expected = as_pairs(
+            knn_query_batch(db, queries, 5, eps=500.0, return_pairs=True)
+        )
+        with QueryService(db, n_shards=2, executor=executor) as service:
+            response = ServiceClient(service).knn(queries, 5, eps=500.0)
+            assert as_pairs(response.pairs) == expected
+
+    def test_parity_under_time_windows_and_ingest(self, executor):
+        db = cluster_db(centers=(0.0, 150.0), per_cluster=6, seed=3)
+        queries = [db[2]]
+        windows = [(10.0, 60.0)]
+        with QueryService(db, n_shards=3, executor=executor) as service:
+            rng = np.random.default_rng(9)
+            extra = []
+            for j in range(4):
+                n = 8
+                xy = rng.uniform(-3.0, 3.0, size=(n, 2)) + [150.0, 0.0]
+                t = np.sort(rng.uniform(0.0, 100.0, size=n)) + np.arange(n) * 1e-3
+                extra.append(Trajectory(np.column_stack([xy, t]), traj_id=j))
+            service.ingest(extra)
+            expected = as_pairs(
+                knn_query_batch(
+                    service.database(), queries, 3, windows, eps=5.0,
+                    return_pairs=True,
+                )
+            )
+            response = ServiceClient(service).knn(
+                queries, 3, time_windows=windows, eps=5.0
+            )
+            assert as_pairs(response.pairs) == expected
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_ties_at_k_boundary_rank_by_id(self, executor, n_shards):
+        """Identical copies of one trajectory tie on distance; ``g % K``
+        spreads them over every shard, and k cuts through the tied group,
+        so only the ``(distance, id)`` order decides who is kept."""
+        far = cluster_db(centers=(300.0,), per_cluster=3, seed=4)
+        twin = cluster_db(centers=(0.0,), per_cluster=1, seed=5)[0]
+        copies = [Trajectory(twin.points.copy(), traj_id=i) for i in range(7)]
+        db = TrajectoryDatabase([*far, *copies])
+        tied = list(range(len(far), len(db)))
+        assert {gid % n_shards for gid in tied} == set(range(n_shards))
+        k = 5  # keeps 5 of the 7 tied copies
+        with LocalClient(db) as local, ServiceClient.for_database(
+            db, n_shards=n_shards, executor=executor
+        ) as service:
+            for eps in (5.0, 0.5):
+                want = local.knn([twin], k, eps=eps).pairs
+                got = service.knn([twin], k, eps=eps).pairs
+                assert as_pairs(got) == as_pairs(want)
+                assert [gid for _, gid in got[0]] == tied[:k]
+                assert len({d for d, _ in got[0]}) == 1
+
+
+class TestRuntimeBackendSpec:
+    @pytest.mark.parametrize("backend", ["grid"])
+    def test_service_index_round_trip(self, backend):
+        db = cluster_db(centers=(0.0, 50.0), per_cluster=5)
+        boxes = [db[0].bounding_box, db[7].bounding_box]
+        expected = QueryEngine(db).evaluate(boxes)
+        with QueryService(db, n_shards=2, index=backend) as service:
+            assert ServiceClient(service).range(boxes).result_sets == expected
+            assert service.describe()["index"] == backend
+
+    def test_unknown_backend_rejected(self):
+        db = cluster_db(centers=(0.0,), per_cluster=4)
+        with pytest.raises(ValueError, match=r"unknown index backend 'rtree'.*\['grid'\]"):
+            QueryService(db, n_shards=2, index="rtree")
 
 
 class TestServiceCacheAndStats:
@@ -640,16 +737,13 @@ class TestServiceBackedEvaluation:
 @given(
     seed=st.integers(0, 100),
     n_shards=st.integers(2, 5),
-    partitioner=st.sampled_from(["hash", "spatial"]),
 )
-def test_property_sharded_range_equals_engine(seed, n_shards, partitioner):
+def test_property_sharded_range_equals_engine(seed, n_shards):
     db = TrajectoryDatabase(
         [make_trajectory(n=4 + (seed + i) % 8, seed=seed + i) for i in range(9)]
     )
     workload = RangeQueryWorkload.from_data_distribution(db, 8, seed=seed)
-    with QueryService(
-        db, n_shards=n_shards, partitioner=partitioner
-    ) as service:
+    with QueryService(db, n_shards=n_shards) as service:
         client = ServiceClient(service)
         assert client.range(workload).result_sets == QueryEngine(db).evaluate(
             workload

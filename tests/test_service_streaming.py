@@ -50,14 +50,11 @@ def assert_state_parity(service, db, workload, queries, windows, eps, delta):
 @given(
     seed=st.integers(0, 80),
     n_shards=st.integers(2, 4),
-    partitioner=st.sampled_from(["hash", "spatial"]),
     plan=st.lists(
         st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=4
     ),
 )
-def test_interleaved_ingest_query_matches_fresh_engine(
-    seed, n_shards, partitioner, plan
-):
+def test_interleaved_ingest_query_matches_fresh_engine(seed, n_shards, plan):
     """``plan`` is a list of (batch size, query-after-batch?) rounds."""
     db = initial_db(seed)
     workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=seed)
@@ -69,7 +66,6 @@ def test_interleaved_ingest_query_matches_fresh_engine(
     with QueryService(
         db,
         n_shards=n_shards,
-        partitioner=partitioner,
         # tiny compaction bound so some rounds compact and others buffer
         min_compact_points=24,
         compact_threshold=0.1,
@@ -91,8 +87,7 @@ def test_interleaved_ingest_query_matches_fresh_engine(
         assert service.manager.n_trajectories == len(current)
 
 
-@pytest.mark.parametrize("partitioner", ["hash", "spatial"])
-def test_interleaved_ingest_query_process_executor(partitioner):
+def test_interleaved_ingest_query_process_executor():
     """The same interleaving contract holds across worker processes."""
     db = initial_db(7, n=10)
     workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=7)
@@ -103,7 +98,6 @@ def test_interleaved_ingest_query_process_executor(partitioner):
     with QueryService(
         db,
         n_shards=3,
-        partitioner=partitioner,
         executor="process",
         min_compact_points=24,
         compact_threshold=0.1,
