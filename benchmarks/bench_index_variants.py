@@ -1,12 +1,8 @@
-"""Extension bench — index ablations.
+"""Extension bench — index ablation.
 
-Two questions the paper leaves open:
-
-1. *Partitioning tree* (Section I: "we leave other indexes, e.g., kd-tree,
-   for future exploration"): does RL4QDTS behave differently over the
-   median-split kd-tree than over the midpoint-split octree?
-2. *Query accelerator*: grid vs. STR R-tree vs. no index for the range-query
-   evaluation loop that dominates training (reward) cost.
+The paper leaves one question open (Section I: "we leave other indexes,
+e.g., kd-tree, for future exploration"): does RL4QDTS behave differently
+over the median-split kd-tree than over the midpoint-split octree?
 """
 
 from __future__ import annotations
@@ -23,9 +19,6 @@ from benchmarks.conftest import (
 )
 from repro.core import RL4QDTS, RL4QDTSConfig
 from repro.eval import ExperimentTable
-from repro.index import GridIndex, RTree
-from repro.queries import range_query
-from repro.workloads import RangeQueryWorkload
 
 _RATIO = 0.045
 _ROLLOUTS = 3
@@ -87,78 +80,3 @@ def bench_tree_index_variants(benchmark, geolife_bench_db):
     # Both trees must produce usable policies; neither should collapse.
     for index, (mean, _, _, _) in rows.items():
         assert mean > 0.2, f"{index} policy collapsed"
-
-
-def _run_accelerator_comparison(db):
-    # Selective queries (a few percent of the region per axis) are where
-    # candidate pruning matters; the default data-scaled extent on this
-    # profile covers most trajectories and every strategy degenerates to
-    # verification cost.
-    spans = db.bounding_box.spans
-    workload = RangeQueryWorkload.from_data_distribution(
-        db, 300, seed=5,
-        spatial_extent=0.05 * max(spans[0], spans[1]),
-        temporal_extent=0.1 * spans[2],
-    )
-    timings = {}
-    results = {}
-    candidates = {}
-
-    start = time.perf_counter()
-    grid = GridIndex(db)
-    build_grid = time.perf_counter() - start
-    start = time.perf_counter()
-    results["grid"] = [range_query(db, q, grid) for q in workload]
-    timings["grid"] = (build_grid, time.perf_counter() - start)
-    candidates["grid"] = float(
-        np.mean([len(grid.candidate_trajectories(q.box)) for q in workload])
-    )
-
-    start = time.perf_counter()
-    rtree = RTree(db, fanout=16)
-    build_rtree = time.perf_counter() - start
-    start = time.perf_counter()
-    results["rtree"] = [
-        {
-            tid
-            for tid in rtree.candidate_trajectories(q.box)
-            if q.box.contains_points(db[tid].points).any()
-        }
-        for q in workload
-    ]
-    timings["rtree"] = (build_rtree, time.perf_counter() - start)
-    candidates["rtree"] = float(
-        np.mean([len(rtree.candidate_trajectories(q.box)) for q in workload])
-    )
-
-    start = time.perf_counter()
-    results["scan"] = [range_query(db, q) for q in workload]
-    timings["scan"] = (0.0, time.perf_counter() - start)
-    candidates["scan"] = float(len(db))
-
-    assert results["grid"] == results["rtree"] == results["scan"]
-    return timings, candidates
-
-
-def bench_query_accelerators(benchmark, chengdu_bench_db):
-    timings, candidates = benchmark.pedantic(
-        _run_accelerator_comparison,
-        args=(chengdu_bench_db,),
-        rounds=1,
-        iterations=1,
-    )
-    table = ExperimentTable(
-        "Range-query accelerators (Chengdu profile, 300 selective queries)",
-        ["index", "build (s)", "query (s)", "mean candidates"],
-    )
-    for name, (build_s, query_s) in timings.items():
-        table.add_row(name, build_s, query_s, candidates[name])
-    table.print()
-
-    # Accelerators must prune hard (the robust signal) and not lose to the
-    # scan by more than timing noise.
-    n = candidates["scan"]
-    assert candidates["grid"] < 0.5 * n
-    assert candidates["rtree"] < 0.5 * n
-    assert timings["grid"][1] < 1.5 * timings["scan"][1]
-    assert timings["rtree"][1] < 1.5 * timings["scan"][1]

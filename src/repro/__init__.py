@@ -8,8 +8,8 @@ It provides:
   (:mod:`repro.data`),
 * the four classical simplification error measures SED / PED / DAD / SAD
   (:mod:`repro.errors`),
-* spatio-temporal indexes — octree, kd-tree, grid, STR R-tree, temporal
-  interval index (:mod:`repro.index`),
+* spatio-temporal indexes — octree, kd-tree, and the query engine's grid
+  geometry (:mod:`repro.index`),
 * range / kNN / similarity / clustering query operators together with the
   F1-based quality measures used by the paper (:mod:`repro.queries`),
 * a vectorized batch :class:`~repro.queries.engine.QueryEngine` evaluating
@@ -63,14 +63,7 @@ from repro.data import (
     DATASET_PROFILES,
 )
 from repro.errors import sed_error, ped_error, dad_error, sad_error, trajectory_error
-from repro.index import (
-    Octree,
-    KDTree,
-    GridIndex,
-    RTree,
-    TemporalIndex,
-    adaptive_resolution,
-)
+from repro.index import Octree, KDTree
 from repro.queries import (
     RangeQuery,
     QueryEngine,
@@ -133,10 +126,6 @@ __all__ = [
     "trajectory_error",
     "Octree",
     "KDTree",
-    "GridIndex",
-    "adaptive_resolution",
-    "RTree",
-    "TemporalIndex",
     "RangeQuery",
     "QueryEngine",
     "range_query",

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.data.database import TrajectoryDatabase
 from repro.data.simplification import SimplificationState
-from repro.index.grid import GridIndex
 from repro.queries.engine import QueryEngine
 from repro.queries.metrics import f1_score
 from repro.workloads.generators import RangeQueryWorkload
@@ -35,7 +34,6 @@ class IncrementalRangeEvaluator:
         self,
         db: TrajectoryDatabase,
         workload: RangeQueryWorkload,
-        grid: GridIndex | None = None,
     ) -> None:
         if len(workload) == 0:
             raise ValueError("workload must contain at least one query")
@@ -43,9 +41,7 @@ class IncrementalRangeEvaluator:
         self.workload = workload
         # Ground truth and episode resets both run through the shared batch
         # engine; its memo makes repeated env construction over the same
-        # database + workload (e.g. ratio sweeps) a cache hit. An explicit
-        # ``grid`` is accepted for API compatibility but no longer changes
-        # the result — the engine is exact whatever pruning geometry it uses.
+        # database + workload (e.g. ratio sweeps) a cache hit.
         self._engine = QueryEngine.for_database(db)
         self._truth: list[set[int]] = self._engine.evaluate(workload)
         self._view = self._engine.incremental_view(workload)

@@ -8,6 +8,7 @@ and workload generators (:mod:`repro.workloads`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,25 @@ class BoundingBox:
 
     @classmethod
     def from_points(cls, points: np.ndarray) -> "BoundingBox":
-        """Tightest box around an ``(n, 3)`` array of ``(x, y, t)`` rows."""
+        """Tightest box around the finite ``(x, y, t)`` rows of an ``(n, 3)`` array.
+
+        A row with a non-finite coordinate lies in no box, so it does not
+        stretch this one either. With no finite row the result is the
+        *empty* box: all bounds NaN, so it contains and intersects nothing
+        and :meth:`union` ignores it.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
             raise ValueError("expected a non-empty (n, 3) array")
         lo = points.min(axis=0)
         hi = points.max(axis=0)
+        if not math.isfinite(lo.sum() + hi.sum()):
+            # Some row has a NaN or infinite coordinate: span the others.
+            points = points[np.isfinite(points).all(axis=1)]
+            if len(points) == 0:
+                return cls(*[np.nan] * 6)
+            lo = points.min(axis=0)
+            hi = points.max(axis=0)
         return cls(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
 
     @property
@@ -121,6 +135,11 @@ class BoundingBox:
         )
 
     def union(self, other: "BoundingBox") -> "BoundingBox":
+        """The smallest box covering both; the empty box is the identity."""
+        if math.isnan(self.xmin):
+            return other
+        if math.isnan(other.xmin):
+            return self
         return BoundingBox(
             min(self.xmin, other.xmin),
             max(self.xmax, other.xmax),

@@ -267,9 +267,6 @@ class HeapStore:
     def closed(self) -> bool:
         return False
 
-    def drop(self, handle: ArrayHandle) -> None:
-        """Nothing to unlink; the array dies with its last reference."""
-
     def close(self) -> None:
         """Nothing to reclaim; heap arrays are garbage collected."""
 
@@ -361,20 +358,6 @@ class SharedMemoryStore:
             "segments": len(self._owned),
             "segment_bytes": sum(shm.size for shm in self._owned.values()),
         }
-
-    def drop(self, handle: SharedArrayHandle) -> None:
-        """Unlink one owned segment before the store closes."""
-        shm = self._owned.pop(handle.name, None)
-        if shm is None:
-            return
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        try:
-            shm.close()
-        except BufferError:
-            pass
 
     def close(self) -> None:
         """Unlink every owned segment."""

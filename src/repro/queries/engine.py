@@ -54,10 +54,10 @@ workload is a dictionary lookup.
 
 Candidate pruning has exactly one path: the CSR cell sweep. Its cell
 geometry comes from :func:`~repro.index.grid.grid_geometry` over the
-database extent, or from a passed :class:`~repro.index.grid.GridIndex`
-(e.g. one sized by :meth:`GridIndex.adaptive`). Candidates are always
+database extent at the engine's ``resolution``. Candidates are always
 verified point by point, so the resolution changes pruning cost only,
-never answers.
+never answers. A point with a non-finite coordinate lies in no box: it
+is parked in a border cell and every containment test rejects it.
 
 The per-query functions remain the reference implementations the engine is
 property-tested against (``tests/test_query_engine.py``).
@@ -74,7 +74,7 @@ import numpy as np
 
 from repro.data.bbox import BoundingBox
 from repro.data.database import TrajectoryDatabase
-from repro.index.grid import GridIndex, grid_geometry
+from repro.index.grid import grid_geometry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workloads -> queries)
     from repro.data.simplification import SimplificationState
@@ -120,11 +120,8 @@ class QueryEngine:
     ----------
     db:
         The database all evaluations run against.
-    grid:
-        Optional :class:`GridIndex` whose cell geometry the engine adopts
-        (results are identical either way; this only aligns pruning cells).
     resolution:
-        Grid resolution when no index is supplied.
+        Cells per axis of the CSR grid (pruning cost only, never answers).
     max_cached_results:
         Number of whole-workload result lists kept in the LRU memo.
     """
@@ -132,7 +129,6 @@ class QueryEngine:
     def __init__(
         self,
         db: TrajectoryDatabase,
-        grid: GridIndex | None = None,
         resolution: tuple[int, int, int] = (32, 32, 16),
         max_cached_results: int = 16,
     ) -> None:
@@ -144,7 +140,7 @@ class QueryEngine:
         self._n_traj = len(db)
         self._offsets = db.point_offsets()
         self._extent = db.bounding_box
-        self.resolution = tuple(grid.resolution if grid is not None else resolution)
+        self.resolution = tuple(resolution)
         if min(self.resolution) < 1 or max(self.resolution) >= 2**15:
             # Cell coordinates are stored as int16; larger axes would wrap
             # silently and drop results. Rejected before grid_geometry
@@ -153,21 +149,14 @@ class QueryEngine:
                 f"resolution axes must be in [1, {2**15 - 1}], "
                 f"got {self.resolution}"
             )
-        if grid is not None:
-            self._origin, self._cell_size = grid._origin, grid._cell_size
-        else:
-            self._origin, self._cell_size = grid_geometry(self._extent, self.resolution)
+        self._origin, self._cell_size = grid_geometry(self._extent, self.resolution)
         points = db.point_matrix()
         # CSR layout: points sorted by composite cell id; each occupied cell
         # owns a contiguous row range of the sorted columns. Coordinates are
         # stored column-contiguous so the hot path runs on 1-D takes and
         # comparisons instead of (rows, 3) fancy indexing.
         nx, ny, nt = self.resolution
-        cells = np.clip(
-            np.floor((points - self._origin) / self._cell_size).astype(np.int64),
-            0,
-            np.array(self.resolution) - 1,
-        )
+        cells = self._cells_of(points).astype(np.int64)
         cell_ids = (cells[:, 0] * ny + cells[:, 1]) * nt + cells[:, 2]
         self._order = np.argsort(cell_ids, kind="stable")
         sorted_ids = cell_ids[self._order]
@@ -187,8 +176,6 @@ class QueryEngine:
         # Original-order coordinate columns, rebuilt lazily for execution
         # paths that need per-trajectory sequences (similarity interpolation).
         self._orig_cols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        #: Instance-scoped executor-hook overrides (shadow the class registry).
-        self._local_hooks: dict = {}
         self._max_cached = max_cached_results
         # One LRU for every execution path; values are immutable canonical
         # payloads (tuples of frozensets for result sets, read-only arrays
@@ -218,54 +205,22 @@ class QueryEngine:
             _ENGINES[db] = engine
         return engine
 
-    # ------------------------------------------------------------ executor hooks
-    #: Class-level registry of named execution hooks: kind -> fn(engine,
-    #: **params). This gives batched execution paths a *name-addressable*
-    #: surface: the sharded service's shard runtimes run their base-tier
-    #: work through :meth:`execute` instead of hard-coding engine method
-    #: calls. To swap or instrument a hook for ONE engine (e.g. one
-    #: service's shards) use :meth:`register_local_executor` — mutating the
-    #: class registry changes dispatch for every engine in the process.
-    #: Serving a NEW query kind across shards still needs its shard-side
-    #: pending handling and service-side merge rule in addition to a hook
-    #: here — the registry replaces only the engine dispatch.
-    _executor_hooks: dict = {}
-
-    @classmethod
-    def register_executor(cls, kind: str, fn) -> None:
-        """Register (or replace) the PROCESS-WIDE execution hook for ``kind``.
-
-        ``fn`` is called as ``fn(engine, **params)`` and must be a pure
-        function of the engine's database state and its parameters (results
-        may be cached by the engine or by consumers keyed on those).
-        Affects every engine; prefer :meth:`register_local_executor` for
-        instance-scoped instrumentation.
-        """
-        cls._executor_hooks[str(kind)] = fn
-
-    def register_local_executor(self, kind: str, fn) -> None:
-        """Override the hook for ``kind`` on THIS engine only.
-
-        Instance overrides shadow the class registry in :meth:`execute`,
-        scoping instrumentation or replacement to the engine being
-        instrumented instead of the whole process.
-        """
-        self._local_hooks[str(kind)] = fn
-
-    @classmethod
-    def executor_kinds(cls) -> tuple[str, ...]:
-        """The process-wide registered execution-hook names."""
-        return tuple(sorted(cls._executor_hooks))
-
     def execute(self, kind: str, **params):
-        """Dispatch ``kind`` to this engine's local hook, then the registry."""
-        fn = self._local_hooks.get(kind) or self._executor_hooks.get(kind)
-        if fn is None:
-            raise KeyError(
-                f"no executor hook registered for {kind!r}; "
-                f"known kinds: {self.executor_kinds()}"
-            )
-        return fn(self, **params)
+        """Answer one service query ``kind`` with its batched method.
+
+        ``range`` and ``count`` take ``boxes``; ``histogram`` and
+        ``similarity`` take the keyword arguments of their methods.
+        """
+        if kind == "range":
+            return self.evaluate(params["boxes"])
+        method = {
+            "count": self.count,
+            "histogram": self.histogram,
+            "similarity": self.similarity,
+        }.get(kind)
+        if method is None:
+            raise KeyError(f"unknown query kind {kind!r}")
+        return method(**params)
 
     # ---------------------------------------------------------------- execution
     def evaluate(self, workload: "RangeQueryWorkload | Iterable") -> list[set[int]]:
@@ -415,9 +370,9 @@ class QueryEngine:
             return [c.copy() for c in cached]
         n_traj = self._n_traj
         extent = self._extent
-        # Reuse the 3-axis sweep with the spatial axes opened to the extent:
-        # only the temporal bounds select anything, and in-extent points
-        # trivially pass the spatial containment test.
+        # Reuse the sweep with the spatial axes opened to the extent and only
+        # the temporal axis verified: a point whose x or y is not finite
+        # still counts toward its trajectory's window, as in the reference.
         lo = np.column_stack(
             [
                 np.full(len(win), extent.xmin),
@@ -436,7 +391,7 @@ class QueryEngine:
         # (tens of windows), so the dense tally stays tiny next to the
         # point columns.
         counts = np.zeros(len(win) * n_traj, dtype=np.int64)
-        for rows, row_query, inside in self._candidate_passes(lo, hi):
+        for rows, row_query, inside in self._candidate_passes(lo, hi, axes=(2,)):
             idx = row_query[inside].astype(np.int64) * n_traj + self._owners.take(
                 rows[inside]
             )
@@ -635,12 +590,24 @@ class QueryEngine:
             ]
         )
 
-    def _candidate_passes(self, lo: np.ndarray, hi: np.ndarray):
+    def _cells_of(self, coords: np.ndarray) -> np.ndarray:
+        """Per-axis cell coordinates of ``(n, 3)`` rows, clipped in range.
+
+        Clipped as floats before any integer cast: ``fmax``/``fmin`` map a
+        NaN to the border cell and an infinity to the last one, so
+        non-finite input never reaches the cast.
+        """
+        rel = np.floor((coords - self._origin) / self._cell_size)
+        return np.fmin(np.fmax(rel, 0), np.array(self.resolution) - 1)
+
+    def _candidate_passes(
+        self, lo: np.ndarray, hi: np.ndarray, axes: tuple[int, ...] = (0, 1, 2)
+    ):
         """Chunked CSR candidate sweep shared by all batched execution paths.
 
         Yields ``(rows, row_query, inside)`` per pass: ``rows`` index the
         sorted point columns, ``row_query`` is the query index owning each
-        row, and ``inside`` the exact box-containment mask. One (queries x
+        row, and ``inside`` the exact containment mask over ``axes``. One (queries x
         occupied-cells) overlap matrix names every candidate cell; each
         point lives in exactly one cell, so a (query, row) pair is yielded
         at most once across all passes.
@@ -654,13 +621,8 @@ class QueryEngine:
         extent_lo = np.array([extent.xmin, extent.ymin, extent.tmin])
         extent_hi = np.array([extent.xmax, extent.ymax, extent.tmax])
         alive = ~((hi < extent_lo).any(axis=1) | (lo > extent_hi).any(axis=1))
-        res = np.array(self.resolution) - 1
-        lo_cells = np.clip(
-            np.floor((lo - self._origin) / self._cell_size).astype(np.int64), 0, res
-        ).astype(np.int16)
-        hi_cells = np.clip(
-            np.floor((hi - self._origin) / self._cell_size).astype(np.int64), 0, res
-        ).astype(np.int16)
+        lo_cells = self._cells_of(lo).astype(np.int16)
+        hi_cells = self._cells_of(hi).astype(np.int16)
         overlap = (
             (self._cell_x >= lo_cells[:, 0:1])
             & (self._cell_x <= hi_cells[:, 0:1])
@@ -676,7 +638,7 @@ class QueryEngine:
         q_idx = (flat // overlap.shape[1]).astype(np.int32)
         c_idx = flat % overlap.shape[1]
         yield from self._expand_pairs(
-            q_idx, self._cell_starts[c_idx], self._cell_counts[c_idx], lo, hi
+            q_idx, self._cell_starts[c_idx], self._cell_counts[c_idx], lo, hi, axes
         )
 
     def _expand_pairs(
@@ -686,6 +648,7 @@ class QueryEngine:
         lengths: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
+        axes: tuple[int, ...],
     ):
         """Expand (query, cell) pairs into verified row passes.
 
@@ -696,9 +659,15 @@ class QueryEngine:
         """
         pair_ends = np.cumsum(lengths, dtype=np.int64)
         # Column-contiguous per-axis bounds for the 1-D takes below.
-        qlo = [np.ascontiguousarray(lo[:, a]) for a in range(3)]
-        qhi = [np.ascontiguousarray(hi[:, a]) for a in range(3)]
-        axes = (self._px, self._py, self._pt)
+        columns = (self._px, self._py, self._pt)
+        tests = [
+            (
+                columns[a],
+                np.ascontiguousarray(lo[:, a]),
+                np.ascontiguousarray(hi[:, a]),
+            )
+            for a in axes
+        ]
         pair_start = 0
         while pair_start < len(q_idx):
             done = pair_ends[pair_start - 1] if pair_start else 0
@@ -715,7 +684,7 @@ class QueryEngine:
             rows = np.repeat(base, sub_lengths) + np.arange(total, dtype=np.int64)
             row_query = np.repeat(q_idx[pairs], sub_lengths)
             inside: np.ndarray | None = None
-            for axis, alo, ahi in zip(axes, qlo, qhi):
+            for axis, alo, ahi in tests:
                 coord = axis.take(rows)
                 test = (coord >= alo.take(row_query)) & (coord <= ahi.take(row_query))
                 inside = test if inside is None else inside & test
@@ -783,28 +752,6 @@ class QueryEngine:
     def clear_cache(self) -> None:
         """Drop all memoized results (hit/miss counters are kept)."""
         self._cache.clear()
-
-
-# Built-in execution hooks: the batched paths the sharded service's runtimes
-# dispatch by name (repro.service.runtime uses exactly these kinds).
-QueryEngine.register_executor(
-    "range", lambda engine, *, boxes: engine.evaluate(boxes)
-)
-QueryEngine.register_executor(
-    "count", lambda engine, *, boxes: engine.count(boxes)
-)
-QueryEngine.register_executor(
-    "histogram",
-    lambda engine, *, grid=32, box=None, normalize=False: engine.histogram(
-        grid, box, normalize
-    ),
-)
-QueryEngine.register_executor(
-    "similarity",
-    lambda engine, *, queries, delta, time_windows=None, n_checkpoints=32: (
-        engine.similarity(queries, delta, time_windows, n_checkpoints)
-    ),
-)
 
 
 class IncrementalWorkloadView:

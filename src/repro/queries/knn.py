@@ -81,7 +81,6 @@ def knn_query(
     measure: str | Callable[[Trajectory, Trajectory], float] = "edr",
     eps: float = 2000.0,
     embedder: T2VecEmbedder | None = None,
-    temporal_index=None,
 ) -> list[int]:
     """The ids of the ``k`` most similar trajectories (most similar first).
 
@@ -111,10 +110,6 @@ def knn_query(
         EDR matching threshold (used when ``measure == "edr"``).
     embedder:
         A fitted :class:`T2VecEmbedder` (required when ``measure == "t2vec"``).
-    temporal_index:
-        Optional :class:`~repro.index.temporal.TemporalIndex` over ``db``;
-        trajectories whose lifespan misses the window skip the (possibly
-        expensive) dissimilarity computation and rank last directly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -129,16 +124,8 @@ def knn_query(
         # anything, so every distance would be infinite and the "k nearest"
         # would just be the k lowest ids. Return the documented empty result.
         return []
-    alive = (
-        temporal_index.overlapping(ts, te)
-        if temporal_index is not None
-        else None
-    )
     distances: list[tuple[float, int]] = []
     for traj in db:
-        if alive is not None and traj.traj_id not in alive:
-            distances.append((np.inf, traj.traj_id))
-            continue
         restricted = _window_restriction(traj, ts, te)
         if restricted is None:
             distances.append((np.inf, traj.traj_id))

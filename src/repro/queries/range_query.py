@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.data.bbox import BoundingBox
 from repro.data.database import TrajectoryDatabase
-from repro.index.grid import GridIndex
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,22 +62,13 @@ class RangeQuery:
         return bool(self.box.contains_points(trajectory.points).any())
 
 
-def range_query(
-    db: TrajectoryDatabase,
-    query: RangeQuery,
-    grid: GridIndex | None = None,
-) -> set[int]:
-    """Ids of trajectories matching ``query``; optionally grid-accelerated."""
-    if grid is not None:
-        candidates = grid.candidate_trajectories(query.box)
-        return {tid for tid in candidates if query.matches(db[tid])}
+def range_query(db: TrajectoryDatabase, query: RangeQuery) -> set[int]:
+    """Ids of trajectories matching ``query``, by a full scan."""
     return {t.traj_id for t in db if query.matches(t)}
 
 
 def range_query_batch(
-    db: TrajectoryDatabase,
-    queries: list[RangeQuery],
-    grid: GridIndex | None = None,
+    db: TrajectoryDatabase, queries: list[RangeQuery]
 ) -> list[set[int]]:
     """Evaluate many range queries; one result set per query."""
-    return [range_query(db, q, grid) for q in queries]
+    return [range_query(db, q) for q in queries]

@@ -103,7 +103,6 @@ def similarity_query(
     delta: float,
     time_window: tuple[float, float] | None = None,
     n_checkpoints: int = 32,
-    temporal_index=None,
 ) -> set[int]:
     """Ids of trajectories within ``delta`` of the query across the window.
 
@@ -125,10 +124,6 @@ def similarity_query(
         window with both the query's and the candidate's lifespans count
         (see the module docstring), so neither trajectory is ever evaluated
         via clamped-endpoint extrapolation outside its lifespan.
-    temporal_index:
-        Optional :class:`~repro.index.temporal.TemporalIndex` over ``db``;
-        prunes the lifespan-overlap test instead of scanning every
-        trajectory.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
@@ -141,12 +136,7 @@ def similarity_query(
     if len(checkpoints) == 0:
         return set()
     query_positions = query.positions_at(checkpoints)
-    if temporal_index is not None:
-        candidates = [db[tid] for tid in sorted(temporal_index.overlapping(ts, te))]
-    else:
-        candidates = [
-            t for t in db if not (t.times[-1] < ts or t.times[0] > te)
-        ]
+    candidates = [t for t in db if not (t.times[-1] < ts or t.times[0] > te)]
     # The query itself only exists on its own lifespan; checkpoints outside
     # it would compare candidates against a clamped (parked) query endpoint.
     query_alive = (checkpoints >= query.times[0]) & (checkpoints <= query.times[-1])

@@ -9,8 +9,8 @@ query kind in *global*-id space. Execution is two-tier, LSM-style:
   lazily on first query;
 * the **pending** tier holds trajectories streamed in since the last
   compaction. Queries answer over ``base U pending``: the base part runs
-  through the engine's registered executor hooks, the pending part through
-  the exact per-trajectory reference predicates — so an ingest is ``O(batch)``
+  through the engine's batched methods, the pending part through the exact
+  per-trajectory reference predicates — so an ingest is ``O(batch)``
   (list append + cache drop), never a CSR rebuild.
 
 When the pending tier outgrows ``compact_threshold`` of the base (or
@@ -347,7 +347,7 @@ class ShardRuntime:
         """Per-box matching global ids (the shard's share of a range workload)."""
         engine = self.engine
         if engine is not None:
-            results = self._to_global(engine.execute("range", boxes=boxes))
+            results = self._to_global(engine.evaluate(boxes))
         else:
             results = [set() for _ in boxes]
         if self._pending:
@@ -362,7 +362,7 @@ class ShardRuntime:
         """Per-box point counts over ``base U pending`` (int64, exact)."""
         engine = self.engine
         counts = (
-            engine.execute("count", boxes=boxes)
+            engine.count(boxes)
             if engine is not None
             else np.zeros(len(boxes), dtype=np.int64)
         )
@@ -382,7 +382,7 @@ class ShardRuntime:
         """
         engine = self.engine
         hist = (
-            engine.execute("histogram", grid=grid, box=box, normalize=False)
+            engine.histogram(grid, box, normalize=False)
             if engine is not None
             else np.zeros((grid, grid))
         )
@@ -470,13 +470,7 @@ class ShardRuntime:
         engine = self.engine
         if engine is not None:
             results = self._to_global(
-                engine.execute(
-                    "similarity",
-                    queries=queries,
-                    delta=delta,
-                    time_windows=time_windows,
-                    n_checkpoints=n_checkpoints,
-                )
+                engine.similarity(queries, delta, time_windows, n_checkpoints)
             )
         else:
             results = [set() for _ in queries]

@@ -209,8 +209,7 @@ class QueryService:
     Parameters
     ----------
     db:
-        Database to serve (partitioned at construction). Alternatively pass
-        a prebuilt ``manager``.
+        Database to serve (partitioned at construction).
     n_shards:
         Shard count, forwarded to :meth:`ShardManager.create` (global id
         ``g`` lives on shard ``g % n_shards``).
@@ -264,9 +263,8 @@ class QueryService:
 
     def __init__(
         self,
-        db: TrajectoryDatabase | None = None,
+        db: TrajectoryDatabase,
         *,
-        manager: ShardManager | None = None,
         n_shards: int = 4,
         executor: str = "serial",
         resolution: tuple[int, int, int] = (32, 32, 16),
@@ -283,15 +281,11 @@ class QueryService:
         watchdog_interval: float | None = None,
         watchdog_deadline: float = 5.0,
     ) -> None:
-        if (db is None) == (manager is None):
-            raise ValueError("pass exactly one of db or manager")
         if index != "grid":
             raise ValueError(f"unknown index backend {index!r}; choose from ['grid']")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if manager is None:
-            manager = ShardManager.create(db, n_shards)
-        self.manager = manager
+        self.manager = ShardManager.create(db, n_shards)
         self.index = index
         self.tracer = Tracer(trace_capacity)
         self.executor_name = executor
@@ -302,7 +296,7 @@ class QueryService:
         try:
             self._executor = make_executor(
                 executor,
-                manager.export_snapshots(self._store),
+                self.manager.export_snapshots(self._store),
                 resolution=resolution,
                 compact_threshold=compact_threshold,
                 min_compact_points=min_compact_points,

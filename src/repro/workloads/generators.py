@@ -320,18 +320,12 @@ class RangeQueryWorkload:
         )
 
     # ---------------------------------------------------------------- evaluate
-    def evaluate(self, db: TrajectoryDatabase, grid=None) -> list[set[int]]:
+    def evaluate(self, db: TrajectoryDatabase) -> list[set[int]]:
         """Result sets of every query on ``db``.
 
         Routed through the database's shared
-        :class:`~repro.queries.engine.QueryEngine` (vectorized + memoized);
-        passing an explicit ``grid`` falls back to the per-query reference
-        path with that index.
+        :class:`~repro.queries.engine.QueryEngine` (vectorized + memoized).
         """
-        if grid is not None:
-            from repro.queries.range_query import range_query
-
-            return [range_query(db, q, grid) for q in self.queries]
         from repro.queries.engine import QueryEngine
 
         return QueryEngine.for_database(db).evaluate(self)

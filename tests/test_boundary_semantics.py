@@ -2,25 +2,28 @@
 
 Boxes are closed on every face: a point exactly on ``xmax`` / ``ymax`` /
 ``tmax`` is inside. These tests pin that convention consistently across
-:meth:`BoundingBox.contains_points`, :func:`range_query` (naive, grid, and
-engine paths), :class:`GridIndex` candidate pruning, and
-:func:`density_histogram` binning — and, for every index structure that
-names candidates, that candidate sets stay supersets of the exact answer on
-boundary boxes, while the engine's final results never depend on its grid
-resolution.
+:meth:`BoundingBox.contains_points`, :func:`range_query` (naive and engine
+paths) and :func:`density_histogram` binning — and that the engine's
+results never depend on its grid resolution, nor break on a point with a
+non-finite coordinate (which lies in no box).
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.data import BoundingBox, Trajectory, TrajectoryDatabase
-from repro.index import GridIndex, RTree, TemporalIndex
 from repro.queries import (
     QueryEngine,
     RangeQuery,
     count_query_scan,
     density_histogram,
+    density_histogram_scan,
+    knn_query,
+    knn_query_batch,
     range_query,
+    similarity_query,
 )
 from repro.workloads import RangeQueryWorkload
 
@@ -53,15 +56,9 @@ class TestClosedBoxBoundaries:
 
     def test_range_query_includes_boundary_point_on_all_paths(self, edge_db):
         query = RangeQuery(CORNER_BOX)
-        grid = GridIndex(edge_db)
         naive = range_query(edge_db, query)
-        with_grid = range_query(edge_db, query, grid)
         engine = QueryEngine(edge_db).evaluate([query])[0]
-        assert naive == with_grid == engine == {1}
-
-    def test_grid_candidates_include_boundary_point(self, edge_db):
-        grid = GridIndex(edge_db)
-        assert 1 in grid.candidate_trajectories(CORNER_BOX)
+        assert naive == engine == {1}
 
     def test_density_histogram_counts_max_edge_points(self, edge_db):
         hist = density_histogram(edge_db, grid=4)
@@ -89,17 +86,17 @@ class TestOutOfExtentQueries:
             for i in range(4)
         ]
         db = TrajectoryDatabase(trajs)
-        grid = GridIndex(db)
         far = BoundingBox(10.0, 11.0, 10.0, 11.0, 10.0, 11.0)
-        assert grid.candidate_trajectories(far) == set()
-        assert range_query(db, RangeQuery(far), grid) == set()
+        assert range_query(db, RangeQuery(far)) == set()
+        assert QueryEngine(db).evaluate([far]) == [set()]
+        assert QueryEngine(db).count([far]).tolist() == [0]
 
     def test_partially_overlapping_box_still_prunes_correctly(self, edge_db):
         # Sticking out beyond the extent on every max face must not lose the
         # boundary trajectory.
         box = BoundingBox(9.5, 20.0, 9.5, 20.0, 9.5, 20.0)
-        grid = GridIndex(edge_db)
-        assert range_query(edge_db, RangeQuery(box), grid) == {1}
+        assert range_query(edge_db, RangeQuery(box)) == {1}
+        assert QueryEngine(edge_db).evaluate([box]) == [{1}]
 
     def test_engine_matches_naive_for_straddling_workload(self, edge_db):
         box = edge_db.bounding_box
@@ -155,29 +152,8 @@ def tricky_boxes(db: TrajectoryDatabase, seed: int) -> list[BoundingBox]:
     return boxes
 
 
-def candidate_generator(name: str, db: TrajectoryDatabase):
-    """Single-box candidate lookup of one index structure over ``db``."""
-    if name == "grid":
-        return GridIndex(db).candidate_trajectories
-    if name == "rtree":
-        return RTree(db).candidate_trajectories
-    index = TemporalIndex(db)
-    return lambda box: index.overlapping(box.tmin, box.tmax)
-
-
 class TestCrossIndexCandidateCompleteness:
-    """Every index structure's candidates form a superset of the exact
-    answer, and the engine's verified results are identical at every grid
-    resolution."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("name", ["grid", "rtree", "temporal"])
-    def test_candidates_superset_of_exact_answer(self, seed, name):
-        db = random_db(seed)
-        candidates = candidate_generator(name, db)
-        for box in tricky_boxes(db, seed + 100):
-            exact = range_query(db, RangeQuery(box))
-            assert exact <= candidates(box), (name, box)
+    """The engine's verified results are identical at every grid resolution."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_engine_results_identical_across_resolutions(self, seed):
@@ -189,10 +165,54 @@ class TestCrossIndexCandidateCompleteness:
             QueryEngine(db),
             QueryEngine(db, resolution=(1, 1, 1)),
             QueryEngine(db, resolution=(64, 64, 64)),
-            QueryEngine(db, grid=GridIndex.adaptive(db, boxes)),
+            QueryEngine(db, resolution=(5, 2, 9)),
         ):
             assert engine.evaluate(boxes) == naive, engine.resolution
             assert np.array_equal(engine.count(boxes), scan), engine.resolution
+
+
+class TestNonFiniteCoordinates:
+    """A point with a non-finite coordinate lies in no box. A database
+    holding one still builds an engine whose every batched path equals its
+    per-query reference, without a RuntimeWarning."""
+
+    @pytest.fixture
+    def nan_db(self) -> TrajectoryDatabase:
+        """Trajectory 1 has one NaN x; the last one has nothing but NaN x."""
+        db = random_db(4, n_traj=8)
+        trajs = list(db)
+        points = trajs[1].points.copy()
+        points[len(points) // 2, 0] = np.nan
+        trajs[1] = Trajectory(points, traj_id=1)
+        points = trajs[-1].points.copy()
+        points[:, 0] = np.nan
+        trajs[-1] = Trajectory(points, traj_id=len(trajs) - 1)
+        return TrajectoryDatabase(trajs)
+
+    def test_every_batched_path_equals_its_reference(self, nan_db):
+        ext = nan_db.bounding_box
+        assert np.isfinite([ext.xmin, ext.xmax, ext.ymin, ext.ymax]).all()
+        assert not nan_db[len(nan_db) - 1].bounding_box.intersects(ext)
+        boxes = tricky_boxes(nan_db, 7) + [ext]
+        queries = [nan_db[0], nan_db[1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            engine = QueryEngine(nan_db)
+            assert engine.evaluate(boxes) == [
+                range_query(nan_db, RangeQuery(b)) for b in boxes
+            ]
+            assert engine.count(boxes).tolist() == [
+                count_query_scan(nan_db, b) for b in boxes
+            ]
+            assert np.array_equal(
+                engine.histogram(8, ext), density_histogram_scan(nan_db, 8, ext)
+            )
+            assert knn_query_batch(
+                nan_db, queries, 3, eps=5.0, engine=engine
+            ) == [knn_query(nan_db, q, 3, eps=5.0) for q in queries]
+            assert engine.similarity(queries, 30.0) == [
+                similarity_query(nan_db, q, 30.0) for q in queries
+            ]
 
 
 class TestDegenerateKnnQuery:

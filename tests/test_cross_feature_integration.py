@@ -117,23 +117,19 @@ class TestWorkloadDrivenPipeline:
         ) / len(restored)
         assert 0.0 <= mean_f1 <= 1.0
 
-    def test_temporal_index_consistency_on_simplified(self, db):
-        """Temporal pruning gives identical kNN results on a simplified DB."""
-        from repro.index import TemporalIndex
-        from repro.queries import knn_query
+    def test_knn_batch_consistency_on_simplified(self, db):
+        """The engine's kNN batch equals the per-query reference on a
+        simplified DB."""
+        from repro.queries import knn_query, knn_query_batch
 
         config = RL4QDTSConfig(**_FAST)
         model = RL4QDTS.train(db, config=config)
         simplified = model.simplify(db, budget_ratio=0.5, seed=1)
-        index = TemporalIndex(simplified)
         query = db[0]
         window = (float(query.times[1]), float(query.times[-2]))
         plain = knn_query(simplified, query, 3, window, "edr", eps=30.0)
-        pruned = knn_query(
-            simplified, query, 3, window, "edr", eps=30.0,
-            temporal_index=index,
-        )
-        assert plain == pruned
+        batched = knn_query_batch(simplified, [query], 3, [window], "edr", eps=30.0)
+        assert batched == [plain]
 
 
 class TestOracleAgainstCollectiveMethods:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.simplification import insort_unique
-from repro.index import GridIndex
 from repro.queries.edr import edr_distance, edr_similarity_matrix
 from repro.queries.clustering.distances import (
     segment_distance,
@@ -29,15 +28,6 @@ class TestInsortUnique:
         values = []
         assert insort_unique(values, 3)
         assert values == [3]
-
-
-class TestGridCellOf:
-    def test_scalar_matches_batch(self, small_db):
-        grid = GridIndex(small_db, resolution=(5, 5, 5))
-        pts = small_db.all_points()[:20]
-        batch = grid.cells_of(pts)
-        for p, cell in zip(pts, batch):
-            assert grid.cell_of(*p) == tuple(int(c) for c in cell)
 
 
 class TestEDRMatrix:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.index import GridIndex, Octree
+from repro.index import Octree
 
 
 class TestOctreeBuild:
@@ -139,35 +139,3 @@ class TestStartSampling:
         node = tree.sample_node_at_level(99, np.random.default_rng(0))
         assert node.level <= 3
 
-
-class TestGridIndex:
-    def test_bad_resolution_rejected(self, small_db):
-        with pytest.raises(ValueError):
-            GridIndex(small_db, resolution=(0, 4, 4))
-
-    def test_candidates_superset_of_exact(self, small_db, small_workload):
-        grid = GridIndex(small_db, resolution=(8, 8, 8))
-        from repro.queries import range_query
-
-        for query in small_workload:
-            exact = range_query(small_db, query)
-            candidates = grid.candidate_trajectories(query.box)
-            assert exact <= candidates
-
-    def test_grid_accelerated_query_equals_exact(self, small_db, small_workload):
-        from repro.queries import range_query
-
-        grid = GridIndex(small_db, resolution=(8, 8, 8))
-        for query in small_workload:
-            assert range_query(small_db, query, grid) == range_query(
-                small_db, query
-            )
-
-    def test_cells_clip_out_of_range(self, small_db):
-        grid = GridIndex(small_db, resolution=(4, 4, 4))
-        far = np.array([[1e12, 1e12, 1e12]])
-        assert (grid.cells_of(far) == 3).all()
-
-    def test_len_counts_occupied_cells(self, small_db):
-        grid = GridIndex(small_db, resolution=(4, 4, 4))
-        assert len(grid) == len(grid.occupied_cells()) > 0

@@ -24,7 +24,6 @@ from repro.data import (
     TrajectoryDatabase,
 )
 from repro.data.stats import spatial_scale
-from repro.index import FALLBACK_RESOLUTION, GridIndex, adaptive_resolution
 from repro.queries import (
     QueryEngine,
     RangeQuery,
@@ -576,106 +575,33 @@ class TestKnnReturnPairs:
             assert all(np.isfinite(d) for d in distances)
 
 
-class TestAdaptiveResolution:
-    """Cell size follows the workload's box extents; answers never change."""
+class TestResolutionInvariance:
+    """The CSR grid's resolution changes pruning cost only; answers never change."""
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 150))
-    def test_candidates_unchanged_under_adaptive_resolution(self, seed):
+    def test_engine_answers_unchanged_across_resolutions(self, seed):
         db = random_db(seed, n_trajectories=6)
         workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=seed)
-        resolution = adaptive_resolution(db.bounding_box, workload)
-        assert all(1 <= r <= 1024 for r in resolution)
         reference = [range_query(db, q) for q in workload]
-        # the adaptive grid's verified candidates give identical answers
-        grid = GridIndex.adaptive(db, workload)
-        assert grid.resolution == resolution
-        assert [range_query(db, q, grid) for q in workload] == reference
-        # and the engine at the adaptive resolution agrees exactly
-        engine = QueryEngine(db, resolution=resolution)
-        assert engine.evaluate(workload) == reference
+        counts = np.array([count_query_scan(db, q.box) for q in workload])
+        for resolution in ((1, 1, 1), (3, 7, 2), (32, 32, 16), (200, 200, 100)):
+            engine = QueryEngine(db, resolution=resolution)
+            assert engine.evaluate(workload) == reference, resolution
+            assert np.array_equal(engine.count(workload.boxes), counts), resolution
 
-    def test_cell_size_tracks_median_box_extent(self, chengdu_db):
-        narrow = RangeQueryWorkload.from_data_distribution(
-            chengdu_db, 10, spatial_extent=1.0, temporal_extent=10.0, seed=0
-        )
-        wide = RangeQueryWorkload.from_data_distribution(
-            chengdu_db, 10, spatial_extent=1000.0, temporal_extent=10000.0, seed=0
-        )
-        fine = adaptive_resolution(chengdu_db.bounding_box, narrow)
-        coarse = adaptive_resolution(chengdu_db.bounding_box, wide)
-        assert fine[0] > coarse[0] and fine[1] > coarse[1]
-
-    def test_empty_workload_falls_back_to_default(self, small_db):
-        assert adaptive_resolution(small_db.bounding_box, []) == (32, 32, 16)
-
-    def test_total_cell_budget_is_respected(self, small_db):
-        tiny_boxes = RangeQueryWorkload.from_data_distribution(
-            small_db, 5, spatial_extent=1e-6, temporal_extent=1e-6, seed=1
-        )
-        resolution = adaptive_resolution(
-            small_db.bounding_box, tiny_boxes, max_cells=4096
-        )
-        assert int(np.prod(resolution)) <= 4096
-
-    # Degenerate workloads get the explicit fallback, not an arbitrary
-    # clamp-and-halve blow-up.
-    def test_all_zero_extent_boxes_fall_back(self, small_db):
-        probes = [BoundingBox(5.0, 5.0, 5.0, 5.0, 2.0, 2.0)] * 10
-        assert adaptive_resolution(small_db.bounding_box, probes) == FALLBACK_RESOLUTION
-
-    def test_single_zero_extent_query_falls_back(self, small_db):
-        probe = [BoundingBox(1.0, 1.0, 2.0, 2.0, 3.0, 3.0)]
-        assert adaptive_resolution(small_db.bounding_box, probe) == FALLBACK_RESOLUTION
-
-    def test_empty_workload_falls_back(self, small_db):
-        assert adaptive_resolution(small_db.bounding_box, []) == FALLBACK_RESOLUTION
-
-    def test_per_axis_fallback_mixes_with_real_extents(self, small_db):
-        """Only the degenerate axes fall back; healthy axes still adapt."""
-        ext = small_db.bounding_box
-        # x spans half the extent; y and t are zero-extent on every box.
-        boxes = [
-            BoundingBox(ext.xmin, ext.xmin + 0.5 * (ext.xmax - ext.xmin),
-                        3.0, 3.0, 4.0, 4.0)
-            for _ in range(5)
-        ]
-        res = adaptive_resolution(ext, boxes)
-        assert res[0] == 2  # ceil(span / (span/2))
-        assert res[1] == FALLBACK_RESOLUTION[1]
-        assert res[2] == FALLBACK_RESOLUTION[2]
-
-    def test_custom_fallback_respected_and_validated(self, small_db):
-        assert adaptive_resolution(
-            small_db.bounding_box, [], fallback=(4, 4, 2)
-        ) == (4, 4, 2)
-        with pytest.raises(ValueError, match="fallback"):
-            adaptive_resolution(small_db.bounding_box, [], fallback=(0, 4, 2))
-
-    def test_grid_adaptive_accepts_degenerate_workload(self, small_db):
-        probes = [BoundingBox(5.0, 5.0, 5.0, 5.0, 2.0, 2.0)]
-        grid = GridIndex.adaptive(small_db, probes)
-        assert grid.resolution == FALLBACK_RESOLUTION
-
-    def test_answers_invariant_under_fallback_resolution(self, small_db):
+    def test_zero_extent_probe_answers_at_every_resolution(self, small_db):
         p = small_db[0].points[1]
         probe = BoundingBox(p[0], p[0], p[1], p[1], p[2], p[2])
-        engine = QueryEngine(small_db, grid=GridIndex.adaptive(small_db, [probe]))
-        assert engine.evaluate([probe]) == [range_query(small_db, RangeQuery(probe))]
-
-    def test_engine_adopts_grid_index_geometry(self, small_db):
-        grid = GridIndex(small_db, resolution=(8, 8, 4))
-        engine = QueryEngine(small_db, grid=grid)
-        assert engine.resolution == (8, 8, 4)
-        assert np.array_equal(engine._origin, grid._origin)
-        assert np.array_equal(engine._cell_size, grid._cell_size)
+        expected = [range_query(small_db, RangeQuery(probe))]
+        assert 0 in expected[0]
+        for resolution in ((1, 1, 1), (32, 32, 16), (1024, 1024, 512)):
+            engine = QueryEngine(small_db, resolution=resolution)
+            assert engine.evaluate([probe]) == expected, resolution
 
 
 class TestExecutorHooks:
-    def test_builtin_kinds_are_registered(self):
-        kinds = QueryEngine.executor_kinds()
-        for kind in ("range", "count", "histogram", "similarity"):
-            assert kind in kinds
+    """``execute`` answers a service query kind with its batched method."""
 
     def test_execute_dispatches_to_bound_methods(self, small_db, small_workload):
         engine = QueryEngine(small_db)
@@ -686,35 +612,15 @@ class TestExecutorHooks:
             engine.execute("count", boxes=small_workload.boxes),
             engine.count(small_workload.boxes),
         )
+        assert np.array_equal(
+            engine.execute("histogram", grid=8, box=None, normalize=True),
+            engine.histogram(8, None, True),
+        )
+        query = small_db[0]
+        assert engine.execute(
+            "similarity", queries=[query], delta=50.0, n_checkpoints=8
+        ) == engine.similarity([query], 50.0, None, 8)
 
     def test_unknown_kind_raises_with_known_kinds(self, small_db):
-        with pytest.raises(KeyError, match="no executor hook"):
+        with pytest.raises(KeyError, match="unknown query kind 'teleport'"):
             QueryEngine(small_db).execute("teleport")
-
-    def test_custom_hook_is_callable_and_replaceable(self, small_db):
-        try:
-            QueryEngine.register_executor(
-                "total_points", lambda engine, **_: len(engine._px)
-            )
-            engine = QueryEngine(small_db)
-            assert engine.execute("total_points") == small_db.total_points
-        finally:
-            QueryEngine._executor_hooks.pop("total_points", None)
-
-    def test_local_hook_shadows_registry_for_one_engine_only(self, small_db):
-        instrumented = QueryEngine(small_db)
-        plain = QueryEngine(small_db)
-        calls = []
-
-        def counting_count(engine, *, boxes):
-            calls.append(len(list(boxes)))
-            return engine.count(boxes)
-
-        instrumented.register_local_executor("count", counting_count)
-        box = small_db.bounding_box
-        assert instrumented.execute("count", boxes=[box]) == plain.execute(
-            "count", boxes=[box]
-        )
-        assert calls == [1]  # only the instrumented engine routed through it
-        plain.execute("count", boxes=[box])
-        assert calls == [1]

@@ -65,7 +65,6 @@ class TestHeapStore:
         assert store.kind == "heap"
         assert not store.closed
         handle = store.put(np.arange(3.0))
-        store.drop(handle)
         store.close()
         np.testing.assert_array_equal(handle.resolve(), np.arange(3.0))
 
@@ -151,14 +150,6 @@ class TestSharedMemoryStore:
         store.close()
         with pytest.raises(StoreError):
             clone.resolve()
-
-    def test_drop_unlinks_one_segment(self):
-        with SharedMemoryStore() as store:
-            keep = store.put(np.arange(4.0), label="keep")
-            gone = store.put(np.arange(4.0), label="gone")
-            store.drop(gone)
-            assert shm_entries(store.prefix) == [keep.name]
-            store.drop(gone)  # idempotent
 
     def test_empty_array_round_trip(self):
         with SharedMemoryStore() as store:

@@ -1,97 +1,22 @@
-"""Tests for the temporal interval index and progressive refinement."""
+"""Tests for the similarity reference and progressive refinement."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines import uniform_simplify_database
 from repro.core import RL4QDTS, RL4QDTSConfig
-from repro.data import Trajectory, TrajectoryDatabase
-from repro.index import TemporalIndex
-from repro.queries import similarity_query
-from tests.conftest import make_trajectory
+from repro.queries import QueryEngine, similarity_query
 
 
-def staggered_db(n=10, lifespan=10.0, step=5.0):
-    """Trajectories with lifespans [i*step, i*step + lifespan]."""
-    trajs = []
-    for i in range(n):
-        t = np.linspace(i * step, i * step + lifespan, 6)
-        xy = np.full((6, 2), float(i))
-        trajs.append(Trajectory(np.column_stack([xy, t]), traj_id=i))
-    return TrajectoryDatabase(trajs)
-
-
-class TestTemporalIndex:
-    def test_overlap_matches_brute_force(self, small_db):
-        index = TemporalIndex(small_db)
-        rng = np.random.default_rng(0)
-        lo, hi = index.span()
-        for _ in range(25):
-            a, b = sorted(rng.uniform(lo - 5, hi + 5, size=2))
-            expected = {
-                t.traj_id
-                for t in small_db
-                if t.times[0] <= b and t.times[-1] >= a
-            }
-            assert index.overlapping(a, b) == expected
-
-    def test_staggered_windows(self):
-        db = staggered_db(n=10, lifespan=10.0, step=5.0)
-        index = TemporalIndex(db)
-        # Window [12, 13] overlaps lifespans [5,15], [10,20] only... and [0,10]? no: 10 < 12.
-        assert index.overlapping(12.0, 13.0) == {1, 2}
-
-    def test_alive_at(self):
-        db = staggered_db(n=4, lifespan=10.0, step=5.0)
-        index = TemporalIndex(db)
-        assert index.alive_at(0.0) == {0}
-        assert index.alive_at(7.0) == {0, 1}
-
-    def test_whole_span_returns_everything(self, small_db):
-        index = TemporalIndex(small_db)
-        assert index.overlapping(*index.span()) == set(range(len(small_db)))
-
-    def test_disjoint_window_returns_nothing(self, small_db):
-        index = TemporalIndex(small_db)
-        _, hi = index.span()
-        assert index.overlapping(hi + 1, hi + 2) == set()
-
-    def test_empty_window_raises(self, small_db):
-        with pytest.raises(ValueError):
-            TemporalIndex(small_db).overlapping(2.0, 1.0)
-
-    def test_len(self, small_db):
-        assert len(TemporalIndex(small_db)) == len(small_db)
-
-    @given(seed=st.integers(0, 500))
-    @settings(max_examples=25, deadline=None)
-    def test_property_equals_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        db = TrajectoryDatabase(
-            [make_trajectory(n=8, seed=seed + i, traj_id=i) for i in range(8)]
-        )
-        index = TemporalIndex(db)
-        lo, hi = index.span()
-        a, b = sorted(rng.uniform(lo, hi, size=2))
-        expected = {
-            t.traj_id for t in db if t.times[0] <= b and t.times[-1] >= a
-        }
-        assert index.overlapping(a, b) == expected
-
-    def test_similarity_query_with_index_identical(self, small_db):
-        index = TemporalIndex(small_db)
+class TestSimilarityReference:
+    def test_similarity_query_matches_engine(self, small_db):
         query = small_db[0]
         window = (float(query.times[2]), float(query.times[-2]))
-        without = similarity_query(small_db, query, delta=80.0, time_window=window)
-        with_index = similarity_query(
-            small_db, query, delta=80.0, time_window=window,
-            temporal_index=index,
-        )
-        assert without == with_index
+        reference = similarity_query(small_db, query, delta=80.0, time_window=window)
+        batched = QueryEngine(small_db).similarity([query], 80.0, [window])
+        assert batched == [reference]
 
 
 class TestProgressiveRefinement:
