@@ -390,9 +390,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    import json
-
+def _query_request(args: argparse.Namespace) -> dict:
+    """The JSONL request dict of a one-shot ``query``/``client`` call."""
     req: dict = {"op": args.type}
     if args.type in ("range", "count"):
         if not args.workload:
@@ -410,7 +409,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
             if args.delta is None:
                 raise SystemExit("--delta is required for similarity queries")
             req["delta"] = args.delta
+    return req
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    import json
+
     from repro.client import ServiceClient
+
+    req = _query_request(args)
 
     service = _make_service(args)
     try:
@@ -438,38 +445,20 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
     from repro.client import RemoteClient
 
-    req: dict = {"op": args.type}
-    if args.type in ("range", "count"):
-        if not args.workload:
-            raise SystemExit("--workload is required for range/count queries")
-        req["workload"] = args.workload
-    elif args.type == "histogram":
-        req.update(grid=args.grid, normalize=args.normalize)
-    elif args.type in ("knn", "similarity"):
-        if not args.ids:
-            raise SystemExit("--ids is required for knn/similarity queries")
+    req = _query_request(args)
+    lookup = None
+    if args.type in ("knn", "similarity"):
         if not args.query_db:
             raise SystemExit(
                 "--query-db is required for knn/similarity queries: query "
                 "trajectories travel with the request, so --ids index into "
                 "this local database file"
             )
-        req["ids"] = args.ids
-        if args.type == "knn":
-            req.update(k=args.k, eps=args.eps)
-        else:
-            if args.delta is None:
-                raise SystemExit("--delta is required for similarity queries")
-            req["delta"] = args.delta
+        lookup = load_database(args.query_db).__getitem__
     elif args.type == "ingest":
         if not args.ingest:
             raise SystemExit("--ingest is required for the ingest op")
         req["db"] = args.ingest
-
-    lookup = None
-    if args.type in ("knn", "similarity"):
-        query_db = load_database(args.query_db)
-        lookup = query_db.__getitem__
     host, port = _parse_hostport(args.connect)
     client = RemoteClient(
         host, port, timeout=args.timeout, auth_token=args.auth_token

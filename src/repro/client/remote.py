@@ -3,13 +3,17 @@
 The wire code lives exactly once, in
 :class:`repro.client.aio.AsyncRemoteClient`; this class runs one on a
 private event-loop thread and blocks on each call with
-``asyncio.run_coroutine_threadsafe``. Requests carry a monotonically
-increasing ``id`` that the server echoes; a mismatched echo raises — the
-client *proves* nothing was dropped or reordered rather than assuming
-it. Server-side failures arrive as structured error frames and re-raise
-here as :class:`~repro.service.requests.RequestError` (the request was
-malformed or unsupported), :class:`OverloadedError` (the server's
-admission control refused it and the retry budget ran out), or
+``asyncio.run_coroutine_threadsafe``. ``execute``, ``ingest``,
+``describe`` and ``metrics`` run the async core's coroutines of the same
+name, so this class builds no frames of its own; it only mints the trace
+id it passes, keeping ``last_trace_id`` per facade. Requests carry a
+monotonically increasing ``id`` that the server echoes; a mismatched
+echo raises — the client *proves* nothing was dropped or reordered
+rather than assuming it. Server-side failures arrive as structured error
+frames and re-raise here as
+:class:`~repro.service.requests.RequestError` (the request was malformed
+or unsupported), :class:`OverloadedError` (the server's admission
+control refused it and the retry budget ran out), or
 :class:`ServerError` (the server failed executing it). The client is
 thread-safe: ``run_coroutine_threadsafe`` serializes nothing but is safe
 from any thread, and the async core keys every reply by id.
@@ -31,12 +35,7 @@ from repro.client.aio import AsyncRemoteClient, OverloadedError, ServerError
 from repro.client.base import Client, IngestResult
 from repro.data.trajectory import Trajectory
 from repro.obs.tracing import mint_trace_id
-from repro.service.requests import (
-    Response,
-    request_to_json,
-    response_from_json,
-    trajectory_to_json,
-)
+from repro.service.requests import Response
 
 __all__ = ["RemoteClient", "ServerError", "OverloadedError"]
 
@@ -117,20 +116,20 @@ class RemoteClient(Client):
         if not self._thread.is_alive():
             self._loop.close()
 
-    # ----------------------------------------------------------------- framing
+    def _run(self, method, *args, **kwargs):
+        """Run one async-core method on the client loop (refused once closed)."""
+        if self._closed:
+            raise RuntimeError("client is closed")
+        return self._call(method(*args, **kwargs))
+
     def _round_trip(self, frame: dict) -> dict:
-        """Send one frame, return the matching reply body (id-checked).
+        """Send one raw frame, return the matching reply body (id-checked).
 
         Ingest frames keep their no-retry-on-reset contract; everything
         else is idempotent (see :mod:`repro.client.aio`).
         """
-        if self._closed:
-            raise RuntimeError("client is closed")
-        return self._call(
-            self._aclient._round_trip(
-                frame, idempotent=frame.get("type") != "ingest"
-            )
-        )
+        idempotent = frame.get("type") != "ingest"
+        return self._run(self._aclient._round_trip, frame, idempotent=idempotent)
 
     # ---------------------------------------------------------------- protocol
     def execute(self, request, *, trace_id: str | None = None) -> Response:
@@ -142,14 +141,7 @@ class RemoteClient(Client):
         ``QueryService.trace_export()`` output.
         """
         self.last_trace_id = trace_id if trace_id is not None else mint_trace_id()
-        body = self._round_trip(
-            {
-                "type": "request",
-                "request": request_to_json(request),
-                "trace": self.last_trace_id,
-            }
-        )
-        return response_from_json(body)
+        return self._run(self._aclient.execute, request, trace_id=self.last_trace_id)
 
     def ingest(
         self,
@@ -158,23 +150,16 @@ class RemoteClient(Client):
         trace_id: str | None = None,
     ) -> IngestResult:
         self.last_trace_id = trace_id if trace_id is not None else mint_trace_id()
-        body = self._round_trip(
-            {
-                "type": "ingest",
-                "trajectories": [trajectory_to_json(t) for t in trajectories],
-                "trace": self.last_trace_id,
-            }
+        return self._run(
+            self._aclient.ingest, trajectories, trace_id=self.last_trace_id
         )
-        return IngestResult(added=int(body["added"]), epoch=int(body["epoch"]))
 
     def describe(self) -> dict:
-        body = self._round_trip({"type": "describe"})
-        return {"transport": self.transport, **body["info"]}
+        return {**self._run(self._aclient.describe), "transport": self.transport}
 
     def metrics(self) -> dict:
         """The live server's metrics report (the wire ``metrics`` op)."""
-        body = self._round_trip({"type": "metrics"})
-        return body["metrics"]
+        return self._run(self._aclient.metrics)
 
     def close(self) -> None:
         """Send best-effort goodbyes and stop the loop thread (idempotent)."""

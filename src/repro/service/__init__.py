@@ -57,7 +57,6 @@ from repro.service.executors import (
     EXECUTORS,
     ShardExecutionError,
     ShardExecutor,
-    make_executor,
 )
 from repro.service.requests import (
     PROTOCOL_VERSION,
@@ -98,7 +97,6 @@ __all__ = [
     "ShardExecutionError",
     "ReplicaSet",
     "Watchdog",
-    "make_executor",
     "EXECUTORS",
     "CompactionPolicy",
     "CompactionResult",

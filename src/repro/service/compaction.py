@@ -83,10 +83,6 @@ class CompactionResult:
     def points_dropped(self) -> int:
         return self.points_before - self.points_after
 
-    @property
-    def bytes_saved(self) -> int:
-        return self.bytes_before - self.bytes_after
-
     def counters(self) -> dict:
         """Plain-dict accounting (picklable/JSON-able; crosses the worker pipe
         back to the service's per-shard ``ServiceStats.record_compaction``)."""

@@ -32,8 +32,8 @@ close are the same code for both:
   shared-memory store this *maps* the base tier instead of unpickling it,
   so R replicas share one copy of the base data — and keeps it warm
   across requests (CSR layout, engine memo, pending tier), communicating
-  over a dedicated pipe. Messages travel as pickle-5 frames with numpy
-  payloads shipped out-of-band (codec in :mod:`repro.service.replication`).
+  over a dedicated pipe. Each message travels as one pickle-5 blob in one
+  pipe frame (codec in :mod:`repro.service.replication`).
   All requests are written before any reply is read, so shards genuinely
   overlap; a replica that dies mid-request is retired and the query
   retries on a live sibling (ingest instead fans out to every replica and
@@ -60,7 +60,7 @@ from repro.service.replication import (
     ReplicaSet,
     ShardExecutionError,
 )
-from repro.service.sharding import Shard, ShardSnapshot
+from repro.service.sharding import ShardSnapshot
 
 EXECUTORS = ("serial", "process")
 
@@ -68,7 +68,6 @@ __all__ = [
     "EXECUTORS",
     "ShardExecutor",
     "ShardExecutionError",
-    "make_executor",
 ]
 
 
@@ -102,7 +101,7 @@ class ShardExecutor:
 
     def __init__(
         self,
-        shards: Iterable[Shard | ShardSnapshot],
+        shards: Iterable[ShardSnapshot],
         name: str,
         mp_context: str | None = None,
         replicas: int = 1,
@@ -216,7 +215,7 @@ class ShardExecutor:
         """
         self._check_usable()
         # One message object for every shard: worker replicas share its
-        # pickle-once frames.
+        # pickle-once blob.
         message = _Message(op, payload)
         errors: list[str] = []
         checked_out: list[tuple[int, ReplicaSet, object]] = []
@@ -394,10 +393,3 @@ class ShardExecutor:
             self.close()
         except Exception:  # pragma: no cover
             pass
-
-
-def make_executor(
-    kind: str, shards: Iterable[Shard | ShardSnapshot], **kwargs
-) -> ShardExecutor:
-    """Build the executor named ``kind`` (one of :data:`EXECUTORS`)."""
-    return ShardExecutor(shards, kind, **kwargs)

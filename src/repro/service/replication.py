@@ -50,25 +50,21 @@ executor's self-locking :class:`~repro.obs.metrics.MetricsRegistry`
 ``replication.hung_replicas``; ``transport.*``), surfaced by the
 service's ``metrics_report()`` replication and transport sections.
 
-The pipe codec (pickle-5 frames, large numpy arrays as raw out-of-band
-frames) and the worker main loop live here too.
+The pipe codec (one pickle-5 blob per message, one pipe frame each way)
+and the worker main loop live here too.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
-import struct
 import threading
 import time
 from typing import Callable
 
-import numpy as np
-
 from repro.obs.metrics import MetricsRegistry
 from repro.service.runtime import ShardRuntime
-from repro.service.sharding import Shard, ShardSnapshot
+from repro.service.sharding import ShardSnapshot
 
 
 class ShardExecutionError(RuntimeError):
@@ -85,82 +81,23 @@ class ReplicaGone(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Pipe message codec: pickle-5 with numpy payloads as raw out-of-band frames
+# Pipe message codec: one pickle-5 blob per message
 # ---------------------------------------------------------------------------
 #
-# ``Connection.send`` pickles numpy arrays *in-band*: the array bytes are
-# copied into the pickle stream on send and copied again out of it on load.
-# The codec below pickles every message at protocol 5 with a reducer that
-# turns large contiguous arrays into ``PickleBuffer`` references, then ships
-# each buffer as its own raw pipe frame — the send side writes straight from
-# the array's memory, and the load side wraps the received frame with
-# ``np.frombuffer`` (no second copy). Message layout on the wire:
-#
-#     frame 0:   4-byte big-endian buffer count || pickle bytes
-#     frame 1..: one raw frame per out-of-band array buffer
-#
-# Serialization completes before any frame is written, so an unpicklable
-# payload still leaves the pipe clean (same property Connection.send had).
-
-#: Arrays at or below this many bytes stay in-band: a dedicated pipe frame
-#: costs more than it saves for tiny arrays.
-_INLINE_LIMIT = 2048
-
-
-def _restore_array(buffer, dtype: str, shape: tuple) -> np.ndarray:
-    """Rebuild an out-of-band array (read-only, zero-copy over the frame)."""
-    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
-
-
-class _FramePickler(pickle.Pickler):
-    def reducer_override(self, obj):
-        if (
-            type(obj) is np.ndarray
-            and obj.dtype.kind in "biufc"
-            and obj.flags.c_contiguous
-            and obj.nbytes > _INLINE_LIMIT
-        ):
-            return (
-                _restore_array,
-                (pickle.PickleBuffer(obj), obj.dtype.str, obj.shape),
-            )
-        return NotImplemented
-
-
-def _dump_message(message) -> list:
-    """Serialize one message into its list of pipe frames."""
-    buffers: list[pickle.PickleBuffer] = []
-    head = io.BytesIO()
-    _FramePickler(head, protocol=5, buffer_callback=buffers.append).dump(message)
-    frames: list = [struct.pack(">I", len(buffers)) + head.getvalue()]
-    frames.extend(buf.raw() for buf in buffers)
-    return frames
-
-
-def _send_frames(conn, frames) -> None:
-    for frame in frames:
-        conn.send_bytes(frame)
+# Every message, in both directions, is ``pickle.dumps(msg, protocol=5)``
+# written as ONE ``send_bytes`` frame and read back with one ``recv_bytes``.
+# The arrays that cross a shard pipe are a few KiB, so shipping them
+# in-band costs less than extra frames would. Serialization completes
+# before any byte is written, so an unpicklable payload leaves the pipe
+# clean.
 
 
 def _send_message(conn, message) -> None:
-    _send_frames(conn, _dump_message(message))
-
-
-def _recv_frames(conn) -> tuple[bytes, list[bytes]]:
-    """Read one message's raw frames (head + out-of-band buffers)."""
-    head = conn.recv_bytes()
-    (n_buffers,) = struct.unpack_from(">I", head)
-    buffers = [conn.recv_bytes() for _ in range(n_buffers)]
-    return head, buffers
-
-
-def _load_message(head: bytes, buffers: list[bytes]):
-    return pickle.loads(memoryview(head)[4:], buffers=buffers)
+    conn.send_bytes(pickle.dumps(message, protocol=5))
 
 
 def _recv_message(conn):
-    head, buffers = _recv_frames(conn)
-    return _load_message(head, buffers)
+    return pickle.loads(conn.recv_bytes())
 
 
 class _Message:
@@ -171,17 +108,17 @@ class _Message:
     ``op``/``payload`` directly and never pickle at all.
     """
 
-    __slots__ = ("op", "payload", "_frames")
+    __slots__ = ("op", "payload", "_blob")
 
     def __init__(self, op: str, payload) -> None:
         self.op = op
         self.payload = payload
-        self._frames: list | None = None
+        self._blob: bytes | None = None
 
-    def frames(self) -> list:
-        if self._frames is None:
-            self._frames = _dump_message((self.op, self.payload))
-        return self._frames
+    def blob(self) -> bytes:
+        if self._blob is None:
+            self._blob = pickle.dumps((self.op, self.payload), protocol=5)
+        return self._blob
 
 
 def _apply(runtime: ShardRuntime, op: str, payload):
@@ -193,18 +130,18 @@ def _apply(runtime: ShardRuntime, op: str, payload):
 
 def _shard_worker_main(
     conn,
-    shard: Shard | ShardSnapshot,
+    shard: ShardSnapshot,
     runtime_kwargs: dict,
     replay: list | None = None,
 ) -> None:
     """Worker-process loop: build the runtime once, serve ops until stopped.
 
-    With a :class:`~repro.service.sharding.ShardSnapshot` the runtime
-    construction *maps* the shard's base tier from its shared segments —
-    the worker never unpickles point data at startup. ``replay`` (a
-    restarted replica's logged ingest batches) is applied before the first
-    request is read off the pipe, so the pipe's FIFO order guarantees no
-    query ever observes a half-caught-up replica. The worker creates no
+    Under the shared-memory store the runtime construction *maps* the
+    snapshot's base tier from its segments — the worker never unpickles
+    point data at startup. ``replay`` (a restarted replica's logged ingest
+    batches) is applied before the first request is read off the pipe, so
+    the pipe's FIFO order guarantees no query ever observes a
+    half-caught-up replica. The worker creates no
     shared segments (compacted tiers stay on its heap), so a SIGKILL
     leaks nothing; the ``finally`` runs :meth:`ShardRuntime.close` to
     release its snapshot mappings on every orderly exit path.
@@ -264,7 +201,7 @@ class _WorkerReplica:
         self,
         ctx,
         metrics: MetricsRegistry,
-        snapshot: Shard | ShardSnapshot,
+        snapshot: ShardSnapshot,
         runtime_kwargs: dict,
         replay: list | None,
     ) -> None:
@@ -286,21 +223,20 @@ class _WorkerReplica:
         return self.proc.pid
 
     def send(self, message: _Message) -> None:
-        # Serialization completes before any frame is written, so an
+        # Serialization completes before any byte is written, so an
         # unpicklable payload (e.g. a lambda measure) leaves the pipe clean.
-        frames = message.frames()
-        _send_frames(self.conn, frames)
-        self._metrics.inc("transport.pipe_bytes_sent", sum(len(f) for f in frames))
+        blob = message.blob()
+        self.conn.send_bytes(blob)
+        self._metrics.inc("transport.pipe_bytes_sent", len(blob))
         self._metrics.inc("transport.messages_sent")
 
     def receive(self, timeout: float | None = None) -> tuple:
         if timeout is not None and not self.conn.poll(timeout):
             raise TimeoutError(f"no reply within {timeout} s")
-        head, buffers = _recv_frames(self.conn)
-        n_bytes = len(head) + sum(len(b) for b in buffers)
-        self._metrics.inc("transport.pipe_bytes_received", n_bytes)
+        blob = self.conn.recv_bytes()
+        self._metrics.inc("transport.pipe_bytes_received", len(blob))
         self._metrics.inc("transport.messages_received")
-        return _load_message(head, buffers)
+        return pickle.loads(blob)
 
     def is_alive(self) -> bool:
         return self.proc.is_alive()
@@ -359,7 +295,7 @@ class _LocalReplica:
 
     def __init__(
         self,
-        snapshot: Shard | ShardSnapshot,
+        snapshot: ShardSnapshot,
         runtime_kwargs: dict,
         replay: list | None,
     ) -> None:
@@ -416,7 +352,7 @@ class ReplicaSet:
 
     def __init__(
         self,
-        snapshot: Shard | ShardSnapshot,
+        snapshot: ShardSnapshot,
         *,
         spawn: Callable,
         runtime_kwargs: dict,

@@ -31,7 +31,7 @@ reuse the same reference arithmetic the engine is property-tested against
 
 Runtimes are executor-side objects: the ``serial`` transport keeps them
 in-process, the ``process`` transport builds one inside each shard worker
-from the pickled :class:`~repro.service.sharding.Shard` snapshot.
+from the shard's :class:`~repro.service.sharding.ShardSnapshot`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from repro.queries.similarity import (
     resolve_time_windows,
 )
 from repro.service.compaction import CompactionResult, make_compaction
-from repro.service.sharding import Shard, ShardSnapshot
+from repro.service.sharding import ShardSnapshot
 
 
 class ShardRuntime:
@@ -69,8 +69,10 @@ class ShardRuntime:
     Parameters
     ----------
     shard:
-        Membership snapshot; copied, so later manager-side bookkeeping does
-        not leak into the runtime (deltas arrive only via :meth:`ingest`).
+        Columnar membership snapshot (see
+        :meth:`~repro.service.sharding.ShardManager.export_snapshots`);
+        later manager-side bookkeeping does not leak into the runtime
+        (deltas arrive only via :meth:`ingest`).
     resolution:
         Grid resolution of the base engine's CSR layout.
     compact_threshold:
@@ -87,7 +89,7 @@ class ShardRuntime:
 
     def __init__(
         self,
-        shard: Shard | ShardSnapshot,
+        shard: ShardSnapshot,
         resolution: tuple[int, int, int] = (32, 32, 16),
         compact_threshold: float = 0.5,
         min_compact_points: int = 2048,
@@ -98,28 +100,22 @@ class ShardRuntime:
         self.compact_threshold = float(compact_threshold)
         self.min_compact_points = int(min_compact_points)
         #: Columnar-backed base database (views into the mapped snapshot or
-        #: the last compaction's heap arrays); None when the base was built
-        #: from trajectory objects.
+        #: the last compaction's heap arrays); None while the base is empty.
         self._base_db: TrajectoryDatabase | None = None
+        matrix = shard.matrix.resolve()
+        offsets = shard.offsets.resolve()
         #: Snapshot handles this runtime attached (released, never unlinked
         #: — the exporting store owns those segments).
-        self._attached: list = []
-        if isinstance(shard, ShardSnapshot):
-            matrix = shard.matrix.resolve()
-            offsets = shard.offsets.resolve()
-            self._attached = [shard.matrix, shard.offsets]
-            if len(offsets) > 1:
-                self._base_db = TrajectoryDatabase.from_columnar(matrix, offsets)
-                self._base = list(self._base_db.trajectories)
-            else:
-                self._base = []
+        self._attached: list = [shard.matrix, shard.offsets]
+        if len(offsets) > 1:
+            self._base_db = TrajectoryDatabase.from_columnar(matrix, offsets)
+            self._base = list(self._base_db.trajectories)
         else:
-            self._base = list(shard.trajectories)
+            self._base = []
         self._base_gids = np.asarray(shard.global_ids, dtype=np.int64)
         self._base_points = sum(len(t) for t in self._base)
         self._pending: list[tuple[int, Trajectory]] = []
         self._pending_points = 0
-        self._db: TrajectoryDatabase | None = None
         self._engine: QueryEngine | None = None
         self._pending_matrix: np.ndarray | None = None
         self._pending_owner_gids: np.ndarray | None = None
@@ -147,17 +143,8 @@ class ShardRuntime:
         """The base tier's engine, built on first use (None while the base
         is empty)."""
         if self._engine is None and self._base:
-            self._db = (
-                self._base_db
-                if self._base_db is not None
-                else TrajectoryDatabase(self._base)
-            )
-            self._engine = QueryEngine(self._db, resolution=self.resolution)
+            self._engine = QueryEngine(self._base_db, resolution=self.resolution)
         return self._engine
-
-    @property
-    def n_base(self) -> int:
-        return len(self._base)
 
     @property
     def n_pending(self) -> int:
@@ -268,7 +255,6 @@ class ShardRuntime:
             float(counters.get("elapsed_s", 0.0))
         )
         published = result.database
-        self._db = None
         self._engine = None
         base_db = TrajectoryDatabase.from_columnar(
             published.point_matrix(), published.point_offsets()
@@ -292,7 +278,6 @@ class ShardRuntime:
             return
         self._closed = True
         self._engine = None
-        self._db = None
         self._base_db = None
         self._base = []
         self._pending = []
@@ -413,7 +398,7 @@ class ShardRuntime:
         engine = self.engine
         if engine is not None and queries:
             base_pairs = knn_query_batch(
-                self._db,
+                self._base_db,
                 queries,
                 k,
                 windows,

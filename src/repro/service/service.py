@@ -42,7 +42,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.service._sync import RWLock
 from repro.service.compaction import make_compaction
-from repro.service.executors import EXECUTORS, make_executor
+from repro.service.executors import EXECUTORS, ShardExecutor
 from repro.service.requests import CacheLookup, lookup_cached, serve_lookup
 from repro.service.sharding import ShardManager
 from repro.service.watchdog import Watchdog
@@ -294,9 +294,9 @@ class QueryService:
         self._store = make_store(store)
         self.store_name = self._store.kind
         try:
-            self._executor = make_executor(
-                executor,
+            self._executor = ShardExecutor(
                 self.manager.export_snapshots(self._store),
+                executor,
                 resolution=resolution,
                 compact_threshold=compact_threshold,
                 min_compact_points=min_compact_points,

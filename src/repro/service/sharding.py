@@ -13,9 +13,10 @@ Shard *execution* state (the per-shard CSR point matrix and
 :class:`~repro.queries.engine.QueryEngine`) lives in
 :class:`~repro.service.runtime.ShardRuntime` objects, which may run in the
 serving process (``serial`` transport) or in per-shard worker processes
-(``process`` transport) — see :mod:`repro.service.executors`. The
-:class:`Shard` snapshots exchanged between manager and runtimes are plain
-picklable containers.
+(``process`` transport) — see :mod:`repro.service.executors`. The manager
+keeps each shard's membership as a :class:`Shard`; runtimes are built
+only from the columnar :class:`ShardSnapshot` that
+:meth:`ShardManager.export_snapshots` freezes it into.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.data.trajectory import Trajectory
 
 @dataclass
 class Shard:
-    """A picklable snapshot of one shard's membership.
+    """The manager's record of one shard's membership.
 
     ``trajectories[i]`` holds global id ``global_ids[i]``; the list is
     ordered by global id (ascending), which the ``g % K`` rule and the
@@ -155,10 +156,6 @@ class ShardManager:
             raise RuntimeError("shard membership lost trajectories")
         return TrajectoryDatabase(merged)  # type: ignore[arg-type]
 
-    def snapshots(self) -> list[Shard]:
-        """The current shard snapshots (for executor initialization)."""
-        return self.shards
-
     def export_snapshot(self, store, shard: Shard) -> ShardSnapshot:
         """Freeze one shard's membership into columnar store handles
         labelled ``s<index>m`` / ``s<index>o``."""
@@ -240,16 +237,3 @@ class ShardManager:
                 self._grow_extent(traj.bounding_box)
         self._next_global_id += sum(len(b) for b in routed.values())
         self.epoch += 1
-
-    def ingest(
-        self, trajectories: list[Trajectory]
-    ) -> dict[int, list[tuple[int, Trajectory]]]:
-        """Route AND commit a batch in one step (no shard-runtime delivery).
-
-        Convenience for manager-only use; :class:`~repro.service.service.QueryService`
-        instead plans, delivers to the executor, then commits, so a failed
-        delivery cannot desynchronize the manager from the runtimes.
-        """
-        routed = self.plan_ingest(trajectories)
-        self.commit_ingest(routed)
-        return routed

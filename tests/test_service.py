@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.client import LocalClient, ServiceClient
 from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
+from repro.data.store import HeapStore
 from repro.data.stats import spatial_scale
 from repro.eval.harness import QueryAccuracyEvaluator
 from repro.obs.metrics import Histogram
@@ -26,14 +27,14 @@ from repro.service import (
     QueryService,
     RangeRequest,
     Response,
-    Shard,
     ShardExecutionError,
     ShardExecutor,
     ShardManager,
     ShardRuntime,
-    make_executor,
 )
+from repro.service import executors as executors_module
 from repro.service._sync import RWLock
+from repro.service.replication import _Message
 from repro.service.requests import CacheLookup
 from repro.workloads import RangeQueryWorkload
 from tests.conftest import make_trajectory
@@ -52,6 +53,14 @@ def knn_suite(db, n_queries=4, seed=1):
     queries = [db[q] for q in qids]
     windows = [QueryAccuracyEvaluator._central_window(q) for q in queries]
     return queries, windows
+
+
+def empty_shard_snapshot():
+    """Shard 1 of a 2-shard manager over a 1-trajectory database: empty."""
+    manager = ShardManager.create(service_db(1), n_shards=2)
+    snapshot = manager.export_snapshots(HeapStore())[1]
+    assert len(snapshot) == 0
+    return snapshot
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +118,9 @@ class TestShardManager:
         manager = ShardManager.create(small_db, n_shards=2)
         assert manager.epoch == 0
         batch = [make_trajectory(n=5, seed=900 + i) for i in range(3)]
-        routed = manager.ingest(batch)
+        routed = manager.plan_ingest(batch)
+        assert manager.epoch == 0
+        manager.commit_ingest(routed)
         assert manager.epoch == 1
         gids = sorted(g for pairs in routed.values() for g, _ in pairs)
         assert gids == [len(small_db), len(small_db) + 1, len(small_db) + 2]
@@ -123,7 +134,7 @@ class TestShardManager:
     def test_ingest_rejects_non_trajectories(self, small_db):
         manager = ShardManager.create(small_db, n_shards=2)
         with pytest.raises(TypeError):
-            manager.ingest([np.zeros((3, 3))])
+            manager.plan_ingest([np.zeros((3, 3))])
 
     def test_trajectory_lookup(self, small_db):
         manager = ShardManager.create(small_db, n_shards=3)
@@ -616,7 +627,7 @@ class TestShardRuntimeTiers:
             ).evaluate(served_workload)
 
     def test_empty_shard_answers_every_kind(self):
-        runtime = ShardRuntime(Shard(index=0))
+        runtime = ShardRuntime(empty_shard_snapshot())
         db = service_db(6)
         workload = RangeQueryWorkload.from_data_distribution(db, 4, seed=0)
         queries, windows = knn_suite(db, n_queries=2)
@@ -627,7 +638,7 @@ class TestShardRuntimeTiers:
         assert runtime.op_similarity(queries, 1.0) == [set(), set()]
 
     def test_ingest_into_initially_empty_shard(self, served_workload, served_db):
-        runtime = ShardRuntime(Shard(index=0), min_compact_points=10**9)
+        runtime = ShardRuntime(empty_shard_snapshot(), min_compact_points=10**9)
         batch = [(gid, served_db[gid]) for gid in range(len(served_db))]
         runtime.ingest(batch)
         engine = QueryEngine(served_db)
@@ -637,14 +648,15 @@ class TestShardRuntimeTiers:
 
 
 class TestExecutors:
-    def test_make_executor_rejects_unknown_kind(self, small_db):
+    def test_executor_rejects_unknown_kind(self, small_db):
         manager = ShardManager.create(small_db, 2)
         with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("threads", manager.snapshots())
+            ShardExecutor(manager.export_snapshots(HeapStore()), "threads")
 
     def test_process_executor_runs_one_worker_per_shard(self, served_db):
         manager = ShardManager.create(served_db, 3)
-        with ShardExecutor(manager.snapshots(), "process") as executor:
+        snapshots = manager.export_snapshots(HeapStore())
+        with ShardExecutor(snapshots, "process") as executor:
             assert executor.n_workers == 3
             pids = executor.worker_pids()
             assert len(set(pids)) == 3
@@ -653,7 +665,8 @@ class TestExecutors:
 
     def test_process_executor_propagates_shard_errors(self, served_db):
         manager = ShardManager.create(served_db, 2)
-        with ShardExecutor(manager.snapshots(), "process") as executor:
+        snapshots = manager.export_snapshots(HeapStore())
+        with ShardExecutor(snapshots, "process") as executor:
             with pytest.raises(ShardExecutionError, match="shard 0"):
                 executor.broadcast("no_such_op", {})
             # the worker survives an error and keeps serving
@@ -663,7 +676,8 @@ class TestExecutors:
         self, served_db
     ):
         manager = ShardManager.create(served_db, 2)
-        with ShardExecutor(manager.snapshots(), "serial") as executor:
+        snapshots = manager.export_snapshots(HeapStore())
+        with ShardExecutor(snapshots, "serial") as executor:
             # the runtime's own exception type, not a ShardExecutionError
             with pytest.raises(KeyError, match="no_such_op"):
                 executor.broadcast("no_such_op", {})
@@ -673,7 +687,8 @@ class TestExecutors:
     def test_dead_worker_surfaces_as_shard_execution_error(self, served_db):
         """A killed worker must not leak BrokenPipeError or stale replies."""
         manager = ShardManager.create(served_db, 2)
-        with ShardExecutor(manager.snapshots(), "process") as executor:
+        snapshots = manager.export_snapshots(HeapStore())
+        with ShardExecutor(snapshots, "process") as executor:
             executor._procs[0].terminate()
             executor._procs[0].join()
             with pytest.raises(ShardExecutionError, match="shard 0"):
@@ -688,15 +703,59 @@ class TestExecutors:
 
     def test_process_executor_close_is_idempotent(self, served_db):
         manager = ShardManager.create(served_db, 2)
-        executor = ShardExecutor(manager.snapshots(), "process")
+        executor = ShardExecutor(manager.export_snapshots(HeapStore()), "process")
         executor.close()
         executor.close()
         with pytest.raises(ShardExecutionError, match="closed"):
             executor.broadcast("info", {})
 
+    def test_unpicklable_request_fails_every_shard_and_leaves_pipes_clean(
+        self, served_db, served_workload
+    ):
+        """A lambda measure cannot be pickled: both shards report ``send
+        failed`` in one error, no byte reaches a pipe, and the next request
+        is answered correctly."""
+        queries, windows = knn_suite(served_db, n_queries=2)
+        request = KnnRequest(
+            tuple(queries), 2, tuple(windows), measure=lambda a, b: 1.0
+        )
+        with QueryService(served_db, n_shards=2, executor="process") as service:
+            with pytest.raises(ShardExecutionError) as excinfo:
+                service.execute(request)
+            message = str(excinfo.value)
+            assert "shard 0: send failed" in message
+            assert "shard 1: send failed" in message
+            answer = service.execute(RangeRequest.from_workload(served_workload))
+            assert answer.result_sets == QueryEngine(served_db).evaluate(
+                served_workload
+            )
+
+    def test_broadcast_pickles_once_and_sends_the_same_bytes_to_every_shard(
+        self, served_db, monkeypatch
+    ):
+        made: list[_Message] = []
+
+        class RecordingMessage(_Message):
+            def __init__(self, op, payload) -> None:
+                super().__init__(op, payload)
+                made.append(self)
+
+        monkeypatch.setattr(executors_module, "_Message", RecordingMessage)
+        manager = ShardManager.create(served_db, 3)
+        boxes = RangeQueryWorkload.from_data_distribution(served_db, 5, seed=9).boxes
+        snapshots = manager.export_snapshots(HeapStore())
+        with ShardExecutor(snapshots, "process") as executor:
+            before = executor.transport_stats()
+            executor.broadcast("range", {"boxes": boxes})
+            after = executor.transport_stats()
+        assert len(made) == 1
+        blob = made[0].blob()
+        assert after["messages_sent"] - before["messages_sent"] == 3
+        assert after["pipe_bytes_sent"] - before["pipe_bytes_sent"] == 3 * len(blob)
+
     def test_serial_executor_matches_runtime_directly(self, served_db):
         manager = ShardManager.create(served_db, 2)
-        executor = ShardExecutor(manager.snapshots(), "serial")
+        executor = ShardExecutor(manager.export_snapshots(HeapStore()), "serial")
         boxes = RangeQueryWorkload.from_data_distribution(served_db, 5, seed=9).boxes
         partials = executor.broadcast("range", {"boxes": boxes})
         assert len(partials) == 2
