@@ -37,32 +37,20 @@ class LocalClient(Client):
     Parameters
     ----------
     db:
-        The served database.
-    resolution:
-        Engine grid resolution, applied when this client creates the
-        database's shared engine (an engine that already exists is reused
-        unchanged).
-    cache_size:
-        LRU entries of whole-request results, keyed on
-        ``(request cache key, epoch)`` — the service's cache semantics.
+        The served database, queried through its shared engine. Results
+        are memoized the service's way: a
+        :data:`~repro.service.requests.CACHE_SIZE`-entry LRU keyed on
+        ``(request cache key, epoch)``.
     """
 
     transport = "local"
 
-    def __init__(
-        self,
-        db: TrajectoryDatabase,
-        *,
-        resolution: tuple[int, int, int] = (32, 32, 16),
-        cache_size: int = 64,
-    ) -> None:
-        self._resolution = resolution
+    def __init__(self, db: TrajectoryDatabase) -> None:
         self._db = db
-        self._engine = QueryEngine.for_database(db, resolution=resolution)
+        self._engine = QueryEngine.for_database(db)
         self._epoch = 0
         self._cache: OrderedDict[tuple, object] = OrderedDict()
         self._cache_lock = threading.Lock()
-        self._cache_size = int(cache_size)
         self.stats = ServiceStats()
         self.tracer = Tracer()
         self._closed = False
@@ -89,7 +77,6 @@ class LocalClient(Client):
             epoch=self._epoch,
             n_shards=1,
             cache=self._cache,
-            cache_size=self._cache_size,
             stats=self.stats,
             dispatch=self._dispatch,
             cache_lock=self._cache_lock,
@@ -166,7 +153,7 @@ class LocalClient(Client):
             if not isinstance(t, Trajectory):
                 raise TypeError(f"expected Trajectory, got {type(t).__name__}")
         self._db = self._db.extended(batch)
-        self._engine = QueryEngine.for_database(self._db, resolution=self._resolution)
+        self._engine = QueryEngine.for_database(self._db)
         self._epoch += 1
         self.stats.record_ingest(batch)
         return IngestResult(added=len(batch), epoch=self._epoch)

@@ -5,12 +5,15 @@ Layering (see ``ARCHITECTURE.md`` at the repository root)::
     data (TrajectoryDatabase) -> index/engine (CSR + QueryEngine)
         -> service (shards + executors + request layer)
 
-* :mod:`~repro.service.sharding` — :class:`ShardManager`: partitions the
-  database into K shards (global id ``g`` on shard ``g % K``), assigns
-  global trajectory ids, routes streamed ingests, tracks the shard epoch;
+* :mod:`~repro.service.sharding` — the placement rule (global id ``g``
+  lives on shard ``g % K`` at position ``g // K``) and
+  :class:`ShardManager`: one global-id-ordered trajectory list that it
+  freezes into per-shard :class:`ShardSnapshot` objects, routes streamed
+  ingests by, and versions with the shard epoch;
 * :mod:`~repro.service.runtime` — :class:`ShardRuntime`: per-shard
   execution, a compacted base :class:`~repro.queries.engine.QueryEngine`
-  plus a streamed pending tier (ingest without rebuild);
+  plus a streamed pending tier (ingest without rebuild), answering in
+  global ids by arithmetic (local position ``i`` is ``s + K * i``);
 * :mod:`~repro.service.compaction` — pluggable base-rebuild policies:
   :class:`ExactCompaction` (bit-identical default) and
   :class:`SimplifyingCompaction` (the paper's simplifiers as the storage
@@ -84,13 +87,12 @@ from repro.service.runtime import ShardRuntime
 from repro.service.server import QueryServer, ServerHandle, serve_in_thread
 from repro.service.watchdog import Watchdog
 from repro.service.service import QueryService, ServiceStats
-from repro.service.sharding import Shard, ShardManager, ShardSnapshot
+from repro.service.sharding import ShardManager, ShardSnapshot
 
 __all__ = [
     "QueryService",
     "ServiceStats",
     "ShardManager",
-    "Shard",
     "ShardSnapshot",
     "ShardRuntime",
     "ShardExecutor",

@@ -735,6 +735,9 @@ def build_response(
 
 _MISS = object()
 
+#: Entries of the whole-request result LRU of every serving loop.
+CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class CacheLookup:
@@ -792,7 +795,6 @@ def serve_lookup(
     epoch: int,
     n_shards: int,
     cache,
-    cache_size: int,
     stats,
     dispatch,
     cache_lock,
@@ -819,7 +821,7 @@ def serve_lookup(
         if lookup.request_key is not None:
             with cache_lock:
                 cache[(lookup.request_key, epoch)] = payload
-                while len(cache) > cache_size:
+                while len(cache) > CACHE_SIZE:
                     cache.popitem(last=False)
     latency = lookup.seconds + (time.perf_counter() - start)
     if tracer is not None:
@@ -846,7 +848,6 @@ def serve_cached(
     epoch: int,
     n_shards: int,
     cache,
-    cache_size: int,
     stats,
     dispatch,
     cache_lock,
@@ -892,7 +893,6 @@ def serve_cached(
         epoch=epoch,
         n_shards=n_shards,
         cache=cache,
-        cache_size=cache_size,
         stats=stats,
         dispatch=dispatch,
         cache_lock=cache_lock,

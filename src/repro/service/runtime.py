@@ -32,6 +32,12 @@ reuse the same reference arithmetic the engine is property-tested against
 Runtimes are executor-side objects: the ``serial`` transport keeps them
 in-process, the ``process`` transport builds one inside each shard worker
 from the shard's :class:`~repro.service.sharding.ShardSnapshot`.
+
+Answers are in global-id space with no stored ids: placement is
+``g % K`` (see :mod:`repro.service.sharding`), and compaction keeps one row
+per trajectory in arrival order, so the trajectory at local position ``i``
+— the base tier first, then the pending tier — has global id
+``index + n_shards * i``.
 """
 
 from __future__ import annotations
@@ -73,8 +79,6 @@ class ShardRuntime:
         :meth:`~repro.service.sharding.ShardManager.export_snapshots`);
         later manager-side bookkeeping does not leak into the runtime
         (deltas arrive only via :meth:`ingest`).
-    resolution:
-        Grid resolution of the base engine's CSR layout.
     compact_threshold:
         Compact when pending points exceed this fraction of base points.
     min_compact_points:
@@ -90,13 +94,12 @@ class ShardRuntime:
     def __init__(
         self,
         shard: ShardSnapshot,
-        resolution: tuple[int, int, int] = (32, 32, 16),
         compact_threshold: float = 0.5,
         min_compact_points: int = 2048,
         compaction=None,
     ) -> None:
         self.index = shard.index
-        self.resolution = resolution
+        self.n_shards = shard.n_shards
         self.compact_threshold = float(compact_threshold)
         self.min_compact_points = int(min_compact_points)
         #: Columnar-backed base database (views into the mapped snapshot or
@@ -112,9 +115,8 @@ class ShardRuntime:
             self._base = list(self._base_db.trajectories)
         else:
             self._base = []
-        self._base_gids = np.asarray(shard.global_ids, dtype=np.int64)
         self._base_points = sum(len(t) for t in self._base)
-        self._pending: list[tuple[int, Trajectory]] = []
+        self._pending: list[Trajectory] = []
         self._pending_points = 0
         self._engine: QueryEngine | None = None
         self._pending_matrix: np.ndarray | None = None
@@ -143,7 +145,7 @@ class ShardRuntime:
         """The base tier's engine, built on first use (None while the base
         is empty)."""
         if self._engine is None and self._base:
-            self._engine = QueryEngine(self._base_db, resolution=self.resolution)
+            self._engine = QueryEngine(self._base_db)
         return self._engine
 
     @property
@@ -167,15 +169,16 @@ class ShardRuntime:
         log, self._compaction_log = self._compaction_log, []
         return log
 
-    def ingest(self, batch: list[tuple[int, Trajectory]]) -> list[dict]:
-        """Append a routed batch to the pending tier (auto-compacting).
+    def ingest(self, batch: list[Trajectory]) -> list[dict]:
+        """Append a routed batch to the pending tier (auto-compacting);
+        its trajectories take this shard's next global ids, in order.
 
         Returns the compaction counters of any policy passes this ingest
         triggered (usually empty), so executors can carry them back to
         the service's stats without an extra round-trip.
         """
         start = time.perf_counter()
-        batch_points = sum(len(t) for _, t in batch)
+        batch_points = sum(len(t) for t in batch)
         self._pending.extend(batch)
         self._pending_points += batch_points
         self._pending_matrix = None
@@ -189,7 +192,7 @@ class ShardRuntime:
         self.metrics.counter("ingest.points").inc(batch_points)
         return self.take_compactions()
 
-    def replay(self, batches: list[list[tuple[int, Trajectory]]]) -> None:
+    def replay(self, batches: list[list[Trajectory]]) -> None:
         """Re-apply logged ingest batches (replica restart catch-up).
 
         A restarted replica is built from the shard's *original* base
@@ -219,10 +222,7 @@ class ShardRuntime:
         """
         if not self._pending:
             return
-        self._base.extend(t for _, t in self._pending)
-        self._base_gids = np.concatenate(
-            [self._base_gids, np.array([g for g, _ in self._pending], dtype=np.int64)]
-        )
+        self._base.extend(self._pending)
         self._pending = []
         self._pending_points = 0
         self._pending_matrix = None
@@ -292,20 +292,25 @@ class ShardRuntime:
         if self._pending_matrix is None:
             if self._pending:
                 self._pending_matrix = np.concatenate(
-                    [t.points for _, t in self._pending]
+                    [t.points for t in self._pending]
                 )
                 self._pending_owner_gids = np.repeat(
-                    np.array([g for g, _ in self._pending], dtype=np.int64),
-                    [len(t) for _, t in self._pending],
+                    self._pending_gids(), [len(t) for t in self._pending]
                 )
             else:
                 self._pending_matrix = np.empty((0, 3))
                 self._pending_owner_gids = np.empty(0, dtype=np.int64)
         return self._pending_matrix, self._pending_owner_gids
 
+    def _pending_gids(self) -> np.ndarray:
+        """Global ids of the pending tier, in order (they follow the base)."""
+        first = len(self._base)
+        positions = np.arange(first, first + len(self._pending), dtype=np.int64)
+        return self.index + self.n_shards * positions
+
     def _to_global(self, local_sets: list[set[int]]) -> list[set[int]]:
-        gids = self._base_gids
-        return [{int(gids[t]) for t in s} for s in local_sets]
+        index, n_shards = self.index, self.n_shards
+        return [{index + n_shards * t for t in s} for s in local_sets]
 
     #: Scatter ops whose shard-side wall time is recorded into the shard
     #: registry's ``op.<name>`` histogram (query kinds; bookkeeping ops
@@ -407,9 +412,9 @@ class ShardRuntime:
                 engine=engine,
                 return_pairs=True,
             )
-            gids = self._base_gids
+            index, n_shards = self.index, self.n_shards
             for qi, pairs in enumerate(base_pairs):
-                merged[qi].extend((d, int(gids[tid])) for d, tid in pairs)
+                merged[qi].extend((d, index + n_shards * tid) for d, tid in pairs)
         if self._pending and queries:
             self._knn_pending(merged, queries, windows, measure, eps)
         return [top_k_pairs(pairs, k) for pairs in merged]
@@ -422,10 +427,11 @@ class ShardRuntime:
         flat_q: list[Trajectory] = []
         flat_c: list[Trajectory] = []
         flat_at: list[tuple[int, int]] = []  # (query index, candidate gid)
+        gids = self._pending_gids().tolist()
         for qi, (qw, (ts, te)) in enumerate(zip(query_windows, windows)):
             if qw is None:
                 continue
-            for gid, traj in self._pending:
+            for gid, traj in zip(gids, self._pending):
                 restricted = _window_restriction(traj, ts, te)
                 if restricted is None:
                     continue
@@ -442,7 +448,7 @@ class ShardRuntime:
             theta = _resolve_measure(measure, eps, None)
             distances = [theta(a, b) for a, b in zip(flat_q, flat_c)]
         for (qi, gid), d in zip(flat_at, distances):
-            merged[qi].append((float(d), int(gid)))
+            merged[qi].append((float(d), gid))
 
     def op_similarity(
         self,
@@ -462,19 +468,20 @@ class ShardRuntime:
         if not self._pending:
             return results
         windows = resolve_time_windows(queries, time_windows)
+        gids = self._pending_gids().tolist()
         for qi, (q, (ts, te)) in enumerate(zip(queries, windows)):
             checkpoints = query_checkpoints(q, ts, te, n_checkpoints)
             if len(checkpoints) == 0:
                 continue
             query_positions = q.positions_at(checkpoints)
             query_alive = (checkpoints >= q.times[0]) & (checkpoints <= q.times[-1])
-            for gid, traj in self._pending:
+            for gid, traj in zip(gids, self._pending):
                 if traj.times[-1] < ts or traj.times[0] > te:
                     continue
                 if candidate_matches(
                     traj, checkpoints, query_positions, query_alive, delta
                 ):
-                    results[qi].add(int(gid))
+                    results[qi].add(gid)
         return results
 
     def op_info(self) -> dict:

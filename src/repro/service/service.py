@@ -217,11 +217,6 @@ class QueryService:
         ``"serial"`` (in-process reference) or ``"process"`` (worker
         processes per shard): the replica transport of the one
         :class:`~repro.service.executors.ShardExecutor`.
-    resolution:
-        Per-shard engine grid resolution.
-    cache_size:
-        LRU entries of whole-request results, keyed on
-        ``(request cache key, shard epoch)``.
     compact_threshold, min_compact_points:
         Pending-tier compaction policy of the shard runtimes.
     index:
@@ -267,8 +262,6 @@ class QueryService:
         *,
         n_shards: int = 4,
         executor: str = "serial",
-        resolution: tuple[int, int, int] = (32, 32, 16),
-        cache_size: int = 64,
         compact_threshold: float = 0.5,
         min_compact_points: int = 2048,
         index: str = "grid",
@@ -276,7 +269,6 @@ class QueryService:
         store: str = "heap",
         compaction="exact",
         error_budget: float | None = None,
-        trace_capacity: int = 4096,
         replicas: int = 1,
         watchdog_interval: float | None = None,
         watchdog_deadline: float = 5.0,
@@ -287,7 +279,7 @@ class QueryService:
             raise ValueError("replicas must be >= 1")
         self.manager = ShardManager.create(db, n_shards)
         self.index = index
-        self.tracer = Tracer(trace_capacity)
+        self.tracer = Tracer()
         self.executor_name = executor
         self.compaction = make_compaction(compaction, error_budget=error_budget)
         self.replicas = int(replicas)
@@ -297,7 +289,6 @@ class QueryService:
             self._executor = ShardExecutor(
                 self.manager.export_snapshots(self._store),
                 executor,
-                resolution=resolution,
                 compact_threshold=compact_threshold,
                 min_compact_points=min_compact_points,
                 compaction=self.compaction,
@@ -308,7 +299,6 @@ class QueryService:
             self._store.close()
             raise
         self._cache: OrderedDict[tuple, object] = OrderedDict()
-        self._cache_size = int(cache_size)
         self.stats = ServiceStats()
         self._closed = False
         self._failed = False
@@ -416,7 +406,6 @@ class QueryService:
             epoch=epoch,
             n_shards=self.manager.n_shards,
             cache=self._cache,
-            cache_size=self._cache_size,
             stats=self.stats,
             dispatch=lambda req: self._dispatch(req, trace_id),
             tracer=self.tracer,
@@ -509,7 +498,7 @@ class QueryService:
                 # double-count rows, so stop serving.
                 self._failed = True
                 raise
-            self.manager.commit_ingest(routed)
+            self.manager.commit_ingest(batch)
             self.stats.record_ingest(batch)
             self._absorb_compactions(drained, trace_id=trace_id)
         return len(batch)

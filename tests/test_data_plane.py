@@ -17,10 +17,12 @@ Three contracts:
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 
 import pytest
 
+from repro.data import TrajectoryDatabase
 from repro.data.stats import spatial_scale
 from repro.data.store import SharedMemoryStore, shared_memory_available
 from repro.service import QueryService, ShardExecutionError, ShardManager
@@ -149,6 +151,21 @@ class TestWorkerDeath:
             service.close()
         # The snapshot store's close unlinked every segment it created.
         assert service_segments(service) == []
+
+
+# ---------------------------------------------------------------------------
+# Snapshots ship descriptors, not membership
+# ---------------------------------------------------------------------------
+
+@needs_shm
+def test_shm_snapshot_pickle_stays_small_for_a_large_shard():
+    """A shard's members follow from ``(index, n_shards)``, so an shm
+    snapshot pickles to segment names alone, whatever the shard's size."""
+    db = TrajectoryDatabase([make_trajectory(n=3, seed=i) for i in range(2000)])
+    with SharedMemoryStore() as store:
+        snapshot = ShardManager.create(db, 1).export_snapshot(store, 0)
+        assert snapshot.offsets.shape == (2001,)
+        assert len(pickle.dumps(snapshot)) < 1024
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,28 @@ class TestEvaluator:
         scores = evaluator.evaluate(geolife_db, tasks=("range", "similarity"))
         assert set(scores) == {"range", "similarity"}
 
+    def test_range_only_scoring_builds_no_other_truth(
+        self, geolife_db, monkeypatch
+    ):
+        """kNN, t2vec, similarity and clustering truth are built on first
+        use, so scoring ``range`` alone never runs their queries."""
+        from repro.baselines import simplify_database
+        from repro.eval import harness
+        from repro.queries.t2vec import T2VecEmbedder
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built truth of a task that was not scored")
+
+        monkeypatch.setattr(harness, "traclus_cluster", forbidden)
+        monkeypatch.setattr(harness, "knn_query_batch", forbidden)
+        monkeypatch.setattr(harness, "similarity_query_batch", forbidden)
+        monkeypatch.setattr(T2VecEmbedder, "fit", forbidden)
+        ev = QueryAccuracyEvaluator(geolife_db, QuerySuiteConfig(seed=2))
+        simplified = simplify_database(
+            geolife_db, 0.3, get_baseline("Top-Down(E,SED)")
+        )
+        assert 0.0 <= ev.evaluate(simplified, ("range",))["range"] <= 1.0
+
     def test_unknown_task_rejected(self, geolife_db, evaluator):
         with pytest.raises(ValueError):
             evaluator.evaluate(geolife_db, tasks=("join",))

@@ -59,7 +59,7 @@ def empty_shard_snapshot():
     """Shard 1 of a 2-shard manager over a 1-trajectory database: empty."""
     manager = ShardManager.create(service_db(1), n_shards=2)
     snapshot = manager.export_snapshots(HeapStore())[1]
-    assert len(snapshot) == 0
+    assert snapshot.offsets.resolve().tolist() == [0]
     return snapshot
 
 
@@ -73,29 +73,46 @@ def served_workload(served_db):
     return RangeQueryWorkload.from_data_distribution(served_db, 20, seed=3)
 
 
+def snapshot_rows(snapshot) -> list[np.ndarray]:
+    """The point arrays of a snapshot's members, in row order."""
+    matrix = snapshot.matrix.resolve()
+    offsets = snapshot.offsets.resolve()
+    return [matrix[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def same_points(rows, trajectories) -> bool:
+    return len(rows) == len(trajectories) and all(
+        np.array_equal(row, t.points) for row, t in zip(rows, trajectories)
+    )
+
+
 class TestPartitioning:
     def test_hash_partition_is_exhaustive_and_disjoint(self, small_db):
-        """Global id ``g`` starts on shard ``g % K``, in ascending order."""
+        """Global id ``g`` starts on shard ``g % K`` at position ``g // K``:
+        shard ``s``'s snapshot rows are ``db[s::K]``."""
         manager = ShardManager.create(small_db, 3)
-        ids = [g for shard in manager.shards for g in shard.global_ids]
-        assert sorted(ids) == list(range(len(small_db)))
-        for shard in manager.shards:
-            assert shard.global_ids == list(range(shard.index, len(small_db), 3))
+        snapshots = manager.export_snapshots(HeapStore())
+        assert [(s.index, s.n_shards) for s in snapshots] == [(0, 3), (1, 3), (2, 3)]
+        for s, snapshot in enumerate(snapshots):
+            assert same_points(snapshot_rows(snapshot), small_db[s::3])
 
     def test_more_shards_than_trajectories_gives_empty_shards(self, small_db):
-        manager = ShardManager.create(small_db, n_shards=len(small_db) + 4)
-        assert manager.n_shards == len(small_db) + 4
-        assert sum(len(s) for s in manager.shards) == len(small_db)
-        assert any(len(s) == 0 for s in manager.shards)
+        n_shards = len(small_db) + 4
+        manager = ShardManager.create(small_db, n_shards=n_shards)
+        assert manager.n_shards == n_shards
+        sizes = [
+            len(snapshot_rows(s)) for s in manager.export_snapshots(HeapStore())
+        ]
+        assert sizes == [1] * len(small_db) + [0] * 4
 
     def test_ingest_routes_new_ids_to_gid_mod_k(self, small_db):
         manager = ShardManager.create(small_db, 3)
         batch = [make_trajectory(n=6, seed=77 + i) for i in range(4)]
         routed = manager.plan_ingest(batch)
-        for shard_idx, pairs in routed.items():
-            assert [gid % 3 for gid, _ in pairs] == [shard_idx] * len(pairs)
-        gids = sorted(gid for pairs in routed.values() for gid, _ in pairs)
-        assert gids == list(range(len(small_db), len(small_db) + 4))
+        # batch[j] takes global id n + j, so shard s gets the j with
+        # n + j == s (mod 3), in batch order.
+        n = len(small_db)
+        assert routed == {s: batch[(s - n) % 3 :: 3] for s in range(3)}
 
     def test_zero_shards_rejected(self, small_db):
         with pytest.raises(ValueError, match="n_shards"):
@@ -118,12 +135,13 @@ class TestShardManager:
         manager = ShardManager.create(small_db, n_shards=2)
         assert manager.epoch == 0
         batch = [make_trajectory(n=5, seed=900 + i) for i in range(3)]
-        routed = manager.plan_ingest(batch)
+        manager.plan_ingest(batch)
         assert manager.epoch == 0
-        manager.commit_ingest(routed)
+        manager.commit_ingest(batch)
         assert manager.epoch == 1
-        gids = sorted(g for pairs in routed.values() for g, _ in pairs)
-        assert gids == [len(small_db), len(small_db) + 1, len(small_db) + 2]
+        assert manager.n_trajectories == len(small_db) + 3
+        for j, traj in enumerate(batch):
+            assert manager.trajectory(len(small_db) + j) is traj
         # reference materialization equals extended()
         reference = small_db.extended(batch)
         rebuilt = manager.database()
@@ -141,6 +159,8 @@ class TestShardManager:
         assert np.array_equal(manager.trajectory(5).points, small_db[5].points)
         with pytest.raises(KeyError):
             manager.trajectory(999)
+        with pytest.raises(KeyError):
+            manager.trajectory(-1)
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
@@ -638,13 +658,18 @@ class TestShardRuntimeTiers:
         assert runtime.op_similarity(queries, 1.0) == [set(), set()]
 
     def test_ingest_into_initially_empty_shard(self, served_workload, served_db):
+        """Shard 1 of 2 maps its local position ``i`` to global id
+        ``1 + 2 i``, for pending rows as for base rows."""
         runtime = ShardRuntime(empty_shard_snapshot(), min_compact_points=10**9)
-        batch = [(gid, served_db[gid]) for gid in range(len(served_db))]
-        runtime.ingest(batch)
-        engine = QueryEngine(served_db)
-        assert runtime.op_range(served_workload.boxes) == engine.evaluate(
-            served_workload
-        )
+        runtime.ingest(list(served_db))
+        expected = [
+            {1 + 2 * i for i in ids}
+            for ids in QueryEngine(served_db).evaluate(served_workload)
+        ]
+        assert runtime.op_range(served_workload.boxes) == expected
+        runtime.compact()
+        assert runtime.n_pending == 0
+        assert runtime.op_range(served_workload.boxes) == expected
 
 
 class TestExecutors:
@@ -697,7 +722,7 @@ class TestExecutors:
             with pytest.raises(ShardExecutionError, match="shard 0"):
                 executor.broadcast("info", {})
             # targeted ingest to the live shard alone still works
-            executor.ingest({1: [(len(served_db), make_trajectory(n=4, seed=2))]})
+            executor.ingest({1: [make_trajectory(n=4, seed=2)]})
             with pytest.raises(ShardExecutionError):
                 executor.broadcast("info", {})
 
