@@ -4,7 +4,8 @@ The reference transport: requests dispatch straight onto the database's
 shared :class:`~repro.queries.engine.QueryEngine` (so repeated scoring of
 the same database state hits the engine memo that the training and
 evaluation paths already share). Semantics mirror the sharded service
-exactly — the same ``(cache key, epoch)`` result LRU, the same canonical
+exactly — the same :class:`~repro.service.requests.ResultCache` serving
+loop (``(cache key, epoch)`` LRU, spans, stats), the same canonical
 payload forms, the same response metadata — which is what makes the
 three-transport parity property testable bit for bit.
 
@@ -15,8 +16,6 @@ is property-tested against.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Iterable
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.data.trajectory import Trajectory
 from repro.obs.tracing import Tracer, mint_trace_id
 from repro.queries.engine import QueryEngine
 from repro.queries.knn import knn_query_batch
-from repro.service.requests import Response, serve_cached
+from repro.service.requests import ResultCache, Response
 from repro.service.service import ServiceStats
 
 
@@ -49,10 +48,9 @@ class LocalClient(Client):
         self._db = db
         self._engine = QueryEngine.for_database(db)
         self._epoch = 0
-        self._cache: OrderedDict[tuple, object] = OrderedDict()
-        self._cache_lock = threading.Lock()
         self.stats = ServiceStats()
         self.tracer = Tracer()
+        self._cache = ResultCache(self.stats, self.tracer)
         self._closed = False
 
     # ---------------------------------------------------------------- protocol
@@ -68,20 +66,19 @@ class LocalClient(Client):
     def execute(self, request, *, trace_id: str | None = None) -> Response:
         if self._closed:
             raise RuntimeError("client is closed")
-        self.last_trace_id = trace_id if trace_id is not None else mint_trace_id()
-        # The same serving loop as QueryService.execute (serve_cached is
-        # its lookup_cached + serve_lookup), so cache/epoch/stats
-        # semantics cannot drift between transports.
-        return serve_cached(
+        if trace_id is None:
+            trace_id = mint_trace_id()
+        self.last_trace_id = trace_id
+        # QueryService's serving loop with the engine as the dispatch, so
+        # cache/epoch/stats semantics cannot drift between transports.
+        lookup = self._cache.lookup(request, self._epoch, trace_id)
+        return self._cache.serve(
             request,
+            lookup,
             epoch=self._epoch,
             n_shards=1,
-            cache=self._cache,
-            stats=self.stats,
             dispatch=self._dispatch,
-            cache_lock=self._cache_lock,
-            tracer=self.tracer,
-            trace_id=self.last_trace_id,
+            trace_id=trace_id,
         )
 
     def metrics(self) -> dict:

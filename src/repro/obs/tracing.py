@@ -12,16 +12,20 @@ bound and never blocks serving).
 Span names used by the serving stack:
 
 ========================  ====================================================
-``queue``                 server: frame decoded -> worker thread picked it up
-``request``               serve_lookup: LRU probe + dispatch + merge time
-                          (excludes ``queue``)
-``cache_lookup``          lookup_cached: LRU probe (attrs: ``hit``); on the
-                          server's event loop for socket requests
+``queue``                 server: query frame decoded -> worker thread picked
+                          it up (ingest frames record no span)
+``request``               ResultCache.serve: LRU probe + dispatch + merge
+                          time (excludes ``queue``; attrs: ``cached``)
+``cache_lookup``          ResultCache.lookup: LRU probe (attrs: ``hit``,
+                          ``cacheable``); on the server's event loop for
+                          socket requests
 ``shard_exec``            executor, in-process replica: one shard's op, timed
                           alone (attrs: shard, op)
 ``shard_gather``          executor, worker replica: wait since the gather
                           began, cumulative along it (attrs: shard, op)
 ``merge``                 service: k-way/union/sum merge of shard payloads
+``ingest``                service: one ingest batch under the epoch write
+                          lock (attrs: ``batch``)
 ``compaction_pass``       service: one absorbed shard compaction
 ========================  ====================================================
 

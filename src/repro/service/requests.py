@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import base64
 import math
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -741,9 +743,10 @@ CACHE_SIZE = 64
 
 @dataclass(frozen=True)
 class CacheLookup:
-    """One LRU probe of :func:`lookup_cached`: the request's cache key
-    (``None`` when uncacheable), the cached payload on a hit, and the
-    probe's own duration, which counts toward the request's latency."""
+    """One probe of :meth:`ResultCache.lookup`, to be answered by
+    :meth:`ResultCache.serve`: the request's cache key (``None`` when
+    uncacheable), the cached payload on a hit, and the probe's own
+    duration, which counts toward the request's latency."""
 
     request_key: tuple | None
     payload: object
@@ -754,30 +757,55 @@ class CacheLookup:
         return self.payload is not _MISS
 
 
-def lookup_cached(
-    request,
-    *,
-    epoch: int,
-    cache,
-    cache_lock,
-    tracer=None,
-    trace_id: str | None = None,
-) -> CacheLookup:
-    """The serving loop's first half: compute ``request.cache_key()`` once,
-    probe the LRU under ``(key, epoch)`` (a hit is bumped to most recent),
-    and record the ``cache_lookup`` span."""
-    start = time.perf_counter()
-    request_key = request.cache_key()
-    payload = _MISS
-    if request_key is not None:
-        key = (request_key, epoch)
-        with cache_lock:
-            payload = cache.get(key, _MISS)
-            if payload is not _MISS:
-                cache.move_to_end(key)
-    seconds = time.perf_counter() - start
-    if tracer is not None:
-        tracer.record(
+class ResultCache:
+    """The serving loop shared by every transport: a
+    :data:`CACHE_SIZE`-entry LRU of canonical payloads keyed on
+    ``(request.cache_key(), epoch)``, plus the ``cache_lookup`` and
+    ``request`` spans (into ``tracer``) and one ``stats.record`` per
+    request.
+
+    :class:`~repro.service.service.QueryService` and
+    :class:`~repro.client.local.LocalClient` both serve through one
+    instance each, so their cache/epoch/stats semantics cannot drift (the
+    three-transport parity tests depend on them being identical). A
+    request is :meth:`lookup` followed by :meth:`serve`; the socket server
+    runs the two on different threads. Requests with no cache key are
+    executed uncached and recorded as uncacheable rather than as misses.
+
+    The lock guards only the ``OrderedDict`` bookkeeping, never a
+    dispatch: payloads are immutable, so two threads racing the same cold
+    key both dispatch and store the identical payload — wasted work at
+    worst, never a wrong answer.
+    """
+
+    def __init__(self, stats, tracer) -> None:
+        self._stats = stats
+        self._tracer = tracer
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def lookup(self, request, epoch: int, trace_id: str | None = None) -> CacheLookup:
+        """Compute ``request.cache_key()`` once, probe the LRU under
+        ``(key, epoch)`` (a hit is bumped to most recent), and record the
+        ``cache_lookup`` span."""
+        start = time.perf_counter()
+        request_key = request.cache_key()
+        payload = _MISS
+        if request_key is not None:
+            key = (request_key, epoch)
+            with self._lock:
+                payload = self._entries.get(key, _MISS)
+                if payload is not _MISS:
+                    self._entries.move_to_end(key)
+        seconds = time.perf_counter() - start
+        self._tracer.record(
             trace_id,
             "cache_lookup",
             seconds,
@@ -785,117 +813,53 @@ def lookup_cached(
             hit=payload is not _MISS,
             cacheable=request_key is not None,
         )
-    return CacheLookup(request_key, payload, seconds)
+        return CacheLookup(request_key, payload, seconds)
 
+    def serve(
+        self,
+        request,
+        lookup: CacheLookup,
+        *,
+        epoch: int,
+        n_shards: int,
+        dispatch: Callable,
+        trace_id: str | None = None,
+    ) -> "Response":
+        """Answer ``lookup`` — from its payload on a hit, else by
+        ``dispatch(request)`` at ``epoch``, storing the result under
+        ``(lookup.request_key, epoch)`` — then record the ``request`` span
+        and one ``stats.record``.
 
-def serve_lookup(
-    request,
-    lookup: CacheLookup,
-    *,
-    epoch: int,
-    n_shards: int,
-    cache,
-    stats,
-    dispatch,
-    cache_lock,
-    tracer=None,
-    trace_id: str | None = None,
-) -> "Response":
-    """The serving loop's second half: answer ``lookup`` — from its payload
-    on a hit, else by ``dispatch(request)`` at ``epoch``, storing the
-    result under ``(lookup.request_key, epoch)`` — then record the
-    ``request`` span and one ``stats.record``.
-
-    ``epoch`` may be newer than the one ``lookup`` probed (an ingest landed
-    in between): the miss is then computed and stored at the newer epoch
-    without a second probe, which is the benign cold-key race of
-    :func:`serve_cached`. The latency is the probe's plus this call's, so
-    time spent queued between the two never counts.
-    """
-    start = time.perf_counter()
-    cached = lookup.hit
-    if cached:
-        payload = lookup.payload
-    else:
-        payload = dispatch(request)
-        if lookup.request_key is not None:
-            with cache_lock:
-                cache[(lookup.request_key, epoch)] = payload
-                while len(cache) > CACHE_SIZE:
-                    cache.popitem(last=False)
-    latency = lookup.seconds + (time.perf_counter() - start)
-    if tracer is not None:
-        tracer.record(
+        ``epoch`` may be newer than the one ``lookup`` probed (an ingest
+        landed in between): the miss is then computed and stored at the
+        newer epoch without a second probe, the benign cold-key race. The
+        latency is the probe's plus this call's, so time spent queued
+        between the two never counts.
+        """
+        start = time.perf_counter()
+        cached = lookup.hit
+        if cached:
+            payload = lookup.payload
+        else:
+            payload = dispatch(request)
+            if lookup.request_key is not None:
+                with self._lock:
+                    self._entries[(lookup.request_key, epoch)] = payload
+                    while len(self._entries) > CACHE_SIZE:
+                        self._entries.popitem(last=False)
+        latency = lookup.seconds + (time.perf_counter() - start)
+        self._tracer.record(
             trace_id, "request", latency, kind=request.kind, cached=cached
         )
-    stats.record(
-        request.kind, latency, cached, cacheable=lookup.request_key is not None
-    )
-    return build_response(
-        request,
-        payload,
-        epoch=epoch,
-        latency_s=latency,
-        cached=cached,
-        n_shards=n_shards,
-        trace_id=trace_id,
-    )
-
-
-def serve_cached(
-    request,
-    *,
-    epoch: int,
-    n_shards: int,
-    cache,
-    stats,
-    dispatch,
-    cache_lock,
-    tracer=None,
-    trace_id: str | None = None,
-):
-    """The shared serving loop: cache lookup, dispatch, stats, response.
-
-    Both :class:`~repro.service.service.QueryService` and
-    :class:`~repro.client.local.LocalClient` serve requests through this
-    one code path so their cache/epoch/stats semantics cannot drift (the
-    three-transport parity tests depend on them being identical): results
-    are memoized in ``cache`` (an ``OrderedDict`` LRU holding immutable
-    canonical payloads) under ``(request.cache_key(), epoch)``, requests
-    with no cache key are executed uncached and recorded as uncacheable
-    rather than as misses, and ``dispatch(request)`` supplies the
-    transport-specific execution (engine calls / shard scatter + merge).
-    It is :func:`lookup_cached` followed by :func:`serve_lookup`; the
-    socket server runs the two halves on different threads.
-
-    When a ``tracer`` (:class:`repro.obs.tracing.Tracer`) and ``trace_id``
-    are supplied, ``cache_lookup`` and ``request`` spans are emitted; span
-    emission never changes the cache/stats/latency arithmetic.
-
-    ``cache_lock`` (a ``threading.Lock``) guards the LRU's lookup and
-    store when many worker threads serve concurrently; cached payloads
-    are immutable, so only the ``OrderedDict`` bookkeeping needs the
-    lock, never the dispatch itself. Two threads racing the same cold key
-    both dispatch and store the identical immutable payload — wasted work
-    at worst, never a wrong answer.
-    """
-    lookup = lookup_cached(
-        request,
-        epoch=epoch,
-        cache=cache,
-        cache_lock=cache_lock,
-        tracer=tracer,
-        trace_id=trace_id,
-    )
-    return serve_lookup(
-        request,
-        lookup,
-        epoch=epoch,
-        n_shards=n_shards,
-        cache=cache,
-        stats=stats,
-        dispatch=dispatch,
-        cache_lock=cache_lock,
-        tracer=tracer,
-        trace_id=trace_id,
-    )
+        self._stats.record(
+            request.kind, latency, cached, cacheable=lookup.request_key is not None
+        )
+        return build_response(
+            request,
+            payload,
+            epoch=epoch,
+            latency_s=latency,
+            cached=cached,
+            n_shards=n_shards,
+            trace_id=trace_id,
+        )

@@ -43,15 +43,20 @@ Wire protocol (spoken by :class:`repro.client.RemoteClient` /
   holds is answered before admission (see below): it is never counted in
   flight and never refused.
 
-Concurrency: each connection is one asyncio task reading frames. A decoded
-query request is first probed against the service's result cache on the
-loop thread (:meth:`QueryService.probe`, which never waits on the epoch
-lock); a hit is encoded and written right there, with no admission slot
-and no worker-thread hop. Every other frame — a miss, a probe that found
-a writer holding or awaiting the epoch lock, ingest, describe, metrics —
-is admitted and becomes its own loop task that off-loads execution to a
-sized worker pool (``workers`` threads), so independent requests from one
-pipelined connection — or from many connections — run concurrently.
+Concurrency: each connection is one asyncio task reading frames, and
+every frame takes one path. One decode step on the loop thread turns the
+frame into either a cache hit or an admitted job ``(fn, args, body_of)``:
+a query request is first probed against the service's result cache
+(:meth:`QueryService.probe`, which never waits on the epoch lock), and a
+hit needs no admission slot and no worker-thread hop. Every other frame —
+a miss, a probe that found a writer holding or awaiting the epoch lock,
+ingest, describe, metrics — is admitted and becomes its own loop task
+that runs ``fn(*args)`` on a sized worker pool (``workers`` threads), so
+independent requests from one pipelined connection — or from many
+connections — run concurrently. Queries and ingests run there through
+one wrapper that first records how long the frame queued since decode.
+Hits and finished jobs are answered by one response writer, which turns
+an unencodable result into an error frame.
 Correctness under that pool lives in the service layer: queries share the
 epoch lock's read side, ingest takes its write side (see
 :class:`~repro.service._sync.RWLock`). Writes of completed responses are
@@ -68,6 +73,8 @@ next to synchronous client code.
 from __future__ import annotations
 
 import asyncio
+import functools
+import hmac
 import json
 import os
 import struct
@@ -109,6 +116,16 @@ class _ConnectionClosed(Exception):
 class _Overloaded(Exception):
     """Internal: admission control refused a frame (maps to the typed
     ``Overloaded`` error frame; the request never executed)."""
+
+
+class _AuthFailed(Exception):
+    """Internal: a hello without the server's auth token (maps to the
+    ``AuthError`` error frame, which clients must not retry)."""
+
+
+def _body(kind: str, **fields) -> dict:
+    """A non-query response body: ``{"v", "kind", **fields}``."""
+    return {"v": PROTOCOL_VERSION, "kind": kind, **fields}
 
 
 async def _read_frame_bytes(reader: asyncio.StreamReader) -> bytes:
@@ -273,27 +290,19 @@ class QueryServer:
             handles[0].record(exec_s)
             handles[1].inc()
 
-    def _traced_execute(self, request, trace_id, submitted_at: float, lookup):
-        """Run one request on a worker thread, first recording the time the
-        frame spent queued between decode and pickup (``queue`` span +
-        the stats queue-wait histogram). ``lookup`` is the loop's cache
-        miss, or ``None`` when the loop could not probe."""
+    def _on_worker(self, op: str, trace_id, submitted_at: float, call):
+        """Run an admitted query or ingest (``call``) on a worker thread,
+        first recording how long its frame queued since decode: the stats
+        queue-wait histogram and, for a query, the ``queue`` span."""
         wait_s = time.perf_counter() - submitted_at
         self._service.stats.record_queue_wait(wait_s)
-        self._service.tracer.record(trace_id, "queue", wait_s, kind=request.kind)
+        if op != "ingest":
+            self._service.tracer.record(trace_id, "queue", wait_s, kind=op)
         start = time.perf_counter()
         try:
-            return self._service.execute(request, trace_id=trace_id, lookup=lookup)
+            return call(trace_id=trace_id)
         finally:
-            self._record_worker(request.kind, time.perf_counter() - start)
-
-    def _traced_ingest(self, trajectories, trace_id, submitted_at: float):
-        self._service.stats.record_queue_wait(time.perf_counter() - submitted_at)
-        start = time.perf_counter()
-        try:
-            return self._service.ingest(trajectories, trace_id=trace_id)
-        finally:
-            self._record_worker("ingest", time.perf_counter() - start)
+            self._record_worker(op, time.perf_counter() - start)
 
     def _metrics_body(self) -> dict:
         report = self._service.metrics_report()
@@ -330,6 +339,8 @@ class QueryServer:
         if isinstance(exc, _Overloaded):
             error_type = "Overloaded"
             self.overloaded_frames += 1
+        elif isinstance(exc, _AuthFailed):
+            error_type = "AuthError"
         else:
             error_type = type(exc).__name__
         self.error_frames += 1
@@ -371,22 +382,17 @@ class QueryServer:
                 write_lock,
             )
             return False
-        if self._auth_token is not None and frame.get("token") != self._auth_token:
-            # A distinct error type: clients must not retry an auth
-            # failure the way they retry transient resets. The message
-            # never echoes the expected token.
-            self.error_frames += 1
-            await self._send(
-                writer,
-                {
-                    "type": "error",
-                    "id": None,
-                    "error": {
-                        "type": "AuthError",
-                        "message": "missing or invalid auth token",
-                    },
-                },
-                write_lock,
+        token = frame.get("token")
+        if self._auth_token is not None and not (
+            isinstance(token, str)
+            and hmac.compare_digest(
+                token.encode("utf-8"), self._auth_token.encode("utf-8")
+            )
+        ):
+            # Constant-time over the bytes, so the reply's timing does not
+            # reveal how long a prefix of the token was right.
+            await self._send_error(
+                writer, _AuthFailed("missing or invalid auth token"), None, write_lock
             )
             return False
         manager = self._service.manager
@@ -427,61 +433,92 @@ class QueryServer:
         self._inflight += 1
         self._service.stats.record_queue_depth(self._inflight)
 
-    async def _answer_hit(
-        self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, rid, response
+    def _decode(self, frame: dict):
+        """One frame past the handshake, decoded on the loop thread: the
+        typed response of a cache hit, or an admitted worker job
+        ``(fn, args, body_of)``. Raises :class:`RequestError` or
+        :class:`_Overloaded`, which the caller answers as error frames."""
+        trace_id = frame.get("trace")
+        if trace_id is not None and not isinstance(trace_id, str):
+            raise RequestError(f"trace must be a string or absent, got {trace_id!r}")
+        submitted_at = time.perf_counter()
+        service = self._service
+        ftype = frame.get("type")
+        if ftype == "request":
+            request = request_from_json(frame.get("request"))
+            lookup = service.probe(request, trace_id=trace_id)
+            if isinstance(lookup, Response):
+                return lookup
+            call = functools.partial(service.execute, request, lookup=lookup)
+            job = (
+                self._on_worker,
+                (request.kind, trace_id, submitted_at, call),
+                response_to_json,
+            )
+        elif ftype == "ingest":
+            batch = frame.get("trajectories")
+            if not isinstance(batch, list):
+                raise RequestError("'trajectories' must be an array of trajectories")
+            call = functools.partial(
+                service.ingest, [trajectory_from_json(t) for t in batch]
+            )
+            job = (
+                self._on_worker,
+                ("ingest", trace_id, submitted_at, call),
+                self._ingest_body,
+            )
+        elif ftype == "describe":
+            job = (service.describe, (), lambda info: _body("describe", info=info))
+        elif ftype == "metrics":
+            job = (self._metrics_body, (), lambda rep: _body("metrics", metrics=rep))
+        else:
+            raise RequestError(f"unknown frame type {ftype!r}")
+        self._admit()
+        return job
+
+    def _ingest_body(self, added: int) -> dict:
+        return _body("ingest", added=added, epoch=self._service.manager.epoch)
+
+    async def _respond(
+        self, writer, write_lock: asyncio.Lock, rid, body_of, result, loop_hit=False
     ) -> None:
-        """Write a cache hit's response from the loop thread; an unencodable
-        one becomes an error frame, as it would from the pool."""
+        """Write one response frame, for a loop hit or an admitted frame.
+        A result that cannot be encoded (e.g. a reply above the frame cap)
+        is answered with an error frame instead; a frame counts as served
+        only once its write succeeded."""
         try:
             out = encode_frame(
-                {"type": "response", "id": rid, "response": response_to_json(response)}
+                {"type": "response", "id": rid, "response": body_of(result)}
             )
         except Exception as exc:
             await self._send_error(writer, exc, rid, write_lock)
             return
-        async with write_lock:
-            writer.write(out)
-            await writer.drain()
+        try:
+            async with write_lock:
+                writer.write(out)
+                await writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            return  # peer vanished mid-answer
         self.frames_served += 1
-        self.loop_hits += 1
+        if loop_hit:
+            self.loop_hits += 1
 
     async def _run_admitted(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        rid,
-        thunk,
-        build_body,
+        self, writer, write_lock: asyncio.Lock, rid, fn, args, body_of
     ) -> None:
         """One admitted frame: execute off-loop, answer by id, release the
         admission slot. Runs as its own loop task so the connection's
         reader keeps decoding frames while this one computes."""
+        loop = asyncio.get_running_loop()
         try:
             try:
-                result = await thunk()
-                # Encode INSIDE the guarded region: an unencodable result
-                # (e.g. a response above the frame cap) must also become an
-                # error frame, not a dropped connection.
-                out = encode_frame(
-                    {"type": "response", "id": rid, "response": build_body(result)}
-                )
-            except asyncio.CancelledError:
-                raise
-            except RequestError as exc:
-                await self._send_error(writer, exc, rid, write_lock)
-                return
+                result = await loop.run_in_executor(self._pool, fn, *args)
             except Exception as exc:
                 # Per-connection isolation: an execution failure becomes a
                 # structured error frame, never a dropped connection.
                 await self._send_error(writer, exc, rid, write_lock)
                 return
-            try:
-                async with write_lock:
-                    writer.write(out)
-                    await writer.drain()
-                self.frames_served += 1
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # peer vanished mid-answer
+            await self._respond(writer, write_lock, rid, body_of, result)
         finally:
             self._inflight -= 1
 
@@ -492,7 +529,6 @@ class QueryServer:
         write_lock: asyncio.Lock,
         pending: set[asyncio.Task],
     ) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             try:
                 raw = await _read_frame_bytes(reader)
@@ -510,109 +546,24 @@ class QueryServer:
                 if not isinstance(frame, dict):
                     raise RequestError("a frame must be a JSON object")
                 rid = frame.get("id")
-                ftype = frame.get("type")
-                if ftype == "bye":
+                if frame.get("type") == "bye":
                     # Drain in-flight work first: every admitted request's
                     # response (or error) is delivered before the goodbye.
                     if pending:
                         await asyncio.gather(*pending, return_exceptions=True)
                     await self._send(writer, {"type": "bye"}, write_lock)
                     return
-                trace_id = frame.get("trace")
-                if trace_id is not None and not isinstance(trace_id, str):
-                    raise RequestError(
-                        f"trace must be a string or absent, got {trace_id!r}"
-                    )
-                submitted_at = time.perf_counter()
-                if ftype == "request":
-                    request = request_from_json(frame.get("request"))
-                    outcome = self._service.probe(request, trace_id=trace_id)
-                    if isinstance(outcome, Response):
-                        await self._answer_hit(writer, write_lock, rid, outcome)
-                        continue
-                    self._admit()
-
-                    def thunk(
-                        request=request,
-                        trace_id=trace_id,
-                        t0=submitted_at,
-                        lookup=outcome,
-                    ):
-                        return loop.run_in_executor(
-                            self._pool,
-                            self._traced_execute,
-                            request,
-                            trace_id,
-                            t0,
-                            lookup,
-                        )
-
-                    build_body = response_to_json
-                elif ftype == "ingest":
-                    batch = frame.get("trajectories")
-                    if not isinstance(batch, list):
-                        raise RequestError(
-                            "'trajectories' must be an array of trajectories"
-                        )
-                    trajectories = [trajectory_from_json(t) for t in batch]
-                    self._admit()
-
-                    def thunk(
-                        trajectories=trajectories,
-                        trace_id=trace_id,
-                        t0=submitted_at,
-                    ):
-                        return loop.run_in_executor(
-                            self._pool,
-                            self._traced_ingest,
-                            trajectories,
-                            trace_id,
-                            t0,
-                        )
-
-                    def build_body(added):
-                        return {
-                            "v": PROTOCOL_VERSION,
-                            "kind": "ingest",
-                            "added": added,
-                            "epoch": self._service.manager.epoch,
-                        }
-
-                elif ftype == "describe":
-                    self._admit()
-
-                    def thunk():
-                        return loop.run_in_executor(
-                            self._pool, self._service.describe
-                        )
-
-                    def build_body(info):
-                        return {
-                            "v": PROTOCOL_VERSION,
-                            "kind": "describe",
-                            "info": info,
-                        }
-
-                elif ftype == "metrics":
-                    self._admit()
-
-                    def thunk():
-                        return loop.run_in_executor(self._pool, self._metrics_body)
-
-                    def build_body(report):
-                        return {
-                            "v": PROTOCOL_VERSION,
-                            "kind": "metrics",
-                            "metrics": report,
-                        }
-
-                else:
-                    raise RequestError(f"unknown frame type {ftype!r}")
+                job = self._decode(frame)
             except (RequestError, _Overloaded) as exc:
                 await self._send_error(writer, exc, rid, write_lock)
                 continue
+            if isinstance(job, Response):
+                await self._respond(
+                    writer, write_lock, rid, response_to_json, job, loop_hit=True
+                )
+                continue
             task = asyncio.ensure_future(
-                self._run_admitted(writer, write_lock, rid, thunk, build_body)
+                self._run_admitted(writer, write_lock, rid, *job)
             )
             pending.add(task)
             task.add_done_callback(pending.discard)

@@ -30,9 +30,6 @@ the shard epoch, which invalidates the result cache by construction.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.data.database import TrajectoryDatabase
@@ -43,7 +40,7 @@ from repro.obs.tracing import Tracer
 from repro.service._sync import RWLock
 from repro.service.compaction import make_compaction
 from repro.service.executors import EXECUTORS, ShardExecutor
-from repro.service.requests import CacheLookup, lookup_cached, serve_lookup
+from repro.service.requests import CacheLookup, ResultCache
 from repro.service.sharding import ShardManager
 from repro.service.watchdog import Watchdog
 
@@ -275,14 +272,11 @@ class QueryService:
     ) -> None:
         if index != "grid":
             raise ValueError(f"unknown index backend {index!r}; choose from ['grid']")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.manager = ShardManager.create(db, n_shards)
         self.index = index
         self.tracer = Tracer()
         self.executor_name = executor
         self.compaction = make_compaction(compaction, error_budget=error_budget)
-        self.replicas = int(replicas)
         self._store = make_store(store)
         self.store_name = self._store.kind
         try:
@@ -293,23 +287,24 @@ class QueryService:
                 min_compact_points=min_compact_points,
                 compaction=self.compaction,
                 mp_context=mp_context,
-                replicas=self.replicas,
+                replicas=replicas,
             )
         except BaseException:
             self._store.close()
             raise
-        self._cache: OrderedDict[tuple, object] = OrderedDict()
+        #: Worker replicas per shard as built: the in-process executor
+        #: always runs one, whatever ``replicas`` asked for.
+        self.replicas = self._executor.replication_stats()["replicas_per_shard"]
         self.stats = ServiceStats()
+        self._cache = ResultCache(self.stats, self.tracer)
         self._closed = False
         self._failed = False
         # The concurrency contract (see ARCHITECTURE.md "Concurrency
         # model"): any number of queries execute concurrently under the
         # epoch lock's read side; ingest — the only epoch bump — takes the
         # write side exclusively, so reads of a given epoch never
-        # interleave with the write that produces the next one. The cache
-        # lock guards the (not thread-safe) OrderedDict LRU only.
+        # interleave with the write that produces the next one.
         self._epoch_lock = RWLock()
-        self._cache_lock = threading.Lock()
         if not self.compaction.is_exact:
             # A simplifying policy already ran once per shard at runtime
             # construction (the initial base is a cold tier); absorb those
@@ -361,7 +356,7 @@ class QueryService:
         with self._epoch_lock.read():
             epoch = self.manager.epoch
             if lookup is None:
-                lookup = self._lookup(request, epoch, trace_id)
+                lookup = self._cache.lookup(request, epoch, trace_id)
             return self._serve(request, lookup, epoch, trace_id)
 
     def probe(self, request, *, trace_id: str | None = None):
@@ -381,36 +376,22 @@ class QueryService:
             if self._closed or self._failed:
                 return None
             epoch = self.manager.epoch
-            lookup = self._lookup(request, epoch, trace_id)
+            lookup = self._cache.lookup(request, epoch, trace_id)
             if not lookup.hit:
                 return lookup
             return self._serve(request, lookup, epoch, trace_id)
         finally:
             self._epoch_lock.release_read()
 
-    def _lookup(self, request, epoch: int, trace_id) -> CacheLookup:
-        return lookup_cached(
-            request,
-            epoch=epoch,
-            cache=self._cache,
-            cache_lock=self._cache_lock,
-            tracer=self.tracer,
-            trace_id=trace_id,
-        )
-
     def _serve(self, request, lookup: CacheLookup, epoch: int, trace_id):
         """Answer a lookup (caller holds the epoch read lock)."""
-        return serve_lookup(
+        return self._cache.serve(
             request,
             lookup,
             epoch=epoch,
             n_shards=self.manager.n_shards,
-            cache=self._cache,
-            stats=self.stats,
             dispatch=lambda req: self._dispatch(req, trace_id),
-            tracer=self.tracer,
             trace_id=trace_id,
-            cache_lock=self._cache_lock,
         )
 
     def _dispatch(self, request, trace_id: str | None = None):
@@ -623,8 +604,7 @@ class QueryService:
 
     def clear_cache(self, deep: bool = False) -> None:
         """Drop the request LRU; ``deep`` also clears every shard engine memo."""
-        with self._cache_lock:
-            self._cache.clear()
+        self._cache.clear()
         if deep:
             with self._epoch_lock.read():
                 self._executor.broadcast("clear_cache", {})

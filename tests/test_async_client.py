@@ -40,7 +40,8 @@ from repro.service import QueryService, serve_in_thread
 from repro.workloads import RangeQueryWorkload
 
 from tests.conftest import make_trajectory
-from tests.test_server import server_db, shifted_batch
+from repro.service.requests import PROTOCOL_VERSION
+from tests.test_server import _RawConnection, server_db, shifted_batch
 
 
 def run(coro):
@@ -75,6 +76,22 @@ class TestAuthToken:
     def test_wrong_token_rejected(self, guarded):
         with pytest.raises(ServerError, match="AuthError"):
             RemoteClient(guarded.host, guarded.port, auth_token="nope")
+
+    @pytest.mark.parametrize("token", [123, None, "s3crët"])
+    def test_non_string_or_non_ascii_token_is_a_mismatch(self, guarded, token):
+        raw = _RawConnection(guarded.host, guarded.port)
+        try:
+            raw.send_frame(
+                {"type": "hello", "version": PROTOCOL_VERSION, "token": token}
+            )
+            reply = raw.read_frame()
+            assert reply["type"] == "error"
+            assert reply["error"]["type"] == "AuthError"
+            assert "s3cret" not in reply["error"]["message"]
+            assert raw.read_frame() is None  # server closed the connection
+        finally:
+            raw.close()
+        assert guarded.server.error_frames == 1
 
     def test_async_client_sends_token(self, guarded):
         async def scenario():

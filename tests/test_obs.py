@@ -19,6 +19,7 @@ Three contracts anchor this file:
 
 from __future__ import annotations
 
+import collections
 import json
 import sys
 import threading
@@ -574,6 +575,46 @@ class TestRemoteTracing:
             names = {s["name"] for s in spans}
             # The socket path adds the queue span to the service lifecycle.
             assert {"queue", "cache_lookup", "request"} <= names
+        finally:
+            handle.stop()
+
+    def test_each_frame_exports_its_spans_once_and_queued_frames_wait(self):
+        db = small_db(10, seed=24)
+        workload = RangeQueryWorkload.from_data_distribution(db, 4, seed=4)
+        request = workload_request(workload)
+        batch = [make_trajectory(20, seed=24)]
+        handle = serve_in_thread(QueryService(db, n_shards=2), close_service=True)
+        try:
+            with RemoteClient(handle.host, handle.port) as client:
+                miss = client.execute(request, trace_id="miss")
+                hit = client.execute(request, trace_id="hit")
+                client.ingest(batch, trace_id="ingest")
+            assert not miss.cached and hit.cached
+            service = handle.service
+
+            def names(trace):
+                return collections.Counter(
+                    json.loads(line)["name"]
+                    for line in service.trace_export(trace).splitlines()
+                )
+
+            shard_spans = {"shard_exec", "shard_gather"}
+            miss_names = names("miss")
+            assert {n: c for n, c in miss_names.items() if n not in shard_spans} == {
+                "queue": 1,
+                "cache_lookup": 1,
+                "merge": 1,
+                "request": 1,
+            }
+            assert sum(miss_names[n] for n in shard_spans) == 2  # one per shard
+            # A loop hit never reaches the worker pool, so it never queued.
+            assert names("hit") == {"cache_lookup": 1, "request": 1}
+            ingest_names = names("ingest")
+            assert ingest_names["ingest"] == 1 and "queue" not in ingest_names
+            # The miss and the ingest queued; the hit and the hello did not.
+            assert service.stats.histograms()["queue_wait"]["count"] == 2
+            assert handle.server.loop_hits == 1
+            assert handle.server.frames_served == 3
         finally:
             handle.stop()
 

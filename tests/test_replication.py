@@ -112,6 +112,8 @@ class TestReplicaTopology:
             assert stats["replicas_per_shard"] == 1  # in-process: no peers
             assert stats["dead_shards"] == []
             assert service.metrics_report()["replication"]["replicas_live"] == 2
+            info = service.describe()
+            assert info["replicas"] == info["replication"]["replicas_per_shard"] == 1
 
 
 # ---------------------------------------------------------------------------
