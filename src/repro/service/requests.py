@@ -500,15 +500,30 @@ class SimilarityRequest:
         delta = _number(obj.get("delta"), "delta")
         if delta < 0:
             raise _fail(f"delta must be non-negative, got {delta}")
+        windows = _windows_from_json(obj.get("time_windows"), len(queries))
+        for i, window in enumerate(windows or ()):
+            # The engine refuses an inverted window on every shard; refuse
+            # it here, once, as the malformed request it is.
+            if window is not None and window[1] < window[0]:
+                raise _fail(
+                    f"time window {i} ends before it starts: {list(window)}"
+                )
+        n_checkpoints = _integer(
+            obj.get("n_checkpoints", 32), "n_checkpoints", minimum=1
+        )
+        # Every shard builds an (n_checkpoints, 3) float64 checkpoint array
+        # per query: cap it as the histogram grid is capped, so one small
+        # frame cannot ask each worker for gigabytes.
+        if 24 * n_checkpoints > MAX_FRAME_BYTES:
+            raise _fail(
+                f"n_checkpoints {n_checkpoints} is too large: its checkpoint "
+                f"array would exceed the {MAX_FRAME_BYTES}-byte frame cap"
+            )
         return cls(
             queries=queries,
             delta=delta,
-            time_windows=_windows_from_json(
-                obj.get("time_windows"), len(queries)
-            ),
-            n_checkpoints=_integer(
-                obj.get("n_checkpoints", 32), "n_checkpoints", minimum=1
-            ),
+            time_windows=windows,
+            n_checkpoints=n_checkpoints,
         )
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import settings
 
 from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
+from repro.eval.harness import QueryAccuracyEvaluator
 from repro.workloads import RangeQueryWorkload
 
 # Tier-1 is deterministic: every property test draws the same examples on
@@ -66,6 +67,41 @@ def make_trajectory(n: int = 10, seed: int = 0, traj_id: int = 0) -> Trajectory:
     xy = rng.uniform(0.0, 100.0, size=(n, 2))
     t = np.cumsum(rng.uniform(1.0, 5.0, size=n))
     return Trajectory(np.column_stack([xy, t]), traj_id=traj_id)
+
+
+def initial_db(seed: int, n: int = 8) -> TrajectoryDatabase:
+    """``n`` random trajectories of 4–11 points, all drawn from ``seed``."""
+    return TrajectoryDatabase(
+        [make_trajectory(n=4 + (seed + i) % 8, seed=seed + i) for i in range(n)]
+    )
+
+
+def serving_db(n: int, seed: int = 5) -> TrajectoryDatabase:
+    """A small synthetic Geolife-profile database of ``n`` trajectories."""
+    return synthetic_database(
+        "geolife", n_trajectories=n, points_scale=0.05, seed=seed
+    )
+
+
+def knn_suite(db, n_queries: int, seed: int = 1):
+    """``n_queries`` distinct query trajectories drawn from ``db``, with
+    their central time windows, as the accuracy harness builds them."""
+    rng = np.random.default_rng(seed)
+    qids = [int(i) for i in rng.choice(len(db), size=n_queries, replace=False)]
+    queries = [db[q] for q in qids]
+    windows = [QueryAccuracyEvaluator._central_window(q) for q in queries]
+    return queries, windows
+
+
+def shifted_batch(db, n: int, *, seed: int, shift: tuple[float, float]):
+    """``n`` ingestable copies of random ``db`` members moved by ``shift``
+    in x and y, so they land outside (or at the edge of) the extent."""
+    rng = np.random.default_rng(seed)
+    offset = np.array([shift[0], shift[1], 0.0])
+    return [
+        Trajectory(db[int(rng.integers(len(db)))].points + offset)
+        for _ in range(n)
+    ]
 
 
 def wire_array(values, dtype: str = "<f8", shape=None) -> dict:

@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.client.aio as aio
 import repro.service.server as server_module
+from benchmarks.suite.oracle import answer
 from repro.client import (
     AsyncRemoteClient,
     LocalClient,
@@ -35,13 +36,11 @@ from repro.client import (
     RemoteClient,
     ServerError,
 )
-from repro.data import synthetic_database
 from repro.service import QueryService, serve_in_thread
-from repro.workloads import RangeQueryWorkload
-
-from tests.conftest import make_trajectory
 from repro.service.requests import PROTOCOL_VERSION
-from tests.test_server import _RawConnection, server_db, shifted_batch
+from repro.workloads import RangeQueryWorkload
+from tests.conftest import make_trajectory, serving_db, shifted_batch
+from tests.test_server import _RawConnection
 
 
 def run(coro):
@@ -53,7 +52,7 @@ class TestAuthToken:
     @pytest.fixture()
     def guarded(self):
         handle = serve_in_thread(
-            QueryService(server_db(), n_shards=2),
+            QueryService(serving_db(16), n_shards=2),
             close_service=True,
             auth_token="s3cret",
         )
@@ -104,7 +103,7 @@ class TestAuthToken:
 
     def test_unguarded_server_ignores_stray_token(self):
         handle = serve_in_thread(
-            QueryService(server_db(), n_shards=2), close_service=True
+            QueryService(serving_db(16), n_shards=2), close_service=True
         )
         try:
             with RemoteClient(
@@ -117,7 +116,7 @@ class TestAuthToken:
 
 def test_hello_advertises_worker_pool():
     handle = serve_in_thread(
-        QueryService(server_db(), n_shards=2),
+        QueryService(serving_db(16), n_shards=2),
         close_service=True,
         workers=3,
         max_inflight=7,
@@ -136,7 +135,7 @@ class TestOverload:
         """With one admission slot held, the next frame gets Overloaded —
         and because refusal happens before execution, the occupied slot's
         request still completes untouched."""
-        db = server_db()
+        db = serving_db(16)
         service = QueryService(db, n_shards=2)
         release = threading.Event()
         original = service.execute
@@ -178,7 +177,7 @@ class TestOverload:
         only slot held, a request answered once before still comes back
         (cached), while a fresh one is refused; the server counts the hit
         in ``loop_hits``."""
-        db = server_db()
+        db = serving_db(16)
         service = QueryService(db, n_shards=2)
         release = threading.Event()
         release.set()
@@ -225,7 +224,7 @@ class TestOverload:
         assert server["frames_served"] == 3  # warm, again, the range
 
     def test_retry_budget_absorbs_transient_overload(self):
-        db = server_db()
+        db = serving_db(16)
         service = QueryService(db, n_shards=2)
         original = service.execute
 
@@ -264,7 +263,7 @@ class TestOverload:
         assert all(r.result_sets == want for r in responses)
 
     def test_overload_counted_in_server_metrics(self):
-        db = server_db()
+        db = serving_db(16)
         service = QueryService(db, n_shards=2)
         release = threading.Event()
         original = service.execute
@@ -313,7 +312,7 @@ def test_concurrent_large_frames_never_corrupt_the_stream():
     """Eight ~100KB+ responses pipelined on ONE connection: without the
     per-connection write lock the event loop could interleave two
     responses' chunks mid-frame and the framing would collapse."""
-    db = server_db(n=24)
+    db = serving_db(24)
     handle = serve_in_thread(
         QueryService(db, n_shards=3), close_service=True, workers=4
     )
@@ -349,7 +348,7 @@ def test_oversized_request_leaves_no_inflight_entry(monkeypatch, caplog):
     request, and close() has no orphaned future to report. RemoteClient
     sends through the same round trip."""
     monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 64 * 1024)
-    db = server_db()
+    db = serving_db(16)
     boxes = RangeQueryWorkload.from_data_distribution(db, 3, seed=1).boxes
     big = make_trajectory(n=5000, seed=3)  # ~160 KB of base64 points
     handle = serve_in_thread(QueryService(db, n_shards=2), close_service=True)
@@ -399,8 +398,8 @@ def test_pipelined_clients_match_local_and_echo_every_id(
     every request id each client sent is echoed exactly once."""
     seed = data.draw(st.integers(0, 2**16), label="seed")
     n_phases = data.draw(st.integers(1, 2), label="phases")
-    db = server_db(n=12, seed=seed % 97)
-    reference = server_db(n=12, seed=seed % 97)
+    db = serving_db(12, seed=seed % 97)
+    reference = serving_db(12, seed=seed % 97)
     service = QueryService(db, n_shards=2, executor=executor, store=store)
     handle = serve_in_thread(service, close_service=True, workers=4)
 
@@ -426,7 +425,9 @@ def test_pipelined_clients_match_local_and_echo_every_id(
             for phase in range(n_phases):
                 # Ingest is a barrier: applied to server and reference
                 # alike, then the next wave of queries pipelines freely.
-                batch = shifted_batch(db, n=2, seed=seed + phase)
+                batch = shifted_batch(
+                    db, 2, seed=seed + phase, shift=(35.0, -25.0)
+                )
                 result = await clients[phase % 3].ingest(batch)
                 local.ingest(batch)
                 assert result.added == 2
@@ -440,14 +441,14 @@ def test_pipelined_clients_match_local_and_echo_every_id(
                     )
 
                 waves = await asyncio.gather(*(wave(c) for c in clients))
-                want_range = local.range(workload).result_sets
-                want_count = local.count(workload.boxes).counts
-                want_hist = local.histogram(16).histogram
-                for r1, c1, h1, r2 in waves:
-                    assert r1.result_sets == want_range
-                    assert r2.result_sets == want_range
-                    np.testing.assert_array_equal(c1.counts, want_count)
-                    np.testing.assert_array_equal(h1.histogram, want_hist)
+                want = [
+                    answer(local.range(workload)),
+                    answer(local.count(workload.boxes)),
+                    answer(local.histogram(16)),
+                    answer(local.range(workload)),
+                ]
+                for replies in waves:
+                    assert [answer(r) for r in replies] == want
             return [c._next_id for c in clients]
         finally:
             for c in clients:

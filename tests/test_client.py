@@ -23,7 +23,7 @@ from repro.client import (
     RequestError,
     ServiceClient,
 )
-from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
+from repro.data import Trajectory
 from repro.eval.harness import QueryAccuracyEvaluator
 from repro.queries import QueryEngine, knn_query_batch
 from repro.service import (
@@ -48,43 +48,26 @@ from repro.service.requests import (
 )
 from repro.service.server import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import hostile_points_payloads, make_trajectory, wire_array
+from tests.conftest import (
+    hostile_points_payloads,
+    knn_suite,
+    make_trajectory,
+    serving_db,
+    shifted_batch,
+    wire_array,
+)
 
 HOSTILE_POINTS = hostile_points_payloads()
 
 
-def client_db(n: int = 18, seed: int = 5) -> TrajectoryDatabase:
-    return synthetic_database(
-        "geolife", n_trajectories=n, points_scale=0.05, seed=seed
-    )
-
-
-def shifted_batch(db, n: int = 4, seed: int = 0, shift=(30.0, -20.0)):
-    """Ingestable trajectories derived from (but outside) the database."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        base = db[int(rng.integers(len(db)))].points
-        out.append(Trajectory(base + np.array([shift[0], shift[1], 0.0])))
-    return out
-
-
 @pytest.fixture(scope="module")
 def cdb():
-    return client_db()
+    return serving_db(18)
 
 
 @pytest.fixture(scope="module")
 def cworkload(cdb):
     return RangeQueryWorkload.from_data_distribution(cdb, 15, seed=3)
-
-
-def knn_suite(db, n=3, seed=1):
-    rng = np.random.default_rng(seed)
-    qids = [int(i) for i in rng.choice(len(db), size=n, replace=False)]
-    queries = [db[q] for q in qids]
-    windows = [QueryAccuracyEvaluator._central_window(q) for q in queries]
-    return queries, windows
 
 
 # --------------------------------------------------------------------- codecs
@@ -103,7 +86,7 @@ class TestRequestCodecs:
         assert request_from_json(HistogramRequest().to_json()) == HistogramRequest()
 
     def test_knn_round_trip(self, cdb):
-        queries, windows = knn_suite(cdb)
+        queries, windows = knn_suite(cdb, n_queries=3)
         request = KnnRequest(tuple(queries), 3, tuple(windows), "edr", 123.25)
         decoded = request_from_json(request_to_json(request))
         assert decoded == request
@@ -112,7 +95,7 @@ class TestRequestCodecs:
             assert np.array_equal(mine.points, theirs.points)
 
     def test_similarity_round_trip(self, cdb):
-        queries, windows = knn_suite(cdb)
+        queries, windows = knn_suite(cdb, n_queries=3)
         request = SimilarityRequest(tuple(queries), 55.5, (None,) * len(queries), 16)
         assert request_from_json(request_to_json(request)) == request
 
@@ -167,21 +150,21 @@ class TestRequestValidation:
             box_from_json([0.0, 1.0, 2.0])
 
     def test_non_numeric_window(self, cdb):
-        queries, _ = knn_suite(cdb, n=1)
+        queries, _ = knn_suite(cdb, n_queries=1)
         obj = KnnRequest(tuple(queries), 2).to_json()
         obj["time_windows"] = [["soon", "later"]]
         with pytest.raises(RequestError, match="must be a number"):
             request_from_json(obj)
 
     def test_window_count_mismatch(self, cdb):
-        queries, windows = knn_suite(cdb, n=2)
+        queries, windows = knn_suite(cdb, n_queries=2)
         obj = KnnRequest(tuple(queries), 2, tuple(windows)).to_json()
         obj["time_windows"] = obj["time_windows"][:1]
         with pytest.raises(RequestError, match="entries for"):
             request_from_json(obj)
 
     def test_bad_k_and_grid_and_delta(self, cdb):
-        queries, _ = knn_suite(cdb, n=1)
+        queries, _ = knn_suite(cdb, n_queries=1)
         obj = KnnRequest(tuple(queries), 2).to_json()
         obj["k"] = 0
         with pytest.raises(RequestError, match="k must be >= 1"):
@@ -208,15 +191,37 @@ class TestRequestValidation:
         with pytest.raises(RequestError, match="delta must be non-negative"):
             request_from_json(sim)
 
+    def test_similarity_checkpoints_capped_and_windows_ordered(self, cdb):
+        queries, _ = knn_suite(cdb, n_queries=2)
+        sim = SimilarityRequest(tuple(queries), 5.0).to_json()
+        # The largest checkpoint count whose (n, 3) float64 array fits
+        # MAX_FRAME_BYTES decodes; one more is refused.
+        largest = MAX_FRAME_BYTES // 24
+        sim["n_checkpoints"] = largest
+        assert request_from_json(sim).n_checkpoints == largest
+        sim["n_checkpoints"] = largest + 1
+        with pytest.raises(RequestError, match="exceed the .* frame cap"):
+            request_from_json(sim)
+        sim["n_checkpoints"] = 32
+        sim["time_windows"] = [[10.0, 5.0], None]
+        with pytest.raises(RequestError, match="time window 0 ends before"):
+            request_from_json(sim)
+        sim["time_windows"] = [None, [5.0, 5.0]]  # a one-instant window
+        assert request_from_json(sim).time_windows == (None, (5.0, 5.0))
+        # kNN serves inverted windows, so it still decodes them.
+        knn = KnnRequest(tuple(queries), 2).to_json()
+        knn["time_windows"] = [[10.0, 5.0], None]
+        assert request_from_json(knn).time_windows[0] == (10.0, 5.0)
+
     def test_t2vec_rejected_with_request_error(self, cdb):
-        queries, _ = knn_suite(cdb, n=1)
+        queries, _ = knn_suite(cdb, n_queries=1)
         obj = KnnRequest(tuple(queries), 2).to_json()
         obj["measure"] = "t2vec"
         with pytest.raises(RequestError, match="t2vec"):
             request_from_json(obj)
 
     def test_callable_measure_not_wire_encodable(self, cdb):
-        queries, _ = knn_suite(cdb, n=1)
+        queries, _ = knn_suite(cdb, n_queries=1)
         request = KnnRequest(tuple(queries), 2, measure=lambda a, b: 0.0)
         with pytest.raises(RequestError, match="wire"):
             request.to_json()
@@ -278,7 +283,7 @@ class TestResponseCodecs:
         return LocalClient(cdb)
 
     def test_range_and_similarity_round_trip(self, local, cworkload, cdb):
-        queries, _ = knn_suite(cdb)
+        queries, _ = knn_suite(cdb, n_queries=3)
         for response in (
             local.range(cworkload),
             local.similarity(queries, 40.0),
@@ -303,7 +308,7 @@ class TestResponseCodecs:
         assert np.array_equal(decoded.histogram, response.histogram)
 
     def test_knn_round_trip_rederives_neighbors(self, local, cdb):
-        queries, windows = knn_suite(cdb)
+        queries, windows = knn_suite(cdb, n_queries=3)
         response = local.knn(queries, 3, windows, eps=200.0)
         decoded = response_from_json(response_to_json(response))
         assert decoded.neighbors == response.neighbors
@@ -440,7 +445,7 @@ class TestLocalClient:
     def test_matches_engine_on_every_kind(self, cdb, cworkload):
         client = LocalClient(cdb)
         engine = QueryEngine.for_database(cdb)
-        queries, windows = knn_suite(cdb)
+        queries, windows = knn_suite(cdb, n_queries=3)
         assert client.range(cworkload).result_sets == engine.evaluate(cworkload)
         assert np.array_equal(
             client.count(cworkload.boxes).counts, engine.count(cworkload.boxes)
@@ -456,14 +461,14 @@ class TestLocalClient:
         )
 
     def test_repeat_request_is_cached_and_ingest_invalidates(self, cworkload):
-        db = client_db(12, seed=9)
+        db = serving_db(12, seed=9)
         client = LocalClient(db)
         first = client.range(cworkload)
         again = client.range(cworkload)
         assert not first.cached and again.cached
         assert again.result_sets == first.result_sets
 
-        batch = shifted_batch(db, 3, seed=2)
+        batch = shifted_batch(db, 3, seed=2, shift=(30.0, -20.0))
         result = client.ingest(batch)
         assert result == IngestResult(added=3, epoch=1)
         post = client.range(cworkload)
@@ -491,7 +496,7 @@ class TestLocalClient:
 
     def test_uncacheable_callable_measure_stats(self, cdb):
         client = LocalClient(cdb)
-        queries, windows = knn_suite(cdb, n=2)
+        queries, windows = knn_suite(cdb, n_queries=2)
 
         def measure(a, b):
             return abs(len(a) - len(b))
@@ -508,36 +513,6 @@ class TestLocalClient:
 
 
 class TestServiceClientParity:
-    def test_all_kinds_match_local_under_interleaved_ingest(self, cworkload):
-        db = client_db(16, seed=21)
-        queries, windows = knn_suite(db)
-        local = LocalClient(db)
-        service = ServiceClient.for_database(db, n_shards=3)
-        with local, service:
-            for round_no in range(3):
-                assert (
-                    service.range(cworkload).result_sets
-                    == local.range(cworkload).result_sets
-                )
-                assert np.array_equal(
-                    service.count(cworkload.boxes).counts,
-                    local.count(cworkload.boxes).counts,
-                )
-                assert np.array_equal(
-                    service.histogram(10).histogram,
-                    local.histogram(10).histogram,
-                )
-                assert (
-                    service.knn(queries, 3, windows, eps=180.0).pairs
-                    == local.knn(queries, 3, windows, eps=180.0).pairs
-                )
-                assert (
-                    service.similarity(queries, 70.0).result_sets
-                    == local.similarity(queries, 70.0).result_sets
-                )
-                batch = shifted_batch(db, 2, seed=round_no)
-                assert service.ingest(batch) == local.ingest(batch)
-
     def test_execute_accepts_decoded_wire_requests(self, cdb, cworkload):
         """A request that traveled through JSON serves identically."""
         request = RangeRequest.from_workload(cworkload)
@@ -557,31 +532,12 @@ class TestServiceClientParity:
             service.execute(HistogramRequest())
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 50), n_shards=st.integers(1, 4))
-def test_property_local_service_bit_identical(seed, n_shards):
-    db = client_db(10, seed=seed)
-    workload = RangeQueryWorkload.from_data_distribution(db, 8, seed=seed)
-    queries, windows = knn_suite(db, n=2, seed=seed)
-    with LocalClient(db) as local, ServiceClient.for_database(
-        db, n_shards=n_shards
-    ) as service:
-        assert local.range(workload).result_sets == service.range(workload).result_sets
-        assert local.knn(queries, 2, windows, eps=250.0).pairs == (
-            service.knn(queries, 2, windows, eps=250.0).pairs
-        )
-        batch = shifted_batch(db, 2, seed=seed)
-        local.ingest(batch)
-        service.ingest(batch)
-        assert local.range(workload).result_sets == service.range(workload).result_sets
-
-
 # --------------------------------------------------------------- satellites
 class TestUncacheableAccounting:
     """Satellite: callable-measure kNN is neither cached nor miscounted."""
 
     def test_service_never_caches_callable_measures(self, cdb):
-        queries, windows = knn_suite(cdb, n=2)
+        queries, windows = knn_suite(cdb, n_queries=2)
 
         def measure(a, b):
             return abs(len(a) - len(b))
@@ -615,7 +571,7 @@ class TestHistogramEpochInvalidation:
     """Satellite: box=None histograms re-resolve after extent-growing ingest."""
 
     def test_default_box_histogram_tracks_live_extent(self):
-        db = client_db(10, seed=33)
+        db = serving_db(10, seed=33)
         with QueryService(db, n_shards=2) as service:
             request = HistogramRequest(grid=8)  # box=None: live extent
             before = service.execute(request)
@@ -636,7 +592,7 @@ class TestHistogramEpochInvalidation:
             assert not np.array_equal(after.histogram, before.histogram)
 
     def test_local_client_matches_service_after_growth(self):
-        db = client_db(10, seed=34)
+        db = serving_db(10, seed=34)
         batch = shifted_batch(db, 3, seed=5, shift=(450.0, -380.0))
         with LocalClient(db) as local, ServiceClient.for_database(
             db, n_shards=3
@@ -653,7 +609,7 @@ class TestDeprecationShims:
     class used to pin are gone; the name keeps the surviving test's id)."""
 
     def test_harness_accepts_any_client(self):
-        db = client_db(12, seed=8)
+        db = serving_db(12, seed=8)
         evaluator = QueryAccuracyEvaluator(db)
         baseline = evaluator.evaluate(db, ("range", "knn_edr", "similarity"))
         with ServiceClient.for_database(db, n_shards=3) as client:

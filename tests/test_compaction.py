@@ -2,10 +2,10 @@
 
 Three contracts:
 
-* **Exactness** — the default :class:`ExactCompaction` is invisible:
-  every query kind under every {heap, shm} x {serial, process} cell is
-  bit-identical to a fresh single-engine evaluation, with ingest batches
-  (and the compactions they trigger) interleaved between queries.
+* **Exactness** — the default :class:`ExactCompaction` is invisible. The
+  oracle in ``tests/test_oracle.py`` compacts in every cell of the
+  serving matrix and holds every answer bit-identical to a fresh engine;
+  this file pins the policy's own surface.
 * **Budget** — :class:`SimplifyingCompaction` respects the per-trajectory
   error budget for every simplifier, monotonically in the budget, and
   degenerates to exact at budget zero.
@@ -25,7 +25,6 @@ from repro.client import ServiceClient
 from repro.data import TrajectoryDatabase
 from repro.data.codec import storage_report
 from repro.data.stats import spatial_scale
-from repro.data.store import shared_memory_available
 from repro.errors import trajectory_error
 from repro.eval.harness import QueryAccuracyEvaluator, QuerySuiteConfig
 from repro.service import QueryService
@@ -38,57 +37,14 @@ from repro.service.compaction import (
     refine_to_budget,
 )
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import make_trajectory
-from tests.test_service import knn_suite
-from tests.test_service_streaming import assert_state_parity, initial_db
+from tests.conftest import initial_db, knn_suite, make_trajectory
 
 SIMPLIFIER_NAMES = [name for name in COMPACTION_POLICIES if name != "exact"]
 
 
 # ---------------------------------------------------------------------------
-# Exact policy: bit-identity across the full service matrix
+# Exact policy
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("store", ["heap", "shm"])
-@pytest.mark.parametrize("executor", ["serial", "process"])
-def test_exact_compaction_bit_identical_under_interleaved_ingest(store, executor):
-    """compaction="exact" == fresh engine for all five kinds, every cell."""
-    if store == "shm" and not shared_memory_available():
-        pytest.skip("no shared memory on this platform")
-    seed = 23
-    db = initial_db(seed, n=9)
-    workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=seed)
-    queries, windows = knn_suite(db, n_queries=2, seed=seed)
-    eps = 0.10 * spatial_scale(db)
-    delta = 0.15 * spatial_scale(db)
-    current = db
-    next_seed = 7000
-    with QueryService(
-        db,
-        n_shards=3,
-        executor=executor,
-        store=store,
-        compaction="exact",
-        # tiny compaction bound so the policy actually runs mid-test
-        min_compact_points=12,
-        compact_threshold=0.1,
-    ) as service:
-        assert service.describe()["compaction"] == {"policy": "exact"}
-        assert_state_parity(service, current, workload, queries, windows, eps, delta)
-        for batch_size in (2, 3):
-            batch = [
-                make_trajectory(n=6, seed=next_seed + i) for i in range(batch_size)
-            ]
-            next_seed += batch_size
-            service.ingest(batch)
-            current = current.extended(batch)
-            assert_state_parity(
-                service, current, workload, queries, windows, eps, delta
-            )
-        # the exact policy reports passes but never drops a point
-        assert service.stats.summary()["compactions"] > 0
-        assert service.stats.summary()["points_dropped"] == 0
-
 
 def test_default_policy_is_exact():
     db = initial_db(1)

@@ -1,11 +1,9 @@
-"""End-to-end property tests of the zero-copy data plane.
+"""End-to-end tests of the zero-copy data plane.
 
-Three contracts:
+That every query kind answers bit-identically under every {heap, shm}
+store x {serial, process} executor cell, with ingest interleaved, is held
+by the oracle in ``tests/test_oracle.py``. This file pins the rest:
 
-* **Bit-identity** — every query kind returns the same answer under every
-  combination of {heap, shm} store x {serial, process} executor, with
-  ingest batches interleaved between queries.  The fresh single-engine evaluation is the common reference,
-  so any two cells of the matrix are transitively identical.
 * **Worker death** — killing one process-executor worker mid-service
   surfaces as a single :class:`ShardExecutionError` naming exactly that
   shard; surviving shards keep answering (their pipes are drained clean).
@@ -23,75 +21,15 @@ import signal
 import pytest
 
 from repro.data import TrajectoryDatabase
-from repro.data.stats import spatial_scale
 from repro.data.store import SharedMemoryStore, shared_memory_available
 from repro.service import QueryService, ShardExecutionError, ShardManager
 from repro.service.executors import ShardExecutor
 from repro.service.replication import _Message
-from repro.workloads import RangeQueryWorkload
-from tests.conftest import make_trajectory, service_segments
-from tests.test_service import knn_suite
-from tests.test_service_streaming import assert_state_parity, initial_db
+from tests.conftest import initial_db, make_trajectory, service_segments
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(), reason="no shared memory on this platform"
 )
-
-
-# ---------------------------------------------------------------------------
-# Bit-identity across the full data-plane matrix
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("store", ["heap", "shm"])
-@pytest.mark.parametrize("executor", ["serial", "process"])
-def test_query_matrix_bit_identical_under_interleaved_ingest(store, executor):
-    """{heap,shm} x {serial,process} == fresh engine, always."""
-    if store == "shm" and not shared_memory_available():
-        pytest.skip("no shared memory on this platform")
-    seed = 17
-    db = initial_db(seed, n=9)
-    workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=seed)
-    queries, windows = knn_suite(db, n_queries=2, seed=seed)
-    eps = 0.10 * spatial_scale(db)
-    delta = 0.15 * spatial_scale(db)
-    current = db
-    next_seed = 9000
-    with QueryService(
-        db,
-        n_shards=3,
-        executor=executor,
-        store=store,
-        # tiny compaction bound: the second round compacts the base tier
-        # (onto each runtime's heap), the first stays pending
-        min_compact_points=12,
-        compact_threshold=0.1,
-    ) as service:
-        assert service.describe()["store"] == store
-
-        def assert_snapshot_segments_only():
-            # Compaction never adds segments: the snapshot store's two per
-            # shard (matrix, offsets) are the whole family.
-            if store == "shm":
-                assert len(service_segments(service)) == 2 * 3
-
-        assert_state_parity(
-            service, current, workload, queries, windows, eps, delta
-        )
-        assert_snapshot_segments_only()
-        for batch_size in (2, 3):
-            batch = [
-                make_trajectory(n=6, seed=next_seed + i)
-                for i in range(batch_size)
-            ]
-            next_seed += batch_size
-            service.ingest(batch)
-            current = current.extended(batch)
-            assert_snapshot_segments_only()
-            assert_state_parity(
-                service, current, workload, queries, windows, eps, delta
-            )
-            assert_snapshot_segments_only()
-        assert service.stats.summary()["compactions"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,7 @@ from repro.service import QueryService, serve_in_thread
 from repro.service.requests import KnnRequest
 from repro.service.service import ServiceStats
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import make_trajectory
-from tests.test_service import knn_suite
-from tests.test_service_streaming import initial_db
+from tests.conftest import initial_db, knn_suite, make_trajectory
 
 
 def small_db(n: int = 12, seed: int = 5):

@@ -1,11 +1,11 @@
-"""Tests for the asyncio socket front-end and the three-transport parity.
+"""Tests for the asyncio socket front-end.
 
-The acceptance contract of the unified client API: all five query kinds
-are bit-identical across :class:`LocalClient` / :class:`ServiceClient` /
-:class:`RemoteClient`, across executors, under
-interleaved ingest — and the server sustains concurrent clients with
-zero dropped or misordered responses, answers garbage with structured
-error frames (the connection survives), and shuts down gracefully.
+The server sustains concurrent clients with zero dropped or misordered
+responses, answers garbage with structured error frames (the connection
+survives), and shuts down gracefully. That :class:`RemoteClient` answers
+all five query kinds bit-identically to :class:`LocalClient`, across
+executors and under interleaved ingest, is held by the oracle in
+``tests/test_oracle.py``.
 """
 
 import json
@@ -18,12 +18,9 @@ import sys
 import threading
 import time
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.client import LocalClient, RemoteClient, RequestError, ServiceClient
-from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
+from repro.client import LocalClient, RemoteClient, RequestError
 from repro.data.store import shared_memory_available
 from repro.eval.harness import QueryAccuracyEvaluator
 from repro.service import (
@@ -35,38 +32,19 @@ from repro.service import (
 from repro.service.requests import trajectory_to_json
 from repro.service.server import FRAME_HEADER, encode_frame
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import hostile_points_payloads, repro_shm_segments, wire_array
-
-
-def server_db(n: int = 16, seed: int = 5) -> TrajectoryDatabase:
-    return synthetic_database(
-        "geolife", n_trajectories=n, points_scale=0.05, seed=seed
-    )
-
-
-def knn_suite(db, n=3, seed=1):
-    rng = np.random.default_rng(seed)
-    qids = [int(i) for i in rng.choice(len(db), size=n, replace=False)]
-    queries = [db[q] for q in qids]
-    windows = [QueryAccuracyEvaluator._central_window(q) for q in queries]
-    return queries, windows
-
-
-def shifted_batch(db, n: int = 3, seed: int = 0, shift=(35.0, -25.0)):
-    rng = np.random.default_rng(seed)
-    return [
-        Trajectory(
-            db[int(rng.integers(len(db)))].points
-            + np.array([shift[0], shift[1], 0.0])
-        )
-        for _ in range(n)
-    ]
+from tests.conftest import (
+    hostile_points_payloads,
+    knn_suite,
+    repro_shm_segments,
+    serving_db,
+    wire_array,
+)
 
 
 @pytest.fixture()
 def loopback():
     """A fresh loopback server over a 16-trajectory database."""
-    db = server_db()
+    db = serving_db(16)
     handle = serve_in_thread(QueryService(db, n_shards=3), close_service=True)
     try:
         yield db, handle
@@ -210,7 +188,7 @@ class TestErrorFrames:
 
     def test_remote_client_raises_request_error_from_server(self, loopback):
         db, handle = loopback
-        queries, _ = knn_suite(db, n=1)
+        queries, _ = knn_suite(db, n_queries=1)
         with RemoteClient(handle.host, handle.port) as client:
             obj = {
                 "v": PROTOCOL_VERSION,
@@ -226,21 +204,21 @@ class TestErrorFrames:
 
     def test_execution_error_keeps_connection_alive(self, loopback):
         db, handle = loopback
-        queries, _ = knn_suite(db, n=1)
+        queries, _ = knn_suite(db, n_queries=1)
         from repro.client import ServerError
 
         with RemoteClient(handle.host, handle.port) as client:
-            # Well-formed on the wire, rejected at execution time (te < ts
-            # passes decode; the engine raises): must arrive as a non-
-            # RequestError error frame, not a dropped connection.
+            # Well-formed on the wire, rejected at execution time (decode
+            # knows no measure list; the engine raises): must arrive as a
+            # non-RequestError error frame, not a dropped connection.
             obj = {
                 "v": PROTOCOL_VERSION,
-                "kind": "similarity",
+                "kind": "knn",
                 "queries": [trajectory_to_json(queries[0])],
-                "delta": 5.0,
-                "time_windows": [[10.0, 5.0]],
+                "k": 2,
+                "measure": "no_such_measure",
             }
-            with pytest.raises(ServerError, match="empty time window"):
+            with pytest.raises(ServerError, match="unknown measure"):
                 client._round_trip({"type": "request", "request": obj})
             assert client.histogram(4).histogram.sum() == db.total_points
 
@@ -274,6 +252,43 @@ class TestErrorFrames:
         assert reply["type"] == "response" and reply["id"] == 2
         histogram = response_from_json(reply["response"]).histogram
         assert histogram.sum() == db.total_points
+        raw.close()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_checkpoints", 10**12, "frame cap"),
+            ("time_windows", [[10.0, 5.0]], "ends before it starts"),
+        ],
+        ids=["oversized-n_checkpoints", "inverted-window"],
+    )
+    def test_bad_similarity_answered_then_connection_survives(
+        self, loopback, field, value, message
+    ):
+        """A similarity request that every shard would refuse, or would
+        answer only by building a huge checkpoint array, is refused at
+        decode."""
+        db, handle = loopback
+        queries, _ = knn_suite(db, n_queries=1)
+        raw = _RawConnection(handle.host, handle.port)
+        raw.hello()
+        similarity = {
+            "v": PROTOCOL_VERSION,
+            "kind": "similarity",
+            "queries": [trajectory_to_json(queries[0])],
+            "delta": 5.0,
+        }
+        raw.send_frame(
+            {"type": "request", "id": 1, "request": {**similarity, field: value}}
+        )
+        reply = raw.read_frame()
+        assert reply["type"] == "error" and reply["id"] == 1
+        assert reply["error"]["type"] == "RequestError"
+        assert message in reply["error"]["message"]
+        raw.send_frame({"type": "request", "id": 2, "request": similarity})
+        reply = raw.read_frame()
+        assert reply["type"] == "response" and reply["id"] == 2
+        assert reply["response"]["epoch"] == 0
         raw.close()
 
     def test_ingest_frame_validation(self, loopback):
@@ -362,104 +377,10 @@ class TestErrorFrames:
 
 
 # -------------------------------------------------------------- transport parity
-EXECUTORS_TO_TEST = ["serial", "process"]
-
-
 class TestThreeTransportParity:
-    """The acceptance criterion: bit-identical across all three clients,
-    both executors, under interleaved ingest."""
-
-    @pytest.mark.parametrize("executor", EXECUTORS_TO_TEST)
-    def test_all_five_kinds_with_interleaved_ingest(self, executor):
-        db = server_db(14, seed=11)
-        workload = RangeQueryWorkload.from_data_distribution(db, 10, seed=3)
-        queries, windows = knn_suite(db, n=2, seed=2)
-        eps, delta = 200.0, 80.0
-
-        handle = serve_in_thread(
-            QueryService(db, n_shards=3, executor=executor),
-            close_service=True,
-        )
-        local = LocalClient(db)
-        service = ServiceClient.for_database(db, n_shards=3, executor=executor)
-        remote = RemoteClient(handle.host, handle.port)
-        clients = {"local": local, "service": service, "remote": remote}
-
-        def ask(c):
-            return (
-                c.range(workload),
-                c.count(workload.boxes),
-                c.histogram(8),
-                c.knn(queries, 2, windows, eps=eps),
-                c.similarity(queries, delta),
-            )
-
-        def values(responses):
-            rng, count, hist, knn, sim = responses
-            return (
-                rng.result_sets,
-                count.counts,
-                hist.histogram,
-                knn.pairs,
-                sim.result_sets,
-            )
-
-        try:
-            for round_no in range(2):
-                answers = {name: values(ask(c)) for name, c in clients.items()}
-                # The remote repeat is a cache hit the server answers on its
-                # event loop; it must equal LocalClient at every epoch.
-                repeat = ask(remote)
-                assert all(r.cached for r in repeat), round_no
-                answers["remote, cached"] = values(repeat)
-                reference = answers["local"]
-                for name, got in answers.items():
-                    assert got[0] == reference[0], f"range diverged ({name})"
-                    assert np.array_equal(got[1], reference[1]), (
-                        f"count diverged ({name})"
-                    )
-                    assert np.array_equal(got[2], reference[2]), (
-                        f"histogram diverged ({name})"
-                    )
-                    assert got[3] == reference[3], f"kNN diverged ({name})"
-                    assert got[4] == reference[4], f"similarity diverged ({name})"
-                batch = shifted_batch(db, 2, seed=round_no)
-                epochs = {n: c.ingest(batch).epoch for n, c in clients.items()}
-                assert len(set(epochs.values())) == 1, epochs
-        finally:
-            for c in clients.values():
-                c.close()
-            handle.stop()
-
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 40))
-    def test_property_remote_equals_local(self, seed):
-        db = server_db(10, seed=seed)
-        workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=seed)
-        queries, windows = knn_suite(db, n=2, seed=seed)
-        handle = serve_in_thread(
-            QueryService(db, n_shards=2), close_service=True
-        )
-        try:
-            with LocalClient(db) as local, RemoteClient(
-                handle.host, handle.port
-            ) as remote:
-                assert (
-                    remote.range(workload).result_sets
-                    == local.range(workload).result_sets
-                )
-                assert remote.knn(queries, 2, windows, eps=300.0).pairs == (
-                    local.knn(queries, 2, windows, eps=300.0).pairs
-                )
-                batch = shifted_batch(db, 2, seed=seed)
-                local.ingest(batch)
-                remote.ingest(batch)
-                assert (
-                    remote.similarity(queries, 90.0).result_sets
-                    == local.similarity(queries, 90.0).result_sets
-                )
-        finally:
-            handle.stop()
+    """The harness scores identically through the socket transport (the
+    oracle in ``tests/test_oracle.py`` holds every kind, both executors,
+    under interleaved ingest)."""
 
     def test_harness_scores_identical_through_remote(self, loopback):
         db, handle = loopback
@@ -476,7 +397,7 @@ class TestConcurrentClients:
     def test_eight_clients_no_drops_no_misorder(self, loopback):
         db, handle = loopback
         workload = RangeQueryWorkload.from_data_distribution(db, 8, seed=3)
-        queries, windows = knn_suite(db, n=2)
+        queries, windows = knn_suite(db, n_queries=2)
         with LocalClient(db) as local:
             want_range = local.range(workload).result_sets
             want_pairs = local.knn(queries, 2, windows, eps=250.0).pairs
@@ -530,7 +451,7 @@ class TestConcurrentClients:
 # ------------------------------------------------------------------- shutdown
 class TestShutdown:
     def test_graceful_stop_refuses_new_connections(self):
-        db = server_db(8, seed=40)
+        db = serving_db(8, seed=40)
         handle = serve_in_thread(QueryService(db, n_shards=2), close_service=True)
         with RemoteClient(handle.host, handle.port) as client:
             client.histogram(4)
@@ -541,7 +462,7 @@ class TestShutdown:
             socket.create_connection(address, timeout=2.0)
 
     def test_stop_closes_owned_service(self):
-        db = server_db(8, seed=41)
+        db = serving_db(8, seed=41)
         service = QueryService(db, n_shards=2)
         handle = serve_in_thread(service, close_service=True)
         handle.stop()
@@ -594,7 +515,7 @@ class TestServeListenCLI:
         must exit 0 and take its workers and segments with it."""
         from repro.data import save_database
 
-        db = server_db(10, seed=50)
+        db = serving_db(10, seed=50)
         db_path = tmp_path / "db.npz"
         save_database(db, db_path)
         workload = RangeQueryWorkload.from_data_distribution(db, 5, seed=1)

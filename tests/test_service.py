@@ -3,7 +3,9 @@
 The service's contract is *bit-identical* results to a fresh single-engine
 evaluation of the same database state, for every request kind, shard
 count, and executor — sharding and process fan-out are pure execution
-concerns and must never change an answer.
+concerns and must never change an answer. ``tests/test_oracle.py`` holds
+that contract across the serving matrix; this file pins the parts
+underneath it (partitioning, merge edge cases, cache, executors).
 """
 
 import threading
@@ -11,15 +13,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-
+from benchmarks.suite.oracle import answer
 from repro.client import LocalClient, ServiceClient
-from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
+from repro.data import Trajectory, TrajectoryDatabase
 from repro.data.store import HeapStore
-from repro.data.stats import spatial_scale
 from repro.eval.harness import QueryAccuracyEvaluator
 from repro.obs.metrics import Histogram
-from repro.queries import QueryEngine, knn_query_batch, similarity_query_batch
+from repro.queries import QueryEngine
 from repro.obs.tracing import mint_trace_id
 from repro.service import (
     HistogramRequest,
@@ -37,27 +37,12 @@ from repro.service._sync import RWLock
 from repro.service.replication import _Message
 from repro.service.requests import CacheLookup
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import make_trajectory
-
-
-def service_db(n: int = 20, seed: int = 5) -> TrajectoryDatabase:
-    return synthetic_database(
-        "geolife", n_trajectories=n, points_scale=0.05, seed=seed
-    )
-
-
-def knn_suite(db, n_queries=4, seed=1):
-    """Query trajectories + central windows, as the harness builds them."""
-    rng = np.random.default_rng(seed)
-    qids = [int(i) for i in rng.choice(len(db), size=n_queries, replace=False)]
-    queries = [db[q] for q in qids]
-    windows = [QueryAccuracyEvaluator._central_window(q) for q in queries]
-    return queries, windows
+from tests.conftest import knn_suite, make_trajectory, serving_db
 
 
 def empty_shard_snapshot():
     """Shard 1 of a 2-shard manager over a 1-trajectory database: empty."""
-    manager = ShardManager.create(service_db(1), n_shards=2)
+    manager = ShardManager.create(serving_db(1), n_shards=2)
     snapshot = manager.export_snapshots(HeapStore())[1]
     assert snapshot.offsets.resolve().tolist() == [0]
     return snapshot
@@ -65,7 +50,7 @@ def empty_shard_snapshot():
 
 @pytest.fixture(scope="module")
 def served_db():
-    return service_db()
+    return serving_db(20)
 
 
 @pytest.fixture(scope="module")
@@ -163,68 +148,6 @@ class TestShardManager:
             manager.trajectory(-1)
 
 
-@pytest.mark.parametrize("executor", ["serial", "process"])
-class TestServiceParity:
-    """Acceptance: K >= 2 sharded results == single-engine results, bitwise."""
-
-    def test_all_request_kinds_match_single_engine(
-        self, served_db, served_workload, executor
-    ):
-        engine = QueryEngine(served_db)
-        eps = 0.10 * spatial_scale(served_db)
-        delta = 0.15 * spatial_scale(served_db)
-        queries, windows = knn_suite(served_db)
-        ref_range = engine.evaluate(served_workload)
-        ref_count = engine.count(served_workload.boxes)
-        ref_hist = engine.histogram(16)
-        ref_hist_norm = engine.histogram(16, normalize=True)
-        ref_knn = knn_query_batch(served_db, queries, 3, windows, "edr", eps=eps)
-        ref_sim = similarity_query_batch(served_db, queries, delta)
-        with QueryService(
-            served_db, n_shards=3, executor=executor
-        ) as service:
-            client = ServiceClient(service)
-            assert client.range(served_workload).result_sets == ref_range
-            counts = client.count(served_workload.boxes).counts
-            assert counts.dtype == np.int64
-            assert np.array_equal(counts, ref_count)
-            assert np.array_equal(client.histogram(16).histogram, ref_hist)
-            assert np.array_equal(
-                client.histogram(16, normalize=True).histogram, ref_hist_norm
-            )
-            assert client.knn(queries, 3, windows, eps=eps).neighbors == ref_knn
-            assert client.similarity(queries, delta).result_sets == ref_sim
-
-    def test_ingest_matches_fresh_engine_on_final_state(
-        self, served_db, served_workload, executor
-    ):
-        extra = [make_trajectory(n=8, seed=500 + i) for i in range(6)]
-        final = served_db.extended(extra)
-        engine = QueryEngine(final)
-        eps = 0.10 * spatial_scale(served_db)
-        queries, windows = knn_suite(served_db)
-        with QueryService(
-            served_db, n_shards=3, executor=executor
-        ) as service:
-            client = ServiceClient(service)
-            assert service.ingest(extra) == len(extra)
-            assert client.range(served_workload).result_sets == engine.evaluate(
-                served_workload
-            )
-            assert np.array_equal(
-                client.count(served_workload.boxes).counts,
-                engine.count(served_workload.boxes),
-            )
-            # default histogram box follows the *current* (grown) extent
-            assert np.array_equal(
-                client.histogram(12).histogram, engine.histogram(12)
-            )
-            assert (
-                client.knn(queries, 3, windows, eps=eps).neighbors
-                == knn_query_batch(final, queries, 3, windows, "edr", eps=eps)
-            )
-
-
 def cluster_db(
     centers=(0.0, 100.0, 200.0, 300.0), per_cluster: int = 8, seed: int = 0
 ) -> TrajectoryDatabase:
@@ -242,68 +165,53 @@ def cluster_db(
     return TrajectoryDatabase(trajs)
 
 
-def as_pairs(pairs_lists):
-    return [[(float(d), int(t)) for d, t in pairs] for pairs in pairs_lists]
+def assert_knn_matches_local(db, queries, k, n_shards, executor, **options):
+    """The service's kNN reply equals a fresh :class:`LocalClient`'s."""
+    with LocalClient(db) as local, ServiceClient.for_database(
+        db, n_shards=n_shards, executor=executor
+    ) as service:
+        want = local.knn(queries, k, **options)
+        assert answer(service.knn(queries, k, **options)) == answer(want)
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
 class TestKnnMerge:
     """The k-way ``(distance, id)`` merge over shard partials equals the
-    single-database :func:`repro.queries.knn.knn_query_batch` pairs."""
+    single-database pairs on targeted tie and cluster data (the oracle in
+    ``tests/test_oracle.py`` covers random data)."""
 
     def test_parity_on_clustered_data(self, executor):
         db = cluster_db()
         queries = [db[0], db[1]]  # both in the x=0 cluster
-        expected = as_pairs(
-            knn_query_batch(db, queries, 4, eps=5.0, return_pairs=True)
-        )
-        with QueryService(db, n_shards=4, executor=executor) as service:
-            response = ServiceClient(service).knn(queries, 4, eps=5.0)
-            assert as_pairs(response.pairs) == expected
+        assert_knn_matches_local(db, queries, 4, 4, executor, eps=5.0)
 
     def test_parity_on_one_cluster(self, executor):
         db = cluster_db(centers=(0.0,), per_cluster=12)
-        queries = [db[0]]
-        expected = as_pairs(
-            knn_query_batch(db, queries, 3, eps=5.0, return_pairs=True)
-        )
-        with QueryService(db, n_shards=3, executor=executor) as service:
-            response = ServiceClient(service).knn(queries, 3, eps=5.0)
-            assert as_pairs(response.pairs) == expected
+        assert_knn_matches_local(db, [db[0]], 3, 3, executor, eps=5.0)
 
     def test_parity_with_eps_spanning_the_clusters(self, executor):
         db = cluster_db(centers=(0.0, 100.0), per_cluster=6)
-        queries = [db[0]]
-        expected = as_pairs(
-            knn_query_batch(db, queries, 5, eps=500.0, return_pairs=True)
-        )
-        with QueryService(db, n_shards=2, executor=executor) as service:
-            response = ServiceClient(service).knn(queries, 5, eps=500.0)
-            assert as_pairs(response.pairs) == expected
+        assert_knn_matches_local(db, [db[0]], 5, 2, executor, eps=500.0)
 
     def test_parity_under_time_windows_and_ingest(self, executor):
         db = cluster_db(centers=(0.0, 150.0), per_cluster=6, seed=3)
+        rng = np.random.default_rng(9)
+        extra = []
+        for j in range(4):
+            n = 8
+            xy = rng.uniform(-3.0, 3.0, size=(n, 2)) + [150.0, 0.0]
+            t = np.sort(rng.uniform(0.0, 100.0, size=n)) + np.arange(n) * 1e-3
+            extra.append(Trajectory(np.column_stack([xy, t]), traj_id=j))
         queries = [db[2]]
         windows = [(10.0, 60.0)]
-        with QueryService(db, n_shards=3, executor=executor) as service:
-            rng = np.random.default_rng(9)
-            extra = []
-            for j in range(4):
-                n = 8
-                xy = rng.uniform(-3.0, 3.0, size=(n, 2)) + [150.0, 0.0]
-                t = np.sort(rng.uniform(0.0, 100.0, size=n)) + np.arange(n) * 1e-3
-                extra.append(Trajectory(np.column_stack([xy, t]), traj_id=j))
+        with LocalClient(db) as local, ServiceClient.for_database(
+            db, n_shards=3, executor=executor
+        ) as service:
+            local.ingest(extra)
             service.ingest(extra)
-            expected = as_pairs(
-                knn_query_batch(
-                    service.database(), queries, 3, windows, eps=5.0,
-                    return_pairs=True,
-                )
-            )
-            response = ServiceClient(service).knn(
-                queries, 3, time_windows=windows, eps=5.0
-            )
-            assert as_pairs(response.pairs) == expected
+            want = local.knn(queries, 3, time_windows=windows, eps=5.0)
+            got = service.knn(queries, 3, time_windows=windows, eps=5.0)
+            assert answer(got) == answer(want)
 
     @pytest.mark.parametrize("n_shards", [2, 3])
     def test_ties_at_k_boundary_rank_by_id(self, executor, n_shards):
@@ -321,11 +229,11 @@ class TestKnnMerge:
             db, n_shards=n_shards, executor=executor
         ) as service:
             for eps in (5.0, 0.5):
-                want = local.knn([twin], k, eps=eps).pairs
-                got = service.knn([twin], k, eps=eps).pairs
-                assert as_pairs(got) == as_pairs(want)
-                assert [gid for _, gid in got[0]] == tied[:k]
-                assert len({d for d, _ in got[0]}) == 1
+                want = local.knn([twin], k, eps=eps)
+                got = service.knn([twin], k, eps=eps)
+                assert answer(got) == answer(want)
+                assert [gid for _, gid in got.pairs[0]] == tied[:k]
+                assert len({d for d, _ in got.pairs[0]}) == 1
 
 
 class TestRuntimeBackendSpec:
@@ -648,7 +556,7 @@ class TestShardRuntimeTiers:
 
     def test_empty_shard_answers_every_kind(self):
         runtime = ShardRuntime(empty_shard_snapshot())
-        db = service_db(6)
+        db = serving_db(6)
         workload = RangeQueryWorkload.from_data_distribution(db, 4, seed=0)
         queries, windows = knn_suite(db, n_queries=2)
         assert runtime.op_range(workload.boxes) == [set()] * 4
@@ -809,7 +717,7 @@ class TestServiceBackedEvaluation:
 
     def test_harness_rejects_mismatched_service(self, served_db):
         evaluator = QueryAccuracyEvaluator(served_db)
-        wrong = service_db(6, seed=123)
+        wrong = serving_db(6, seed=123)
         with QueryService(wrong, n_shards=2) as service:
             with pytest.raises(ValueError, match="service"):
                 evaluator.evaluate(
@@ -817,28 +725,7 @@ class TestServiceBackedEvaluation:
                 )
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    seed=st.integers(0, 100),
-    n_shards=st.integers(2, 5),
-)
-def test_property_sharded_range_equals_engine(seed, n_shards):
-    db = TrajectoryDatabase(
-        [make_trajectory(n=4 + (seed + i) % 8, seed=seed + i) for i in range(9)]
-    )
-    workload = RangeQueryWorkload.from_data_distribution(db, 8, seed=seed)
-    with QueryService(db, n_shards=n_shards) as service:
-        client = ServiceClient(service)
-        assert client.range(workload).result_sets == QueryEngine(db).evaluate(
-            workload
-        )
-        assert np.array_equal(
-            client.count(workload.boxes).counts,
-            QueryEngine(db).count(workload.boxes),
-        )
-
-
 def test_t2vec_measure_rejected_at_request_construction():
-    db = service_db(6)
+    db = serving_db(6)
     with pytest.raises(ValueError, match="t2vec"):
         KnnRequest((db[0],), 2, measure="t2vec")
