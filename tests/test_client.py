@@ -513,6 +513,36 @@ class TestLocalClient:
 
 
 class TestServiceClientParity:
+    def test_all_kinds_match_local_under_interleaved_ingest(self, cworkload):
+        db = serving_db(16, seed=21)
+        queries, windows = knn_suite(db, n_queries=3)
+        local = LocalClient(db)
+        service = ServiceClient.for_database(db, n_shards=3)
+        with local, service:
+            for round_no in range(3):
+                assert (
+                    service.range(cworkload).result_sets
+                    == local.range(cworkload).result_sets
+                )
+                assert np.array_equal(
+                    service.count(cworkload.boxes).counts,
+                    local.count(cworkload.boxes).counts,
+                )
+                assert np.array_equal(
+                    service.histogram(10).histogram,
+                    local.histogram(10).histogram,
+                )
+                assert (
+                    service.knn(queries, 3, windows, eps=180.0).pairs
+                    == local.knn(queries, 3, windows, eps=180.0).pairs
+                )
+                assert (
+                    service.similarity(queries, 70.0).result_sets
+                    == local.similarity(queries, 70.0).result_sets
+                )
+                batch = shifted_batch(db, 2, seed=round_no, shift=(30.0, -20.0))
+                assert service.ingest(batch) == local.ingest(batch)
+
     def test_execute_accepts_decoded_wire_requests(self, cdb, cworkload):
         """A request that traveled through JSON serves identically."""
         request = RangeRequest.from_workload(cworkload)
@@ -530,6 +560,25 @@ class TestServiceClientParity:
             pass
         with pytest.raises(RuntimeError, match="closed"):
             service.execute(HistogramRequest())
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 50), n_shards=st.integers(1, 4))
+def test_property_local_service_bit_identical(seed, n_shards):
+    db = serving_db(10, seed=seed)
+    workload = RangeQueryWorkload.from_data_distribution(db, 8, seed=seed)
+    queries, windows = knn_suite(db, n_queries=2, seed=seed)
+    with LocalClient(db) as local, ServiceClient.for_database(
+        db, n_shards=n_shards
+    ) as service:
+        assert local.range(workload).result_sets == service.range(workload).result_sets
+        assert local.knn(queries, 2, windows, eps=250.0).pairs == (
+            service.knn(queries, 2, windows, eps=250.0).pairs
+        )
+        batch = shifted_batch(db, 2, seed=seed, shift=(30.0, -20.0))
+        local.ingest(batch)
+        service.ingest(batch)
+        assert local.range(workload).result_sets == service.range(workload).result_sets
 
 
 # --------------------------------------------------------------- satellites

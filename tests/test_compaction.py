@@ -2,10 +2,12 @@
 
 Three contracts:
 
-* **Exactness** — the default :class:`ExactCompaction` is invisible. The
-  oracle in ``tests/test_oracle.py`` compacts in every cell of the
-  serving matrix and holds every answer bit-identical to a fresh engine;
-  this file pins the policy's own surface.
+* **Exactness** — the default :class:`ExactCompaction` is invisible:
+  every query kind under every {heap, shm} x {serial, process} cell is
+  bit-identical to a fresh single-engine evaluation, with ingest batches
+  (and the compactions they trigger) interleaved between queries. The
+  oracle in ``tests/test_oracle.py`` drives the same matrix through
+  arbitrary interleavings; this is its fixed scenario.
 * **Budget** — :class:`SimplifyingCompaction` respects the per-trajectory
   error budget for every simplifier, monotonically in the budget, and
   degenerates to exact at budget zero.
@@ -21,10 +23,11 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.client import ServiceClient
+from repro.client import LocalClient, ServiceClient
 from repro.data import TrajectoryDatabase
 from repro.data.codec import storage_report
 from repro.data.stats import spatial_scale
+from repro.data.store import shared_memory_available
 from repro.errors import trajectory_error
 from repro.eval.harness import QueryAccuracyEvaluator, QuerySuiteConfig
 from repro.service import QueryService
@@ -38,13 +41,51 @@ from repro.service.compaction import (
 )
 from repro.workloads import RangeQueryWorkload
 from tests.conftest import initial_db, knn_suite, make_trajectory
+from tests.test_oracle import assert_answers_match, oracle_requests
 
 SIMPLIFIER_NAMES = [name for name in COMPACTION_POLICIES if name != "exact"]
 
 
 # ---------------------------------------------------------------------------
-# Exact policy
+# Exact policy: bit-identity across the full service matrix
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("store", ["heap", "shm"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_exact_compaction_bit_identical_under_interleaved_ingest(store, executor):
+    """compaction="exact" == fresh engine for all five kinds, every cell."""
+    if store == "shm" and not shared_memory_available():
+        pytest.skip("no shared memory on this platform")
+    seed = 23
+    db = initial_db(seed, n=9)
+    requests = oracle_requests(db, seed).values()
+    current = db
+    next_seed = 7000
+    with QueryService(
+        db,
+        n_shards=3,
+        executor=executor,
+        store=store,
+        compaction="exact",
+        # tiny compaction bound so the policy actually runs mid-test
+        min_compact_points=12,
+        compact_threshold=0.1,
+    ) as service:
+        assert service.describe()["compaction"] == {"policy": "exact"}
+        client = ServiceClient(service)
+        assert_answers_match(client, LocalClient(current), requests)
+        for batch_size in (2, 3):
+            batch = [
+                make_trajectory(n=6, seed=next_seed + i) for i in range(batch_size)
+            ]
+            next_seed += batch_size
+            service.ingest(batch)
+            current = current.extended(batch)
+            assert_answers_match(client, LocalClient(current), requests)
+        # the exact policy reports passes but never drops a point
+        assert service.stats.summary()["compactions"] > 0
+        assert service.stats.summary()["points_dropped"] == 0
+
 
 def test_default_policy_is_exact():
     db = initial_db(1)

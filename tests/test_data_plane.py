@@ -1,9 +1,14 @@
 """End-to-end tests of the zero-copy data plane.
 
-That every query kind answers bit-identically under every {heap, shm}
-store x {serial, process} executor cell, with ingest interleaved, is held
-by the oracle in ``tests/test_oracle.py``. This file pins the rest:
+Three contracts:
 
+* **Bit-identity** — every query kind returns the same answer under every
+  combination of {heap, shm} store x {serial, process} executor, with
+  ingest batches interleaved between queries. The fresh single-engine
+  evaluation is the common reference, so any two cells of the matrix are
+  transitively identical. The oracle in ``tests/test_oracle.py`` drives
+  the same matrix through arbitrary interleavings; this is its fixed
+  three-shard scenario.
 * **Worker death** — killing one process-executor worker mid-service
   surfaces as a single :class:`ShardExecutionError` naming exactly that
   shard; surviving shards keep answering (their pipes are drained clean).
@@ -20,16 +25,68 @@ import signal
 
 import pytest
 
+from repro.client import LocalClient, ServiceClient
 from repro.data import TrajectoryDatabase
 from repro.data.store import SharedMemoryStore, shared_memory_available
 from repro.service import QueryService, ShardExecutionError, ShardManager
 from repro.service.executors import ShardExecutor
 from repro.service.replication import _Message
 from tests.conftest import initial_db, make_trajectory, service_segments
+from tests.test_oracle import assert_answers_match, oracle_requests
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(), reason="no shared memory on this platform"
 )
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity across the full data-plane matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("store", ["heap", "shm"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_query_matrix_bit_identical_under_interleaved_ingest(store, executor):
+    """{heap,shm} x {serial,process} == fresh engine, always."""
+    if store == "shm" and not shared_memory_available():
+        pytest.skip("no shared memory on this platform")
+    seed = 17
+    db = initial_db(seed, n=9)
+    requests = oracle_requests(db, seed).values()
+    current = db
+    next_seed = 9000
+    with QueryService(
+        db,
+        n_shards=3,
+        executor=executor,
+        store=store,
+        # tiny compaction bound: the second round compacts the base tier
+        # (onto each runtime's heap), the first stays pending
+        min_compact_points=12,
+        compact_threshold=0.1,
+    ) as service:
+        assert service.describe()["store"] == store
+        client = ServiceClient(service)
+
+        def assert_snapshot_segments_only():
+            # Compaction never adds segments: the snapshot store's two per
+            # shard (matrix, offsets) are the whole family.
+            if store == "shm":
+                assert len(service_segments(service)) == 2 * 3
+
+        assert_answers_match(client, LocalClient(current), requests)
+        assert_snapshot_segments_only()
+        for batch_size in (2, 3):
+            batch = [
+                make_trajectory(n=6, seed=next_seed + i)
+                for i in range(batch_size)
+            ]
+            next_seed += batch_size
+            service.ingest(batch)
+            current = current.extended(batch)
+            assert_snapshot_segments_only()
+            assert_answers_match(client, LocalClient(current), requests)
+            assert_snapshot_segments_only()
+        assert service.stats.summary()["compactions"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
-"""Replication & failover — the parts the oracle does not drive.
+"""Replication & failover — the property suite.
 
-The oracle in ``tests/test_oracle.py`` kills single replicas, loses whole
-shards and restarts them at arbitrary points of an ingest/query stream,
-and holds every answer bit-identical to a fresh engine. This file pins
-the rest:
+Four contracts:
 
-* **Topology** — replica counts, probes and their report surfaces, for
-  both executors.
-* **Hung replicas and the watchdog** — a replica that misses its ping
-  deadline is retired, and the watchdog restarts what died, by hand or in
-  the background; the healed service still answers like a fresh engine.
+* **Transparent failover** — with ``replicas >= 2``, SIGKILL of any single
+  worker mid-workload loses zero queries: a sibling replica answers, the
+  request layer never sees an error, and answers stay bit-identical to a
+  fresh single engine. Only when *every* replica of a shard is dead does
+  a query raise, naming exactly that shard.
+* **Restart = snapshot + replay** — a replica restarted by
+  ``restart_dead()`` (or the watchdog) rebuilds from the shard's original
+  snapshot segments plus the replayed ingest log and answers identically
+  to the replicas that never died.
+* **Chaos closure** — arbitrary interleavings of ingest / query / kill /
+  restart across {heap, shm} x {serial, process} keep the service
+  bit-identical to the reference at every query point. The oracle in
+  ``tests/test_oracle.py`` drives the same rules through the whole
+  serving matrix; the fixed scenarios here pin the named cases.
 * **Client-visible failover** — the async client retries a reset query
   but never an ingest, and a served ``--replicas 2`` configuration loses
   zero requests across a SIGKILL.
@@ -24,11 +30,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.client import AsyncRemoteClient, LocalClient, ServiceClient
-from repro.service import QueryService, Watchdog, serve_in_thread
+from repro.data.store import shared_memory_available
+from repro.service import (
+    QueryService,
+    ShardExecutionError,
+    Watchdog,
+    serve_in_thread,
+)
+from repro.service.replication import _Message
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import initial_db, make_trajectory, serving_db
+from tests.conftest import initial_db, make_trajectory, service_segments, serving_db
 from tests.test_oracle import assert_answers_match, kill_replica, oracle_requests
 
 
@@ -91,6 +105,100 @@ class TestReplicaTopology:
 # ---------------------------------------------------------------------------
 
 class TestFailover:
+    def test_single_kill_is_invisible_and_restart_replays_pending(self):
+        seed = 23
+        db = initial_db(seed, n=9)
+        requests = oracle_requests(db, seed).values()
+        current = db
+        with QueryService(
+            db, n_shards=3, executor="process", replicas=2
+        ) as service:
+            executor = service._executor
+            client = ServiceClient(service)
+            # A pending-tier batch the restarted replica must replay.
+            batch = [make_trajectory(n=6, seed=9100 + i) for i in range(3)]
+            service.ingest(batch)
+            current = current.extended(batch)
+            assert_answers_match(client, LocalClient(current), requests)
+
+            kill_replica(executor.replica_sets[1].replicas[0])
+            # Queries keep answering through the sibling replica.
+            assert_answers_match(client, LocalClient(current), requests)
+            probe = executor.liveness()
+            assert probe["dead_shards"] == []
+            assert probe["replicas_live"] == 5
+
+            assert executor.restart_dead() == 1
+            assert executor.liveness()["replicas_live"] == 6
+            # The restarted replica answers too (snapshot + replayed log).
+            assert_answers_match(client, LocalClient(current), requests)
+
+            # Delta catch-up: ingest after the restart stays consistent.
+            batch = [make_trajectory(n=5, seed=9200 + i) for i in range(2)]
+            service.ingest(batch)
+            current = current.extended(batch)
+            assert_answers_match(client, LocalClient(current), requests)
+
+            stats = executor.replication_stats()
+            assert stats["counters"]["counters"]["replication.restarts"] == 1
+            latency = stats["counters"]["histograms"][
+                "replication.restart_latency_s"
+            ]
+            assert latency["count"] == 1
+
+    def test_liveness_names_fully_dead_shard_without_any_query(self):
+        db = initial_db(31, n=8)
+        with QueryService(
+            db, n_shards=3, executor="process", replicas=2
+        ) as service:
+            executor = service._executor
+            for replica in list(executor.replica_sets[1].replicas):
+                kill_replica(replica)
+            # The non-blocking probe names the dead shard immediately —
+            # no pipe traffic, no scatter needed to find out.
+            probe = executor.liveness()
+            assert probe["alive"] is False
+            assert probe["dead_shards"] == [1]
+            assert probe["replicas_live"] == 4
+
+            with pytest.raises(ShardExecutionError) as excinfo:
+                executor.broadcast("info", {})
+            message = str(excinfo.value)
+            assert "shard 1" in message
+            assert "shard 0" not in message and "shard 2" not in message
+            # Survivors drained clean.
+            for shard in (0, 2):
+                status, info = executor.replica_sets[shard].request(
+                    _Message("info", {})
+                )
+                assert status == "ok" and info["index"] == shard
+
+            # Both replicas come back, and the service serves again.
+            assert executor.restart_dead() == 2
+            assert executor.liveness()["dead_shards"] == []
+            requests = oracle_requests(db, 31).values()
+            assert_answers_match(ServiceClient(service), LocalClient(db), requests)
+
+    def test_restart_finds_replicas_killed_with_no_request_in_between(self):
+        """SIGKILL every replica of a shard back to back — no query, no
+        probe — and ``restart_dead()`` must still see them: the cached
+        ``live`` flags are all stale."""
+        seed = 37
+        db = initial_db(seed, n=8)
+        with QueryService(
+            db, n_shards=2, executor="process", replicas=2
+        ) as service:
+            executor = service._executor
+            for replica in list(executor.replica_sets[0].replicas):
+                kill_replica(replica)
+            assert executor.restart_dead() == 2
+            batch = [make_trajectory(n=6, seed=9300 + i) for i in range(3)]
+            service.ingest(batch)
+            requests = oracle_requests(db, seed).values()
+            assert_answers_match(
+                ServiceClient(service), LocalClient(db.extended(batch)), requests
+            )
+
     def test_hung_replica_misses_ping_deadline_and_is_retired(self):
         db = initial_db(41, n=8)
         with QueryService(
@@ -193,6 +301,76 @@ class TestWatchdog:
         stats = watchdog.stats()
         assert stats["errors"] == 1
         assert "boom" in stats["last_error"]
+
+
+# ---------------------------------------------------------------------------
+# Chaos: arbitrary interleavings stay bit-identical
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "store,executor",
+    [("heap", "serial"), ("heap", "process"), ("shm", "process")],
+)
+@settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 50),
+    plan=st.lists(
+        st.sampled_from(["ingest", "query", "kill", "restart"]),
+        min_size=3,
+        max_size=7,
+    ),
+)
+def test_chaos_interleaving_matches_reference(store, executor, seed, plan):
+    """Kill / restart at arbitrary points never change answers: the
+    service stays bit-identical to a fresh single engine. Under shm the
+    snapshot store's family stays at matrix+offsets per shard throughout:
+    workers, killed or restarted, never add a segment."""
+    if store == "shm" and not shared_memory_available():
+        pytest.skip("no shared memory on this platform")
+    n_shards = 2
+    db = initial_db(seed, n=8)
+    requests = oracle_requests(db, seed).values()
+    current = db
+    rng = np.random.default_rng(seed)
+    next_seed = 50_000 + 1000 * seed
+    with QueryService(
+        db,
+        n_shards=n_shards,
+        executor=executor,
+        store=store,
+        # compact on most ingests, so restarts replay through compactions
+        min_compact_points=8,
+        **({"replicas": 2} if executor == "process" else {}),
+    ) as service:
+        exe = service._executor
+        client = ServiceClient(service)
+        for action in plan:
+            if action == "ingest":
+                batch = [
+                    make_trajectory(n=5, seed=next_seed + i) for i in range(2)
+                ]
+                next_seed += 2
+                service.ingest(batch)
+                current = current.extended(batch)
+            elif action == "query":
+                assert_answers_match(client, LocalClient(current), requests)
+            elif action == "kill" and hasattr(exe, "replica_sets"):
+                replica_set = exe.replica_sets[
+                    int(rng.integers(len(exe.replica_sets)))
+                ]
+                live = replica_set.live_replicas()
+                if len(live) >= 2:  # never orphan a shard mid-plan
+                    kill_replica(live[int(rng.integers(len(live)))])
+            elif action == "restart":
+                exe.restart_dead()
+            if store == "shm":
+                assert len(service_segments(service)) == 2 * n_shards
+        exe.restart_dead()
+        assert_answers_match(client, LocalClient(current), requests)
 
 
 # ---------------------------------------------------------------------------

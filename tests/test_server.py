@@ -18,9 +18,11 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.client import LocalClient, RemoteClient, RequestError
+from repro.client import LocalClient, RemoteClient, RequestError, ServiceClient
 from repro.data.store import shared_memory_available
 from repro.eval.harness import QueryAccuracyEvaluator
 from repro.service import (
@@ -37,6 +39,7 @@ from tests.conftest import (
     knn_suite,
     repro_shm_segments,
     serving_db,
+    shifted_batch,
     wire_array,
 )
 
@@ -377,10 +380,107 @@ class TestErrorFrames:
 
 
 # -------------------------------------------------------------- transport parity
+EXECUTORS_TO_TEST = ["serial", "process"]
+
+
 class TestThreeTransportParity:
-    """The harness scores identically through the socket transport (the
-    oracle in ``tests/test_oracle.py`` holds every kind, both executors,
-    under interleaved ingest)."""
+    """The acceptance criterion: bit-identical across all three clients,
+    both executors, under interleaved ingest (fixed cases of what the
+    oracle in ``tests/test_oracle.py`` drives through the serving matrix)."""
+
+    @pytest.mark.parametrize("executor", EXECUTORS_TO_TEST)
+    def test_all_five_kinds_with_interleaved_ingest(self, executor):
+        db = serving_db(14, seed=11)
+        workload = RangeQueryWorkload.from_data_distribution(db, 10, seed=3)
+        queries, windows = knn_suite(db, n_queries=2, seed=2)
+        eps, delta = 200.0, 80.0
+
+        handle = serve_in_thread(
+            QueryService(db, n_shards=3, executor=executor),
+            close_service=True,
+        )
+        local = LocalClient(db)
+        service = ServiceClient.for_database(db, n_shards=3, executor=executor)
+        remote = RemoteClient(handle.host, handle.port)
+        clients = {"local": local, "service": service, "remote": remote}
+
+        def ask(c):
+            return (
+                c.range(workload),
+                c.count(workload.boxes),
+                c.histogram(8),
+                c.knn(queries, 2, windows, eps=eps),
+                c.similarity(queries, delta),
+            )
+
+        def values(responses):
+            rng, count, hist, knn, sim = responses
+            return (
+                rng.result_sets,
+                count.counts,
+                hist.histogram,
+                knn.pairs,
+                sim.result_sets,
+            )
+
+        try:
+            for round_no in range(2):
+                answers = {name: values(ask(c)) for name, c in clients.items()}
+                # The remote repeat is a cache hit the server answers on its
+                # event loop; it must equal LocalClient at every epoch.
+                repeat = ask(remote)
+                assert all(r.cached for r in repeat), round_no
+                answers["remote, cached"] = values(repeat)
+                reference = answers["local"]
+                for name, got in answers.items():
+                    assert got[0] == reference[0], f"range diverged ({name})"
+                    assert np.array_equal(got[1], reference[1]), (
+                        f"count diverged ({name})"
+                    )
+                    assert np.array_equal(got[2], reference[2]), (
+                        f"histogram diverged ({name})"
+                    )
+                    assert got[3] == reference[3], f"kNN diverged ({name})"
+                    assert got[4] == reference[4], f"similarity diverged ({name})"
+                batch = shifted_batch(
+                    db, 2, seed=round_no, shift=(35.0, -25.0)
+                )
+                epochs = {n: c.ingest(batch).epoch for n, c in clients.items()}
+                assert len(set(epochs.values())) == 1, epochs
+        finally:
+            for c in clients.values():
+                c.close()
+            handle.stop()
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 40))
+    def test_property_remote_equals_local(self, seed):
+        db = serving_db(10, seed=seed)
+        workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=seed)
+        queries, windows = knn_suite(db, n_queries=2, seed=seed)
+        handle = serve_in_thread(
+            QueryService(db, n_shards=2), close_service=True
+        )
+        try:
+            with LocalClient(db) as local, RemoteClient(
+                handle.host, handle.port
+            ) as remote:
+                assert (
+                    remote.range(workload).result_sets
+                    == local.range(workload).result_sets
+                )
+                assert remote.knn(queries, 2, windows, eps=300.0).pairs == (
+                    local.knn(queries, 2, windows, eps=300.0).pairs
+                )
+                batch = shifted_batch(db, 2, seed=seed, shift=(35.0, -25.0))
+                local.ingest(batch)
+                remote.ingest(batch)
+                assert (
+                    remote.similarity(queries, 90.0).result_sets
+                    == local.similarity(queries, 90.0).result_sets
+                )
+        finally:
+            handle.stop()
 
     def test_harness_scores_identical_through_remote(self, loopback):
         db, handle = loopback

@@ -4,8 +4,9 @@ The service's contract is *bit-identical* results to a fresh single-engine
 evaluation of the same database state, for every request kind, shard
 count, and executor — sharding and process fan-out are pure execution
 concerns and must never change an answer. ``tests/test_oracle.py`` holds
-that contract across the serving matrix; this file pins the parts
-underneath it (partitioning, merge edge cases, cache, executors).
+that contract across the serving matrix; this file pins fixed cases of
+it and the parts underneath it (partitioning, merge edge cases, cache,
+executors).
 """
 
 import threading
@@ -13,13 +14,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
 from benchmarks.suite.oracle import answer
 from repro.client import LocalClient, ServiceClient
 from repro.data import Trajectory, TrajectoryDatabase
+from repro.data.stats import spatial_scale
 from repro.data.store import HeapStore
 from repro.eval.harness import QueryAccuracyEvaluator
 from repro.obs.metrics import Histogram
-from repro.queries import QueryEngine
+from repro.queries import QueryEngine, knn_query_batch, similarity_query_batch
 from repro.obs.tracing import mint_trace_id
 from repro.service import (
     HistogramRequest,
@@ -146,6 +150,68 @@ class TestShardManager:
             manager.trajectory(999)
         with pytest.raises(KeyError):
             manager.trajectory(-1)
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+class TestServiceParity:
+    """Acceptance: K >= 2 sharded results == single-engine results, bitwise."""
+
+    def test_all_request_kinds_match_single_engine(
+        self, served_db, served_workload, executor
+    ):
+        engine = QueryEngine(served_db)
+        eps = 0.10 * spatial_scale(served_db)
+        delta = 0.15 * spatial_scale(served_db)
+        queries, windows = knn_suite(served_db, n_queries=4)
+        ref_range = engine.evaluate(served_workload)
+        ref_count = engine.count(served_workload.boxes)
+        ref_hist = engine.histogram(16)
+        ref_hist_norm = engine.histogram(16, normalize=True)
+        ref_knn = knn_query_batch(served_db, queries, 3, windows, "edr", eps=eps)
+        ref_sim = similarity_query_batch(served_db, queries, delta)
+        with QueryService(
+            served_db, n_shards=3, executor=executor
+        ) as service:
+            client = ServiceClient(service)
+            assert client.range(served_workload).result_sets == ref_range
+            counts = client.count(served_workload.boxes).counts
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, ref_count)
+            assert np.array_equal(client.histogram(16).histogram, ref_hist)
+            assert np.array_equal(
+                client.histogram(16, normalize=True).histogram, ref_hist_norm
+            )
+            assert client.knn(queries, 3, windows, eps=eps).neighbors == ref_knn
+            assert client.similarity(queries, delta).result_sets == ref_sim
+
+    def test_ingest_matches_fresh_engine_on_final_state(
+        self, served_db, served_workload, executor
+    ):
+        extra = [make_trajectory(n=8, seed=500 + i) for i in range(6)]
+        final = served_db.extended(extra)
+        engine = QueryEngine(final)
+        eps = 0.10 * spatial_scale(served_db)
+        queries, windows = knn_suite(served_db, n_queries=4)
+        with QueryService(
+            served_db, n_shards=3, executor=executor
+        ) as service:
+            client = ServiceClient(service)
+            assert service.ingest(extra) == len(extra)
+            assert client.range(served_workload).result_sets == engine.evaluate(
+                served_workload
+            )
+            assert np.array_equal(
+                client.count(served_workload.boxes).counts,
+                engine.count(served_workload.boxes),
+            )
+            # default histogram box follows the *current* (grown) extent
+            assert np.array_equal(
+                client.histogram(12).histogram, engine.histogram(12)
+            )
+            assert (
+                client.knn(queries, 3, windows, eps=eps).neighbors
+                == knn_query_batch(final, queries, 3, windows, "edr", eps=eps)
+            )
 
 
 def cluster_db(
@@ -396,7 +462,7 @@ class TestServiceCacheAndStats:
                 client.range(served_workload)
             # the manager's database still rebuilds the consistent state
             rebuilt = service.manager.database()
-            from repro.queries import QueryEngine
+            from repro.queries import QueryEngine, knn_query_batch, similarity_query_batch
 
             assert QueryEngine(rebuilt).evaluate(served_workload) == baseline
 
@@ -723,6 +789,27 @@ class TestServiceBackedEvaluation:
                 evaluator.evaluate(
                     served_db, ("range",), client=ServiceClient(service)
                 )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 100),
+    n_shards=st.integers(2, 5),
+)
+def test_property_sharded_range_equals_engine(seed, n_shards):
+    db = TrajectoryDatabase(
+        [make_trajectory(n=4 + (seed + i) % 8, seed=seed + i) for i in range(9)]
+    )
+    workload = RangeQueryWorkload.from_data_distribution(db, 8, seed=seed)
+    with QueryService(db, n_shards=n_shards) as service:
+        client = ServiceClient(service)
+        assert client.range(workload).result_sets == QueryEngine(db).evaluate(
+            workload
+        )
+        assert np.array_equal(
+            client.count(workload.boxes).counts,
+            QueryEngine(db).count(workload.boxes),
+        )
 
 
 def test_t2vec_measure_rejected_at_request_construction():

@@ -3,47 +3,19 @@
 Property: however ingest batches and queries interleave, every query
 answered by the sharded service equals a fresh single-engine evaluation of
 the database state at that moment — and the final state matches
-``initial.extended(all batches)`` exactly. This is the consistency
-contract of the streaming path: the pending tier, compaction, epoch-keyed
-caching, and the scatter/gather merge must all be invisible to clients.
+``initial.extended(all batches)`` exactly. These are fixed scenarios of the
+contract that the oracle in ``tests/test_oracle.py`` drives across the
+whole serving matrix, checked with the oracle's own comparator.
 """
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.client import ServiceClient
-from repro.data import TrajectoryDatabase
-from repro.data.stats import spatial_scale
-from repro.queries import QueryEngine, knn_query_batch, similarity_query_batch
+from repro.client import LocalClient, ServiceClient
+from repro.queries import QueryEngine
 from repro.service import QueryService
 from repro.workloads import RangeQueryWorkload
-from tests.conftest import make_trajectory
-from tests.test_service import knn_suite
-
-
-def initial_db(seed: int, n: int = 8) -> TrajectoryDatabase:
-    return TrajectoryDatabase(
-        [make_trajectory(n=4 + (seed + i) % 8, seed=seed + i) for i in range(n)]
-    )
-
-
-def assert_state_parity(service, db, workload, queries, windows, eps, delta):
-    """Every request kind on the service == fresh engine on ``db``."""
-    engine = QueryEngine(db)
-    client = ServiceClient(service)
-    assert client.range(workload).result_sets == engine.evaluate(workload)
-    assert np.array_equal(
-        client.count(workload.boxes).counts, engine.count(workload.boxes)
-    )
-    assert np.array_equal(client.histogram(8).histogram, engine.histogram(8))
-    assert (
-        client.knn(queries, 2, windows, eps=eps).neighbors
-        == knn_query_batch(db, queries, 2, windows, "edr", eps=eps)
-    )
-    assert client.similarity(queries, delta).result_sets == similarity_query_batch(
-        db, queries, delta
-    )
+from tests.conftest import initial_db, make_trajectory
+from tests.test_oracle import assert_answers_match, oracle_requests
 
 
 @settings(max_examples=10, deadline=None)
@@ -57,10 +29,7 @@ def assert_state_parity(service, db, workload, queries, windows, eps, delta):
 def test_interleaved_ingest_query_matches_fresh_engine(seed, n_shards, plan):
     """``plan`` is a list of (batch size, query-after-batch?) rounds."""
     db = initial_db(seed)
-    workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=seed)
-    queries, windows = knn_suite(db, n_queries=2, seed=seed)
-    eps = 0.10 * spatial_scale(db)
-    delta = 0.15 * spatial_scale(db)
+    requests = oracle_requests(db, seed).values()
     current = db
     next_seed = 1000 * (seed + 1)
     with QueryService(
@@ -70,7 +39,8 @@ def test_interleaved_ingest_query_matches_fresh_engine(seed, n_shards, plan):
         min_compact_points=24,
         compact_threshold=0.1,
     ) as service:
-        assert_state_parity(service, current, workload, queries, windows, eps, delta)
+        client = ServiceClient(service)
+        assert_answers_match(client, LocalClient(current), requests)
         for batch_size, query_now in plan:
             batch = [
                 make_trajectory(n=5, seed=next_seed + i) for i in range(batch_size)
@@ -79,21 +49,16 @@ def test_interleaved_ingest_query_matches_fresh_engine(seed, n_shards, plan):
             service.ingest(batch)
             current = current.extended(batch)
             if query_now:
-                assert_state_parity(
-                    service, current, workload, queries, windows, eps, delta
-                )
+                assert_answers_match(client, LocalClient(current), requests)
         # final state always checked, including the cache's epoch keying
-        assert_state_parity(service, current, workload, queries, windows, eps, delta)
+        assert_answers_match(client, LocalClient(current), requests)
         assert service.manager.n_trajectories == len(current)
 
 
 def test_interleaved_ingest_query_process_executor():
     """The same interleaving contract holds across worker processes."""
     db = initial_db(7, n=10)
-    workload = RangeQueryWorkload.from_data_distribution(db, 6, seed=7)
-    queries, windows = knn_suite(db, n_queries=2, seed=7)
-    eps = 0.10 * spatial_scale(db)
-    delta = 0.15 * spatial_scale(db)
+    requests = oracle_requests(db, 7).values()
     current = db
     with QueryService(
         db,
@@ -102,6 +67,7 @@ def test_interleaved_ingest_query_process_executor():
         min_compact_points=24,
         compact_threshold=0.1,
     ) as service:
+        client = ServiceClient(service)
         for round_idx in range(3):
             batch = [
                 make_trajectory(n=5, seed=5000 + 10 * round_idx + i)
@@ -109,9 +75,7 @@ def test_interleaved_ingest_query_process_executor():
             ]
             service.ingest(batch)
             current = current.extended(batch)
-            assert_state_parity(
-                service, current, workload, queries, windows, eps, delta
-            )
+            assert_answers_match(client, LocalClient(current), requests)
 
 
 def test_queries_between_ingests_never_serve_stale_cache():
