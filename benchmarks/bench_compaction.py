@@ -16,9 +16,9 @@ benchmark charts that trade at K shards — for each policy it reports
   :class:`~repro.service.ServiceStats`) and the warm wall-clock of the
   benchmark request mix on the compacted service.
 
-Results append to ``BENCH_service.json`` (same file as
-``bench_service.py``; rows are tagged ``"benchmark": "bench_compaction"``)
-with config provenance.
+Full runs append to ``BENCH_compaction.json`` at the repo root (smoke
+runs only to an explicit ``--out``) through
+:func:`repro.obs.provenance.log_run`, with config provenance.
 
 Run standalone::
 
@@ -30,20 +30,16 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import sys
 import time
-from datetime import datetime, timezone
-
-import numpy as np
 
 from repro.client import ServiceClient
 from repro.data import synthetic_database
 from repro.data.codec import storage_report
 from repro.data.stats import spatial_scale
 from repro.eval.harness import QueryAccuracyEvaluator, QuerySuiteConfig
+from repro.obs.provenance import build_provenance, log_run
 from repro.service import QueryService
 from repro.service.compaction import COMPACTION_POLICIES
 
@@ -173,26 +169,6 @@ def run_frontier(
     return rows
 
 
-def _persist(path: str, config: dict, frontier: list[dict]) -> None:
-    """Append to ``BENCH_service.json``; rows tagged with this benchmark."""
-    payload = {"schema": 1, "benchmark": "bench_service", "runs": []}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                existing = json.load(fh)
-            payload["benchmark"] = existing.get("benchmark", "bench_service")
-            payload["runs"] = existing.get("runs", [])
-        except (OSError, ValueError):
-            pass
-    payload["runs"].append(
-        {"benchmark": "bench_compaction", "config": config, "frontier": frontier}
-    )
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\npersisted results -> {path}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -212,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--out", default=None,
-        help="persist results as JSON (default: BENCH_service.json at the "
+        help="persist results as JSON (default: BENCH_compaction.json at the "
         "repo root for full runs; smoke runs persist only with an "
         "explicit --out)",
     )
@@ -234,29 +210,22 @@ def main(argv: list[str] | None = None) -> int:
     if out is None and not args.smoke:
         out = os.path.join(
             os.path.dirname(os.path.abspath(__file__)),
-            "..", "BENCH_service.json",
+            "..", "BENCH_compaction.json",
         )
     if out:
-        _persist(
-            os.path.normpath(out),
-            {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "platform": platform.platform(),
-                "cpu_count": os.cpu_count(),
-                "timestamp": datetime.now(timezone.utc).isoformat(
-                    timespec="seconds"
-                ),
-                "smoke": bool(args.smoke),
-                "trajectories": n_trajectories,
-                "shards": args.shards,
-                "policies": list(args.policies),
-                "budget_fraction": args.budget_fraction,
-                "tasks": list(TASKS),
-                "repeats": repeats,
-            },
-            frontier,
-        )
+        out = os.path.normpath(out)
+        config = {
+            "smoke": bool(args.smoke),
+            "trajectories": n_trajectories,
+            "shards": args.shards,
+            "policies": list(args.policies),
+            "budget_fraction": args.budget_fraction,
+            "tasks": list(TASKS),
+            "repeats": repeats,
+            "provenance": build_provenance(),
+        }
+        log_run(out, "bench_compaction", {"config": config, "frontier": frontier})
+        print(f"\npersisted results -> {out}")
     print("ok")
     return 0
 

@@ -205,7 +205,10 @@ class TestMetricsRegistry:
                 reg.record("latency", 0.5)
 
         def read():
-            while not done.is_set():
+            # One snapshot per millisecond: a spinning reader convoys with
+            # the writers on the registry lock, which stretches this check
+            # from about 1 s to 15-30 s without making a race likelier.
+            while not done.wait(1e-3):
                 reg.snapshot()
 
         reader = threading.Thread(target=read)

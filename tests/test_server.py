@@ -495,32 +495,70 @@ class TestThreeTransportParity:
 # ---------------------------------------------------------------- concurrency
 class TestConcurrentClients:
     def test_eight_clients_no_drops_no_misorder(self, loopback):
+        """Eight threaded clients loop range and kNN requests while a ninth
+        connection ingests one batch: every reply equals the reference for
+        the epoch it is stamped with, and a request sent after the ingest
+        reply returned is stamped with epoch >= 1."""
         db, handle = loopback
         workload = RangeQueryWorkload.from_data_distribution(db, 8, seed=3)
         queries, windows = knn_suite(db, n_queries=2)
-        with LocalClient(db) as local:
-            want_range = local.range(workload).result_sets
-            want_pairs = local.knn(queries, 2, windows, eps=250.0).pairs
+        batch = shifted_batch(db, 3, seed=2, shift=(1.0, -1.0))
+        want_range, want_pairs = {}, {}
+        for epoch, state in enumerate((db, db.extended(batch))):
+            with LocalClient(state) as local:
+                want_range[epoch] = local.range(workload).result_sets
+                want_pairs[epoch] = local.knn(queries, 2, windows, eps=250.0).pairs
+        assert want_range[0] != want_range[1], "the batch must move a range answer"
         errors: list[str] = []
+        started = threading.Barrier(9, timeout=60)
+        ingested = threading.Event()
 
         def loop(idx: int) -> None:
             try:
                 # RemoteClient verifies every response id echo internally:
                 # any dropped or reordered reply raises.
                 with RemoteClient(handle.host, handle.port) as client:
-                    for i in range(6):
+                    i = sent_after_ingest = 0
+                    while i < 6 or sent_after_ingest < 2:
+                        after = ingested.is_set()
                         if (idx + i) % 2 == 0:
-                            got = client.range(workload).result_sets
-                            if got != want_range:
-                                errors.append(f"client {idx}: range mismatch")
+                            reply = client.range(workload)
+                            ok = reply.result_sets == want_range.get(reply.epoch)
                         else:
-                            got = client.knn(queries, 2, windows, eps=250.0).pairs
-                            if got != want_pairs:
-                                errors.append(f"client {idx}: knn mismatch")
+                            reply = client.knn(queries, 2, windows, eps=250.0)
+                            ok = reply.pairs == want_pairs.get(reply.epoch)
+                        if not ok:
+                            errors.append(
+                                f"client {idx}: {reply.kind} mismatch "
+                                f"at epoch {reply.epoch}"
+                            )
+                        if after and reply.epoch < 1:
+                            errors.append(
+                                f"client {idx}: sent after the ingest "
+                                "returned, stamped epoch 0"
+                            )
+                        if i == 0:
+                            started.wait()  # the ingest lands mid-loop
+                        i += 1
+                        sent_after_ingest += after
             except Exception as exc:
+                started.abort()
                 errors.append(f"client {idx}: {type(exc).__name__}: {exc}")
 
+        def ingest() -> None:
+            try:
+                with RemoteClient(handle.host, handle.port) as client:
+                    started.wait()
+                    if client.ingest(batch).epoch != 1:
+                        errors.append("ingest did not advance the epoch to 1")
+            except Exception as exc:
+                started.abort()
+                errors.append(f"ingest: {type(exc).__name__}: {exc}")
+            finally:
+                ingested.set()
+
         threads = [threading.Thread(target=loop, args=(i,)) for i in range(8)]
+        threads.append(threading.Thread(target=ingest))
         for t in threads:
             t.start()
         for t in threads:
