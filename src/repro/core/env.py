@@ -17,8 +17,19 @@ The environment exposes the primitives the two MDPs need:
 * :meth:`insert` — commit a point into D' and update reward bookkeeping;
 * :meth:`diff` — current ``diff(Q(D), Q(D'))`` (Eq. 10 ingredient).
 
-Agent-Cube states depend only on the (static) data and query distributions,
-so they are cached per node.
+Two caches keep the inner loop cheap, and both are exact:
+
+* Agent-Cube's state and mask depend only on the (static) octree and its
+  query annotations, so each node's pair is built once, for the
+  environment's lifetime, and stored read-only;
+* Agent-Point's per-trajectory maximum in a cube (Eq. 7) depends only on
+  the cube's points of that trajectory and the trajectory's kept indices.
+  :meth:`point_state` keeps it per (cube, trajectory) until the trajectory
+  gains a point (:meth:`insert` drops every cube's entry for it) or the
+  state is replaced (:meth:`reset`, :meth:`load_kept`).
+  :func:`repro.core.features.cube_point_state` is the from-scratch
+  reference it must equal. So the state changes only through those three
+  methods: a point added by ``env.state.insert`` bypasses the cache.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import RL4QDTSConfig
-from repro.core.features import cube_point_state
+from repro.core.features import rank_candidates, trajectory_best
 from repro.core.reward import IncrementalRangeEvaluator
 from repro.data.database import TrajectoryDatabase
 from repro.data.simplification import SimplificationState
@@ -61,11 +72,14 @@ class QDTSEnvironment:
         self.octree.annotate_queries(workload.boxes)
         self.evaluator = IncrementalRangeEvaluator(db, workload)
         self.state = SimplificationState(db)
-        self._cube_state_cache: dict[int, np.ndarray] = {}
+        self._cube_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Octree contents are static, so per-node point listings are memoized
         # the first time a cube is chosen (grouped by trajectory for the
         # feature computation).
         self._entries_cache: dict[int, dict[int, np.ndarray]] = {}
+        # traj_id -> {cube key -> trajectory_best row}; valid while the
+        # trajectory's kept indices are unchanged.
+        self._best_cache: dict[int, dict[int, tuple | None]] = {}
         self._fallback_order: list[tuple[int, int]] | None = None
         self._fallback_pos = 0
         self.reset()
@@ -75,6 +89,7 @@ class QDTSEnvironment:
         """Back to the most simplified database (endpoints only)."""
         self.state = SimplificationState(self.db)
         self.evaluator.reset(self.state)
+        self._best_cache.clear()
         self._fallback_order = None
         self._fallback_pos = 0
 
@@ -86,18 +101,22 @@ class QDTSEnvironment:
         )
 
     def cube_state(self, node: OctreeNode) -> tuple[np.ndarray, np.ndarray]:
-        """Eq. 4 state vector and the valid-action mask at ``node``."""
-        key = id(node)
-        state = self._cube_state_cache.get(key)
-        if state is None:
+        """Eq. 4 state vector and the valid-action mask at ``node``.
+
+        Both arrays are cached and read-only: they are shared by every
+        later visit of the node.
+        """
+        cached = self._cube_cache.get(id(node))
+        if cached is None:
             state = self.octree.child_fractions(node)
-            self._cube_state_cache[key] = state
-        mask = np.zeros(CUBE_N_ACTIONS, dtype=bool)
-        mask[STOP_ACTION] = True
-        if not node.is_leaf and node.level < self.config.end_level:
-            for k in node.nonempty_children():
-                mask[k] = True
-        return state, mask
+            mask = np.zeros(CUBE_N_ACTIONS, dtype=bool)
+            mask[STOP_ACTION] = True
+            if not node.is_leaf and node.level < self.config.end_level:
+                mask[node.nonempty_children()] = True
+            state.flags.writeable = False
+            mask.flags.writeable = False
+            cached = self._cube_cache[id(node)] = (state, mask)
+        return cached
 
     def descend(self, node: OctreeNode, action: int) -> OctreeNode:
         """Follow child ``action`` (0..7); raises on invalid moves."""
@@ -122,16 +141,27 @@ class QDTSEnvironment:
                 for tid, idxs in grouped.items()
             }
             self._entries_cache[key] = grouped
-        return cube_point_state(
-            self.state,
-            grouped,
-            self.config.k_candidates,
-            rank_by=self.config.point_feature,
-        )
+        rank_by = self.config.point_feature
+        rows = []
+        for tid, idxs in grouped.items():
+            per_cube = self._best_cache.get(tid)
+            if per_cube is None:
+                per_cube = self._best_cache[tid] = {}
+            if key in per_cube:
+                best = per_cube[key]
+            else:
+                best = per_cube[key] = trajectory_best(
+                    self.state, tid, idxs, rank_by
+                )
+            if best is not None:
+                rows.append((*best, tid))
+        return rank_candidates(rows, self.config.k_candidates, rank_by)
 
     def insert(self, traj_id: int, index: int) -> None:
         """Commit one point into the simplified database."""
         self.state.insert(traj_id, index)
+        # Every anchor segment of the trajectory may have moved.
+        self._best_cache.pop(traj_id, None)
         self.evaluator.notify_insert(traj_id, self.db[traj_id].points[index])
 
     def load_kept(self, kept_per_trajectory: list[list[int]]) -> None:

@@ -16,9 +16,12 @@ per-trajectory maxima of these pairs (Eq. 8), flattened into a ``2K`` vector
 and zero-padded when the cube holds fewer than ``K`` trajectories with
 candidates.
 
-The batch entry point :func:`cube_point_state` is the inner loop of both
-training and inference, so the value computation is vectorized per
-trajectory.
+The batch entry point :func:`cube_point_state` computes a cube's state
+from scratch and is the reference. The environment's hot path
+(:meth:`repro.core.env.QDTSEnvironment.point_state`) keeps each
+trajectory's maximum (:func:`trajectory_best`) until that trajectory
+gains a point, and shares the ranking step (:func:`rank_candidates`).
+The value computation is vectorized per trajectory.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def point_values_batch(
     return v_s, v_t
 
 
-def _trajectory_best(
+def trajectory_best(
     state: SimplificationState,
     tid: int,
     idxs: np.ndarray,
@@ -139,19 +142,32 @@ def cube_point_state(
             tid: np.asarray(sorted(idxs), dtype=int)
             for tid, idxs in grouped.items()
         }
-    best_rows: list[tuple[float, float, int, int]] = []
+    best_rows = []
     for tid, idxs in entries.items():
-        best = _trajectory_best(state, tid, idxs, rank_by)
+        best = trajectory_best(state, tid, idxs, rank_by)
         if best is not None:
-            v_s, v_t, idx = best
-            best_rows.append((v_s, v_t, tid, idx))
-    # Top-K trajectories by the ranking value, Eq. 8 (ties broken by id).
+            best_rows.append((*best, tid))
+    return rank_candidates(best_rows, k, rank_by)
+
+
+def rank_candidates(
+    best_rows: list[tuple[float, float, int, int]],
+    k: int,
+    rank_by: str = "vs",
+) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
+    """Eq. 8: the top-``K`` per-trajectory maxima as a padded state.
+
+    ``best_rows`` holds one ``(v_s, v_t, point_index, traj_id)`` row per
+    trajectory with a candidate in the cube, as :func:`trajectory_best`
+    returns them plus the trajectory id. Returns what
+    :func:`cube_point_state` returns.
+    """
+    # Top-K trajectories by the ranking value (ties broken by id).
     rank_index = 0 if rank_by == "vs" else 1
-    best_rows.sort(key=lambda r: (-r[rank_index], r[2]))
-    ranked = best_rows[:k]
+    ranked = sorted(best_rows, key=lambda r: (-r[rank_index], r[3]))[:k]
     vector = np.zeros(2 * k)
     candidates: list[tuple[int, int]] = []
-    for row, (v_s, v_t, tid, idx) in enumerate(ranked):
+    for row, (v_s, v_t, idx, tid) in enumerate(ranked):
         vector[2 * row] = v_s
         vector[2 * row + 1] = v_t
         candidates.append((tid, idx))

@@ -74,9 +74,13 @@ class RL4QDTS:
             seed=seed + 1,
         )
         self.history = TrainingHistory()
-        self._distribution: str | None = "data"
-        self._workload_factory: WorkloadFactory = _default_workload_factory(
-            "data", self.config.n_training_queries
+        self._set_distribution("data")
+
+    def _set_distribution(self, distribution: str) -> None:
+        """Train and infer on workloads drawn from a named distribution."""
+        self._distribution: str | None = distribution
+        self._workload_factory: WorkloadFactory | None = _default_workload_factory(
+            distribution, self.config.n_training_queries
         )
 
     # ---------------------------------------------------------------- training
@@ -123,10 +127,7 @@ class RL4QDTS:
             model._workload_factory = lambda _db, _seed: workload
             model._distribution = None
         else:
-            model._workload_factory = _default_workload_factory(
-                distribution, cfg.n_training_queries
-            )
-            model._distribution = distribution
+            model._set_distribution(distribution)
 
         rng = np.random.default_rng(cfg.seed)
         best_params: tuple[dict, dict] | None = None
@@ -206,17 +207,7 @@ class RL4QDTS:
             )
         seed = self.config.seed if seed is None else seed
         if workload is None:
-            if self._distribution is not None:
-                # A larger inference sample approximates the (known) query
-                # distribution better than re-using the training sample size.
-                workload = RangeQueryWorkload.generate(
-                    self._distribution,
-                    db,
-                    self.config.n_inference_queries,
-                    seed=seed + 5000,
-                )
-            else:
-                workload = self._workload_factory(db, seed + 5000)
+            workload = self._inference_workload(db, seed)
         env = QDTSEnvironment(
             db, workload, self.config, np.random.default_rng(seed)
         )
@@ -234,6 +225,26 @@ class RL4QDTS:
         if return_stats:
             return simplified, stats
         return simplified
+
+    def _inference_workload(
+        self, db: TrajectoryDatabase, seed: int
+    ) -> RangeQueryWorkload:
+        """The default workload of :meth:`simplify` and :meth:`refine`."""
+        if self._distribution is not None:
+            # A larger inference sample approximates the (known) query
+            # distribution better than re-using the training sample size.
+            return RangeQueryWorkload.generate(
+                self._distribution,
+                db,
+                self.config.n_inference_queries,
+                seed=seed + 5000,
+            )
+        if self._workload_factory is None:
+            raise ValueError(
+                "this model was trained on a custom workload that was not "
+                "saved with it; pass workload="
+            )
+        return self._workload_factory(db, seed + 5000)
 
     def refine(
         self,
@@ -274,15 +285,7 @@ class RL4QDTS:
         ]
         seed = self.config.seed if seed is None else seed
         if workload is None:
-            if self._distribution is not None:
-                workload = RangeQueryWorkload.generate(
-                    self._distribution,
-                    db,
-                    self.config.n_inference_queries,
-                    seed=seed + 5000,
-                )
-            else:
-                workload = self._workload_factory(db, seed + 5000)
+            workload = self._inference_workload(db, seed)
         env = QDTSEnvironment(
             db, workload, self.config, np.random.default_rng(seed)
         )
@@ -302,7 +305,8 @@ class RL4QDTS:
 
     # ------------------------------------------------------------- persistence
     def save(self, path: str | Path) -> None:
-        """Save config, ablation flags, and both agents' parameters (.npz)."""
+        """Save config, ablation flags, the training distribution's name,
+        and both agents' parameters (.npz)."""
         payload: dict[str, np.ndarray] = {}
         for prefix, agent in (("cube", self.cube_agent), ("point", self.point_agent)):
             for name, value in agent.get_parameters().items():
@@ -313,6 +317,8 @@ class RL4QDTS:
             "config": config_dict,
             "use_agent_cube": self.use_agent_cube,
             "use_agent_point": self.use_agent_point,
+            # None: trained on a custom workload, which is not saved.
+            "distribution": self._distribution,
         }
         payload["meta_json"] = np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8
@@ -331,6 +337,13 @@ class RL4QDTS:
                 use_agent_cube=meta["use_agent_cube"],
                 use_agent_point=meta["use_agent_point"],
             )
+            # Files written before the key existed were trained on "data".
+            distribution = meta.get("distribution", "data")
+            if distribution is None:
+                model._distribution = None
+                model._workload_factory = None
+            else:
+                model._set_distribution(distribution)
             for prefix, agent in (
                 ("cube", model.cube_agent),
                 ("point", model.point_agent),

@@ -14,6 +14,15 @@ database up to the budget ``W``:
 When a sampled cube has no insertable point the traversal retries a few
 times and finally falls back to a uniformly random un-kept point so the
 budget is always exhausted; fallback insertions produce no transitions.
+
+A greedy episode that does not learn (inference, :meth:`RL4QDTS.simplify`
+and :meth:`RL4QDTS.refine`) memoizes Agent-Cube's descent from each start
+node to the leaf it ends in, for the length of the episode. This is exact:
+the cube state and mask at a node are static, the agent's parameters do
+not change while it does not learn, and a greedy ``act`` draws no random
+number, so the descent is a fixed map from start node to leaf. The start
+node is still drawn for every traversal, so the generator's stream is the
+one the unmemoized descent would consume.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.env import CUBE_N_ACTIONS, STOP_ACTION, QDTSEnvironment
+from repro.index.octree import OctreeNode
 from repro.rl.dqn import DQNAgent
 from repro.rl.replay import Transition
 
@@ -93,11 +103,12 @@ def run_episode(
 
     stop_only_mask = np.zeros(CUBE_N_ACTIONS, dtype=bool)
     stop_only_mask[STOP_ACTION] = True
+    leaf_memo = _greedy_leaf_memo(greedy, learn)
 
     while env.state.total_kept < budget:
         chosen = _choose_cube_and_candidates(
             env, cube_agent, greedy, use_agent_cube, max_cube_retries,
-            stop_only_mask,
+            stop_only_mask, leaf_memo,
         )
         if chosen is None:
             fallback = env.random_unkept_point()
@@ -157,6 +168,15 @@ def run_episode(
     return stats
 
 
+def _greedy_leaf_memo(greedy: bool, learn: bool) -> dict[int, OctreeNode] | None:
+    """An empty start node -> leaf memo when the descent is a fixed map.
+
+    That holds for a greedy episode that does not learn (see the module
+    docstring); any other episode descends afresh and gets None.
+    """
+    return {} if greedy and not learn else None
+
+
 def _choose_cube_and_candidates(
     env: QDTSEnvironment,
     cube_agent: DQNAgent,
@@ -164,35 +184,29 @@ def _choose_cube_and_candidates(
     use_agent_cube: bool,
     max_retries: int,
     stop_only_mask: np.ndarray,
+    leaf_memo: dict[int, OctreeNode] | None,
 ):
     """Sample/traverse to a cube that has candidates; None if all retries fail.
 
     Returns ``(cube_transitions, point_state, candidates, point_mask)``.
+    With a ``leaf_memo`` the descent records no transitions: the episode
+    that passes one does not learn.
     """
     for _ in range(max_retries):
         node = env.start_node()
         transitions: list[tuple] = []
-        if use_agent_cube:
-            while True:
-                state, mask = env.cube_state(node)
-                if not mask[:STOP_ACTION].any():
-                    # Leaf or level E: forced stop (Algorithm 2, line 6).
-                    transitions.append(
-                        (state, STOP_ACTION, mask, state, stop_only_mask, True)
-                    )
-                    break
-                action = cube_agent.act(state, mask, greedy=greedy)
-                if action == STOP_ACTION:
-                    transitions.append(
-                        (state, STOP_ACTION, mask, state, stop_only_mask, True)
-                    )
-                    break
-                child = env.descend(node, action)
-                child_state, child_mask = env.cube_state(child)
-                transitions.append(
-                    (state, action, mask, child_state, child_mask, False)
+        if use_agent_cube and leaf_memo is not None:
+            start = id(node)
+            leaf = leaf_memo.get(start)
+            if leaf is None:
+                leaf = leaf_memo[start] = _descend(
+                    env, cube_agent, node, greedy, stop_only_mask, []
                 )
-                node = child
+            node = leaf
+        elif use_agent_cube:
+            node = _descend(
+                env, cube_agent, node, greedy, stop_only_mask, transitions
+            )
         point_state, candidates, point_mask = env.point_state(node)
         # A cube whose candidates all have ~0 feature values is already
         # represented exactly (e.g. collinear or stationary runs); spending
@@ -200,6 +214,36 @@ def _choose_cube_and_candidates(
         if candidates and point_state.max() > 1e-9:
             return transitions, point_state, candidates, point_mask
     return None
+
+
+def _descend(
+    env: QDTSEnvironment,
+    cube_agent: DQNAgent,
+    node: OctreeNode,
+    greedy: bool,
+    stop_only_mask: np.ndarray,
+    transitions: list[tuple],
+) -> OctreeNode:
+    """Agent-Cube's traversal from ``node`` (Algorithm 2); returns the cube
+    it stops in and appends one transition per step to ``transitions``."""
+    while True:
+        state, mask = env.cube_state(node)
+        if not mask[:STOP_ACTION].any():
+            # Leaf or level E: forced stop (Algorithm 2, line 6).
+            transitions.append(
+                (state, STOP_ACTION, mask, state, stop_only_mask, True)
+            )
+            return node
+        action = cube_agent.act(state, mask, greedy=greedy)
+        if action == STOP_ACTION:
+            transitions.append(
+                (state, STOP_ACTION, mask, state, stop_only_mask, True)
+            )
+            return node
+        child = env.descend(node, action)
+        child_state, child_mask = env.cube_state(child)
+        transitions.append((state, action, mask, child_state, child_mask, False))
+        node = child
 
 
 def _flush_window(

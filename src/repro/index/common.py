@@ -93,7 +93,7 @@ class CubeTree:
         # static after construction, and start-level sampling happens once
         # per inserted point.
         self._level_cache: dict[int, list[CubeNode]] = {}
-        self._weight_cache: dict[tuple[int, str], np.ndarray | None] = {}
+        self._cdf_cache: dict[tuple[int, str], np.ndarray | None] = {}
         self._build()
 
     # ------------------------------------------------------------------- build
@@ -113,19 +113,28 @@ class CubeTree:
         indices: np.ndarray,
     ) -> None:
         node.n_points = len(points)
-        node.n_trajectories = len(np.unique(owners)) if len(owners) else 0
+        # ``owners`` ascends (``point_ownership`` does, and every split keeps
+        # the order), so its distinct ids are its runs of equal ids.
+        node.n_trajectories = (
+            int(np.count_nonzero(owners[1:] != owners[:-1])) + 1 if len(owners) else 0
+        )
         if len(points) <= self.leaf_capacity or node.level >= self.max_depth:
             node.entries = list(zip(owners.tolist(), indices.tolist()))
             return
         octant, boxes = self._split_masks_and_boxes(node, points)
+        # A stable sort groups the points by octant and keeps their order
+        # within each, as a boolean mask per octant would.
+        order = np.argsort(octant, kind="stable")
+        bounds = np.bincount(octant, minlength=8).cumsum().tolist()
         node.children = [None] * 8
-        for k in range(8):
-            mask = octant == k
-            if not mask.any():
-                continue
-            child = CubeNode(box=boxes[k], level=node.level + 1)
-            node.children[k] = child
-            self._insert_bulk(child, points[mask], owners[mask], indices[mask])
+        lo = 0
+        for k, hi in enumerate(bounds):
+            if hi > lo:
+                child = CubeNode(box=boxes[k], level=node.level + 1)
+                node.children[k] = child
+                rows = order[lo:hi]
+                self._insert_bulk(child, points[rows], owners[rows], indices[rows])
+            lo = hi
 
     def _split_masks_and_boxes(
         self, node: CubeNode, points: np.ndarray
@@ -197,7 +206,7 @@ class CubeTree:
             node.n_queries = 0
         for box in boxes:
             self._annotate_one(self.root, box)
-        self._weight_cache.clear()
+        self._cdf_cache.clear()
 
     def _annotate_one(self, node: CubeNode, box: BoundingBox) -> None:
         if not node.box.intersects(box):
@@ -246,8 +255,7 @@ class CubeTree:
         if not nodes:
             return self.root
         key = (level, by)
-        probs = self._weight_cache.get(key)
-        if key not in self._weight_cache:
+        if key not in self._cdf_cache:
             if by == "queries":
                 weights = np.array([n.n_queries for n in nodes], dtype=float)
                 if weights.sum() <= 0:
@@ -257,8 +265,16 @@ class CubeTree:
             else:
                 raise ValueError(f"unknown sampling weight {by!r}")
             total = weights.sum()
-            probs = weights / total if total > 0 else None
-            self._weight_cache[key] = probs
-        if probs is None:
+            cdf = None
+            if total > 0:
+                # The arithmetic of ``Generator.choice(n, p=weights / total)``,
+                # done once: it normalizes p's cumulative sum by its last
+                # entry and searches one ``random()`` draw in it, so the draw
+                # below returns the same node from the same generator state.
+                cdf = (weights / total).cumsum()
+                cdf /= cdf[-1]
+            self._cdf_cache[key] = cdf
+        cdf = self._cdf_cache[key]
+        if cdf is None:
             return nodes[int(rng.integers(len(nodes)))]
-        return nodes[int(rng.choice(len(nodes), p=probs))]
+        return nodes[int(cdf.searchsorted(rng.random(), side="right"))]

@@ -74,11 +74,13 @@ class DQNAgent:
     ) -> int:
         """ε-greedy (or greedy) action restricted to the valid mask."""
         mask = self._full_mask() if mask is None else np.asarray(mask, dtype=bool)
-        valid = np.flatnonzero(mask)
-        if len(valid) == 0:
+        if not mask.any():
             raise ValueError("no valid action available")
         if not greedy and self._rng.random() < self.epsilon:
-            return int(self._rng.choice(valid))
+            valid = np.flatnonzero(mask)
+            # The draw ``self._rng.choice(valid)`` makes, without its
+            # argument checks.
+            return int(valid[self._rng.integers(0, len(valid))])
         q = self.q_net.predict(state)[0]
         q_masked = np.where(mask, q, -np.inf)
         return int(np.argmax(q_masked))
@@ -94,13 +96,9 @@ class DQNAgent:
         """One replay mini-batch update; returns the loss or None if deferred."""
         if len(self.memory) < max(self.config.learn_start, self.config.batch_size):
             return None
-        batch = self.memory.sample(self.config.batch_size, self._rng)
-        states = np.stack([t.state for t in batch])
-        actions = np.array([t.action for t in batch], dtype=int)
-        rewards = np.array([t.reward for t in batch])
-        next_states = np.stack([t.next_state for t in batch])
-        dones = np.array([t.done for t in batch], dtype=bool)
-        masks = np.stack([t.next_mask for t in batch])
+        states, actions, rewards, next_states, masks, dones = (
+            self.memory.sample_batch(self.config.batch_size, self._rng)
+        )
 
         target_q = self.target_net.predict(next_states)
         if self.config.double_dqn:
@@ -108,7 +106,7 @@ class DQNAgent:
             # scores it.
             online_q = np.where(masks, self.q_net.predict(next_states), -np.inf)
             best_actions = online_q.argmax(axis=1)
-            best_next = target_q[np.arange(len(batch)), best_actions]
+            best_next = target_q[np.arange(len(actions)), best_actions]
             best_next = np.where(masks.any(axis=1), best_next, -np.inf)
         else:
             best_next = np.where(masks, target_q, -np.inf).max(axis=1)

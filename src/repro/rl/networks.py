@@ -88,7 +88,10 @@ class QNetwork:
     # ----------------------------------------------------------------- forward
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Q-values for a ``(B, in_dim)`` batch (inference mode)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1:
+            x = x[np.newaxis, :]  # one state, as ``act`` passes it
+        else:
+            x = np.atleast_2d(np.asarray(x, dtype=float))
         z1 = x @ self.w1 + self.b1
         z1_hat = (z1 - self.running_mean) / np.sqrt(self.running_var + _BN_EPS)
         h = np.tanh(self.gamma * z1_hat + self.beta)

@@ -10,6 +10,7 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,32 +34,87 @@ class Transition:
     mask: np.ndarray | None = None  # bool, True where valid in s
 
 
+class TransitionBatch(NamedTuple):
+    """A sampled mini-batch, one row per transition, as stacked arrays."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    next_masks: np.ndarray
+    dones: np.ndarray
+
+
 class ReplayMemory:
-    """A bounded FIFO buffer of transitions with uniform sampling."""
+    """A bounded FIFO buffer of transitions with uniform sampling.
+
+    Transitions are stored column-wise in preallocated rings (one array per
+    field, sized on the first push), so a mini-batch is a fancy index into
+    each column rather than a stack over transition objects. The current
+    state's ``mask`` is not stored: the Bellman backup reads only
+    ``next_mask``.
+    """
 
     def __init__(self, capacity: int = 2000) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._buffer: list[Transition] = []
+        self._rings: TransitionBatch | None = None
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._size
 
     def push(self, transition: Transition) -> None:
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(transition)
-        else:
-            self._buffer[self._next] = transition
-        self._next = (self._next + 1) % self.capacity
+        if self._rings is None:
+            state_shape = np.shape(transition.state)
+            mask_shape = np.shape(transition.next_mask)
+            cap = self.capacity
+            self._rings = TransitionBatch(
+                states=np.empty((cap, *state_shape)),
+                actions=np.empty(cap, dtype=int),
+                rewards=np.empty(cap),
+                next_states=np.empty((cap, *state_shape)),
+                next_masks=np.empty((cap, *mask_shape), dtype=bool),
+                dones=np.empty(cap, dtype=bool),
+            )
+        row = self._next
+        rings = self._rings
+        rings.states[row] = transition.state
+        rings.actions[row] = transition.action
+        rings.rewards[row] = transition.reward
+        rings.next_states[row] = transition.next_state
+        rings.next_masks[row] = transition.next_mask
+        rings.dones[row] = transition.done
+        self._size = min(self._size + 1, self.capacity)
+        self._next = (row + 1) % self.capacity
+
+    def sample_batch(
+        self, batch_size: int, rng: np.random.Generator
+    ) -> TransitionBatch:
+        """Uniform sample without replacement (capped at the buffer size)."""
+        batch_size = min(batch_size, self._size)
+        indices = rng.choice(self._size, size=batch_size, replace=False)
+        return TransitionBatch(*(column[indices] for column in self._rings))
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        """Uniform sample without replacement (capped at the buffer size)."""
-        batch_size = min(batch_size, len(self._buffer))
-        indices = rng.choice(len(self._buffer), size=batch_size, replace=False)
-        return [self._buffer[i] for i in indices]
+        """:meth:`sample_batch`, one :class:`Transition` per row."""
+        if self._rings is None:
+            return []  # nothing was ever pushed, so no columns exist yet
+        batch = self.sample_batch(batch_size, rng)
+        return [
+            Transition(
+                batch.states[i],
+                int(batch.actions[i]),
+                float(batch.rewards[i]),
+                batch.next_states[i],
+                batch.next_masks[i],
+                bool(batch.dones[i]),
+            )
+            for i in range(len(batch.actions))
+        ]
 
     def clear(self) -> None:
-        self._buffer.clear()
+        self._size = 0
         self._next = 0

@@ -97,7 +97,8 @@ class TestReplayMemory:
         for i in range(5):
             mem.push(make_transition(reward=float(i), seed=i))
         assert len(mem) == 3
-        rewards = {t.reward for t in mem._buffer}
+        # A full-size sample without replacement returns every row.
+        rewards = {t.reward for t in mem.sample(3, np.random.default_rng(0))}
         assert rewards == {2.0, 3.0, 4.0}
 
     def test_sample_without_replacement(self):
@@ -109,6 +110,7 @@ class TestReplayMemory:
 
     def test_sample_caps_at_size(self):
         mem = ReplayMemory(capacity=10)
+        assert mem.sample(32, np.random.default_rng(0)) == []
         mem.push(make_transition())
         assert len(mem.sample(32, np.random.default_rng(0))) == 1
 

@@ -169,3 +169,44 @@ class TestPersistence:
         loaded = RL4QDTS.load(path)
         assert loaded.config.dqn.hidden == 13
         assert loaded.config.dqn.lr == 0.123
+
+    def test_save_load_keeps_training_distribution(
+        self, geolife_db, tiny_config, tmp_path
+    ):
+        model = RL4QDTS.train(geolife_db, config=tiny_config, distribution="gaussian")
+        path = tmp_path / "model.npz"
+        model.save(path)
+        loaded = RL4QDTS.load(path)
+        a = model.simplify(geolife_db, budget_ratio=0.1)
+        b = loaded.simplify(geolife_db, budget_ratio=0.1)
+        assert np.array_equal(a.point_matrix(), b.point_matrix())
+
+    def test_loaded_custom_workload_model_needs_a_workload(
+        self, geolife_db, tiny_config, tmp_path
+    ):
+        def factory(db, seed):
+            return RangeQueryWorkload.from_data_distribution(db, 15, seed=seed)
+
+        model = RL4QDTS.train(geolife_db, config=tiny_config, workload_factory=factory)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        loaded = RL4QDTS.load(path)
+        with pytest.raises(ValueError, match="workload="):
+            loaded.simplify(geolife_db, budget_ratio=0.1)
+        workload = factory(geolife_db, 0)
+        a = model.simplify(geolife_db, budget_ratio=0.1, workload=workload)
+        b = loaded.simplify(geolife_db, budget_ratio=0.1, workload=workload)
+        assert np.array_equal(a.point_matrix(), b.point_matrix())
+
+    def test_file_without_distribution_loads_as_data(self, tiny_config, tmp_path):
+        import json
+
+        path = tmp_path / "model.npz"
+        RL4QDTS(tiny_config).save(path)
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(payload["meta_json"]).decode())
+        meta.pop("distribution")
+        payload["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez_compressed(path, **payload)
+        assert RL4QDTS.load(path)._distribution == "data"
