@@ -26,7 +26,7 @@ _GRID = 24
 def _run_heatmap_study(db):
     setting = SETTINGS["geolife"]
     model = train_model(db, setting, distribution="data", seed=0)
-    annotation = inference_workload(model, db, setting, "data")
+    annotation = inference_workload(db, setting, "data")
 
     # Geolife-style stay definition: within 2% of a trajectory diameter for
     # at least ~10 sampling periods.

@@ -1,6 +1,6 @@
 """Design-choice ablations beyond Table II.
 
-Three choices DESIGN.md calls out, each with its own evidence:
+Three design choices, each with its own evidence:
 
 1. **v_s vs v_t candidate ranking** — the paper states the v_t-based state
    "performs worse" (Section IV-B); we measure both.
@@ -14,6 +14,7 @@ Three choices DESIGN.md calls out, each with its own evidence:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,9 +25,10 @@ from benchmarks.conftest import (
     make_workload_factory,
 )
 from repro.baselines import random_simplify_database, uniform_simplify_database
-from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.core import RL4QDTS
 from repro.core.reward import IncrementalRangeEvaluator
 from repro.data import SimplificationState
+from repro.eval.experiments import BENCH_CONFIG
 from repro.queries.metrics import f1_score
 
 _RATIO = 0.045
@@ -36,16 +38,15 @@ def _run_point_feature_ablation(db):
     setting = SETTINGS["geolife"]
     evaluator = make_evaluator(db, setting, distribution="data", seed=0)
     factory = make_workload_factory("data", setting, db, 200)
+    annotation = inference_workload(db, setting, "data")
     scores = {}
     for feature in ("vs", "vt"):
-        config = RL4QDTSConfig(
-            start_level=6, end_level=9, delta=10, n_training_queries=200,
-            n_inference_queries=800, episodes=3, n_train_databases=2,
-            train_db_size=80, train_budget_ratio=_RATIO,
-            point_feature=feature, seed=0,
+        config = replace(
+            BENCH_CONFIG, n_inference_queries=800, episodes=3,
+            n_train_databases=2, train_budget_ratio=_RATIO,
+            point_feature=feature,
         )
         model = RL4QDTS.train(db, config=config, workload_factory=factory)
-        annotation = inference_workload(model, db, setting, "data")
         simplified = model.simplify(
             db, budget_ratio=_RATIO, seed=1, workload=annotation
         )

@@ -12,14 +12,11 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import (
-    PAPER_SKYLINES,
     SETTINGS,
-    inference_workload,
     make_workload_factory,
+    paper_methods,
     print_series,
-    train_model,
 )
-from repro.baselines import get_baseline, simplify_database
 from repro.eval import query_deformation
 
 _RATIOS = (0.02, 0.045, 0.1)
@@ -28,24 +25,12 @@ _RATIOS = (0.02, 0.045, 0.1)
 def _run_deformation(db, rlts_policies, distribution):
     setting = SETTINGS["geolife"]
     eval_workload = make_workload_factory(distribution, setting, db, 100)(db, 0)
-    model = train_model(db, setting, distribution=distribution, seed=0)
-    annotation = inference_workload(model, db, setting, distribution)
-
-    methods = list(PAPER_SKYLINES[distribution]) + ["RL4QDTS"]
-    rows = {m: [] for m in methods}
+    methods = paper_methods(db, setting, distribution, rlts_policies)
+    rows = {name: [] for name in methods}
     for ratio in _RATIOS:
-        for name in methods:
-            if name == "RL4QDTS":
-                simplified = model.simplify(
-                    db, budget_ratio=ratio, seed=1, workload=annotation
-                )
-            else:
-                spec = get_baseline(name)
-                simplified = simplify_database(
-                    db, ratio, spec, rlts_policy=rlts_policies.get(spec.measure)
-                )
+        for name, method in methods.items():
             rows[name].append(
-                query_deformation(db, simplified, eval_workload, "sed")
+                query_deformation(db, method(db, ratio), eval_workload, "sed")
             )
     return rows
 

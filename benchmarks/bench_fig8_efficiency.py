@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import (
-    SETTINGS,
-    BenchSetting,
-    inference_workload,
-    make_workload_factory,
-    train_model,
-)
+from benchmarks.conftest import BenchSetting, inference_workload, train_model
 from repro.baselines import get_baseline, simplify_database
 from repro.data import synthetic_database
 
@@ -63,7 +57,7 @@ def _run_scalability(rlts_policies):
                 )
             )
         model = train_model(db, setting, seed=0)
-        annotation = inference_workload(model, db, setting, "data")
+        annotation = inference_workload(db, setting, "data")
         rows["RL4QDTS"].append(
             _time_method(
                 lambda: model.simplify(
@@ -81,7 +75,7 @@ def _run_budget_sweep(rlts_policies):
         "osm", n_trajectories=_SIZES[-1], points_scale=0.1, seed=7
     )
     model = train_model(db, setting, seed=0)
-    annotation = inference_workload(model, db, setting, "data")
+    annotation = inference_workload(db, setting, "data")
     rows: dict[str, list[float]] = {m: [] for m in (*_METHODS, "RL4QDTS")}
     for ratio in _RATIOS:
         for name in _METHODS:

@@ -12,6 +12,8 @@ against the Bottom-Up(E,SED) baseline, as in the paper.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from benchmarks.conftest import (
     SETTINGS,
     inference_workload,
@@ -21,7 +23,8 @@ from benchmarks.conftest import (
 import numpy as np
 
 from repro.baselines import get_baseline, simplify_database
-from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.core import RL4QDTS
+from repro.eval.experiments import BENCH_CONFIG
 from repro.queries.metrics import f1_score
 from repro.workloads import RangeQueryWorkload
 
@@ -34,18 +37,7 @@ _ZIPF_AS = (4.0, 5.0, 6.0, 7.0, 8.0)
 def _train_gaussian_model(db):
     setting = SETTINGS["geolife"]
     factory = make_workload_factory("gaussian", setting, db, 200)
-    config = RL4QDTSConfig(
-        start_level=6,
-        end_level=9,
-        delta=10,
-        n_training_queries=200,
-        n_inference_queries=1000,
-        episodes=4,
-        n_train_databases=2,
-        train_db_size=80,
-        train_budget_ratio=_RATIO,
-        seed=0,
-    )
+    config = replace(BENCH_CONFIG, n_train_databases=2, train_budget_ratio=_RATIO)
     return RL4QDTS.train(db, config=config, workload_factory=factory)
 
 
@@ -59,7 +51,7 @@ def _run_transferability(db, rlts_policies):
     setting = SETTINGS["geolife"]
     spatial, temporal = query_extents(db, setting)
     model = _train_gaussian_model(db)
-    annotation = inference_workload(model, db, setting, "gaussian")
+    annotation = inference_workload(db, setting, "gaussian")
     rl_simplified = model.simplify(
         db, budget_ratio=_RATIO, seed=1, workload=annotation
     )

@@ -28,7 +28,7 @@ def _run_study(db):
     setting = SETTINGS["geolife"]
     evaluator = make_evaluator(db, setting, distribution="data", seed=0)
     model = train_model(db, setting, distribution="data", seed=0)
-    annotation = inference_workload(model, db, setting, "data")
+    annotation = inference_workload(db, setting, "data")
 
     budget = db.budget_for_ratio(_RATIO)
     methods = {

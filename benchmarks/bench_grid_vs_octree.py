@@ -16,6 +16,8 @@ granularity wins on both — which is exactly the paper's argument.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from benchmarks.conftest import (
@@ -24,7 +26,8 @@ from benchmarks.conftest import (
     make_evaluator,
     make_workload_factory,
 )
-from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.core import RL4QDTS
+from repro.eval.experiments import BENCH_CONFIG
 
 _RATIO = 0.045
 _GRID_LEVELS = (4, 6, 8)
@@ -37,7 +40,7 @@ def _score(db, setting, config, use_agent_cube=True) -> float:
         db, config=config, workload_factory=factory,
         use_agent_cube=use_agent_cube,
     )
-    annotation = inference_workload(model, db, setting, "data")
+    annotation = inference_workload(db, setting, "data")
     simplified = model.simplify(
         db, budget_ratio=_RATIO, seed=1, workload=annotation
     )
@@ -45,21 +48,16 @@ def _score(db, setting, config, use_agent_cube=True) -> float:
 
 
 def _run(db, setting):
-    base = dict(
-        delta=10, n_training_queries=200, n_inference_queries=800,
-        episodes=3, n_train_databases=2, train_db_size=80,
-        train_budget_ratio=_RATIO, seed=0,
+    octree = replace(
+        BENCH_CONFIG, n_inference_queries=800, episodes=3,
+        n_train_databases=2, train_budget_ratio=_RATIO,
     )
-    results = {
-        "octree (S=6, E=9)": _score(
-            db, setting, RL4QDTSConfig(start_level=6, end_level=9, **base)
-        )
-    }
+    results = {"octree (S=6, E=9)": _score(db, setting, octree)}
     for level in _GRID_LEVELS:
         # Uniform grid: force splits down to `level` (leaf_capacity=1) and
         # pin the traversal there — a fixed (2^(level-1))^3-cell partition.
-        config = RL4QDTSConfig(
-            start_level=level, end_level=level, leaf_capacity=1, **base
+        config = replace(
+            octree, start_level=level, end_level=level, leaf_capacity=1
         )
         results[f"grid 2^{level - 1} per axis"] = _score(
             db, setting, config, use_agent_cube=False

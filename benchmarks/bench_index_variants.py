@@ -8,6 +8,7 @@ over the median-split kd-tree than over the midpoint-split octree?
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,8 +18,9 @@ from benchmarks.conftest import (
     make_evaluator,
     make_workload_factory,
 )
-from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.core import RL4QDTS
 from repro.eval import ExperimentTable
+from repro.eval.experiments import BENCH_CONFIG
 
 _RATIO = 0.045
 _ROLLOUTS = 3
@@ -28,25 +30,16 @@ def _run_tree_comparison(db):
     setting = SETTINGS["geolife"]
     evaluator = make_evaluator(db, setting, distribution="data", seed=0)
     factory = make_workload_factory("data", setting, db, 200)
+    annotation = inference_workload(db, setting, "data")
     rows = {}
     for index in ("octree", "kdtree"):
-        config = RL4QDTSConfig(
-            index=index,
-            start_level=6,
-            end_level=9,
-            delta=10,
-            n_training_queries=200,
-            n_inference_queries=1000,
-            episodes=4,
-            n_train_databases=2,
-            train_db_size=80,
+        config = replace(
+            BENCH_CONFIG, index=index, n_train_databases=2,
             train_budget_ratio=_RATIO,
-            seed=0,
         )
         start = time.perf_counter()
         model = RL4QDTS.train(db, config=config, workload_factory=factory)
         train_time = time.perf_counter() - start
-        annotation = inference_workload(model, db, setting, "data")
         f1s = []
         start = time.perf_counter()
         for rollout in range(_ROLLOUTS):

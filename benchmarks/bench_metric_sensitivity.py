@@ -20,7 +20,7 @@ def _run_metric_study(db):
     setting = SETTINGS["geolife"]
     evaluator = make_evaluator(db, setting, distribution="data", seed=0)
     model = train_model(db, setting, distribution="data", seed=0)
-    annotation = inference_workload(model, db, setting, "data")
+    annotation = inference_workload(db, setting, "data")
 
     methods = {
         "RL4QDTS": lambda: model.simplify(

@@ -14,43 +14,42 @@ moderate S/E and K=2 are the sweet spot and that accuracy rises with k.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from benchmarks.conftest import (
     SETTINGS,
     inference_workload,
     make_evaluator,
     make_workload_factory,
 )
-from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.core import RL4QDTS
 from repro.eval import QueryAccuracyEvaluator, QuerySuiteConfig
+from repro.eval.experiments import BENCH_CONFIG
 
 _RATIO = 0.045
 _S_VALUES = (4, 5, 6, 7)
 _E_VALUES = (7, 8, 9)
 _K_VALUES = (1, 2, 4)
 _KNN_KS = (1, 3, 5, 7)
+_CONFIG = replace(
+    BENCH_CONFIG, n_inference_queries=800, episodes=3, n_train_databases=2,
+    train_budget_ratio=_RATIO,
+)
 
 
 def _train_and_score(db, setting, evaluator, **config_overrides) -> float:
-    params = dict(
-        start_level=6,
-        end_level=9,
-        delta=10,
-        n_training_queries=200,
-        n_inference_queries=800,
-        episodes=3,
-        n_train_databases=2,
-        train_db_size=80,
-        train_budget_ratio=_RATIO,
-        seed=0,
-    )
-    params.update(config_overrides)
+    params = {
+        "start_level": _CONFIG.start_level,
+        "end_level": _CONFIG.end_level,
+        **config_overrides,
+    }
     # Keep the level pair consistent when one side is swept.
     if params["end_level"] < params["start_level"]:
         params["end_level"] = params["start_level"] + 2
-    config = RL4QDTSConfig(**params)
+    config = replace(_CONFIG, **params)
     factory = make_workload_factory("data", setting, db, 200)
     model = RL4QDTS.train(db, config=config, workload_factory=factory)
-    annotation = inference_workload(model, db, setting, "data")
+    annotation = inference_workload(db, setting, "data")
     simplified = model.simplify(
         db, budget_ratio=_RATIO, seed=1, workload=annotation
     )
@@ -93,13 +92,8 @@ def bench_param_study_model(benchmark, geolife_bench_db):
 def _run_knn_k_sweep(db):
     setting = SETTINGS["geolife"]
     factory = make_workload_factory("data", setting, db, 200)
-    config = RL4QDTSConfig(
-        start_level=6, end_level=9, delta=10, n_training_queries=200,
-        n_inference_queries=800, episodes=3, n_train_databases=2,
-        train_db_size=80, train_budget_ratio=_RATIO, seed=0,
-    )
-    model = RL4QDTS.train(db, config=config, workload_factory=factory)
-    annotation = inference_workload(model, db, setting, "data")
+    model = RL4QDTS.train(db, config=_CONFIG, workload_factory=factory)
+    annotation = inference_workload(db, setting, "data")
     simplified = model.simplify(db, budget_ratio=_RATIO, seed=1, workload=annotation)
     scores = {}
     for k in _KNN_KS:

@@ -9,6 +9,7 @@ same MDPs, same shared Δ-window rewards, same training workloads.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,8 +19,9 @@ from benchmarks.conftest import (
     make_evaluator,
     make_workload_factory,
 )
-from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.core import RL4QDTS
 from repro.eval import ExperimentTable
+from repro.eval.experiments import BENCH_CONFIG
 from repro.rl import DQNConfig
 
 _RATIO = 0.045
@@ -36,25 +38,16 @@ def _run_learner_comparison(db):
     setting = SETTINGS["geolife"]
     evaluator = make_evaluator(db, setting, distribution="data", seed=0)
     factory = make_workload_factory("data", setting, db, 200)
+    annotation = inference_workload(db, setting, "data")
     rows = {}
     for name, overrides in _VARIANTS.items():
-        config = RL4QDTSConfig(
-            start_level=6,
-            end_level=9,
-            delta=10,
-            n_training_queries=200,
-            n_inference_queries=1000,
-            episodes=4,
-            n_train_databases=2,
-            train_db_size=80,
-            train_budget_ratio=_RATIO,
-            seed=0,
+        config = replace(
+            BENCH_CONFIG, n_train_databases=2, train_budget_ratio=_RATIO,
             **overrides,
         )
         start = time.perf_counter()
         model = RL4QDTS.train(db, config=config, workload_factory=factory)
         train_time = time.perf_counter() - start
-        annotation = inference_workload(model, db, setting, "data")
         f1s = []
         for rollout in range(_ROLLOUTS):
             simplified = model.simplify(

@@ -16,18 +16,12 @@ Also pits the streaming SQUISH extension against its batch counterpart.
 
 from __future__ import annotations
 
-from benchmarks.conftest import SETTINGS, make_evaluator, make_workload_factory
+from benchmarks.conftest import SETTINGS, make_evaluator
 from repro.baselines import get_baseline, simplify_database, squish
 from repro.data import add_gps_noise, drop_points_randomly
 
 _RATIO = 0.045
 _METHODS = ("Top-Down(E,PED)", "Bottom-Up(E,SED)")
-
-
-def _score_on(db, simplified_db):
-    setting = SETTINGS["geolife"]
-    evaluator = make_evaluator(db, setting, distribution="data", seed=0)
-    return evaluator.evaluate(simplified_db, ("range",))["range"]
 
 
 def _run_robustness(db):

@@ -10,6 +10,7 @@ over repeated stochastic rollouts) and the simplification time.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from benchmarks.conftest import (
     make_evaluator,
     make_workload_factory,
 )
-from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.core import RL4QDTS
+from repro.eval.experiments import BENCH_CONFIG
 
 _RATIO = 0.045
 _ROLLOUTS = 5  # paper: 50 random-start rollouts; scaled down
@@ -29,6 +31,8 @@ def _run_ablation(db):
     setting = SETTINGS["geolife"]
     evaluator = make_evaluator(db, setting, distribution="data", seed=0)
     factory = make_workload_factory("data", setting, db, 200)
+    config = replace(BENCH_CONFIG, n_train_databases=2, train_budget_ratio=_RATIO)
+    annotation = inference_workload(db, setting, "data")
     variants = {
         "RL4QDTS": (True, True),
         "w/o Agent-Cube": (False, True),
@@ -37,18 +41,6 @@ def _run_ablation(db):
     }
     rows = {}
     for name, (use_cube, use_point) in variants.items():
-        config = RL4QDTSConfig(
-            start_level=6,
-            end_level=9,
-            delta=10,
-            n_training_queries=200,
-            n_inference_queries=1000,
-            episodes=4,
-            n_train_databases=2,
-            train_db_size=80,
-            train_budget_ratio=_RATIO,
-            seed=0,
-        )
         model = RL4QDTS.train(
             db,
             config=config,
@@ -56,7 +48,6 @@ def _run_ablation(db):
             use_agent_cube=use_cube,
             use_agent_point=use_point,
         )
-        annotation = inference_workload(model, db, setting, "data")
         f1s = []
         start = time.perf_counter()
         for rollout in range(_ROLLOUTS):

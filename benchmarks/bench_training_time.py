@@ -11,6 +11,7 @@ knobs vary:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from benchmarks.conftest import (
     SETTINGS,
@@ -18,7 +19,8 @@ from benchmarks.conftest import (
     make_evaluator,
     make_workload_factory,
 )
-from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.core import RL4QDTS
+from repro.eval.experiments import BENCH_CONFIG
 
 _RATIO = 0.045
 _TRAIN_SIZES = (20, 40, 80)
@@ -26,23 +28,16 @@ _DELTAS = (5, 10, 25)
 
 
 def _train_once(db, setting, evaluator, train_db_size, delta):
-    config = RL4QDTSConfig(
-        start_level=6,
-        end_level=9,
-        delta=delta,
-        n_training_queries=200,
-        n_inference_queries=800,
-        episodes=3,
-        n_train_databases=2,
-        train_db_size=train_db_size,
+    config = replace(
+        BENCH_CONFIG, delta=delta, n_inference_queries=800, episodes=3,
+        n_train_databases=2, train_db_size=train_db_size,
         train_budget_ratio=_RATIO,
-        seed=0,
     )
     factory = make_workload_factory("data", setting, db, 200)
     start = time.perf_counter()
     model = RL4QDTS.train(db, config=config, workload_factory=factory)
     train_seconds = time.perf_counter() - start
-    annotation = inference_workload(model, db, setting, "data")
+    annotation = inference_workload(db, setting, "data")
     simplified = model.simplify(db, budget_ratio=_RATIO, seed=1, workload=annotation)
     f1 = evaluator.evaluate(simplified, ("range",))["range"]
     return train_seconds, f1

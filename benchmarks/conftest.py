@@ -1,12 +1,11 @@
 """Shared fixtures and scales for the benchmark harness.
 
 Every paper table/figure has one ``bench_*.py`` module here. The benches run
-the *same algorithms* as the paper at laptop scale (see DESIGN.md §4.3):
-datasets are the synthetic profile analogues, a few hundred trajectories
-instead of hundreds of thousands, and compression-ratio sweeps adjusted for
-the ~10x shorter trajectories. Each bench prints the series/rows the paper
-reports so the output can be compared figure-by-figure (EXPERIMENTS.md
-records that comparison).
+the *same algorithms* as the paper at laptop scale: datasets are the
+synthetic profile analogues, a few hundred trajectories instead of hundreds
+of thousands, and compression-ratio sweeps adjusted for the ~10x shorter
+trajectories. Each bench prints the series/rows the paper reports so the
+output can be compared figure-by-figure.
 
 Heavy shared artifacts (databases, evaluators, trained models) are
 session-scoped so the suite does each expensive step once.
@@ -14,15 +13,26 @@ session-scoped so the suite does each expensive step once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
-from repro.baselines import RLTSPolicy
-from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.baselines import RLTSPolicy, get_baseline
+from repro.core import RL4QDTS
 from repro.data import TrajectoryDatabase, synthetic_database
 from repro.data.stats import spatial_scale
-from repro.eval import QueryAccuracyEvaluator, QuerySuiteConfig
+from repro.eval import (
+    QueryAccuracyEvaluator,
+    baseline_method,
+    compare_methods,
+    rl4qdts_method,
+)
+from repro.eval.experiments import (
+    BENCH_CONFIG,
+    BENCH_QUERY_SUITE,
+    PAPER_SKYLINES,
+    Method,
+)
 from repro.workloads import RangeQueryWorkload
 
 #: Compression-ratio sweeps. The paper sweeps 0.25%-2% on Geolife/T-Drive
@@ -110,14 +120,7 @@ def make_evaluator(
         db, seed
     )
     return QueryAccuracyEvaluator(
-        db,
-        QuerySuiteConfig(
-            n_knn_queries=6,
-            n_similarity_queries=6,
-            clustering_subset=14,
-            seed=seed,
-        ),
-        workload=workload,
+        db, replace(BENCH_QUERY_SUITE, seed=seed), workload=workload
     )
 
 
@@ -128,15 +131,9 @@ def train_model(
     seed: int = 0,
 ) -> RL4QDTS:
     """Train RL4QDTS for one dataset/distribution pair (benchmark scale)."""
-    config = RL4QDTSConfig(
-        start_level=6,
-        end_level=9,
-        delta=10,
-        n_training_queries=200,
-        n_inference_queries=1000,
-        episodes=4,
-        n_train_databases=3,
-        train_db_size=min(80, len(db)),
+    config = replace(
+        BENCH_CONFIG,
+        train_db_size=min(BENCH_CONFIG.train_db_size, len(db)),
         train_budget_ratio=setting.ratios[len(setting.ratios) // 2],
         seed=seed,
     )
@@ -145,7 +142,6 @@ def train_model(
 
 
 def inference_workload(
-    model: RL4QDTS,
     db: TrajectoryDatabase,
     setting: BenchSetting,
     distribution: str,
@@ -165,23 +161,23 @@ def print_series(title: str, ratios, rows: dict[str, list[float]]) -> None:
         print(name.ljust(24) + "".join(f"{v:>9.4f}" for v in values))
 
 
-#: The paper's skyline baselines per query distribution (Section V-B(1)).
-PAPER_SKYLINES = {
-    "data": (
-        "Top-Down(E,PED)",
-        "Top-Down(W,PED)",
-        "Bottom-Up(W,PED)",
-        "Bottom-Up(E,DAD)",
-        "Bottom-Up(E,SED)",
-    ),
-    "gaussian": (
-        "Bottom-Up(E,SED)",
-        "RLTS+(E,SED)",
-        "Bottom-Up(E,PED)",
-        "Top-Down(E,PED)",
-    ),
-    "real": ("Top-Down(W,PED)", "Top-Down(E,SAD)"),
-}
+def paper_methods(
+    db: TrajectoryDatabase,
+    setting: BenchSetting,
+    distribution: str,
+    rlts_policies: dict,
+    seed: int = 0,
+) -> dict[str, Method]:
+    """The paper's skyline for ``distribution`` plus RL4QDTS trained on ``db``."""
+    model = train_model(db, setting, distribution=distribution, seed=seed)
+    methods = {}
+    for name in PAPER_SKYLINES[distribution]:
+        spec = get_baseline(name)
+        methods[name] = baseline_method(spec, rlts_policies.get(spec.measure))
+    methods["RL4QDTS"] = rl4qdts_method(
+        model, seed + 1, workload=inference_workload(db, setting, distribution)
+    )
+    return methods
 
 
 def run_comparison(
@@ -189,7 +185,6 @@ def run_comparison(
     setting: BenchSetting,
     distribution: str,
     rlts_policies: dict,
-    ratios=None,
     tasks=("range", "knn_edr", "knn_t2vec", "similarity", "clustering"),
     seed: int = 0,
 ):
@@ -197,32 +192,17 @@ def run_comparison(
 
     Returns ``(ratios, {task: {method: [f1 per ratio]}})``.
     """
-    from repro.baselines import get_baseline, simplify_database
-
-    ratios = tuple(ratios if ratios is not None else setting.ratios)
     evaluator = make_evaluator(db, setting, distribution=distribution, seed=seed)
-    model = train_model(db, setting, distribution=distribution, seed=seed)
-    annotation = inference_workload(model, db, setting, distribution)
-
-    methods = list(PAPER_SKYLINES[distribution]) + ["RL4QDTS"]
-    series: dict[str, dict[str, list[float]]] = {
-        task: {m: [] for m in methods} for task in tasks
+    methods = paper_methods(db, setting, distribution, rlts_policies, seed)
+    results = compare_methods(db, methods, setting.ratios, evaluator, tasks)
+    series = {
+        task: {
+            name: [r.scores[task] for r in results if r.method == name]
+            for name in methods
+        }
+        for task in tasks
     }
-    for ratio in ratios:
-        for name in methods:
-            if name == "RL4QDTS":
-                simplified = model.simplify(
-                    db, budget_ratio=ratio, seed=seed + 1, workload=annotation
-                )
-            else:
-                spec = get_baseline(name)
-                simplified = simplify_database(
-                    db, ratio, spec, rlts_policy=rlts_policies.get(spec.measure)
-                )
-            scores = evaluator.evaluate(simplified, tasks)
-            for task in tasks:
-                series[task][name].append(scores[task])
-    return ratios, series
+    return setting.ratios, series
 
 
 def print_comparison(title: str, ratios, series) -> None:

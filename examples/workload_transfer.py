@@ -90,7 +90,8 @@ def main() -> None:
     print("\nmoderate Gaussian shifts transfer because the policy encodes the "
           "data's spatio-temporal structure, not the training queries (paper, "
           "Section V-B(12)); drastic shifts (Zipf, mixtures) favour the "
-          "error-driven baseline at this demo scale — see EXPERIMENTS.md.")
+          "error-driven baseline at this demo scale — see "
+          "benchmarks/bench_fig9_transferability.py.")
 
 
 if __name__ == "__main__":

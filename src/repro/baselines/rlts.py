@@ -7,8 +7,8 @@ trained to minimize the resulting trajectory error (the reward is the
 negative error introduced by the chosen drop).
 
 This is a faithful lightweight reimplementation of the original (which is
-itself an RL system); see DESIGN.md §4. Both "E" and "W" adaptations are
-provided, mirroring :mod:`repro.baselines.bottomup`.
+itself an RL system). Both "E" and "W" adaptations are provided, mirroring
+:mod:`repro.baselines.bottomup`.
 """
 
 from __future__ import annotations

@@ -14,11 +14,52 @@ from typing import Callable, Mapping, Sequence
 
 from repro.baselines.registry import BaselineSpec, simplify_database
 from repro.baselines.rlts import RLTSPolicy
+from repro.core.config import RL4QDTSConfig
 from repro.core.rl4qdts import RL4QDTS
 from repro.data.database import TrajectoryDatabase
-from repro.eval.harness import ALL_TASKS, QueryAccuracyEvaluator
+from repro.eval.harness import ALL_TASKS, QueryAccuracyEvaluator, QuerySuiteConfig
+from repro.workloads.generators import RangeQueryWorkload
 
 Method = Callable[[TrajectoryDatabase, float], TrajectoryDatabase]
+
+#: The benches' RL4QDTS scale: the paper's algorithm with S = 6, E = 9,
+#: Δ = 10, trained on 3 sub-databases x 80 trajectories x 4 episodes.
+#: A bench that differs writes ``dataclasses.replace(BENCH_CONFIG, ...)``;
+#: each one sets ``train_budget_ratio`` to the ratio it simplifies at.
+BENCH_CONFIG = RL4QDTSConfig(
+    start_level=6,
+    end_level=9,
+    delta=10,
+    n_training_queries=200,
+    n_inference_queries=1000,
+    episodes=4,
+    n_train_databases=3,
+    train_db_size=80,
+    seed=0,
+)
+
+#: The benches' evaluator sizes for the kNN, similarity and clustering tasks.
+BENCH_QUERY_SUITE = QuerySuiteConfig(
+    n_knn_queries=6, n_similarity_queries=6, clustering_subset=14, seed=0
+)
+
+#: The paper's skyline baselines per query distribution (Section V-B(1)).
+PAPER_SKYLINES = {
+    "data": (
+        "Top-Down(E,PED)",
+        "Top-Down(W,PED)",
+        "Bottom-Up(W,PED)",
+        "Bottom-Up(E,DAD)",
+        "Bottom-Up(E,SED)",
+    ),
+    "gaussian": (
+        "Bottom-Up(E,SED)",
+        "RLTS+(E,SED)",
+        "Bottom-Up(E,PED)",
+        "Top-Down(E,PED)",
+    ),
+    "real": ("Top-Down(W,PED)", "Top-Down(E,SAD)"),
+}
 
 
 @dataclass(slots=True)
@@ -48,11 +89,17 @@ def baseline_method(
     return method
 
 
-def rl4qdts_method(model: RL4QDTS, seed: int = 0) -> Method:
-    """Wrap a trained RL4QDTS model as a method callable."""
+def rl4qdts_method(
+    model: RL4QDTS, seed: int = 0, workload: RangeQueryWorkload | None = None
+) -> Method:
+    """Wrap a trained RL4QDTS model as a method callable.
+
+    ``workload`` passes through to :meth:`RL4QDTS.simplify` as the
+    annotation workload.
+    """
 
     def method(db: TrajectoryDatabase, ratio: float) -> TrajectoryDatabase:
-        return model.simplify(db, budget_ratio=ratio, seed=seed)
+        return model.simplify(db, budget_ratio=ratio, seed=seed, workload=workload)
 
     return method
 
@@ -88,7 +135,8 @@ def format_results_table(
 ) -> str:
     """A printable fixed-width table of comparison rows."""
     headers = ["method", "ratio", *tasks, "time_s"]
-    widths = [max(24, len(headers[0])), 7] + [11] * len(tasks) + [8]
+    method_width = max([len(headers[0]), *(len(r.method) for r in results)])
+    widths = [method_width, 7] + [11] * len(tasks) + [8]
     lines = [
         "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
         "  ".join("-" * w for w in widths),

@@ -3,8 +3,8 @@
 Every benchmark regenerates one of the paper's tables or figure series. This
 module gives them a common output format: an :class:`ExperimentTable` that
 renders aligned plain text (for terminal bench output), GitHub markdown (for
-``EXPERIMENTS.md``), and CSV (for downstream plotting) — all from the same
-rows, so the three never drift apart.
+documentation), and CSV (for downstream plotting) — all from the same rows,
+so the three never drift apart.
 """
 
 from __future__ import annotations

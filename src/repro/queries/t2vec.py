@@ -4,7 +4,7 @@ The paper instantiates its learning-based kNN measure with t2vec (Li et al.,
 ICDE 2018), a GRU seq2seq model. Training a recurrent seq2seq from scratch in
 numpy is out of proportion for this reproduction, so we substitute a
 lighter-weight *learned* embedding with the same interface and the same role
-in the experiments (see DESIGN.md §4):
+in the experiments:
 
 1. Space is discretized into grid cells; a trajectory becomes a sequence of
    cell tokens (consecutive duplicates collapsed) — exactly t2vec's

@@ -1,20 +1,14 @@
-"""Tests for the evaluation harness, deformation study, and experiment drivers."""
+"""Tests for the evaluation harness and the deformation study."""
 
 import pytest
 
 from repro.baselines import get_baseline
-from repro.core import RL4QDTS, RL4QDTSConfig
 from repro.eval import (
     ALL_TASKS,
-    MethodResult,
     QueryAccuracyEvaluator,
     QuerySuiteConfig,
-    baseline_method,
-    compare_methods,
     query_deformation,
-    rl4qdts_method,
 )
-from repro.eval.experiments import format_results_table
 from repro.workloads import RangeQueryWorkload
 
 
@@ -172,50 +166,6 @@ class TestDeformation:
         wl = RangeQueryWorkload.from_data_distribution(geolife_db, 5, seed=2)
         with pytest.raises(ValueError):
             query_deformation(geolife_db, small_db, wl)
-
-
-class TestExperimentDrivers:
-    def test_compare_methods_rows(self, geolife_db, evaluator):
-        methods = {
-            "Top-Down(E,SED)": baseline_method(get_baseline("Top-Down(E,SED)")),
-            "Bottom-Up(E,SED)": baseline_method(get_baseline("Bottom-Up(E,SED)")),
-        }
-        results = compare_methods(
-            geolife_db, methods, [0.1, 0.3], evaluator, tasks=("range",)
-        )
-        assert len(results) == 4
-        for row in results:
-            assert row.method in methods
-            assert "range" in row.scores
-            assert row.simplify_seconds >= 0.0
-
-    def test_rl4qdts_method_wrapper(self, geolife_db, evaluator):
-        config = RL4QDTSConfig(
-            start_level=3, end_level=5, n_training_queries=10,
-            n_inference_queries=10, episodes=1, n_train_databases=1,
-            train_db_size=6,
-        )
-        model = RL4QDTS(config)
-        method = rl4qdts_method(model, seed=3)
-        results = compare_methods(
-            geolife_db, {"RL4QDTS": method}, [0.1], evaluator, tasks=("range",)
-        )
-        assert results[0].scores["range"] >= 0.0
-
-    def test_format_results_table(self):
-        rows = [
-            MethodResult("m1", 0.1, {"range": 0.5}, 1.0),
-            MethodResult("m2", 0.1, {"range": 0.7}, 2.0),
-        ]
-        table = format_results_table(rows, tasks=("range",))
-        assert "m1" in table and "0.5000" in table
-        assert len(table.splitlines()) == 4
-
-    def test_method_result_as_row(self):
-        row = MethodResult("m", 0.2, {"range": 0.9}, 1.234).as_row()
-        assert row["method"] == "m"
-        assert row["range"] == 0.9
-        assert row["time_s"] == 1.234
 
 
 class TestEvaluateExtended:

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines import get_baseline, uniform_simplify_database
+from repro.core import RL4QDTS, RL4QDTSConfig
 from repro.eval import (
     MethodResult,
     QueryAccuracyEvaluator,
     QuerySuiteConfig,
     baseline_method,
     compare_methods,
+    rl4qdts_method,
 )
-from repro.eval.experiments import format_results_table
+from repro.eval.experiments import PAPER_SKYLINES, format_results_table
+from repro.workloads import RangeQueryWorkload
 
 
 @pytest.fixture
@@ -78,6 +82,39 @@ class TestCompareMethods:
         }
 
 
+def test_paper_skylines_resolve_to_baselines():
+    for names in PAPER_SKYLINES.values():
+        for name in names:
+            assert get_baseline(name).name == name
+
+
+class TestRL4QDTSMethod:
+    @pytest.fixture
+    def model(self):
+        return RL4QDTS(
+            RL4QDTSConfig(
+                start_level=3, end_level=5, n_training_queries=10,
+                n_inference_queries=10, episodes=1, n_train_databases=1,
+                train_db_size=6,
+            )
+        )
+
+    def test_rl4qdts_method_wrapper(self, small_db, evaluator, model):
+        method = rl4qdts_method(model, seed=3)
+        results = compare_methods(
+            small_db, {"RL4QDTS": method}, (0.5,), evaluator, tasks=("range",)
+        )
+        assert results[0].scores["range"] >= 0.0
+
+    def test_workload_passes_through_to_simplify(self, small_db, model):
+        workload = RangeQueryWorkload.generate("data", small_db, 20, seed=5)
+        got = rl4qdts_method(model, seed=3, workload=workload)(small_db, 0.5)
+        want = model.simplify(small_db, budget_ratio=0.5, seed=3, workload=workload)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.points, w.points)
+
+
 class TestFormatResultsTable:
     def test_contains_all_rows_and_headers(self, small_db, evaluator, methods):
         results = compare_methods(
@@ -94,4 +131,18 @@ class TestFormatResultsTable:
             [MethodResult("m", 0.1, {"range": 0.5}, 0.0)],
             tasks=("range", "similarity"),
         )
-        assert "nan" in text
+        assert "0.5000" in text and "nan" in text
+
+    def test_long_method_name_keeps_columns_aligned(self):
+        long_name = "w/o Agent-Cube and Agent-Point"
+        assert len(long_name) == 30
+        text = format_results_table(
+            [
+                MethodResult(long_name, 0.1, {"range": 0.5}, 1.0),
+                MethodResult("m", 0.2, {"range": 0.7}, 2.0),
+            ],
+            tasks=("range",),
+        )
+        header, _, *rows = text.splitlines()
+        column = header.index("ratio")
+        assert [row[column:column + 6] for row in rows] == ["0.1000", "0.2000"]
