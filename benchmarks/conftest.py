@@ -14,6 +14,7 @@ session-scoped so the suite does each expensive step once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import pytest
 
@@ -124,13 +125,20 @@ def make_evaluator(
     )
 
 
+@cache
 def train_model(
     db: TrajectoryDatabase,
     setting: BenchSetting,
     distribution: str = "data",
     seed: int = 0,
 ) -> RL4QDTS:
-    """Train RL4QDTS for one dataset/distribution pair (benchmark scale)."""
+    """Train RL4QDTS for one dataset/distribution pair (benchmark scale).
+
+    Memoized for the session on the database object and the arguments as
+    spelled (pass ``distribution`` and ``seed`` by keyword): training is
+    seeded, so an equal call would rebuild the same model, and the benches
+    only run its read-only ``simplify``.
+    """
     config = replace(
         BENCH_CONFIG,
         train_db_size=min(BENCH_CONFIG.train_db_size, len(db)),

@@ -20,11 +20,15 @@ standard heatmap-overlap score in ``[0, 1]``).
 
 Both aggregates execute through the database's shared batch engine
 (:class:`repro.queries.engine.QueryEngine`): counts run as one CSR cell
-sweep over all boxes, histograms as one vectorized binning pass over the
-sorted coordinate columns, and repeated aggregation of the same database is
-a memo hit. The original per-trajectory loops are kept as
-:func:`count_query_scan` / :func:`density_histogram_scan` — the reference
-implementations the engine paths are property-tested against.
+sweep over all boxes, and a histogram reads only the viewport's slab of
+the cell-sorted coordinate columns (the spatial cell columns from the
+box's lower corner through its upper one) and bins it; repeated
+aggregation of the same database is a memo hit. The engine, the reference
+scan and the service's pending tier all bin through one kernel
+(:func:`spatial_bin_counts` wraps it). The original per-trajectory loops
+are kept as :func:`count_query_scan` / :func:`density_histogram_scan` —
+the reference implementations the engine paths are property-tested
+against.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from repro.data.bbox import BoundingBox
 from repro.data.database import TrajectoryDatabase
-from repro.queries.engine import QueryEngine
+from repro.queries.engine import QueryEngine, _spatial_raster
 
 
 def count_query(
@@ -98,32 +102,21 @@ def spatial_bin_counts(
 ) -> np.ndarray:
     """Bin ``(n, 2)`` spatial points into a ``(grid, grid)`` count raster.
 
-    The canonical binning arithmetic of the density heatmap (truncation
-    toward zero; the closing edge folds into the last cell; points outside
-    the box's spatial extent are ignored). Shared by the reference scan and
-    the sharded service's pending-delta rasterization so per-shard partial
-    histograms sum to exactly the single-database raster. ``out``
-    optionally supplies an accumulator to add into (and return) instead of
-    allocating a fresh raster per call.
+    The density heatmap's binning (truncation toward zero; the closing edge
+    folds into the last cell; points outside the box's spatial extent are
+    ignored), through the same kernel as :meth:`QueryEngine.histogram`.
+    Used by the reference scan and the sharded service's pending-delta
+    rasterization, so per-shard partial histograms sum to exactly the
+    single-database raster. ``out`` optionally supplies an accumulator to
+    add into (and return) instead of returning a fresh raster. A box with
+    an infinite spatial bound or span raises ``ValueError``.
     """
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
     xy = np.asarray(xy, dtype=float)
-    sx = max(box.xmax - box.xmin, 1e-12)
-    sy = max(box.ymax - box.ymin, 1e-12)
-    hist = np.zeros((grid, grid)) if out is None else out
-    inside = (
-        (xy[:, 0] >= box.xmin)
-        & (xy[:, 0] <= box.xmax)
-        & (xy[:, 1] >= box.ymin)
-        & (xy[:, 1] <= box.ymax)
-    )
-    pts = xy[inside]
-    if len(pts):
-        ix = np.minimum(((pts[:, 0] - box.xmin) / sx * grid).astype(int), grid - 1)
-        iy = np.minimum(((pts[:, 1] - box.ymin) / sy * grid).astype(int), grid - 1)
-        np.add.at(hist, (ix, iy), 1.0)
-    return hist
+    hist = _spatial_raster(xy[:, 0], xy[:, 1], grid, box)
+    if out is None:
+        return hist
+    out += hist
+    return out
 
 
 def density_histogram_scan(
@@ -133,12 +126,10 @@ def density_histogram_scan(
     normalize: bool = False,
 ) -> np.ndarray:
     """Reference per-trajectory implementation of :func:`density_histogram`."""
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
     box = box or db.bounding_box
-    hist = np.zeros((grid, grid))
+    hist = None
     for traj in db:
-        spatial_bin_counts(traj.xy, grid, box, out=hist)
+        hist = spatial_bin_counts(traj.xy, grid, box, out=hist)
     if normalize:
         total = hist.sum()
         if total > 0:

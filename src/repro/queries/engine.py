@@ -22,9 +22,13 @@ layout the engine offers four batched execution paths:
   broadcasted containment test, and one ``np.unique`` over
   (query, trajectory) hit pairs.
 * **Aggregates** (:meth:`~QueryEngine.count` /
-  :meth:`~QueryEngine.histogram`) — per-box point counts and the spatial
-  density heatmap computed from the same CSR sweep / the sorted coordinate
-  columns in one pass; :mod:`repro.queries.aggregate` routes through these.
+  :meth:`~QueryEngine.histogram`) — per-box point counts from the same CSR
+  sweep, and the spatial density heatmap binned from one contiguous slab
+  of the sorted columns: points are sorted by ``(cx * ny + cy) * nt + ct``,
+  so the spatial cell columns from the viewport's lower corner through its
+  upper one own one row range, a superset of the viewport's points that
+  the exact containment test then trims. :mod:`repro.queries.aggregate`
+  routes through these.
 * **kNN candidate generation** (:meth:`~QueryEngine.knn_candidates`) — for
   each kNN time window, the ids of trajectories with enough points inside
   the window to be comparable at all. Only these require the expensive
@@ -66,6 +70,7 @@ property-tested against (``tests/test_query_engine.py``).
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable
 from weakref import WeakKeyDictionary, ref
@@ -111,6 +116,57 @@ def _workload_bounds(queries: Iterable) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([[b.xmin, b.ymin, b.tmin] for b in boxes], dtype=float)
     hi = np.array([[b.xmax, b.ymax, b.tmax] for b in boxes], dtype=float)
     return lo, hi
+
+
+def _axis_cell(value: float, origin: float, size: float, n: int) -> int:
+    """:meth:`QueryEngine._cells_of`'s floor-then-clip cell of one coordinate.
+
+    Python-scalar arithmetic, with the same NaN / infinity mapping: NaN and
+    -inf land in cell 0, +inf in cell ``n - 1``.
+    """
+    rel = (value - origin) / size
+    if rel >= n - 1:
+        return n - 1
+    return int(rel) if rel >= 1 else 0
+
+
+def _spatial_raster(
+    x: np.ndarray, y: np.ndarray, grid: int, box: BoundingBox
+) -> np.ndarray:
+    """Bin spatial points into a ``(grid, grid)`` float count raster.
+
+    The one binning kernel of the density heatmap, shared by
+    :meth:`QueryEngine.histogram` and
+    :func:`repro.queries.aggregate.spatial_bin_counts`: points outside the
+    box's closed spatial extent are ignored, bins truncate toward zero, and
+    the closing edge folds into the last cell. ``x`` and ``y`` are never
+    written: the arithmetic runs in place on their compressed copies.
+    """
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    xmin, xmax, ymin, ymax = box.xmin, box.xmax, box.ymin, box.ymax
+    sx, sy = xmax - xmin, ymax - ymin
+    if math.isinf(sx) or math.isinf(sy) or math.isinf(xmin) or math.isinf(ymin):
+        raise ValueError(f"cannot rasterize over {box}: its spatial span is not finite")
+    inside = x >= xmin
+    inside &= x <= xmax
+    inside &= y >= ymin
+    inside &= y <= ymax
+    x = x[inside]
+    y = y[inside]
+    x -= xmin
+    x /= max(sx, 1e-12)
+    x *= grid
+    y -= ymin
+    y /= max(sy, 1e-12)
+    y *= grid
+    cells = x.astype(np.int64)
+    np.minimum(cells, grid - 1, out=cells)
+    cells *= grid
+    iy = y.astype(np.int64)
+    np.minimum(iy, grid - 1, out=iy)
+    cells += iy
+    return np.bincount(cells, minlength=grid * grid).astype(float).reshape(grid, grid)
 
 
 class QueryEngine:
@@ -163,6 +219,12 @@ class QueryEngine:
         unique_ids, starts = np.unique(sorted_ids, return_index=True)
         self._cell_starts = starts.astype(np.int32)
         self._cell_counts = np.diff(np.append(starts, len(points))).astype(np.int32)
+        # First sorted row of every spatial column (cx, cy), all time cells
+        # included: the columns from (x0, y0) through (x1, y1) are one
+        # contiguous row slab, which is what histograms read.
+        self._column_starts = np.searchsorted(
+            sorted_ids, np.arange(nx * ny + 1, dtype=np.int64) * nt
+        )
         # Per-axis coordinates of each occupied cell, for the overlap test
         # (int16: resolutions are far below 2**15 cells per axis).
         self._cell_x = (unique_ids // (ny * nt)).astype(np.int16)
@@ -298,13 +360,17 @@ class QueryEngine:
         """Spatial point-density histogram of shape ``(grid, grid)``.
 
         Identical to :func:`repro.queries.aggregate.density_histogram_scan`
-        over the engine's database, but binned in one vectorized pass over
-        the sorted coordinate columns. ``box`` restricts (spatially) which
-        points are rasterized and defaults to the database's bounding box;
-        its temporal extent is ignored, matching the reference.
+        over the engine's database, but it reads only the viewport's slab
+        of the sorted columns: the rows of the spatial cell columns from the
+        box's lower corner cell through its upper one. Cell bounds are
+        monotone in the coordinate, so the slab holds every point inside
+        the box; the exact containment test of the binning kernel drops the
+        rest, and points with a non-finite coordinate stay parked in border
+        cells where that test rejects them. ``box`` restricts (spatially)
+        which points are rasterized and defaults to the database's bounding
+        box; its temporal extent is ignored, matching the reference. A box
+        with an infinite spatial bound or span raises ``ValueError``.
         """
-        if grid < 1:
-            raise ValueError("grid must be >= 1")
         box = box or self._extent
         key = (
             "hist", grid, box.xmin, box.xmax, box.ymin, box.ymax, normalize,
@@ -312,25 +378,13 @@ class QueryEngine:
         cached = self._cache_get(key)
         if cached is not None:
             return cached.copy()
-        sx = max(box.xmax - box.xmin, 1e-12)
-        sy = max(box.ymax - box.ymin, 1e-12)
-        inside = (
-            (self._px >= box.xmin)
-            & (self._px <= box.xmax)
-            & (self._py >= box.ymin)
-            & (self._py <= box.ymax)
-        )
-        x = self._px[inside]
-        y = self._py[inside]
-        # Same binning arithmetic as the reference scan (truncation toward
-        # zero; the closing edge folds into the last cell).
-        ix = np.minimum(((x - box.xmin) / sx * grid).astype(int), grid - 1)
-        iy = np.minimum(((y - box.ymin) / sy * grid).astype(int), grid - 1)
-        hist = (
-            np.bincount(ix * grid + iy, minlength=grid * grid)
-            .astype(float)
-            .reshape(grid, grid)
-        )
+        nx, ny, _ = self.resolution
+        ox, oy = float(self._origin[0]), float(self._origin[1])
+        cx, cy = float(self._cell_size[0]), float(self._cell_size[1])
+        first = _axis_cell(box.xmin, ox, cx, nx) * ny + _axis_cell(box.ymin, oy, cy, ny)
+        last = _axis_cell(box.xmax, ox, cx, nx) * ny + _axis_cell(box.ymax, oy, cy, ny)
+        slab = slice(self._column_starts[first], self._column_starts[last + 1])
+        hist = _spatial_raster(self._px[slab], self._py[slab], grid, box)
         if normalize:
             total = hist.sum()
             if total > 0:

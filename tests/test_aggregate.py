@@ -18,6 +18,7 @@ from repro.queries import (
     heatmap_f1,
     histogram_similarity,
 )
+from repro.queries.aggregate import spatial_bin_counts
 from tests.conftest import make_trajectory
 
 
@@ -163,6 +164,39 @@ class TestDensityHistogram:
             density_histogram(db, grid=grid, normalize=True),
             density_histogram_scan(db, grid=grid, normalize=True),
         )
+
+
+    @pytest.mark.parametrize(
+        "xmin, xmax, ymin, ymax",
+        [
+            (-np.inf, np.inf, -np.inf, np.inf),
+            (0.0, np.inf, 0.0, 100.0),
+            (-np.inf, 50.0, 0.0, 100.0),
+            (0.0, 100.0, 20.0, np.inf),
+            (np.inf, np.inf, 0.0, 100.0),
+            (-1e308, 1e308, 0.0, 100.0),  # finite bounds, infinite span
+        ],
+    )
+    def test_infinite_viewport_raises_the_same_error_on_every_path(
+        self, small_db, xmin, xmax, ymin, ymax
+    ):
+        box = BoundingBox(xmin, xmax, ymin, ymax, 0.0, 1.0)
+        for rasterize in (
+            lambda: QueryEngine(small_db).histogram(8, box),
+            lambda: density_histogram_scan(small_db, 8, box),
+            lambda: spatial_bin_counts(small_db.all_points()[:, :2], 8, box),
+        ):
+            with pytest.raises(ValueError, match="spatial span is not finite"):
+                rasterize()
+
+    def test_empty_nan_viewport_rasterizes_to_zeros(self, small_db):
+        box = BoundingBox.from_points(np.full((2, 3), np.nan))
+        assert np.isnan(box.xmin)
+        for hist in (
+            QueryEngine(small_db).histogram(8, box),
+            density_histogram_scan(small_db, 8, box),
+        ):
+            np.testing.assert_array_equal(hist, np.zeros((8, 8)))
 
 
 class TestHistogramSimilarity:

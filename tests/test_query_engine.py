@@ -24,6 +24,7 @@ from repro.data import (
     TrajectoryDatabase,
 )
 from repro.data.stats import spatial_scale
+from repro.index.grid import grid_geometry
 from repro.queries import (
     QueryEngine,
     RangeQuery,
@@ -250,6 +251,66 @@ class TestEngineAggregates:
         np.testing.assert_array_equal(
             engine.histogram(grid), density_histogram_scan(db, grid)
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 300),
+        grid=st.integers(1, 9),
+        resolution=st.one_of(
+            st.sampled_from([(1, 1, 1), (32, 32, 16)]),
+            st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
+        ),
+        poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    def test_viewport_histogram_matches_scan(self, seed, grid, resolution, poison):
+        """The slab a viewport reads holds every point the scan bins.
+
+        Viewports lie inside, straddle or miss the extent, have zero width,
+        or have edges exactly on engine cell boundaries; resolutions are
+        coarse or odd; some databases carry non-finite coordinates.
+        """
+        rng = np.random.default_rng(seed)
+        db = random_db(seed)
+        if poison is not None:
+            trajs = []
+            for traj in db:
+                points = traj.points.copy()
+                points[rng.random(len(points)) < 0.3, rng.integers(0, 2)] = poison
+                trajs.append(Trajectory(points, traj_id=traj.traj_id))
+            db = TrajectoryDatabase(trajs)
+        ext = db.bounding_box
+        origin, cell = grid_geometry(ext, resolution)
+        # Move some points exactly onto interior cell edges, where
+        # floor-then-clip mistakes show. Only points strictly inside the
+        # extent move, so the extent (hence the engine's grid) holds.
+        trajs = []
+        for traj in db:
+            points = traj.points.copy()
+            spans = ((ext.xmin, ext.xmax), (ext.ymin, ext.ymax))
+            for axis, (lo, hi) in enumerate(spans):
+                col = points[:, axis]
+                move = (col > lo) & (col < hi) & (rng.random(len(col)) < 0.3)
+                edges = rng.integers(0, resolution[axis], size=move.sum())
+                col[move] = origin[axis] + edges * cell[axis]
+            trajs.append(Trajectory(points, traj_id=traj.traj_id))
+        db = TrajectoryDatabase(trajs)
+        engine = QueryEngine(db, resolution=resolution)
+        for _ in range(12):
+            bounds = []
+            for axis in range(2):
+                shape = rng.choice(["inside", "anywhere", "cell_edges", "zero_width"])
+                if shape == "cell_edges":
+                    k0, k1 = sorted(rng.integers(-1, resolution[axis] + 2, size=2))
+                    bounds += [origin[axis] + k * cell[axis] for k in (k0, k1)]
+                    continue
+                reach = (0.0, 1.0) if shape == "inside" else (-0.5, 1.5)
+                lo = origin[axis] + ext.spans[axis] * rng.uniform(*reach)
+                width = 0.0 if shape == "zero_width" else rng.uniform(0.0, 1.2)
+                bounds += [lo, lo + ext.spans[axis] * width]
+            box = BoundingBox(*bounds, ext.tmin, ext.tmax)
+            np.testing.assert_array_equal(
+                engine.histogram(grid, box), density_histogram_scan(db, grid, box)
+            )
 
     def test_histogram_normalized_and_boxed(self, small_db):
         box = small_db.bounding_box
