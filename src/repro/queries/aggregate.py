@@ -94,12 +94,7 @@ def density_histogram(
     return engine.histogram(grid, box, normalize)
 
 
-def spatial_bin_counts(
-    xy: np.ndarray,
-    grid: int,
-    box: BoundingBox,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def spatial_bin_counts(xy: np.ndarray, grid: int, box: BoundingBox) -> np.ndarray:
     """Bin ``(n, 2)`` spatial points into a ``(grid, grid)`` count raster.
 
     The density heatmap's binning (truncation toward zero; the closing edge
@@ -107,16 +102,11 @@ def spatial_bin_counts(
     ignored), through the same kernel as :meth:`QueryEngine.histogram`.
     Used by the reference scan and the sharded service's pending-delta
     rasterization, so per-shard partial histograms sum to exactly the
-    single-database raster. ``out`` optionally supplies an accumulator to
-    add into (and return) instead of returning a fresh raster. A box with
-    an infinite spatial bound or span raises ``ValueError``.
+    single-database raster. A box with an infinite spatial bound or span
+    raises ``ValueError``.
     """
     xy = np.asarray(xy, dtype=float)
-    hist = _spatial_raster(xy[:, 0], xy[:, 1], grid, box)
-    if out is None:
-        return hist
-    out += hist
-    return out
+    return _spatial_raster(xy[:, 0], xy[:, 1], grid, box)
 
 
 def density_histogram_scan(
@@ -127,9 +117,7 @@ def density_histogram_scan(
 ) -> np.ndarray:
     """Reference per-trajectory implementation of :func:`density_histogram`."""
     box = box or db.bounding_box
-    hist = None
-    for traj in db:
-        hist = spatial_bin_counts(traj.xy, grid, box, out=hist)
+    hist = sum(spatial_bin_counts(traj.xy, grid, box) for traj in db)
     if normalize:
         total = hist.sum()
         if total > 0:
