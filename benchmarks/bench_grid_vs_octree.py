@@ -33,13 +33,10 @@ _RATIO = 0.045
 _GRID_LEVELS = (4, 6, 8)
 
 
-def _score(db, setting, config, use_agent_cube=True) -> float:
+def _score(db, setting, config) -> float:
     factory = make_workload_factory("data", setting, db, 200)
     evaluator = make_evaluator(db, setting, distribution="data", seed=0)
-    model = RL4QDTS.train(
-        db, config=config, workload_factory=factory,
-        use_agent_cube=use_agent_cube,
-    )
+    model = RL4QDTS.train(db, config=config, workload_factory=factory)
     annotation = inference_workload(db, setting, "data")
     simplified = model.simplify(
         db, budget_ratio=_RATIO, seed=1, workload=annotation
@@ -57,11 +54,10 @@ def _run(db, setting):
         # Uniform grid: force splits down to `level` (leaf_capacity=1) and
         # pin the traversal there — a fixed (2^(level-1))^3-cell partition.
         config = replace(
-            octree, start_level=level, end_level=level, leaf_capacity=1
+            octree, start_level=level, end_level=level, leaf_capacity=1,
+            use_agent_cube=False,
         )
-        results[f"grid 2^{level - 1} per axis"] = _score(
-            db, setting, config, use_agent_cube=False
-        )
+        results[f"grid 2^{level - 1} per axis"] = _score(db, setting, config)
     return results
 
 

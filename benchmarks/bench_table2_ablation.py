@@ -43,10 +43,8 @@ def _run_ablation(db):
     for name, (use_cube, use_point) in variants.items():
         model = RL4QDTS.train(
             db,
-            config=config,
+            config=replace(config, use_agent_cube=use_cube, use_agent_point=use_point),
             workload_factory=factory,
-            use_agent_cube=use_cube,
-            use_agent_point=use_point,
         )
         f1s = []
         start = time.perf_counter()

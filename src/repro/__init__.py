@@ -43,12 +43,15 @@ It provides:
 
 Quickstart::
 
-    from repro import LocalClient, RangeQueryWorkload, RL4QDTS, synthetic_database
+    from repro import (
+        LocalClient, RangeQueryWorkload, RL4QDTS, RL4QDTSConfig, synthetic_database,
+    )
 
     db = synthetic_database("geolife", n_trajectories=50, seed=7)
     workload = RangeQueryWorkload.from_data_distribution(db, n_queries=40, seed=7)
-    simplifier = RL4QDTS.train(db, workload, budget_ratio=0.05, seed=7)
-    simplified = simplifier.simplify(db, budget_ratio=0.05)
+    config = RL4QDTSConfig(train_budget_ratio=0.05, seed=7)
+    simplifier = RL4QDTS.train(db, config=config)
+    simplified = simplifier.simplify(db, budget_ratio=0.05, workload=workload)
 
     with LocalClient(simplified) as client:      # the unified query surface:
         hits = client.range(workload).result_sets   # swap in ServiceClient /

@@ -15,7 +15,8 @@ from repro.rl.dqn import DQNConfig
 
 @dataclass(frozen=True, slots=True)
 class RL4QDTSConfig:
-    """All hyper-parameters of the RL4QDTS algorithm.
+    """All hyper-parameters of the RL4QDTS algorithm, the Table II ablation
+    switches included: one config names one row of an experiment.
 
     Attributes
     ----------
@@ -59,6 +60,12 @@ class RL4QDTSConfig:
         RL algorithm for both agents: ``"dqn"`` (the paper's choice; set
         ``dqn.double_dqn`` for Double-DQN targets) or ``"reinforce"``
         (the policy-gradient alternative the paper mentions).
+    use_agent_cube:
+        Ablation switch (Table II). Off, the start-level cube sampled by the
+        query distribution is used as is, without Agent-Cube's descent.
+    use_agent_point:
+        Ablation switch (Table II). Off, the maximum-``v_s`` candidate of
+        the chosen cube is inserted, without asking Agent-Point.
     learn_every:
         Environment steps between DQN mini-batch updates.
     dqn:
@@ -81,6 +88,8 @@ class RL4QDTSConfig:
     leaf_capacity: int = 16
     index: str = "octree"
     learner: str = "dqn"
+    use_agent_cube: bool = True
+    use_agent_point: bool = True
     learn_every: int = 4
     dqn: DQNConfig = field(default_factory=DQNConfig)
     seed: int = 0

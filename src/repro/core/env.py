@@ -211,10 +211,3 @@ class QDTSEnvironment:
     def exact_diff(self) -> float:
         """``diff`` recomputed from scratch via the batch query engine."""
         return self.evaluator.exact_diff(self.state)
-
-    @property
-    def budget_used(self) -> int:
-        return self.state.total_kept
-
-    def remaining_budget(self, budget: int) -> int:
-        return max(0, budget - self.state.total_kept)

@@ -6,12 +6,18 @@
   sample training sub-databases, roll ε-greedy episodes with shared
   Δ-window rewards, keep the best-performing parameters;
 * :meth:`RL4QDTS.simplify` — Algorithm 1: greedy rollout of the learned
-  policies until the budget is exhausted;
-* ablation switches ``use_agent_cube`` / ``use_agent_point`` reproducing
-  Table II (a disabled Agent-Cube degenerates to sampling a cube at the
-  start level by the query distribution; a disabled Agent-Point always
-  inserts the maximum-``v_s`` candidate);
+  policies from the endpoints-only database until the budget is exhausted;
+* :meth:`RL4QDTS.refine` — the same greedy rollout, started from an
+  existing simplification;
 * :meth:`save` / :meth:`load` for trained policies.
+
+A model is one :class:`RL4QDTSConfig`, the Table II ablation switches
+``use_agent_cube`` / ``use_agent_point`` included: a disabled Agent-Cube
+degenerates to sampling a cube at the start level by the query
+distribution, and a disabled Agent-Point always inserts the
+maximum-``v_s`` candidate. A switch turned off at inference only is
+``model.config = replace(model.config, use_agent_cube=False)`` on a
+trained model.
 """
 
 from __future__ import annotations
@@ -41,6 +47,15 @@ def _default_workload_factory(distribution: str, n_queries: int) -> WorkloadFact
     return factory
 
 
+def _resolve_budget(
+    db: TrajectoryDatabase, budget_ratio: float | None, budget: int | None
+) -> int:
+    """The absolute budget given exactly one of ``budget_ratio`` / ``budget``."""
+    if (budget_ratio is None) == (budget is None):
+        raise ValueError("give exactly one of budget_ratio / budget")
+    return db.budget_for_ratio(budget_ratio) if budget is None else budget
+
+
 @dataclass(slots=True)
 class TrainingHistory:
     """Per-episode training diagnostics."""
@@ -53,15 +68,8 @@ class TrainingHistory:
 class RL4QDTS:
     """Query-accuracy-driven collective trajectory database simplifier."""
 
-    def __init__(
-        self,
-        config: RL4QDTSConfig | None = None,
-        use_agent_cube: bool = True,
-        use_agent_point: bool = True,
-    ) -> None:
+    def __init__(self, config: RL4QDTSConfig | None = None) -> None:
         self.config = config or RL4QDTSConfig()
-        self.use_agent_cube = use_agent_cube
-        self.use_agent_point = use_agent_point
         seed = self.config.seed
         agent_cls = DQNAgent if self.config.learner == "dqn" else REINFORCEAgent
         self.cube_agent = agent_cls(
@@ -88,11 +96,8 @@ class RL4QDTS:
     def train(
         cls,
         db: TrajectoryDatabase,
-        workload: RangeQueryWorkload | None = None,
         config: RL4QDTSConfig | None = None,
         distribution: str = "data",
-        use_agent_cube: bool = True,
-        use_agent_point: bool = True,
         workload_factory: WorkloadFactory | None = None,
     ) -> "RL4QDTS":
         """Train the two agents on sub-databases sampled from ``db``.
@@ -102,29 +107,23 @@ class RL4QDTS:
         db:
             The training corpus; ``config.n_train_databases`` sub-databases
             of ``config.train_db_size`` trajectories are sampled from it.
-        workload:
-            Optional explicit training workload. When given, its queries are
-            reused verbatim for every training database (and at test time);
-            otherwise a fresh workload is generated per training database
-            from ``distribution``.
         config:
-            Hyper-parameters; defaults to :class:`RL4QDTSConfig`.
+            Hyper-parameters and ablation switches; defaults to
+            :class:`RL4QDTSConfig`.
         distribution:
-            Workload distribution name used when no workload is given
-            (``"data"``, ``"gaussian"``, ``"zipf"``, ``"real"``).
-        use_agent_cube / use_agent_point:
-            Ablation switches (Table II).
+            Workload distribution name used when no factory is given
+            (``"data"``, ``"gaussian"``, ``"zipf"``, ``"real"``): a fresh
+            workload is generated per training database.
         workload_factory:
             Full custom control over training workload generation:
-            ``factory(sub_db, seed) -> RangeQueryWorkload``.
+            ``factory(sub_db, seed) -> RangeQueryWorkload``. One fixed
+            workload for every training database (and at test time) is
+            ``lambda _db, _seed: workload``.
         """
-        model = cls(config, use_agent_cube, use_agent_point)
+        model = cls(config)
         cfg = model.config
         if workload_factory is not None:
             model._workload_factory = workload_factory
-            model._distribution = None
-        elif workload is not None:
-            model._workload_factory = lambda _db, _seed: workload
             model._distribution = None
         else:
             model._set_distribution(distribution)
@@ -145,14 +144,7 @@ class RL4QDTS:
             budget = sub_db.budget_for_ratio(cfg.train_budget_ratio)
             for _ in range(cfg.episodes):
                 stats = run_episode(
-                    env,
-                    model.cube_agent,
-                    model.point_agent,
-                    budget,
-                    greedy=False,
-                    learn=True,
-                    use_agent_cube=use_agent_cube,
-                    use_agent_point=use_agent_point,
+                    env, model.cube_agent, model.point_agent, budget, learn=True
                 )
                 model.history.episode_diffs.append(stats.final_diff)
                 model.history.episode_rewards.append(stats.total_reward)
@@ -197,31 +189,12 @@ class RL4QDTS:
         return_stats:
             Also return the rollout statistics.
         """
-        if (budget_ratio is None) == (budget is None):
-            raise ValueError("give exactly one of budget_ratio / budget")
-        if budget is None:
-            budget = db.budget_for_ratio(budget_ratio)
+        budget = _resolve_budget(db, budget_ratio, budget)
         if budget < 2 * len(db):
             raise ValueError(
                 f"budget {budget} cannot cover 2 endpoints per trajectory"
             )
-        seed = self.config.seed if seed is None else seed
-        if workload is None:
-            workload = self._inference_workload(db, seed)
-        env = QDTSEnvironment(
-            db, workload, self.config, np.random.default_rng(seed)
-        )
-        stats = run_episode(
-            env,
-            self.cube_agent,
-            self.point_agent,
-            budget,
-            greedy=True,
-            learn=False,
-            use_agent_cube=self.use_agent_cube,
-            use_agent_point=self.use_agent_point,
-        )
-        simplified = env.state.materialize()
+        simplified, stats = self._greedy_rollout(db, budget, workload, seed)
         if return_stats:
             return simplified, stats
         return simplified
@@ -269,10 +242,7 @@ class RL4QDTS:
         """
         from repro.errors.segment import _recover_indices
 
-        if (budget_ratio is None) == (budget is None):
-            raise ValueError("give exactly one of budget_ratio / budget")
-        if budget is None:
-            budget = db.budget_for_ratio(budget_ratio)
+        budget = _resolve_budget(db, budget_ratio, budget)
         if len(simplified) != len(db):
             raise ValueError("databases must align trajectory-by-trajectory")
         if budget < simplified.total_points:
@@ -280,43 +250,43 @@ class RL4QDTS:
                 f"budget {budget} is below the current size "
                 f"{simplified.total_points}; refinement only adds points"
             )
-        kept = [
-            _recover_indices(db[t.traj_id], t) for t in simplified
-        ]
+        kept = [_recover_indices(db[t.traj_id], t) for t in simplified]
+        return self._greedy_rollout(db, budget, workload, seed, kept)[0]
+
+    def _greedy_rollout(
+        self,
+        db: TrajectoryDatabase,
+        budget: int,
+        workload: RangeQueryWorkload | None,
+        seed: int | None,
+        kept: list[list[int]] | None = None,
+    ) -> tuple[TrajectoryDatabase, RolloutStats]:
+        """Roll the learned policies out greedily up to ``budget``, from the
+        endpoints-only database or, given ``kept``, from those indices."""
         seed = self.config.seed if seed is None else seed
         if workload is None:
             workload = self._inference_workload(db, seed)
         env = QDTSEnvironment(
             db, workload, self.config, np.random.default_rng(seed)
         )
-        env.load_kept(kept)
-        run_episode(
-            env,
-            self.cube_agent,
-            self.point_agent,
-            budget,
-            greedy=True,
-            learn=False,
-            use_agent_cube=self.use_agent_cube,
-            use_agent_point=self.use_agent_point,
-            reset=False,
+        if kept is not None:
+            env.load_kept(kept)
+        # A new environment starts from the endpoints-only database.
+        stats = run_episode(
+            env, self.cube_agent, self.point_agent, budget, reset=False
         )
-        return env.state.materialize()
+        return env.state.materialize(), stats
 
     # ------------------------------------------------------------- persistence
     def save(self, path: str | Path) -> None:
-        """Save config, ablation flags, the training distribution's name,
-        and both agents' parameters (.npz)."""
+        """Save the config, the training distribution's name and both
+        agents' parameters (.npz)."""
         payload: dict[str, np.ndarray] = {}
         for prefix, agent in (("cube", self.cube_agent), ("point", self.point_agent)):
             for name, value in agent.get_parameters().items():
                 payload[f"{prefix}_{name}"] = value
-        config_dict = asdict(self.config)
-        config_dict["dqn"] = asdict(self.config.dqn)
         meta = {
-            "config": config_dict,
-            "use_agent_cube": self.use_agent_cube,
-            "use_agent_point": self.use_agent_point,
+            "config": asdict(self.config),
             # None: trained on a custom workload, which is not saved.
             "distribution": self._distribution,
         }
@@ -330,13 +300,14 @@ class RL4QDTS:
         """Load a model saved by :meth:`save`."""
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta_json"]).decode())
-            dqn = DQNConfig(**meta["config"].pop("dqn"))
-            config = RL4QDTSConfig(dqn=dqn, **meta["config"])
-            model = cls(
-                config,
-                use_agent_cube=meta["use_agent_cube"],
-                use_agent_point=meta["use_agent_point"],
-            )
+            fields = meta["config"]
+            dqn = DQNConfig(**fields.pop("dqn"))
+            # Files written before the ablation switches joined the config
+            # keep them beside it.
+            for flag in ("use_agent_cube", "use_agent_point"):
+                if flag in meta:
+                    fields[flag] = meta[flag]
+            model = cls(RL4QDTSConfig(dqn=dqn, **fields))
             # Files written before the key existed were trained on "data".
             distribution = meta.get("distribution", "data")
             if distribution is None:

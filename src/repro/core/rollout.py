@@ -11,18 +11,24 @@ database up to the budget ``W``:
    (Eq. 10) is assigned to *all* transitions of both agents buffered in the
    window, and (in training mode) the DQNs take replay updates.
 
+An episode either learns (training: ε-greedy actions, transitions and
+replay updates) or rolls the learned policies out greedily (inference,
+Algorithm 1). The Table II ablation switches are read from the
+environment's :class:`~repro.core.config.RL4QDTSConfig`: without
+Agent-Cube the sampled start node is the chosen cube, and without
+Agent-Point the maximum-``v_s`` candidate is inserted.
+
 When a sampled cube has no insertable point the traversal retries a few
 times and finally falls back to a uniformly random un-kept point so the
 budget is always exhausted; fallback insertions produce no transitions.
 
-A greedy episode that does not learn (inference, :meth:`RL4QDTS.simplify`
-and :meth:`RL4QDTS.refine`) memoizes Agent-Cube's descent from each start
-node to the leaf it ends in, for the length of the episode. This is exact:
-the cube state and mask at a node are static, the agent's parameters do
-not change while it does not learn, and a greedy ``act`` draws no random
-number, so the descent is a fixed map from start node to leaf. The start
-node is still drawn for every traversal, so the generator's stream is the
-one the unmemoized descent would consume.
+An episode that does not learn memoizes Agent-Cube's descent from each
+start node to the leaf it ends in, for the length of the episode. This is
+exact: the cube state and mask at a node are static, the agent's
+parameters do not change while it does not learn, and a greedy ``act``
+draws no random number, so the descent is a fixed map from start node to
+leaf. The start node is still drawn for every traversal, so the
+generator's stream is the one the unmemoized descent would consume.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from repro.core.env import CUBE_N_ACTIONS, STOP_ACTION, QDTSEnvironment
 from repro.index.octree import OctreeNode
 from repro.rl.dqn import DQNAgent
 from repro.rl.replay import Transition
+
+#: Start-node draws per insertion before the random-point fallback.
+MAX_CUBE_RETRIES = 5
 
 
 @dataclass(slots=True)
@@ -70,19 +79,15 @@ def run_episode(
     cube_agent: DQNAgent,
     point_agent: DQNAgent,
     budget: int,
-    greedy: bool = False,
     learn: bool = False,
-    use_agent_cube: bool = True,
-    use_agent_point: bool = True,
-    max_cube_retries: int = 5,
     reset: bool = True,
     exact_final_diff: bool = False,
 ) -> RolloutStats:
     """Run one full simplification episode; returns its statistics.
 
-    ``greedy=True`` rolls out the learned policies deterministically
-    (inference / Algorithm 1); ``learn=True`` additionally records
-    transitions and performs DQN updates at each reward window.
+    ``learn=True`` explores ε-greedily, records transitions and performs
+    DQN updates at each reward window (training); otherwise the learned
+    policies roll out greedily (inference / Algorithm 1).
     ``reset=False`` continues from the environment's current simplification
     state instead of the endpoints-only database (progressive refinement).
     ``exact_final_diff=True`` recomputes the reported ``final_diff`` from
@@ -94,7 +99,8 @@ def run_episode(
     stats = RolloutStats(initial_diff=env.diff())
     diff_prev = stats.initial_diff
     delta = env.config.delta
-    collect = learn
+    greedy = not learn
+    use_agent_point = env.config.use_agent_point
 
     pending_cube: list[tuple] = []  # (s, a, mask, s', next_mask, done)
     pending_point: list[_PendingPoint] = []
@@ -103,12 +109,11 @@ def run_episode(
 
     stop_only_mask = np.zeros(CUBE_N_ACTIONS, dtype=bool)
     stop_only_mask[STOP_ACTION] = True
-    leaf_memo = _greedy_leaf_memo(greedy, learn)
+    leaf_memo = _greedy_leaf_memo(learn)
 
     while env.state.total_kept < budget:
         chosen = _choose_cube_and_candidates(
-            env, cube_agent, greedy, use_agent_cube, max_cube_retries,
-            stop_only_mask, leaf_memo,
+            env, cube_agent, greedy, stop_only_mask, leaf_memo
         )
         if chosen is None:
             fallback = env.random_unkept_point()
@@ -119,13 +124,13 @@ def run_episode(
             stats.fallback_inserted += 1
         else:
             cube_transitions, point_state, candidates, point_mask = chosen
-            if collect:
+            if learn:
                 pending_cube.extend(cube_transitions)
             if use_agent_point:
                 action = point_agent.act(point_state, point_mask, greedy=greedy)
             else:
                 action = 0  # ablation: always insert the max-v_s candidate
-            if collect:
+            if learn:
                 if open_point is not None:
                     open_point.next_state = point_state
                     open_point.next_mask = point_mask
@@ -140,7 +145,7 @@ def run_episode(
             reward = diff_prev - diff_now
             stats.rewards.append(reward)
             stats.windows += 1
-            if collect:
+            if learn:
                 _flush_window(
                     cube_agent,
                     point_agent,
@@ -168,21 +173,19 @@ def run_episode(
     return stats
 
 
-def _greedy_leaf_memo(greedy: bool, learn: bool) -> dict[int, OctreeNode] | None:
+def _greedy_leaf_memo(learn: bool) -> dict[int, OctreeNode] | None:
     """An empty start node -> leaf memo when the descent is a fixed map.
 
-    That holds for a greedy episode that does not learn (see the module
-    docstring); any other episode descends afresh and gets None.
+    That holds for an episode that does not learn (see the module
+    docstring); a learning episode descends afresh and gets None.
     """
-    return {} if greedy and not learn else None
+    return None if learn else {}
 
 
 def _choose_cube_and_candidates(
     env: QDTSEnvironment,
     cube_agent: DQNAgent,
     greedy: bool,
-    use_agent_cube: bool,
-    max_retries: int,
     stop_only_mask: np.ndarray,
     leaf_memo: dict[int, OctreeNode] | None,
 ):
@@ -192,7 +195,8 @@ def _choose_cube_and_candidates(
     With a ``leaf_memo`` the descent records no transitions: the episode
     that passes one does not learn.
     """
-    for _ in range(max_retries):
+    use_agent_cube = env.config.use_agent_cube
+    for _ in range(MAX_CUBE_RETRIES):
         node = env.start_node()
         transitions: list[tuple] = []
         if use_agent_cube and leaf_memo is not None:

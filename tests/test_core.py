@@ -1,5 +1,7 @@
 """Tests for the RL4QDTS core: features, reward, environment, rollout."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,14 +230,14 @@ class TestRollout:
         config = env.config
         cube, point = make_agents(config)
         budget = small_db.budget_for_ratio(0.5)
-        stats = run_episode(env, cube, point, budget, greedy=True)
+        stats = run_episode(env, cube, point, budget)
         assert env.state.total_kept == budget
         assert stats.inserted == budget - 2 * len(small_db)
 
     def test_full_budget_keeps_everything(self, env, small_db):
         config = env.config
         cube, point = make_agents(config)
-        stats = run_episode(env, cube, point, small_db.total_points, greedy=True)
+        stats = run_episode(env, cube, point, small_db.total_points)
         assert env.state.total_kept == small_db.total_points
         assert stats.final_diff == pytest.approx(0.0)
 
@@ -243,7 +245,7 @@ class TestRollout:
         config = env.config
         cube, point = make_agents(config)
         budget = env.db.budget_for_ratio(0.5)
-        run_episode(env, cube, point, budget, greedy=False, learn=True)
+        run_episode(env, cube, point, budget, learn=True)
         assert len(point.memory) > 0
         assert len(cube.memory) > 0
 
@@ -252,7 +254,7 @@ class TestRollout:
         config = env.config
         cube, point = make_agents(config)
         budget = env.db.budget_for_ratio(0.6)
-        stats = run_episode(env, cube, point, budget, greedy=True)
+        stats = run_episode(env, cube, point, budget)
         assert stats.total_reward == pytest.approx(
             stats.initial_diff - stats.final_diff, abs=1e-9
         )
@@ -263,8 +265,6 @@ class TestRollout:
         budget = env.db.budget_for_ratio(0.3)
         for uc, up in ((False, True), (True, False), (False, False)):
             env.reset()
-            stats = run_episode(
-                env, cube, point, budget, greedy=True,
-                use_agent_cube=uc, use_agent_point=up,
-            )
+            env.config = replace(config, use_agent_cube=uc, use_agent_point=up)
+            stats = run_episode(env, cube, point, budget)
             assert env.state.total_kept == budget

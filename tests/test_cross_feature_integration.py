@@ -104,7 +104,9 @@ class TestWorkloadDrivenPipeline:
         restored = RangeQueryWorkload.load(path)
 
         config = RL4QDTSConfig(**_FAST)
-        model = RL4QDTS.train(db, workload=restored, config=config)
+        model = RL4QDTS.train(
+            db, config=config, workload_factory=lambda _db, _seed: restored
+        )
         simplified = model.simplify(
             db, budget_ratio=0.5, workload=restored, seed=1
         )

@@ -555,11 +555,9 @@ class TestIncrementalEvaluatorAudit:
         env = QDTSEnvironment(
             small_db, small_workload, config, np.random.default_rng(0)
         )
-        stats = run_episode(env, cube, point, budget, greedy=True)
+        stats = run_episode(env, cube, point, budget)
         assert env.exact_diff() == pytest.approx(stats.final_diff)
-        audited = run_episode(
-            env, cube, point, budget, greedy=True, exact_final_diff=True
-        )
+        audited = run_episode(env, cube, point, budget, exact_final_diff=True)
         assert audited.final_diff == pytest.approx(env.diff())
 
 

@@ -1,9 +1,17 @@
 """Tests for the RL4QDTS algorithm: training, inference, ablation, persistence."""
 
+import copy
+import json
+import textwrap
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
+import repro
+from repro.baselines import get_baseline, simplify_database
 from repro.core import RL4QDTS, RL4QDTSConfig
+from repro.data import SimplificationState, synthetic_database
 from repro.errors import database_errors
 from repro.rl import DQNConfig
 from repro.workloads import RangeQueryWorkload
@@ -67,7 +75,9 @@ class TestTraining:
 
     def test_explicit_workload_reused(self, geolife_db, tiny_config):
         workload = RangeQueryWorkload.from_data_distribution(geolife_db, 10, seed=1)
-        model = RL4QDTS.train(geolife_db, workload=workload, config=tiny_config)
+        model = RL4QDTS.train(
+            geolife_db, config=tiny_config, workload_factory=lambda _db, _seed: workload
+        )
         assert len(model.history.episode_diffs) > 0
 
 
@@ -118,9 +128,24 @@ class TestAblation:
     def test_all_ablation_combinations_run(self, geolife_db, tiny_config):
         budget = geolife_db.budget_for_ratio(0.06)
         for uc, up in ((False, True), (True, False), (False, False)):
-            model = RL4QDTS(tiny_config, use_agent_cube=uc, use_agent_point=up)
+            model = RL4QDTS(replace(tiny_config, use_agent_cube=uc, use_agent_point=up))
             simplified = model.simplify(geolife_db, budget=budget, seed=1)
             assert simplified.total_points == budget
+
+    def test_switch_off_at_inference_only(self, trained_model, geolife_db):
+        """Flipping a switch in a trained model's config rolls out as a model
+        built with that config and holding the trained parameters."""
+        config = replace(trained_model.config, use_agent_cube=False)
+        flipped = copy.copy(trained_model)
+        flipped.config = config
+        built = RL4QDTS(config)
+        built.cube_agent.set_parameters(trained_model.cube_agent.get_parameters())
+        built.point_agent.set_parameters(trained_model.point_agent.get_parameters())
+        a = flipped.simplify(geolife_db, budget_ratio=0.08, seed=5)
+        b = built.simplify(geolife_db, budget_ratio=0.08, seed=5)
+        shipped = trained_model.simplify(geolife_db, budget_ratio=0.08, seed=5)
+        assert np.array_equal(a.point_matrix(), b.point_matrix())
+        assert not np.array_equal(a.point_matrix(), shipped.point_matrix())
 
 
 class TestPersistence:
@@ -129,17 +154,49 @@ class TestPersistence:
         trained_model.save(path)
         loaded = RL4QDTS.load(path)
         assert loaded.config == trained_model.config
-        assert loaded.use_agent_cube == trained_model.use_agent_cube
+        assert loaded.config.use_agent_cube == trained_model.config.use_agent_cube
         a = trained_model.simplify(geolife_db, budget_ratio=0.08, seed=5)
         b = loaded.simplify(geolife_db, budget_ratio=0.08, seed=5)
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.points, tb.points)
 
     def test_save_load_preserves_ablation_flags(self, tiny_config, tmp_path):
-        model = RL4QDTS(tiny_config, use_agent_cube=False)
+        model = RL4QDTS(replace(tiny_config, use_agent_cube=False))
         path = tmp_path / "model.npz"
         model.save(path)
-        assert RL4QDTS.load(path).use_agent_cube is False
+        assert RL4QDTS.load(path).config.use_agent_cube is False
+
+    def test_file_with_flags_beside_config_loads(
+        self, geolife_db, tiny_config, tmp_path
+    ):
+        """Files written before the ablation switches joined the config keep
+        them in ``meta_json`` beside it; they load into the config."""
+        source = RL4QDTS(tiny_config)
+        payload = {
+            f"{prefix}_{name}": value
+            for prefix, agent in (("cube", source.cube_agent), ("point", source.point_agent))
+            for name, value in agent.get_parameters().items()
+        }
+        config = asdict(tiny_config)
+        del config["use_agent_cube"], config["use_agent_point"]
+        meta = {
+            "config": config,
+            "use_agent_cube": False,
+            "use_agent_point": True,
+            "distribution": "data",
+        }
+        payload["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        path = tmp_path / "model.npz"
+        np.savez_compressed(path, **payload)
+
+        loaded = RL4QDTS.load(path)
+        assert loaded.config.use_agent_cube is False
+        assert loaded.config.use_agent_point is True
+        built = RL4QDTS(replace(tiny_config, use_agent_cube=False))
+        assert loaded.config == built.config
+        a = loaded.simplify(geolife_db, budget_ratio=0.08, seed=5)
+        b = built.simplify(geolife_db, budget_ratio=0.08, seed=5)
+        assert np.array_equal(a.point_matrix(), b.point_matrix())
 
     def test_saved_model_drives_identical_service_masks(
         self, trained_model, geolife_db, tmp_path
@@ -199,8 +256,6 @@ class TestPersistence:
         assert np.array_equal(a.point_matrix(), b.point_matrix())
 
     def test_file_without_distribution_loads_as_data(self, tiny_config, tmp_path):
-        import json
-
         path = tmp_path / "model.npz"
         RL4QDTS(tiny_config).save(path)
         with np.load(path) as data:
@@ -210,3 +265,32 @@ class TestPersistence:
         payload["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez_compressed(path, **payload)
         assert RL4QDTS.load(path)._distribution == "data"
+
+
+class TestRolloutIdentities:
+    def test_agent_free_root_rollout_is_top_down_w_sed(self):
+        """Both agents off with ``S = 1`` always picks the root cube and
+        inserts the database's maximum-``v_s`` point: Top-Down(W,SED)."""
+        db = synthetic_database("geolife", 300, seed=7)
+        config = RL4QDTSConfig(
+            start_level=1, use_agent_cube=False, use_agent_point=False
+        )
+        ours = RL4QDTS(config).simplify(db, budget_ratio=0.05)
+        theirs = simplify_database(db, 0.05, get_baseline("Top-Down(W,SED)"))
+        assert ours.total_points == theirs.total_points == db.budget_for_ratio(0.05)
+        assert np.array_equal(ours.point_matrix(), theirs.point_matrix())
+
+    def test_refine_from_endpoints_is_simplify(self, trained_model, geolife_db):
+        endpoints = SimplificationState(geolife_db).materialize()
+        refined = trained_model.refine(geolife_db, endpoints, budget_ratio=0.08, seed=5)
+        simplified = trained_model.simplify(geolife_db, budget_ratio=0.08, seed=5)
+        assert np.array_equal(refined.point_matrix(), simplified.point_matrix())
+
+
+def test_package_quickstart_runs():
+    """The ``Quickstart::`` block of the package docstring runs as written."""
+    block = repro.__doc__.split("Quickstart::", 1)[1]
+    namespace: dict = {}
+    exec(textwrap.dedent(block), namespace)
+    assert len(namespace["hits"]) == 40
+    assert len(namespace["counts"]) == 40

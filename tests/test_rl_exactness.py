@@ -135,7 +135,7 @@ def use_reference_primitives(monkeypatch):
     monkeypatch.setattr(CubeTree, "_insert_bulk", reference_insert_bulk)
     monkeypatch.setattr(QDTSEnvironment, "cube_state", reference_cube_state)
     monkeypatch.setattr(QDTSEnvironment, "point_state", reference_point_state)
-    monkeypatch.setattr(rollout, "_greedy_leaf_memo", lambda greedy, learn: None)
+    monkeypatch.setattr(rollout, "_greedy_leaf_memo", lambda learn: None)
     monkeypatch.setattr(DQNAgent, "act", reference_act)
     monkeypatch.setattr(QNetwork, "predict", reference_predict)
     monkeypatch.setattr(dqn_module, "ReplayMemory", ListReplay)
@@ -282,11 +282,9 @@ def test_cached_cube_state_is_read_only(small_db, small_workload):
 # -------------------------------------------------------------- pipeline
 
 
-def pipeline_outputs(db, config, use_agent_cube=True, use_agent_point=True):
+def pipeline_outputs(db, config):
     """Everything train + simplify + refine produce, as exact values."""
-    model = RL4QDTS.train(
-        db, config=config, use_agent_cube=use_agent_cube, use_agent_point=use_agent_point
-    )
+    model = RL4QDTS.train(db, config=config)
     simplified, stats = model.simplify(db, budget_ratio=0.1, return_stats=True)
     refined = model.refine(db, simplified, budget_ratio=0.15)
     params = [
@@ -308,23 +306,22 @@ def pipeline_outputs(db, config, use_agent_cube=True, use_agent_point=True):
 
 
 PIPELINES = {
-    "shipped": ({}, {}),
-    "no_agent_cube": ({}, {"use_agent_cube": False}),
-    "no_agent_point": ({}, {"use_agent_point": False}),
-    "reinforce": ({"learner": "reinforce"}, {}),
-    "kdtree": ({"index": "kdtree"}, {}),
+    "shipped": {},
+    "no_agent_cube": {"use_agent_cube": False},
+    "no_agent_point": {"use_agent_point": False},
+    "reinforce": {"learner": "reinforce"},
+    "kdtree": {"index": "kdtree"},
 }
 
 
 @pytest.mark.parametrize("case", sorted(PIPELINES))
 def test_pipeline_matches_reference_primitives(geolife_db, monkeypatch, case):
-    overrides, flags = PIPELINES[case]
-    config = RL4QDTSConfig(train_db_size=15, train_budget_ratio=0.2, **overrides)
-    fast = pipeline_outputs(geolife_db, config, **flags)
+    config = RL4QDTSConfig(train_db_size=15, train_budget_ratio=0.2, **PIPELINES[case])
+    fast = pipeline_outputs(geolife_db, config)
     if config.learner == "dqn":
         # The replay path ran: the memory filled past the learning threshold.
         assert fast["replay"] > config.dqn.learn_start
     use_reference_primitives(monkeypatch)
-    reference = pipeline_outputs(geolife_db, config, **flags)
+    reference = pipeline_outputs(geolife_db, config)
     for key in fast:
         assert fast[key] == reference[key], key
