@@ -20,12 +20,11 @@ import numpy as np
 
 from benchmarks.conftest import (
     SETTINGS,
-    inference_workload,
     make_evaluator,
     make_workload_factory,
+    score_rows,
 )
 from repro.baselines import random_simplify_database, uniform_simplify_database
-from repro.core import RL4QDTS
 from repro.core.reward import IncrementalRangeEvaluator
 from repro.data import SimplificationState
 from repro.eval.experiments import BENCH_CONFIG
@@ -35,23 +34,17 @@ _RATIO = 0.045
 
 
 def _run_point_feature_ablation(db):
-    setting = SETTINGS["geolife"]
-    evaluator = make_evaluator(db, setting, distribution="data", seed=0)
-    factory = make_workload_factory("data", setting, db, 200)
-    annotation = inference_workload(db, setting, "data")
-    scores = {}
-    for feature in ("vs", "vt"):
-        config = replace(
-            BENCH_CONFIG, n_inference_queries=800, episodes=3,
-            n_train_databases=2, train_budget_ratio=_RATIO,
-            point_feature=feature,
-        )
-        model = RL4QDTS.train(db, config=config, workload_factory=factory)
-        simplified = model.simplify(
-            db, budget_ratio=_RATIO, seed=1, workload=annotation
-        )
-        scores[feature] = evaluator.evaluate(simplified, ("range",))["range"]
-    return scores
+    config = replace(
+        BENCH_CONFIG, n_inference_queries=800, episodes=3,
+        n_train_databases=2, train_budget_ratio=_RATIO,
+    )
+    scored = score_rows(
+        db,
+        SETTINGS["geolife"],
+        {f: replace(config, point_feature=f) for f in ("vs", "vt")},
+        _RATIO,
+    )
+    return {feature: row.task_scores()[0] for feature, row in scored.items()}
 
 
 def bench_point_feature_ablation(benchmark, geolife_bench_db):

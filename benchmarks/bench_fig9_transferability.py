@@ -20,12 +20,10 @@ from benchmarks.conftest import (
     make_workload_factory,
     query_extents,
 )
-import numpy as np
-
 from repro.baselines import get_baseline, simplify_database
 from repro.core import RL4QDTS
+from repro.eval import QueryAccuracyEvaluator
 from repro.eval.experiments import BENCH_CONFIG
-from repro.queries.metrics import f1_score
 from repro.workloads import RangeQueryWorkload
 
 _RATIO = 0.045
@@ -42,9 +40,8 @@ def _train_gaussian_model(db):
 
 
 def _score(db, simplified, workload) -> float:
-    truth = workload.evaluate(db)
-    result = workload.evaluate(simplified)
-    return float(np.mean([f1_score(t, r) for t, r in zip(truth, result)]))
+    evaluator = QueryAccuracyEvaluator(db, workload=workload)
+    return evaluator.evaluate(simplified, ("range",))["range"]
 
 
 def _run_transferability(db, rlts_policies):

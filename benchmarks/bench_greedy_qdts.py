@@ -18,8 +18,7 @@ from benchmarks.conftest import (
     train_model,
 )
 from repro.baselines import get_baseline, greedy_qdts, simplify_database
-from repro.eval import ExperimentTable
-from repro.queries import f1_score
+from repro.eval import ExperimentTable, QueryAccuracyEvaluator
 
 _RATIO = 0.045
 
@@ -43,16 +42,14 @@ def _run_study(db):
             db, _RATIO, get_baseline("Bottom-Up(E,SED)")
         ),
     }
+    training = QueryAccuracyEvaluator(db, workload=annotation)
     rows = {}
-    truths = annotation.evaluate(db)
     for name, run in methods.items():
         simplified = run()
-        held_out = evaluator.evaluate(simplified, ("range",))["range"]
-        results = annotation.evaluate(simplified)
-        training = float(
-            np.mean([f1_score(t, r) for t, r in zip(truths, results)])
+        rows[name] = (
+            training.evaluate(simplified, ("range",))["range"],
+            evaluator.evaluate(simplified, ("range",))["range"],
         )
-        rows[name] = (training, held_out)
     return rows
 
 

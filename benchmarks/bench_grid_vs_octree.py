@@ -20,28 +20,11 @@ from dataclasses import replace
 
 import pytest
 
-from benchmarks.conftest import (
-    SETTINGS,
-    inference_workload,
-    make_evaluator,
-    make_workload_factory,
-)
-from repro.core import RL4QDTS
+from benchmarks.conftest import SETTINGS, score_rows
 from repro.eval.experiments import BENCH_CONFIG
 
 _RATIO = 0.045
 _GRID_LEVELS = (4, 6, 8)
-
-
-def _score(db, setting, config) -> float:
-    factory = make_workload_factory("data", setting, db, 200)
-    evaluator = make_evaluator(db, setting, distribution="data", seed=0)
-    model = RL4QDTS.train(db, config=config, workload_factory=factory)
-    annotation = inference_workload(db, setting, "data")
-    simplified = model.simplify(
-        db, budget_ratio=_RATIO, seed=1, workload=annotation
-    )
-    return evaluator.evaluate(simplified, ("range",))["range"]
 
 
 def _run(db, setting):
@@ -49,16 +32,16 @@ def _run(db, setting):
         BENCH_CONFIG, n_inference_queries=800, episodes=3,
         n_train_databases=2, train_budget_ratio=_RATIO,
     )
-    results = {"octree (S=6, E=9)": _score(db, setting, octree)}
+    configs = {"octree (S=6, E=9)": octree}
     for level in _GRID_LEVELS:
         # Uniform grid: force splits down to `level` (leaf_capacity=1) and
         # pin the traversal there — a fixed (2^(level-1))^3-cell partition.
-        config = replace(
+        configs[f"grid 2^{level - 1} per axis"] = replace(
             octree, start_level=level, end_level=level, leaf_capacity=1,
             use_agent_cube=False,
         )
-        results[f"grid 2^{level - 1} per axis"] = _score(db, setting, config)
-    return results
+    scored = score_rows(db, setting, configs, _RATIO)
+    return {name: row.task_scores()[0] for name, row in scored.items()}
 
 
 @pytest.mark.parametrize("profile", ["geolife", "chengdu"])

@@ -7,18 +7,11 @@ over the median-split kd-tree than over the midpoint-split octree?
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import numpy as np
 
-from benchmarks.conftest import (
-    SETTINGS,
-    inference_workload,
-    make_evaluator,
-    make_workload_factory,
-)
-from repro.core import RL4QDTS
+from benchmarks.conftest import SETTINGS, score_rows
 from repro.eval import ExperimentTable
 from repro.eval.experiments import BENCH_CONFIG
 
@@ -27,32 +20,22 @@ _ROLLOUTS = 3
 
 
 def _run_tree_comparison(db):
-    setting = SETTINGS["geolife"]
-    evaluator = make_evaluator(db, setting, distribution="data", seed=0)
-    factory = make_workload_factory("data", setting, db, 200)
-    annotation = inference_workload(db, setting, "data")
+    config = replace(BENCH_CONFIG, n_train_databases=2, train_budget_ratio=_RATIO)
+    scored = score_rows(
+        db,
+        SETTINGS["geolife"],
+        {index: replace(config, index=index) for index in ("octree", "kdtree")},
+        _RATIO,
+        seeds=range(100, 100 + _ROLLOUTS),
+    )
     rows = {}
-    for index in ("octree", "kdtree"):
-        config = replace(
-            BENCH_CONFIG, index=index, n_train_databases=2,
-            train_budget_ratio=_RATIO,
-        )
-        start = time.perf_counter()
-        model = RL4QDTS.train(db, config=config, workload_factory=factory)
-        train_time = time.perf_counter() - start
-        f1s = []
-        start = time.perf_counter()
-        for rollout in range(_ROLLOUTS):
-            simplified = model.simplify(
-                db, budget_ratio=_RATIO, seed=100 + rollout, workload=annotation
-            )
-            f1s.append(evaluator.evaluate(simplified, ("range",))["range"])
-        simplify_time = (time.perf_counter() - start) / _ROLLOUTS
+    for index, row in scored.items():
+        f1s = row.task_scores()
         rows[index] = (
             float(np.mean(f1s)),
             float(np.std(f1s)),
-            train_time,
-            simplify_time,
+            row.train_seconds,
+            float(np.mean([r.simplify_seconds for r in row.results])),
         )
     return rows
 

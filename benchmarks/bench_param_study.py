@@ -16,13 +16,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from benchmarks.conftest import (
-    SETTINGS,
-    inference_workload,
-    make_evaluator,
-    make_workload_factory,
-)
-from repro.core import RL4QDTS
+from benchmarks.conftest import SETTINGS, inference_workload, score_rows
 from repro.eval import QueryAccuracyEvaluator, QuerySuiteConfig
 from repro.eval.experiments import BENCH_CONFIG
 
@@ -37,43 +31,17 @@ _CONFIG = replace(
 )
 
 
-def _train_and_score(db, setting, evaluator, **config_overrides) -> float:
-    params = {
-        "start_level": _CONFIG.start_level,
-        "end_level": _CONFIG.end_level,
-        **config_overrides,
-    }
-    # Keep the level pair consistent when one side is swept.
-    if params["end_level"] < params["start_level"]:
-        params["end_level"] = params["start_level"] + 2
-    config = replace(_CONFIG, **params)
-    factory = make_workload_factory("data", setting, db, 200)
-    model = RL4QDTS.train(db, config=config, workload_factory=factory)
-    annotation = inference_workload(db, setting, "data")
-    simplified = model.simplify(
-        db, budget_ratio=_RATIO, seed=1, workload=annotation
-    )
-    return evaluator.evaluate(simplified, ("range",))["range"]
-
-
 def _run_model_param_sweeps(db):
-    setting = SETTINGS["geolife"]
-    evaluator = make_evaluator(db, setting, distribution="data", seed=0)
-    results = {
-        "S (start level)": {
-            s: _train_and_score(db, setting, evaluator, start_level=s)
-            for s in _S_VALUES
-        },
-        "E (end level)": {
-            e: _train_and_score(db, setting, evaluator, end_level=e)
-            for e in _E_VALUES
-        },
-        "K (candidates)": {
-            k: _train_and_score(db, setting, evaluator, k_candidates=k)
-            for k in _K_VALUES
-        },
+    def sweep(field, values):
+        configs = {v: replace(_CONFIG, **{field: v}) for v in values}
+        scored = score_rows(db, SETTINGS["geolife"], configs, _RATIO)
+        return {v: row.task_scores()[0] for v, row in scored.items()}
+
+    return {
+        "S (start level)": sweep("start_level", _S_VALUES),
+        "E (end level)": sweep("end_level", _E_VALUES),
+        "K (candidates)": sweep("k_candidates", _K_VALUES),
     }
-    return results
 
 
 def bench_param_study_model(benchmark, geolife_bench_db):
@@ -91,8 +59,8 @@ def bench_param_study_model(benchmark, geolife_bench_db):
 
 def _run_knn_k_sweep(db):
     setting = SETTINGS["geolife"]
-    factory = make_workload_factory("data", setting, db, 200)
-    model = RL4QDTS.train(db, config=_CONFIG, workload_factory=factory)
+    trained = score_rows(db, setting, {"RL4QDTS": _CONFIG}, _RATIO, seeds=())
+    model = trained["RL4QDTS"].model
     annotation = inference_workload(db, setting, "data")
     simplified = model.simplify(db, budget_ratio=_RATIO, seed=1, workload=annotation)
     scores = {}

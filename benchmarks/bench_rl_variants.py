@@ -8,18 +8,11 @@ same MDPs, same shared Δ-window rewards, same training workloads.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import numpy as np
 
-from benchmarks.conftest import (
-    SETTINGS,
-    inference_workload,
-    make_evaluator,
-    make_workload_factory,
-)
-from repro.core import RL4QDTS
+from benchmarks.conftest import SETTINGS, score_rows
 from repro.eval import ExperimentTable
 from repro.eval.experiments import BENCH_CONFIG
 from repro.rl import DQNConfig
@@ -35,26 +28,18 @@ _VARIANTS = {
 
 
 def _run_learner_comparison(db):
-    setting = SETTINGS["geolife"]
-    evaluator = make_evaluator(db, setting, distribution="data", seed=0)
-    factory = make_workload_factory("data", setting, db, 200)
-    annotation = inference_workload(db, setting, "data")
+    config = replace(BENCH_CONFIG, n_train_databases=2, train_budget_ratio=_RATIO)
+    scored = score_rows(
+        db,
+        SETTINGS["geolife"],
+        {name: replace(config, **overrides) for name, overrides in _VARIANTS.items()},
+        _RATIO,
+        seeds=range(100, 100 + _ROLLOUTS),
+    )
     rows = {}
-    for name, overrides in _VARIANTS.items():
-        config = replace(
-            BENCH_CONFIG, n_train_databases=2, train_budget_ratio=_RATIO,
-            **overrides,
-        )
-        start = time.perf_counter()
-        model = RL4QDTS.train(db, config=config, workload_factory=factory)
-        train_time = time.perf_counter() - start
-        f1s = []
-        for rollout in range(_ROLLOUTS):
-            simplified = model.simplify(
-                db, budget_ratio=_RATIO, seed=100 + rollout, workload=annotation
-            )
-            f1s.append(evaluator.evaluate(simplified, ("range",))["range"])
-        rows[name] = (float(np.mean(f1s)), float(np.std(f1s)), train_time)
+    for name, row in scored.items():
+        f1s = row.task_scores()
+        rows[name] = (float(np.mean(f1s)), float(np.std(f1s)), row.train_seconds)
     return rows
 
 

@@ -9,18 +9,11 @@ over repeated stochastic rollouts) and the simplification time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import numpy as np
 
-from benchmarks.conftest import (
-    SETTINGS,
-    inference_workload,
-    make_evaluator,
-    make_workload_factory,
-)
-from repro.core import RL4QDTS
+from benchmarks.conftest import SETTINGS, score_rows
 from repro.eval.experiments import BENCH_CONFIG
 
 _RATIO = 0.045
@@ -28,33 +21,28 @@ _ROLLOUTS = 5  # paper: 50 random-start rollouts; scaled down
 
 
 def _run_ablation(db):
-    setting = SETTINGS["geolife"]
-    evaluator = make_evaluator(db, setting, distribution="data", seed=0)
-    factory = make_workload_factory("data", setting, db, 200)
     config = replace(BENCH_CONFIG, n_train_databases=2, train_budget_ratio=_RATIO)
-    annotation = inference_workload(db, setting, "data")
     variants = {
         "RL4QDTS": (True, True),
         "w/o Agent-Cube": (False, True),
         "w/o Agent-Point": (True, False),
         "w/o Agent-Cube and Agent-Point": (False, False),
     }
+    scored = score_rows(
+        db,
+        SETTINGS["geolife"],
+        {
+            name: replace(config, use_agent_cube=cube, use_agent_point=point)
+            for name, (cube, point) in variants.items()
+        },
+        _RATIO,
+        seeds=range(100, 100 + _ROLLOUTS),
+    )
     rows = {}
-    for name, (use_cube, use_point) in variants.items():
-        model = RL4QDTS.train(
-            db,
-            config=replace(config, use_agent_cube=use_cube, use_agent_point=use_point),
-            workload_factory=factory,
-        )
-        f1s = []
-        start = time.perf_counter()
-        for rollout in range(_ROLLOUTS):
-            simplified = model.simplify(
-                db, budget_ratio=_RATIO, seed=100 + rollout, workload=annotation
-            )
-            f1s.append(evaluator.evaluate(simplified, ("range",))["range"])
-        elapsed = (time.perf_counter() - start) / _ROLLOUTS
-        rows[name] = (float(np.mean(f1s)), float(np.std(f1s)), elapsed)
+    for name, row in scored.items():
+        f1s = row.task_scores()
+        seconds = np.mean([r.simplify_seconds for r in row.results])
+        rows[name] = (float(np.mean(f1s)), float(np.std(f1s)), float(seconds))
     return rows
 
 

@@ -10,16 +10,9 @@ knobs vary:
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
-from benchmarks.conftest import (
-    SETTINGS,
-    inference_workload,
-    make_evaluator,
-    make_workload_factory,
-)
-from repro.core import RL4QDTS
+from benchmarks.conftest import SETTINGS, score_rows
 from repro.eval.experiments import BENCH_CONFIG
 
 _RATIO = 0.045
@@ -27,31 +20,25 @@ _TRAIN_SIZES = (20, 40, 80)
 _DELTAS = (5, 10, 25)
 
 
-def _train_once(db, setting, evaluator, train_db_size, delta):
-    config = replace(
-        BENCH_CONFIG, delta=delta, n_inference_queries=800, episodes=3,
-        n_train_databases=2, train_db_size=train_db_size,
-        train_budget_ratio=_RATIO,
-    )
-    factory = make_workload_factory("data", setting, db, 200)
-    start = time.perf_counter()
-    model = RL4QDTS.train(db, config=config, workload_factory=factory)
-    train_seconds = time.perf_counter() - start
-    annotation = inference_workload(db, setting, "data")
-    simplified = model.simplify(db, budget_ratio=_RATIO, seed=1, workload=annotation)
-    f1 = evaluator.evaluate(simplified, ("range",))["range"]
-    return train_seconds, f1
-
-
 def _run_training_study(db):
-    setting = SETTINGS["geolife"]
-    evaluator = make_evaluator(db, setting, distribution="data", seed=0)
-    by_size = {
-        n: _train_once(db, setting, evaluator, n, 10) for n in _TRAIN_SIZES
-    }
-    by_delta = {
-        d: _train_once(db, setting, evaluator, 40, d) for d in _DELTAS
-    }
+    config = replace(
+        BENCH_CONFIG, n_inference_queries=800, episodes=3,
+        n_train_databases=2, train_budget_ratio=_RATIO,
+    )
+
+    def study(configs):
+        scored = score_rows(db, SETTINGS["geolife"], configs, _RATIO)
+        return {
+            key: (row.train_seconds, row.task_scores()[0])
+            for key, row in scored.items()
+        }
+
+    by_size = study(
+        {n: replace(config, train_db_size=n, delta=10) for n in _TRAIN_SIZES}
+    )
+    by_delta = study(
+        {d: replace(config, train_db_size=40, delta=d) for d in _DELTAS}
+    )
     return by_size, by_delta
 
 

@@ -33,6 +33,7 @@ from repro.eval.experiments import (
     BENCH_QUERY_SUITE,
     PAPER_SKYLINES,
     Method,
+    score_configs,
 )
 from repro.workloads import RangeQueryWorkload
 
@@ -157,6 +158,24 @@ def inference_workload(
 ) -> RangeQueryWorkload:
     """The large annotation workload RL4QDTS simplifies against."""
     return make_workload_factory(distribution, setting, db, 1000)(db, seed)
+
+
+def score_rows(db, setting, configs, ratio, seeds=(1,)):
+    """:func:`score_configs` with the benches' data-distribution workloads.
+
+    Each row trains on 200-query workloads, rolls out against
+    :func:`inference_workload` and is scored for range F1 by
+    :func:`make_evaluator`.
+    """
+    return score_configs(
+        db,
+        configs,
+        ratio,
+        make_evaluator(db, setting, distribution="data", seed=0),
+        make_workload_factory("data", setting, db, 200),
+        seeds=seeds,
+        workload=inference_workload(db, setting, "data"),
+    )
 
 
 def print_series(title: str, ratios, rows: dict[str, list[float]]) -> None:

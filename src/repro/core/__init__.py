@@ -11,7 +11,6 @@ from repro.core.features import cube_point_state, point_values
 from repro.core.reward import IncrementalRangeEvaluator
 from repro.core.rollout import RolloutStats, run_episode
 from repro.core.rl4qdts import RL4QDTS, TrainingHistory
-from repro.core.tuning import TrialResult, grid_search, evaluate_model
 
 __all__ = [
     "RL4QDTSConfig",
@@ -26,7 +25,4 @@ __all__ = [
     "run_episode",
     "RL4QDTS",
     "TrainingHistory",
-    "TrialResult",
-    "grid_search",
-    "evaluate_model",
 ]

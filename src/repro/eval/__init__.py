@@ -5,10 +5,14 @@ from repro.eval.deformation import mean_sed_deformation, query_deformation
 from repro.eval.stats import Summary, summarize, sign_test, bootstrap_diff_ci
 from repro.eval.report import ExperimentTable, series_table, format_cell
 from repro.eval.experiments import (
+    ConfigResult,
     MethodResult,
+    TrialResult,
     compare_methods,
     baseline_method,
+    grid_search,
     rl4qdts_method,
+    score_configs,
 )
 
 __all__ = [
@@ -21,6 +25,10 @@ __all__ = [
     "compare_methods",
     "baseline_method",
     "rl4qdts_method",
+    "ConfigResult",
+    "score_configs",
+    "TrialResult",
+    "grid_search",
     "Summary",
     "summarize",
     "sign_test",

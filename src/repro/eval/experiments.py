@@ -4,23 +4,27 @@ A *method* is a named callable ``(db, ratio) -> simplified_db``. The drivers
 run methods across compression ratios against one
 :class:`~repro.eval.harness.QueryAccuracyEvaluator` and collect per-task F1
 rows — the exact series the paper's comparison figures plot.
+:func:`score_configs` trains named RL4QDTS configs and scores their
+rollouts through :func:`compare_methods`; :func:`grid_search` runs on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 from repro.baselines.registry import BaselineSpec, simplify_database
 from repro.baselines.rlts import RLTSPolicy
 from repro.core.config import RL4QDTSConfig
-from repro.core.rl4qdts import RL4QDTS
+from repro.core.rl4qdts import RL4QDTS, WorkloadFactory
 from repro.data.database import TrajectoryDatabase
 from repro.eval.harness import ALL_TASKS, QueryAccuracyEvaluator, QuerySuiteConfig
 from repro.workloads.generators import RangeQueryWorkload
 
 Method = Callable[[TrajectoryDatabase, float], TrajectoryDatabase]
+Row = TypeVar("Row", bound=Hashable)
 
 #: The benches' RL4QDTS scale: the paper's algorithm with S = 6, E = 9,
 #: Δ = 10, trained on 3 sub-databases x 80 trajectories x 4 episodes.
@@ -127,6 +131,145 @@ def compare_methods(
                     simplify_seconds=elapsed,
                 )
             )
+    return results
+
+
+@dataclass(slots=True)
+class ConfigResult:
+    """One trained RL4QDTS row: its model, training time and scored rollouts.
+
+    ``results`` holds one :class:`MethodResult` per rollout seed, in the
+    order the seeds were given.
+    """
+
+    model: RL4QDTS
+    train_seconds: float
+    results: list[MethodResult]
+
+    def task_scores(self, task: str = "range") -> list[float]:
+        """One ``task`` F1 per rollout, in seed order."""
+        return [r.scores[task] for r in self.results]
+
+
+def score_configs(
+    db: TrajectoryDatabase,
+    configs: Mapping[Row, RL4QDTSConfig],
+    ratio: float,
+    evaluator: QueryAccuracyEvaluator,
+    workload_factory: WorkloadFactory | None = None,
+    *,
+    seeds: Sequence[int] = (1,),
+    workload: RangeQueryWorkload | None = None,
+    tasks: tuple[str, ...] = ("range",),
+) -> dict[Row, ConfigResult]:
+    """Train every named config on ``db`` once and score its rollouts.
+
+    Each row is trained (and timed) by :meth:`RL4QDTS.train` with
+    ``workload_factory``, then rolled out once per seed in ``seeds`` as
+    ``rl4qdts_method(model, seed, workload=workload)`` at ``ratio`` and
+    scored on ``tasks`` by :func:`compare_methods`, which names each
+    result ``str(row)``. Rows are trained and scored in the mapping's
+    order. With ``seeds=()`` a row is only trained.
+    """
+    rows: dict[Row, ConfigResult] = {}
+    for name, config in configs.items():
+        start = time.perf_counter()
+        model = RL4QDTS.train(db, config=config, workload_factory=workload_factory)
+        train_seconds = time.perf_counter() - start
+        results = [
+            compare_methods(
+                db,
+                {str(name): rl4qdts_method(model, seed, workload=workload)},
+                (ratio,),
+                evaluator,
+                tasks,
+            )[0]
+            for seed in seeds
+        ]
+        rows[name] = ConfigResult(model, train_seconds, results)
+    return rows
+
+
+@dataclass(frozen=True, slots=True)
+class TrialResult:
+    """Outcome of one hyper-parameter combination."""
+
+    overrides: dict
+    f1: float
+    train_seconds: float
+    simplify_seconds: float
+
+    def __str__(self) -> str:
+        params = ", ".join(f"{k}={v}" for k, v in self.overrides.items())
+        return f"F1={self.f1:.3f} ({params})"
+
+
+def grid_search(
+    db: TrajectoryDatabase,
+    param_grid: dict[str, list],
+    base_config: RL4QDTSConfig | None = None,
+    budget_ratio: float = 0.05,
+    test_workload: RangeQueryWorkload | None = None,
+    n_test_queries: int = 100,
+    seed: int = 0,
+) -> list[TrialResult]:
+    """Train and score every combination of ``param_grid``; best first.
+
+    Each trial is one :func:`score_configs` row, scored for range F1 by a
+    :class:`QueryAccuracyEvaluator` over ``test_workload``.
+
+    Parameters
+    ----------
+    db:
+        Database to tune on (training samples sub-databases from it; the
+        final evaluation simplifies all of it).
+    param_grid:
+        Mapping of :class:`RL4QDTSConfig` field names to candidate values,
+        e.g. ``{"start_level": [4, 6], "delta": [10, 25]}``.
+    base_config:
+        Config the overrides are applied to; defaults to
+        :class:`RL4QDTSConfig()`.
+    budget_ratio:
+        Compression ratio used for the evaluation rollout.
+    test_workload:
+        Held-out range queries for scoring. Defaults to a data-distribution
+        workload that none of the trials trains on (seeded separately).
+    n_test_queries:
+        Size of the default test workload.
+    seed:
+        Base seed; trial ``i`` trains and rolls out with ``seed + i`` so
+        trials are independent but reproducible.
+    """
+    if not param_grid:
+        raise ValueError("param_grid must contain at least one parameter")
+    base_config = base_config or RL4QDTSConfig()
+    unknown = set(param_grid) - set(RL4QDTSConfig.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    if test_workload is None:
+        test_workload = RangeQueryWorkload.from_data_distribution(
+            db, n_test_queries, seed=seed + 987_654
+        )
+    evaluator = QueryAccuracyEvaluator(db, workload=test_workload)
+
+    names = list(param_grid)
+    results: list[TrialResult] = []
+    for i, combo in enumerate(itertools.product(*param_grid.values())):
+        overrides = dict(zip(names, combo))
+        config = replace(base_config, **overrides, seed=seed + i)
+        row = score_configs(
+            db, {"trial": config}, budget_ratio, evaluator, seeds=(seed + i,)
+        )["trial"]
+        (rollout,) = row.results
+        results.append(
+            TrialResult(
+                overrides,
+                rollout.scores["range"],
+                row.train_seconds,
+                rollout.simplify_seconds,
+            )
+        )
+    results.sort(key=lambda r: -r.f1)
     return results
 
 

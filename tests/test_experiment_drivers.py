@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from repro.eval import (
     QuerySuiteConfig,
     baseline_method,
     compare_methods,
+    grid_search,
     rl4qdts_method,
+    score_configs,
 )
 from repro.eval.experiments import PAPER_SKYLINES, format_results_table
 from repro.workloads import RangeQueryWorkload
@@ -113,6 +117,92 @@ class TestRL4QDTSMethod:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g.points, w.points)
+
+
+_TINY = RL4QDTSConfig(
+    start_level=3, end_level=5, n_training_queries=10, n_inference_queries=10,
+    episodes=1, n_train_databases=1, train_db_size=6,
+)
+
+
+class TestScoreConfigs:
+    @pytest.fixture
+    def factory(self):
+        return lambda db, seed: RangeQueryWorkload.generate(
+            "gaussian", db, 12, seed=seed
+        )
+
+    @pytest.fixture
+    def annotation(self, small_db):
+        return RangeQueryWorkload.generate("data", small_db, 20, seed=5)
+
+    def test_row_equals_hand_run(self, small_db, evaluator, factory, annotation):
+        row = score_configs(
+            small_db, {"row": _TINY}, 0.5, evaluator, factory,
+            seeds=(3,), workload=annotation, tasks=("range", "similarity"),
+        )["row"]
+        model = RL4QDTS.train(small_db, config=_TINY, workload_factory=factory)
+        simplified = model.simplify(
+            small_db, budget_ratio=0.5, seed=3, workload=annotation
+        )
+        want = evaluator.evaluate(simplified, ("range", "similarity"))
+        assert row.model.history.episode_diffs == model.history.episode_diffs
+        (result,) = row.results
+        assert (result.method, result.ratio) == ("row", 0.5)
+        assert result.scores == want
+        got = row.model.simplify(
+            small_db, budget_ratio=0.5, seed=3, workload=annotation
+        )
+        assert len(got) == len(simplified)
+        for g, w in zip(got, simplified):
+            assert np.array_equal(g.points, w.points)
+
+    def test_one_result_per_seed_in_order(self, small_db, evaluator, annotation):
+        seeds = (7, 2, 11)
+        configs = {"a": _TINY, 4: replace(_TINY, delta=5)}
+        rows = score_configs(
+            small_db, configs, 0.3, evaluator, seeds=seeds, workload=annotation
+        )
+        assert list(rows) == ["a", 4]
+        for name, row in rows.items():
+            assert row.train_seconds > 0
+            assert [r.method for r in row.results] == [str(name)] * len(seeds)
+            want = [
+                evaluator.evaluate(
+                    row.model.simplify(
+                        small_db, budget_ratio=0.3, seed=s, workload=annotation
+                    ),
+                    ("range",),
+                )["range"]
+                for s in seeds
+            ]
+            assert row.task_scores() == want
+            assert all(r.simplify_seconds > 0 for r in row.results)
+
+    def test_no_seeds_trains_only(self, small_db, evaluator):
+        row = score_configs(
+            small_db, {"row": _TINY}, 0.5, evaluator, seeds=()
+        )["row"]
+        assert row.results == [] and row.train_seconds > 0
+        assert isinstance(row.model, RL4QDTS)
+
+    def test_grid_search_trial_f1_is_the_evaluators(self, small_db):
+        test_workload = RangeQueryWorkload.from_data_distribution(
+            small_db, 15, seed=2
+        )
+        deltas = [5, 10]
+        trials = grid_search(
+            small_db, {"delta": deltas}, base_config=_TINY, budget_ratio=0.4,
+            test_workload=test_workload, seed=3,
+        )
+        evaluator = QueryAccuracyEvaluator(small_db, workload=test_workload)
+        for trial in trials:
+            i = deltas.index(trial.overrides["delta"])
+            model = RL4QDTS.train(
+                small_db, config=replace(_TINY, delta=deltas[i], seed=3 + i)
+            )
+            simplified = model.simplify(small_db, budget_ratio=0.4, seed=3 + i)
+            assert trial.f1 == evaluator.evaluate(simplified, ("range",))["range"]
 
 
 class TestFormatResultsTable:

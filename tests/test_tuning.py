@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RL4QDTSConfig, TrialResult, grid_search
+from repro.core import RL4QDTSConfig
+from repro.eval import TrialResult, grid_search
 from repro.workloads import RangeQueryWorkload
 
 _FAST = RL4QDTSConfig(
