@@ -44,7 +44,7 @@ def _run_point_feature_ablation(db):
         {f: replace(config, point_feature=f) for f in ("vs", "vt")},
         _RATIO,
     )
-    return {feature: row.task_scores()[0] for feature, row in scored.items()}
+    return {feature: row.range_scores()[0] for feature, row in scored.items()}
 
 
 def bench_point_feature_ablation(benchmark, geolife_bench_db):

@@ -41,7 +41,7 @@ def _run(db, setting):
             use_agent_cube=False,
         )
     scored = score_rows(db, setting, configs, _RATIO)
-    return {name: row.task_scores()[0] for name, row in scored.items()}
+    return {name: row.range_scores()[0] for name, row in scored.items()}
 
 
 @pytest.mark.parametrize("profile", ["geolife", "chengdu"])

@@ -30,7 +30,7 @@ def _run_tree_comparison(db):
     )
     rows = {}
     for index, row in scored.items():
-        f1s = row.task_scores()
+        f1s = row.range_scores()
         rows[index] = (
             float(np.mean(f1s)),
             float(np.std(f1s)),

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from benchmarks.conftest import SETTINGS, inference_workload, score_rows
+from benchmarks.conftest import (
+    SETTINGS,
+    inference_workload,
+    make_workload_factory,
+    score_rows,
+)
+from repro.core import RL4QDTS
 from repro.eval import QueryAccuracyEvaluator, QuerySuiteConfig
 from repro.eval.experiments import BENCH_CONFIG
 
@@ -35,7 +41,7 @@ def _run_model_param_sweeps(db):
     def sweep(field, values):
         configs = {v: replace(_CONFIG, **{field: v}) for v in values}
         scored = score_rows(db, SETTINGS["geolife"], configs, _RATIO)
-        return {v: row.task_scores()[0] for v, row in scored.items()}
+        return {v: row.range_scores()[0] for v, row in scored.items()}
 
     return {
         "S (start level)": sweep("start_level", _S_VALUES),
@@ -59,8 +65,8 @@ def bench_param_study_model(benchmark, geolife_bench_db):
 
 def _run_knn_k_sweep(db):
     setting = SETTINGS["geolife"]
-    trained = score_rows(db, setting, {"RL4QDTS": _CONFIG}, _RATIO, seeds=())
-    model = trained["RL4QDTS"].model
+    factory = make_workload_factory("data", setting, db, 200)
+    model = RL4QDTS.train(db, config=_CONFIG, workload_factory=factory)
     annotation = inference_workload(db, setting, "data")
     simplified = model.simplify(db, budget_ratio=_RATIO, seed=1, workload=annotation)
     scores = {}

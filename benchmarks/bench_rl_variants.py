@@ -38,7 +38,7 @@ def _run_learner_comparison(db):
     )
     rows = {}
     for name, row in scored.items():
-        f1s = row.task_scores()
+        f1s = row.range_scores()
         rows[name] = (float(np.mean(f1s)), float(np.std(f1s)), row.train_seconds)
     return rows
 

@@ -40,7 +40,7 @@ def _run_ablation(db):
     )
     rows = {}
     for name, row in scored.items():
-        f1s = row.task_scores()
+        f1s = row.range_scores()
         seconds = np.mean([r.simplify_seconds for r in row.results])
         rows[name] = (float(np.mean(f1s)), float(np.std(f1s)), float(seconds))
     return rows

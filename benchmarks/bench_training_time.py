@@ -29,7 +29,7 @@ def _run_training_study(db):
     def study(configs):
         scored = score_rows(db, SETTINGS["geolife"], configs, _RATIO)
         return {
-            key: (row.train_seconds, row.task_scores()[0])
+            key: (row.train_seconds, row.range_scores()[0])
             for key, row in scored.items()
         }
 

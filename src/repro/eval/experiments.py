@@ -146,9 +146,9 @@ class ConfigResult:
     train_seconds: float
     results: list[MethodResult]
 
-    def task_scores(self, task: str = "range") -> list[float]:
-        """One ``task`` F1 per rollout, in seed order."""
-        return [r.scores[task] for r in self.results]
+    def range_scores(self) -> list[float]:
+        """One range F1 per rollout, in seed order."""
+        return [r.scores["range"] for r in self.results]
 
 
 def score_configs(
@@ -158,18 +158,17 @@ def score_configs(
     evaluator: QueryAccuracyEvaluator,
     workload_factory: WorkloadFactory | None = None,
     *,
-    seeds: Sequence[int] = (1,),
+    seeds: Sequence[int],
     workload: RangeQueryWorkload | None = None,
-    tasks: tuple[str, ...] = ("range",),
 ) -> dict[Row, ConfigResult]:
     """Train every named config on ``db`` once and score its rollouts.
 
     Each row is trained (and timed) by :meth:`RL4QDTS.train` with
     ``workload_factory``, then rolled out once per seed in ``seeds`` as
     ``rl4qdts_method(model, seed, workload=workload)`` at ``ratio`` and
-    scored on ``tasks`` by :func:`compare_methods`, which names each
+    scored for range F1 by :func:`compare_methods`, which names each
     result ``str(row)``. Rows are trained and scored in the mapping's
-    order. With ``seeds=()`` a row is only trained.
+    order.
     """
     rows: dict[Row, ConfigResult] = {}
     for name, config in configs.items():
@@ -182,7 +181,7 @@ def score_configs(
                 {str(name): rl4qdts_method(model, seed, workload=workload)},
                 (ratio,),
                 evaluator,
-                tasks,
+                ("range",),
             )[0]
             for seed in seeds
         ]

@@ -139,13 +139,13 @@ class TestScoreConfigs:
     def test_row_equals_hand_run(self, small_db, evaluator, factory, annotation):
         row = score_configs(
             small_db, {"row": _TINY}, 0.5, evaluator, factory,
-            seeds=(3,), workload=annotation, tasks=("range", "similarity"),
+            seeds=(3,), workload=annotation,
         )["row"]
         model = RL4QDTS.train(small_db, config=_TINY, workload_factory=factory)
         simplified = model.simplify(
             small_db, budget_ratio=0.5, seed=3, workload=annotation
         )
-        want = evaluator.evaluate(simplified, ("range", "similarity"))
+        want = evaluator.evaluate(simplified, ("range",))
         assert row.model.history.episode_diffs == model.history.episode_diffs
         (result,) = row.results
         assert (result.method, result.ratio) == ("row", 0.5)
@@ -176,15 +176,8 @@ class TestScoreConfigs:
                 )["range"]
                 for s in seeds
             ]
-            assert row.task_scores() == want
+            assert row.range_scores() == want
             assert all(r.simplify_seconds > 0 for r in row.results)
-
-    def test_no_seeds_trains_only(self, small_db, evaluator):
-        row = score_configs(
-            small_db, {"row": _TINY}, 0.5, evaluator, seeds=()
-        )["row"]
-        assert row.results == [] and row.train_seconds > 0
-        assert isinstance(row.model, RL4QDTS)
 
     def test_grid_search_trial_f1_is_the_evaluators(self, small_db):
         test_workload = RangeQueryWorkload.from_data_distribution(
